@@ -39,10 +39,11 @@ fn read_trace(path: &Path) -> Result<Vec<ParsedEvent>, EnpropError> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         EnpropError::invalid_config(format!("cannot read {}: {e}", path.display()))
     })?;
-    let events = parse_jsonl(&text);
+    let events = parse_jsonl(&text)
+        .map_err(|e| EnpropError::invalid_config(format!("{}: {e}", path.display())))?;
     if events.is_empty() {
         return Err(EnpropError::invalid_config(format!(
-            "{} holds no parseable trace events (expected the --trace-out FILE.jsonl format)",
+            "{} holds no trace events (expected the --trace-out FILE.jsonl format)",
             path.display()
         )));
     }

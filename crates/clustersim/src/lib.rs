@@ -38,9 +38,7 @@ pub use dispatch::{ClusterQueueResult, ClusterQueueSim};
 pub use enprop_faults::{
     EnpropError, FaultEvent, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel, RetryPolicy,
 };
-pub use run::{
-    ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, FaultyJobRun, Observation, PowerTrace,
-};
+pub use run::{ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, Observation, PowerTrace};
 pub use split::{
     rate_matched_split, try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit,
 };

@@ -474,148 +474,6 @@ mod trace_tests {
     }
 }
 
-/// Outcome of a job run under fail-stop node faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyJobRun {
-    /// The composed run (including recovery re-execution).
-    pub run: ClusterJobRun,
-    /// Nodes that failed during the job.
-    pub failures: u32,
-}
-
-impl ClusterSim<'_> {
-    /// Run one job under fail-stop faults: each node independently fails
-    /// during the job with probability `p_fail`. A failed node's share is
-    /// re-executed, spread across the survivors after the main wave
-    /// completes (the scale-out recovery pattern: straggler shares are
-    /// re-dispatched). Failed nodes stop drawing dynamic power but keep
-    /// idling (fail-stop, not power-off).
-    ///
-    /// With `p_fail = 0` this is exactly [`ClusterSim::run_job`].
-    pub fn run_job_with_failures(&self, p_fail: f64, seed: u64) -> FaultyJobRun {
-        assert!((0.0..=1.0).contains(&p_fail), "probability in [0, 1]");
-        let base = self.run_job(seed);
-        if p_fail == 0.0 {
-            return FaultyJobRun {
-                run: base,
-                failures: 0,
-            };
-        }
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA11_FA11);
-
-        // Which nodes fail, and how much of their share must be redone
-        // (uniform failure instant → uniform lost fraction).
-        let mut lost_ops = 0.0;
-        let mut failures = 0u32;
-        let mut surviving_rate = 0.0;
-        for (gi, g) in self.cluster.groups.iter().enumerate() {
-            for _ in 0..g.count {
-                let share_ops = self.split.ops_frac[gi] * self.workload.ops_per_job;
-                if rng.gen::<f64>() < p_fail {
-                    failures += 1;
-                    lost_ops += share_ops * rng.gen::<f64>();
-                } else {
-                    surviving_rate += self.split.node_rate[gi];
-                }
-            }
-        }
-        if failures == 0 {
-            return FaultyJobRun {
-                run: base,
-                failures: 0,
-            };
-        }
-        assert!(
-            surviving_rate > 0.0,
-            "every node failed; the job cannot complete"
-        );
-        // Recovery wave: survivors re-execute the lost share at their
-        // aggregate rate; the cluster idles nothing during recovery.
-        let recovery_time = lost_ops / surviving_rate;
-        let recovery_power = self.cluster.idle_w()
-            + (base.energy / base.duration - self.cluster.idle_w())
-                * (surviving_rate / self.split.cluster_rate);
-        FaultyJobRun {
-            run: ClusterJobRun {
-                duration: base.duration + recovery_time,
-                energy: base.energy + recovery_time * recovery_power,
-                ops: base.ops,
-            },
-            failures,
-        }
-    }
-}
-
-#[cfg(test)]
-mod failure_tests {
-    use super::*;
-    use enprop_workloads::catalog;
-
-    #[test]
-    fn zero_probability_is_the_plain_run() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(4, 2);
-        let sim = ClusterSim::new(&w, &c);
-        let f = sim.run_job_with_failures(0.0, 7);
-        assert_eq!(f.failures, 0);
-        assert_eq!(f.run, sim.run_job(7));
-    }
-
-    #[test]
-    fn failures_cost_time_and_energy() {
-        let w = catalog::by_name("blackscholes").unwrap();
-        let c = ClusterSpec::a9_k10(8, 4);
-        let sim = ClusterSim::new(&w, &c);
-        let base = sim.run_job(3);
-        // p = 1: every node fails somewhere mid-job — but then no
-        // survivors exist, so use p large but < 1 and a seed that yields
-        // both failures and survivors.
-        let f = sim.run_job_with_failures(0.5, 3);
-        assert!(f.failures > 0, "seed should produce failures");
-        assert!(f.run.duration > base.duration);
-        assert!(f.run.energy > base.energy);
-    }
-
-    #[test]
-    fn failure_cost_grows_with_probability() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(16, 4);
-        let sim = ClusterSim::new(&w, &c);
-        // Average across seeds to smooth the Bernoulli noise.
-        let avg = |p: f64| -> f64 {
-            (0..20)
-                .map(|s| sim.run_job_with_failures(p, s).run.duration)
-                .sum::<f64>()
-                / 20.0
-        };
-        let lo = avg(0.05);
-        let hi = avg(0.4);
-        assert!(hi > lo, "duration must grow with failure rate: {lo} vs {hi}");
-    }
-
-    #[test]
-    #[should_panic(expected = "every node failed")]
-    fn total_failure_is_rejected() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(1, 0);
-        let sim = ClusterSim::new(&w, &c);
-        // With one node and p = 1 the job can never finish.
-        let _ = sim.run_job_with_failures(1.0, 1);
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(8, 2);
-        let sim = ClusterSim::new(&w, &c);
-        let a = sim.run_job_with_failures(0.3, 9);
-        let b = sim.run_job_with_failures(0.3, 9);
-        assert_eq!(a, b);
-    }
-}
-
 /// One applied fault in a [`FaultedJobRun`] trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRecord {

@@ -6,6 +6,7 @@
 //! with nondeterministic iteration order are involved.
 
 use crate::event::{EventKind, TraceEvent, Track};
+use crate::line::{Line, LineError};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -198,7 +199,8 @@ pub enum ParsedKind {
     Begin,
     /// Span close.
     End,
-    /// Point event with a value (`null`-valued instants parse as NaN-free 0).
+    /// Point event with a value (a `null` value, written for a non-finite
+    /// one, parses as NaN).
     Instant(f64),
     /// Monotonic counter running total.
     Counter(u64),
@@ -236,130 +238,41 @@ pub struct ParsedEvent {
     pub kind: ParsedKind,
 }
 
-/// Extract the raw JSON value text for `key` from a flat one-line object.
-/// Only handles the shapes [`jsonl`] emits (no nested objects/arrays).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(inner) = rest.strip_prefix('"') {
-        let mut end = 0;
-        let bytes = inner.as_bytes();
-        while end < bytes.len() {
-            match bytes[end] {
-                b'\\' => end += 2,
-                b'"' => return Some(&inner[..end]),
-                _ => end += 1,
-            }
-        }
-        None
-    } else {
-        let end = rest
-            .find([',', '}'])
-            .unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(u) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(u);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let raw = field(line, key)?;
-    if raw == "null" {
-        return Some(f64::NAN);
-    }
-    raw.parse().ok()
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-/// Parse a JSONL trace produced by [`jsonl`] back into events. Lines that
-/// are blank or fail to parse are skipped (count them via the length
-/// delta if you need strictness); the happy path round-trips exactly.
-pub fn parse_jsonl(text: &str) -> Vec<ParsedEvent> {
+/// Parse a JSONL trace produced by [`jsonl`] back into events. Blank
+/// lines are skipped; any other line that is not a well-formed event is a
+/// [`LineError`] naming its line number. The happy path round-trips
+/// exactly.
+pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedEvent>, LineError> {
     let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
+    for (i, raw) in text.lines().enumerate() {
+        if raw.trim().is_empty() {
             continue;
         }
-        let (Some(t_s), Some(track), Some(name), Some(id), Some(kind_s)) = (
-            field_f64(line, "t"),
-            field(line, "track"),
-            field(line, "name"),
-            field_u64(line, "id"),
-            field(line, "kind"),
-        ) else {
-            continue;
-        };
-        let kind = match kind_s {
+        let l = Line::parse(i + 1, raw)?;
+        let kind = match &*l.str("kind")? {
             "begin" => ParsedKind::Begin,
             "end" => ParsedKind::End,
-            "instant" => match field_f64(line, "value") {
-                Some(v) => ParsedKind::Instant(v),
-                None => continue,
+            "instant" => ParsedKind::Instant(l.f64("value")?),
+            "counter" => ParsedKind::Counter(l.u64("total")?),
+            "gauge" => ParsedKind::Gauge(l.f64("value")?),
+            "power" => ParsedKind::Power {
+                cpu_act_w: l.f64("cpu_act_w")?,
+                cpu_stall_w: l.f64("cpu_stall_w")?,
+                mem_w: l.f64("mem_w")?,
+                net_w: l.f64("net_w")?,
+                idle_w: l.f64("idle_w")?,
             },
-            "counter" => match field_u64(line, "total") {
-                Some(v) => ParsedKind::Counter(v),
-                None => continue,
-            },
-            "gauge" => match field_f64(line, "value") {
-                Some(v) => ParsedKind::Gauge(v),
-                None => continue,
-            },
-            "power" => {
-                let (Some(ca), Some(cs), Some(m), Some(n), Some(i)) = (
-                    field_f64(line, "cpu_act_w"),
-                    field_f64(line, "cpu_stall_w"),
-                    field_f64(line, "mem_w"),
-                    field_f64(line, "net_w"),
-                    field_f64(line, "idle_w"),
-                ) else {
-                    continue;
-                };
-                ParsedKind::Power {
-                    cpu_act_w: ca,
-                    cpu_stall_w: cs,
-                    mem_w: m,
-                    net_w: n,
-                    idle_w: i,
-                }
-            }
-            _ => continue,
+            other => return Err(l.error(format!("unknown event kind {other:?}"))),
         };
         out.push(ParsedEvent {
-            t_s,
-            track: unescape(track),
-            name: unescape(name),
-            id,
+            t_s: l.f64("t")?,
+            track: l.str("track")?.into_owned(),
+            name: l.str("name")?.into_owned(),
+            id: l.u64("id")?,
             kind,
         });
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -452,7 +365,7 @@ mod tests {
     fn parse_jsonl_round_trips_every_kind() {
         let r = sample_events();
         let text = jsonl(r.events());
-        let parsed = parse_jsonl(&text);
+        let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed.len(), r.events().len());
         assert_eq!(parsed[0].kind, ParsedKind::Begin);
         assert_eq!(parsed[0].track, "cluster");
@@ -477,19 +390,29 @@ mod tests {
     }
 
     #[test]
-    fn parse_jsonl_skips_garbage_and_blank_lines() {
-        let text = "\nnot json\n{\"t\":1,\"track\":\"queue\",\"name\":\"x\",\
-                    \"id\":0,\"kind\":\"gauge\",\"value\":2}\n{\"t\":oops}\n";
-        let parsed = parse_jsonl(text);
+    fn parse_jsonl_skips_blank_lines_and_reports_garbage_by_line() {
+        let good =
+            "{\"t\":1,\"track\":\"queue\",\"name\":\"x\",\"id\":0,\"kind\":\"gauge\",\"value\":2}";
+        let parsed = parse_jsonl(&format!("\n  \n{good}\n")).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].kind, ParsedKind::Gauge(2.0));
+        for (garbage, line) in [
+            (format!("\nnot json\n{good}\n"), 2),
+            (format!("{good}\n{{\"t\":oops}}\n"), 2),
+            (format!("{good}\n\n{}", &good[..good.len() - 3]), 3),
+            (format!("{}\n", good.replace("gauge", "bogus")), 1),
+        ] {
+            let e = parse_jsonl(&garbage).unwrap_err();
+            assert_eq!(e.line, line, "{e}");
+            assert!(e.to_string().starts_with(&format!("line {line}: ")), "{e}");
+        }
     }
 
     #[test]
     fn parse_jsonl_unescapes_names() {
         let mut r = MemoryRecorder::new();
         r.instant(0.0, Track::Group { group: 3 }, "win.ep", 0.5);
-        let parsed = parse_jsonl(&jsonl(r.events()));
+        let parsed = parse_jsonl(&jsonl(r.events())).unwrap();
         assert_eq!(parsed[0].track, "group g3");
     }
 }

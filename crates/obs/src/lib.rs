@@ -42,6 +42,7 @@ mod event;
 mod export;
 mod hist;
 mod ledger;
+mod line;
 mod metrics;
 mod profile;
 mod recorder;
@@ -52,6 +53,7 @@ pub use event::{EventKind, PowerSample, TraceEvent, Track};
 pub use export::{chrome_trace, jsonl, parse_jsonl, ParsedEvent, ParsedKind};
 pub use hist::Histogram;
 pub use ledger::{EnergyLedger, EnergyOutcome, LedgerState};
+pub use line::{Line, LineError};
 pub use metrics::{MetricsSnapshot, SpanStats, METRICS_SCHEMA};
 pub use profile::{append_bench_record, peak_rss_kb, BenchRecord, CommandTimer};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, SwitchRecorder};

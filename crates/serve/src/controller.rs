@@ -282,8 +282,8 @@ pub enum RunOutcome {
 #[derive(Debug)]
 pub struct Controller<'a> {
     pub(crate) cfg: &'a ServeConfig,
-    plan: &'a FaultPlan,
-    topo: Option<&'a TopologyFaultPlan>,
+    pub(crate) plan: &'a FaultPlan,
+    pub(crate) topo: Option<&'a TopologyFaultPlan>,
     pub(crate) groups: Vec<GroupModel>,
     pub(crate) nodes: Vec<Node>,
 

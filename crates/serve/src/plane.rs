@@ -396,6 +396,14 @@ impl ObsPlane {
                 self.cur_groups.len()
             )));
         }
+        // A different window length would re-index every window (and a
+        // tiny one would make the next roll close windows without end).
+        if s.resp.window_s != self.window_s {
+            return Err(EnpropError::invalid_config(format!(
+                "snapshot obs series has {} s windows, the plane has {} s — wrong obs_window_s?",
+                s.resp.window_s, self.window_s
+            )));
+        }
         self.ledger = EnergyLedger::from_state(&s.ledger).ok_or_else(|| {
             EnpropError::invalid_config("snapshot energy ledger has an unknown outcome tag")
         })?;

@@ -8,7 +8,8 @@
 //! versioned JSONL: one `{"sec":"…"}` object per line, a header first and
 //! a `{"sec":"end","lines":N}` trailer last. A partially-written file
 //! fails the trailer check and restores as a typed error, never as a
-//! silently-wrong run.
+//! silently-wrong run. Lines read back through the workspace's one
+//! flat-line reader, [`enprop_obs::Line`].
 //!
 //! Every `f64` travels as its IEEE-754 bit pattern (`to_bits`, printed as
 //! a decimal `u64`): resume identity is *bit*-for-bit, and text floats
@@ -21,15 +22,19 @@ use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind};
-use enprop_obs::{LedgerState, QuantileSketch, SeriesState, SketchState, WindowState};
+use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind, Topology};
+use enprop_obs::{
+    LedgerState, Line, LineError, QuantileSketch, SeriesState, SketchState, WindowState,
+};
 
 use crate::arrivals::SourceState;
-use crate::controller::{Admin, Breaker, Controller, Ev, EvKind, Loc, Req, Running};
+use crate::controller::{
+    Admin, Breaker, Controller, Ev, EvKind, GroupModel, Loc, Node, Req, Running,
+};
 use crate::plane::{PlaneGroupState, PlaneState};
 
 /// Version tag of the snapshot format; bumped on any incompatible change.
-pub const SNAPSHOT_VERSION: &str = "enprop-snapshot-v1";
+pub const SNAPSHOT_VERSION: &str = "enprop-snapshot-v2";
 
 // ---- serialization ---------------------------------------------------------
 
@@ -37,9 +42,9 @@ fn bits(v: f64) -> u64 {
     v.to_bits()
 }
 
-fn push_u64s(out: &mut String, vals: &[u64]) {
+fn push_u64s(out: &mut String, vals: impl IntoIterator<Item = u64>) {
     out.push('[');
-    for (i, v) in vals.iter().enumerate() {
+    for (i, v) in vals.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -48,46 +53,21 @@ fn push_u64s(out: &mut String, vals: &[u64]) {
     out.push(']');
 }
 
-fn sketch_line(out: &mut String, which: u32, s: &SketchState) {
+/// The quantile-sketch fields, one key set shared by the `sketch` and
+/// `series_win` sections: `"alpha","maxb","lowc","scount","ssum","smin",
+/// "smax","buckets"` (the `s` prefix keeps them clear of `series_win`'s
+/// own `count` and `sum`).
+fn push_sketch(out: &mut String, s: &SketchState) {
+    let SketchState { alpha, max_buckets, buckets, low, count, sum, min, max } = s;
     let _ = write!(
         out,
-        "{{\"sec\":\"sketch\",\"which\":{},\"alpha\":{},\"maxb\":{},\"lowc\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":",
-        which,
-        bits(s.alpha),
-        s.max_buckets,
-        s.low,
-        s.count,
-        bits(s.sum),
-        bits(s.min),
-        bits(s.max),
+        "\"alpha\":{},\"maxb\":{max_buckets},\"lowc\":{low},\"scount\":{count},\"ssum\":{},\"smin\":{},\"smax\":{},\"buckets\":",
+        bits(*alpha),
+        bits(*sum),
+        bits(*min),
+        bits(*max),
     );
-    let flat: Vec<u64> = s
-        .buckets
-        .iter()
-        .flat_map(|&(k, n)| [i64::from(k) as u64, n])
-        .collect();
-    push_u64s(out, &flat);
-    out.push_str("}\n");
-}
-
-fn sketch_fields(s: &SketchState) -> String {
-    let mut f = format!(
-        "\"alpha\":{},\"maxb\":{},\"lowc\":{},\"scount\":{},\"ssum\":{},\"smin\":{},\"smax\":{},\"buckets\":",
-        bits(s.alpha),
-        s.max_buckets,
-        s.low,
-        s.count,
-        bits(s.sum),
-        bits(s.min),
-        bits(s.max),
-    );
-    let flat: Vec<u64> = s
-        .buckets
-        .iter()
-        .flat_map(|&(k, n)| [i64::from(k) as u64, n])
-        .collect();
-    push_u64s(&mut f, &flat);
-    f
+    push_u64s(out, buckets.iter().flat_map(|&(k, n)| [i64::from(k) as u64, n]));
 }
 
 fn ev_line(out: &mut String, ev: &Ev) {
@@ -137,66 +117,92 @@ fn ev_line(out: &mut String, ev: &Ev) {
     );
 }
 
-/// Serialize `c` (plus the just-popped `pending` event and the arrival
+/// Serialize `c` (plus the just-popped `popped` event and the arrival
 /// source's cursor) into the versioned JSONL snapshot text. Called by the
 /// event loop at closed obs-window boundaries, after the plane roll.
+///
+/// The state structs are destructured exhaustively, with no `..`: a state
+/// field added without snapshot coverage fails to compile here. Fields
+/// bound as `_` are static inputs the resume rebuilds, or derived values.
 pub(crate) fn serialize(
     c: &Controller<'_>,
-    pending: &Ev,
+    popped: &Ev,
     src: &SourceState,
     counters: &[(&'static str, u64)],
 ) -> String {
+    let Controller {
+        cfg,
+        plan: _, // static input: the resume is handed the same plan
+        topo: _, // static input, likewise
+        groups,
+        nodes,
+        heap,
+        seq,
+        now,
+        events,
+        inflight,
+        pending,
+        next_req_id,
+        arrivals_done,
+        drain_armed,
+        shed_mode,
+        shed_entries,
+        cooldown,
+        tick_sketch,
+        window_arrival_ops,
+        run_sketch,
+        resp_sum,
+        plane,
+        plane_next_close_s: _, // derived: re-read from the restored plane
+        emergency_cap_w,
+        emergency_until_s,
+        emergency_level,
+        shed_class_floor,
+        arrivals,
+        completions,
+        shed_admission,
+        shed_retry,
+        shed_backpressure,
+        timeouts,
+        retries,
+        reroutes,
+        crashes,
+        stalls,
+        stragglers,
+        repairs,
+        activations,
+        deactivations,
+        dvfs_up,
+        dvfs_down,
+        shed_toggles,
+        rack_crashes,
+        pdu_losses,
+        partitions,
+        power_emergencies,
+        emergency_actions,
+        breaker_opens,
+        breaker_closes,
+    } = c;
     let mut out = String::with_capacity(4096);
-    let has_plane = u8::from(c.plane.is_some());
+    let has_plane = u8::from(plane.is_some());
     let _ = writeln!(
         out,
-        "{{\"sec\":\"{SNAPSHOT_VERSION}\",\"seed\":{},\"groups\":{},\"nodes\":{},\"now\":{},\"seq\":{},\"events\":{},\"has_plane\":{has_plane}}}",
-        c.cfg.seed,
-        c.groups.len(),
-        c.nodes.len(),
-        bits(c.now),
-        c.seq,
-        c.events,
+        "{{\"sec\":\"{SNAPSHOT_VERSION}\",\"seed\":{},\"groups\":{},\"nodes\":{},\"now\":{},\"seq\":{seq},\"events\":{events},\"has_plane\":{has_plane}}}",
+        cfg.seed,
+        groups.len(),
+        nodes.len(),
+        bits(*now),
     );
     let _ = writeln!(
         out,
-        "{{\"sec\":\"ctl\",\"next_req_id\":{},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{},\"cooldown\":{},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{},\"class_floor\":{},\"n_arrivals\":{},\"n_completions\":{},\"n_shed_admission\":{},\"n_shed_retry\":{},\"n_shed_backpressure\":{},\"n_timeouts\":{},\"n_retries\":{},\"n_reroutes\":{},\"n_crashes\":{},\"n_stalls\":{},\"n_stragglers\":{},\"n_repairs\":{},\"n_activations\":{},\"n_deactivations\":{},\"n_dvfs_up\":{},\"n_dvfs_down\":{},\"n_shed_toggles\":{},\"n_rack_crashes\":{},\"n_pdu_losses\":{},\"n_partitions\":{},\"n_power_emergencies\":{},\"n_emergency_actions\":{},\"n_breaker_opens\":{},\"n_breaker_closes\":{}}}",
-        c.next_req_id,
-        u8::from(c.arrivals_done),
-        u8::from(c.drain_armed),
-        u8::from(c.shed_mode),
-        c.shed_entries,
-        c.cooldown,
-        bits(c.window_arrival_ops),
-        bits(c.resp_sum),
-        bits(c.emergency_cap_w),
-        bits(c.emergency_until_s),
-        c.emergency_level,
-        c.shed_class_floor,
-        c.arrivals,
-        c.completions,
-        c.shed_admission,
-        c.shed_retry,
-        c.shed_backpressure,
-        c.timeouts,
-        c.retries,
-        c.reroutes,
-        c.crashes,
-        c.stalls,
-        c.stragglers,
-        c.repairs,
-        c.activations,
-        c.deactivations,
-        c.dvfs_up,
-        c.dvfs_down,
-        c.shed_toggles,
-        c.rack_crashes,
-        c.pdu_losses,
-        c.partitions,
-        c.power_emergencies,
-        c.emergency_actions,
-        c.breaker_opens,
-        c.breaker_closes,
+        "{{\"sec\":\"ctl\",\"next_req_id\":{next_req_id},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{shed_entries},\"cooldown\":{cooldown},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{emergency_level},\"class_floor\":{shed_class_floor},\"n_arrivals\":{arrivals},\"n_completions\":{completions},\"n_shed_admission\":{shed_admission},\"n_shed_retry\":{shed_retry},\"n_shed_backpressure\":{shed_backpressure},\"n_timeouts\":{timeouts},\"n_retries\":{retries},\"n_reroutes\":{reroutes},\"n_crashes\":{crashes},\"n_stalls\":{stalls},\"n_stragglers\":{stragglers},\"n_repairs\":{repairs},\"n_activations\":{activations},\"n_deactivations\":{deactivations},\"n_dvfs_up\":{dvfs_up},\"n_dvfs_down\":{dvfs_down},\"n_shed_toggles\":{shed_toggles},\"n_rack_crashes\":{rack_crashes},\"n_pdu_losses\":{pdu_losses},\"n_partitions\":{partitions},\"n_power_emergencies\":{power_emergencies},\"n_emergency_actions\":{emergency_actions},\"n_breaker_opens\":{breaker_opens},\"n_breaker_closes\":{breaker_closes}}}",
+        u8::from(*arrivals_done),
+        u8::from(*drain_armed),
+        u8::from(*shed_mode),
+        bits(*window_arrival_ops),
+        bits(*resp_sum),
+        bits(*emergency_cap_w),
+        bits(*emergency_until_s),
     );
     // Recorder-side running totals: `Recorder::counter` events carry a
     // cumulative total kept by the *sink*, so a resumed run must continue
@@ -204,8 +210,16 @@ pub(crate) fn serialize(
     for (name, total) in counters {
         let _ = writeln!(out, "{{\"sec\":\"cnt\",\"name\":\"{name}\",\"total\":{total}}}");
     }
-    for (gi, g) in c.groups.iter().enumerate() {
-        let (brk, ba, bb) = match g.breaker {
+    for (gi, g) in groups.iter().enumerate() {
+        let GroupModel {
+            rate_at: _,     // static: rebuilt from the workload and cluster
+            busy_w_at: _,   // static, likewise
+            idle_w: _,      // static, likewise
+            peak_busy_w: _, // derived from busy_w_at
+            freq_idx,
+            breaker,
+        } = g;
+        let (brk, ba, bb) = match *breaker {
             Breaker::Closed { fails } => (0, u64::from(fails), 0),
             Breaker::Open { until_s, reopens } => (1, bits(until_s), u64::from(reopens)),
             Breaker::HalfOpen { probe, reopens } => {
@@ -214,12 +228,31 @@ pub(crate) fn serialize(
         };
         let _ = writeln!(
             out,
-            "{{\"sec\":\"group\",\"i\":{gi},\"freq\":{},\"brk\":{brk},\"ba\":{ba},\"bb\":{bb}}}",
-            g.freq_idx,
+            "{{\"sec\":\"group\",\"i\":{gi},\"freq\":{freq_idx},\"brk\":{brk},\"ba\":{ba},\"bb\":{bb}}}",
         );
     }
-    for (i, n) in c.nodes.iter().enumerate() {
-        let admin = match n.admin {
+    for (i, n) in nodes.iter().enumerate() {
+        let Node {
+            group: _,    // static: fixed by the cluster spec
+            in_group: _, // static, likewise
+            admin,
+            crashed,
+            unpowered,
+            stalled_until,
+            slowdown,
+            slow_until,
+            queue,
+            queued_ops,
+            current,
+            epoch,
+            acct_t,
+            energy_j,
+            win_busy_j,
+            win_ideal_j,
+            win_idle_j,
+            down_span_open,
+        } = n;
+        let admin = match admin {
             Admin::Active => 0,
             Admin::Draining => 1,
             Admin::Deactivated => 2,
@@ -227,61 +260,58 @@ pub(crate) fn serialize(
         };
         let _ = write!(
             out,
-            "{{\"sec\":\"node\",\"i\":{i},\"admin\":{admin},\"crashed\":{},\"unpowered\":{},\"stalled_until\":{},\"slowdown\":{},\"slow_until\":{},\"queued_ops\":{},\"epoch\":{},\"acct_t\":{},\"energy\":{},\"wb\":{},\"wi\":{},\"wd\":{},\"down_span\":{},\"queue\":",
-            u8::from(n.crashed),
-            u8::from(n.unpowered),
-            bits(n.stalled_until),
-            bits(n.slowdown),
-            bits(n.slow_until),
-            bits(n.queued_ops),
-            n.epoch,
-            bits(n.acct_t),
-            bits(n.energy_j),
-            bits(n.win_busy_j),
-            bits(n.win_ideal_j),
-            bits(n.win_idle_j),
-            u8::from(n.down_span_open),
+            "{{\"sec\":\"node\",\"i\":{i},\"admin\":{admin},\"crashed\":{},\"unpowered\":{},\"stalled_until\":{},\"slowdown\":{},\"slow_until\":{},\"queued_ops\":{},\"epoch\":{epoch},\"acct_t\":{},\"energy\":{},\"wb\":{},\"wi\":{},\"wd\":{},\"down_span\":{},\"queue\":",
+            u8::from(*crashed),
+            u8::from(*unpowered),
+            bits(*stalled_until),
+            bits(*slowdown),
+            bits(*slow_until),
+            bits(*queued_ops),
+            bits(*acct_t),
+            bits(*energy_j),
+            bits(*win_busy_j),
+            bits(*win_ideal_j),
+            bits(*win_idle_j),
+            u8::from(*down_span_open),
         );
-        let q: Vec<u64> = n.queue.iter().copied().collect();
-        push_u64s(&mut out, &q);
-        match &n.current {
+        push_u64s(&mut out, queue.iter().copied());
+        match current {
             None => out.push_str(",\"cur\":0,\"cur_req\":0,\"cur_rem\":0,\"cur_e\":0}\n"),
-            Some(r) => {
+            Some(Running { req, remaining_ops, energy_j }) => {
                 let _ = writeln!(
                     out,
-                    ",\"cur\":1,\"cur_req\":{},\"cur_rem\":{},\"cur_e\":{}}}",
-                    r.req,
-                    bits(r.remaining_ops),
-                    bits(r.energy_j),
+                    ",\"cur\":1,\"cur_req\":{req},\"cur_rem\":{},\"cur_e\":{}}}",
+                    bits(*remaining_ops),
+                    bits(*energy_j),
                 );
             }
         }
     }
-    for (&id, r) in &c.inflight {
-        let (loc, loc_node) = match r.loc {
+    for (id, r) in inflight {
+        let Req { arrived, ops, class, attempt, dispatch, loc, exclude, traced } = r;
+        let (loc, loc_node) = match loc {
             Loc::Pending => (0, 0),
             Loc::Backoff => (1, 0),
-            Loc::OnNode(i) => (2, i as u64),
+            Loc::OnNode(i) => (2, *i as u64),
         };
         let _ = writeln!(
             out,
-            "{{\"sec\":\"req\",\"id\":{id},\"arrived\":{},\"ops\":{},\"class\":{},\"attempt\":{},\"dispatch\":{},\"loc\":{loc},\"loc_node\":{loc_node},\"exclude\":{},\"traced\":{}}}",
-            bits(r.arrived),
-            bits(r.ops),
-            r.class,
-            r.attempt,
-            r.dispatch,
-            r.exclude.map_or(0, |e| e as u64 + 1),
-            u8::from(r.traced),
+            "{{\"sec\":\"req\",\"id\":{id},\"arrived\":{},\"ops\":{},\"class\":{class},\"attempt\":{attempt},\"dispatch\":{dispatch},\"loc\":{loc},\"loc_node\":{loc_node},\"exclude\":{},\"traced\":{}}}",
+            bits(*arrived),
+            bits(*ops),
+            exclude.map_or(0, |e| e as u64 + 1),
+            u8::from(*traced),
         );
     }
     out.push_str("{\"sec\":\"pending\",\"ids\":");
-    let p: Vec<u64> = c.pending.iter().copied().collect();
-    push_u64s(&mut out, &p);
+    push_u64s(&mut out, pending.iter().copied());
     out.push_str("}\n");
-    sketch_line(&mut out, 0, &c.tick_sketch.state());
-    sketch_line(&mut out, 1, &c.run_sketch.state());
-    if let Some(plane) = &c.plane {
+    for (which, sketch) in [tick_sketch, run_sketch].into_iter().enumerate() {
+        let _ = write!(out, "{{\"sec\":\"sketch\",\"which\":{which},");
+        push_sketch(&mut out, &sketch.state());
+        out.push_str("}\n");
+    }
+    if let Some(plane) = plane {
         let ps = plane.state();
         let _ = write!(
             out,
@@ -294,8 +324,7 @@ pub(crate) fn serialize(
             bits(ps.burn_fast),
             bits(ps.burn_slow),
         );
-        let ring: Vec<u64> = ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]).collect();
-        push_u64s(&mut out, &ring);
+        push_u64s(&mut out, ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]));
         out.push_str("}\n");
         for (gi, g) in ps.groups.iter().enumerate() {
             let _ = writeln!(
@@ -320,45 +349,32 @@ pub(crate) fn serialize(
             bits(ps.resp.evicted_sum),
         );
         for w in &ps.resp.windows {
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},{}}}",
+                "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},",
                 w.index,
                 w.count,
                 bits(w.sum),
-                sketch_fields(&w.sketch),
             );
+            push_sketch(&mut out, &w.sketch);
+            out.push_str("}\n");
         }
+        let ledger = &ps.ledger;
         out.push_str("{\"sec\":\"ledger\",\"charges\":");
-        let ch: Vec<u64> = ps
-            .ledger
-            .charges
-            .iter()
-            .flat_map(|&(g, o, j)| [u64::from(g), u64::from(o), bits(j)])
-            .collect();
-        push_u64s(&mut out, &ch);
+        push_u64s(
+            &mut out,
+            ledger.charges.iter().flat_map(|&(g, o, j)| [u64::from(g), u64::from(o), bits(j)]),
+        );
         out.push_str(",\"ideal\":");
-        let id: Vec<u64> = ps
-            .ledger
-            .ideal_j
-            .iter()
-            .flat_map(|&(g, j)| [u64::from(g), bits(j)])
-            .collect();
-        push_u64s(&mut out, &id);
+        push_u64s(&mut out, ledger.ideal_j.iter().flat_map(|&(g, j)| [u64::from(g), bits(j)]));
         out.push_str(",\"completed\":");
-        let co: Vec<u64> = ps
-            .ledger
-            .completed
-            .iter()
-            .flat_map(|&(g, n)| [u64::from(g), n])
-            .collect();
-        push_u64s(&mut out, &co);
+        push_u64s(&mut out, ledger.completed.iter().flat_map(|&(g, n)| [u64::from(g), n]));
         out.push_str("}\n");
     }
     // The heap in deterministic (t, seq) order, plus the just-popped
     // event — the first thing the resumed loop will process.
-    let mut evs: Vec<&Ev> = c.heap.iter().map(|Reverse(e)| e).collect();
-    evs.push(pending);
+    let mut evs: Vec<&Ev> = heap.iter().map(|Reverse(e)| e).collect();
+    evs.push(popped);
     evs.sort();
     for ev in evs {
         ev_line(&mut out, ev);
@@ -366,11 +382,11 @@ pub(crate) fn serialize(
     match src {
         SourceState::Synthetic { gap, size, class, t, remaining } => {
             out.push_str("{\"sec\":\"source\",\"kind\":0,\"g\":");
-            push_u64s(&mut out, gap);
+            push_u64s(&mut out, gap.iter().copied());
             out.push_str(",\"s\":");
-            push_u64s(&mut out, size);
+            push_u64s(&mut out, size.iter().copied());
             out.push_str(",\"c\":");
-            push_u64s(&mut out, class);
+            push_u64s(&mut out, class.iter().copied());
             let _ = writeln!(out, ",\"t\":{},\"remaining\":{remaining}}}", bits(*t));
         }
         SourceState::Replay { next } => {
@@ -384,198 +400,121 @@ pub(crate) fn serialize(
 
 // ---- parsing ---------------------------------------------------------------
 
-fn snap_err(lineno: usize, msg: impl std::fmt::Display) -> EnpropError {
-    EnpropError::invalid_config(format!("snapshot line {lineno}: {msg}"))
+/// `v` narrowed to `T`, or an error naming `what`.
+fn narrow<T: TryFrom<u64>>(l: &Line<'_>, v: u64, what: &str) -> Result<T, LineError> {
+    T::try_from(v).map_err(|_| l.error(format!("{what} out of range: {v}")))
 }
 
-/// The `"sec"` tag of a snapshot line.
-fn sec_of(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"sec\":\"")?;
-    let end = rest.find('"')?;
-    Some(&rest[..end])
+/// `key`'s unsigned value narrowed to `T`.
+fn int<T: TryFrom<u64>>(l: &Line<'_>, key: &str) -> Result<T, LineError> {
+    narrow(l, l.u64(key)?, key)
 }
 
-/// The decimal `u64` following `"key":` on `line`.
-fn num(line: &str, lineno: usize, key: &str) -> Result<u64, EnpropError> {
-    let needle = format!("\"{key}\":");
-    let at = line
-        .find(&needle)
-        .ok_or_else(|| snap_err(lineno, format!("missing \"{key}\"")))?;
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find(|ch: char| !ch.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|_| snap_err(lineno, format!("malformed \"{key}\" value (truncated line?)")))
+/// `v` as an index into a collection of `len` items.
+fn below(l: &Line<'_>, v: u64, len: usize, what: &str) -> Result<usize, LineError> {
+    usize::try_from(v)
+        .ok()
+        .filter(|&i| i < len)
+        .ok_or_else(|| l.error(format!("{what} {v} out of range (0..{len})")))
 }
 
-/// An f64 that traveled as its bit pattern.
-fn fnum(line: &str, lineno: usize, key: &str) -> Result<f64, EnpropError> {
-    Ok(f64::from_bits(num(line, lineno, key)?))
-}
-
-/// The quoted string following `"key":` on `line`. Snapshot strings are
-/// counter names — static identifiers with no escapes — so the first
-/// closing quote ends the value.
-fn str_of<'l>(line: &'l str, lineno: usize, key: &str) -> Result<&'l str, EnpropError> {
-    let needle = format!("\"{key}\":\"");
-    let at = line
-        .find(&needle)
-        .ok_or_else(|| snap_err(lineno, format!("missing \"{key}\" string")))?;
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find('"')
-        .ok_or_else(|| snap_err(lineno, format!("unterminated \"{key}\" string")))?;
-    Ok(&rest[..end])
-}
-
-fn flag(line: &str, lineno: usize, key: &str) -> Result<bool, EnpropError> {
-    match num(line, lineno, key)? {
+/// A 0/1 flag.
+fn boolean(l: &Line<'_>, key: &str) -> Result<bool, LineError> {
+    match l.u64(key)? {
         0 => Ok(false),
         1 => Ok(true),
-        v => Err(snap_err(lineno, format!("\"{key}\" must be 0 or 1, got {v}"))),
+        v => Err(l.error(format!("{key:?} must be 0 or 1, got {v}"))),
     }
 }
 
-/// The `[a,b,…]` u64 array following `"key":` on `line`.
-fn arr(line: &str, lineno: usize, key: &str) -> Result<Vec<u64>, EnpropError> {
-    let needle = format!("\"{key}\":[");
-    let at = line
-        .find(&needle)
-        .ok_or_else(|| snap_err(lineno, format!("missing \"{key}\" array")))?;
-    let rest = &line[at + needle.len()..];
-    let end = rest
-        .find(']')
-        .ok_or_else(|| snap_err(lineno, format!("unterminated \"{key}\" array")))?;
-    let body = &rest[..end];
-    if body.is_empty() {
-        return Ok(Vec::new());
+/// `key`'s flat array read as `N`-tuples.
+fn tuples<const N: usize>(l: &Line<'_>, key: &str) -> Result<Vec<[u64; N]>, LineError> {
+    let flat = l.u64s(key)?;
+    if flat.len() % N != 0 {
+        return Err(
+            l.error(format!("{key:?} array length {} is not a multiple of {N}", flat.len()))
+        );
     }
-    body.split(',')
-        .map(|s| {
-            s.parse()
-                .map_err(|_| snap_err(lineno, format!("malformed \"{key}\" array element")))
+    Ok(flat.chunks_exact(N).map(|c| std::array::from_fn(|i| c[i])).collect())
+}
+
+fn sketch_of(l: &Line<'_>) -> Result<SketchState, LineError> {
+    let buckets = tuples::<2>(l, "buckets")?
+        .into_iter()
+        .map(|[k, n]| {
+            let k = i32::try_from(k as i64).map_err(|_| l.error("bucket key out of i32 range"))?;
+            Ok((k, n))
         })
-        .collect()
-}
-
-fn usize_of(v: u64, lineno: usize, what: &str) -> Result<usize, EnpropError> {
-    usize::try_from(v).map_err(|_| snap_err(lineno, format!("{what} out of range: {v}")))
-}
-
-fn u32_of(v: u64, lineno: usize, what: &str) -> Result<u32, EnpropError> {
-    u32::try_from(v).map_err(|_| snap_err(lineno, format!("{what} out of range: {v}")))
-}
-
-fn u8_of(v: u64, lineno: usize, what: &str) -> Result<u8, EnpropError> {
-    u8::try_from(v).map_err(|_| snap_err(lineno, format!("{what} out of range: {v}")))
-}
-
-fn sketch_of(
-    line: &str,
-    lineno: usize,
-    keys: (&str, &str, &str, &str, &str, &str),
-) -> Result<SketchState, EnpropError> {
-    let (alpha_k, maxb_k, count_k, sum_k, min_k, max_k) = keys;
-    let flat = arr(line, lineno, "buckets")?;
-    if flat.len() % 2 != 0 {
-        return Err(snap_err(lineno, "odd-length \"buckets\" array"));
-    }
-    let buckets = flat
-        .chunks_exact(2)
-        .map(|c| {
-            let k = i32::try_from(c[0] as i64)
-                .map_err(|_| snap_err(lineno, "bucket key out of i32 range"))?;
-            Ok((k, c[1]))
-        })
-        .collect::<Result<Vec<_>, EnpropError>>()?;
+        .collect::<Result<Vec<_>, LineError>>()?;
     Ok(SketchState {
-        alpha: fnum(line, lineno, alpha_k)?,
-        max_buckets: usize_of(num(line, lineno, maxb_k)?, lineno, "max_buckets")?,
+        alpha: l.f64_bits("alpha")?,
+        max_buckets: int(l, "maxb")?,
         buckets,
-        low: num(line, lineno, "lowc")?,
-        count: num(line, lineno, count_k)?,
-        sum: fnum(line, lineno, sum_k)?,
-        min: fnum(line, lineno, min_k)?,
-        max: fnum(line, lineno, max_k)?,
+        low: l.u64("lowc")?,
+        count: l.u64("scount")?,
+        sum: l.f64_bits("ssum")?,
+        min: l.f64_bits("smin")?,
+        max: l.f64_bits("smax")?,
     })
 }
 
-fn ev_of(line: &str, lineno: usize) -> Result<Ev, EnpropError> {
-    let t = fnum(line, lineno, "t")?;
-    let seq = num(line, lineno, "seq")?;
-    let k = num(line, lineno, "k")?;
-    let a = num(line, lineno, "a")?;
-    let b = num(line, lineno, "b")?;
-    let kind = match k {
-        0 => EvKind::Arrival {
-            ops: f64::from_bits(a),
-            class: u8_of(b, lineno, "class")?,
-        },
-        1 => EvKind::Completion { node: usize_of(a, lineno, "node")?, epoch: b },
-        2 => EvKind::Timeout { req: a, dispatch: u32_of(b, lineno, "dispatch")? },
+/// One `ev` line, its node indices checked against `nodes` and its
+/// rack/PDU indices against `topo` (no topology: none is valid).
+fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, LineError> {
+    let (a, b) = (l.u64("a")?, l.u64("b")?);
+    let node = || below(l, a, nodes, "event node");
+    let kind = match l.u64("k")? {
+        0 => EvKind::Arrival { ops: f64::from_bits(a), class: narrow(l, b, "class")? },
+        1 => EvKind::Completion { node: node()?, epoch: b },
+        2 => EvKind::Timeout { req: a, dispatch: narrow(l, b, "dispatch")? },
         3 => EvKind::Redispatch { req: a },
         4 => {
-            let c = fnum(line, lineno, "c")?;
+            let p = l.f64_bits("c")?;
             let kind = match b {
                 0 => FaultKind::Crash,
-                1 => FaultKind::Stall { duration_s: c },
-                2 => FaultKind::Straggler { slowdown: c },
-                other => return Err(snap_err(lineno, format!("unknown fault kind {other}"))),
+                1 => FaultKind::Stall { duration_s: p },
+                2 => FaultKind::Straggler { slowdown: p },
+                other => return Err(l.error(format!("unknown fault kind {other}"))),
             };
-            EvKind::Fault { node: usize_of(a, lineno, "node")?, kind }
+            EvKind::Fault { node: node()?, kind }
         }
-        5 => EvKind::FaultWindow {
-            node: usize_of(a, lineno, "node")?,
-            window: u32_of(b, lineno, "window")?,
-        },
-        6 => EvKind::StallEnd { node: usize_of(a, lineno, "node")? },
-        7 => EvKind::StragglerEnd { node: usize_of(a, lineno, "node")? },
-        8 => EvKind::Repair { node: usize_of(a, lineno, "node")? },
+        5 => EvKind::FaultWindow { node: node()?, window: narrow(l, b, "window")? },
+        6 => EvKind::StallEnd { node: node()? },
+        7 => EvKind::StragglerEnd { node: node()? },
+        8 => EvKind::Repair { node: node()? },
         9 => EvKind::HealthCheck,
         10 => EvKind::ControlTick,
         11 => EvKind::DrainDeadline,
-        12 => EvKind::DomainWindow { window: u32_of(a, lineno, "window")? },
+        12 => EvKind::DomainWindow { window: narrow(l, a, "window")? },
         13 => {
-            let c = num(line, lineno, "c")?;
-            let d = num(line, lineno, "d")?;
-            let e = fnum(line, lineno, "e")?;
-            let f = fnum(line, lineno, "f")?;
+            let (di, p1, p2) = (l.u64("c")?, l.f64_bits("e")?, l.f64_bits("f")?);
             let domain = match b {
-                0 => Domain::Rack(usize_of(c, lineno, "rack")?),
-                1 => Domain::Pdu(usize_of(c, lineno, "pdu")?),
+                0 => Domain::Rack(below(l, di, topo.map_or(0, Topology::racks), "rack")?),
+                1 => Domain::Pdu(below(l, di, topo.map_or(0, Topology::pdus), "pdu")?),
                 2 => Domain::Cluster,
-                other => return Err(snap_err(lineno, format!("unknown domain tag {other}"))),
+                other => return Err(l.error(format!("unknown domain tag {other}"))),
             };
-            let kind = match d {
+            let kind = match l.u64("d")? {
                 0 => DomainFaultKind::RackCrash,
                 1 => DomainFaultKind::PduLoss,
-                2 => DomainFaultKind::NetworkPartition { duration_s: e },
-                3 => DomainFaultKind::PowerEmergency { cap_w: e, duration_s: f },
-                other => {
-                    return Err(snap_err(lineno, format!("unknown domain fault kind {other}")))
-                }
+                2 => DomainFaultKind::NetworkPartition { duration_s: p1 },
+                3 => DomainFaultKind::PowerEmergency { cap_w: p1, duration_s: p2 },
+                other => return Err(l.error(format!("unknown domain fault kind {other}"))),
             };
             EvKind::DomainFault { event: DomainEvent { at_s: f64::from_bits(a), domain, kind } }
         }
         14 => EvKind::EmergencyEnd,
-        other => return Err(snap_err(lineno, format!("unknown event kind {other}"))),
+        other => return Err(l.error(format!("unknown event kind {other}"))),
     };
-    Ok(Ev { t, seq, kind })
+    Ok(Ev { t: l.f64_bits("t")?, seq: l.u64("seq")?, kind })
 }
 
-fn rng_state(v: &[u64], lineno: usize, what: &str) -> Result<[u64; 4], EnpropError> {
-    <[u64; 4]>::try_from(v)
-        .map_err(|_| snap_err(lineno, format!("{what} must have exactly 4 words")))
+fn rng_state(l: &Line<'_>, key: &str) -> Result<[u64; 4], LineError> {
+    <[u64; 4]>::try_from(l.u64s(key)?)
+        .map_err(|_| l.error(format!("{key:?} must have exactly 4 words")))
 }
 
 // ---- restore ---------------------------------------------------------------
-
-/// The parsed `"plane"` head line, held until the group/series/ledger
-/// sections arrive: `(cur_index, cur_arrivals, cur_shed, cur_breaches,
-/// alert, burn_fast, burn_slow, breach ring)`.
-type PlaneHead = (u64, u64, u64, u64, bool, f64, f64, Vec<(u64, u64)>);
 
 /// What [`restore`] hands back beyond the controller state it writes in
 /// place: the arrival source's cursor and the recorder's aggregate counter
@@ -589,447 +528,389 @@ pub(crate) struct Restored {
 /// built from the same workload / cluster / plans / config. Returns the
 /// arrival source's snapshotted cursor (for the caller to re-seat) and the
 /// checkpointed recorder counter totals (for the caller to preload). Any
-/// mismatch — truncation, version skew, a different seed or cluster shape
-/// — is a typed configuration error.
+/// mismatch — truncation, version skew, a different seed or cluster shape,
+/// an index or request id that points nowhere — is a typed configuration
+/// error naming the line, never a panic later in the run.
 pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, EnpropError> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let total = lines.len();
-    if total < 2 {
-        return Err(EnpropError::invalid_config(
-            "snapshot is empty or truncated before the header".to_string(),
-        ));
-    }
-    // Crash-consistency gate first: the trailer must exist and count every
-    // preceding line, or the file was cut mid-write.
-    let last = lines[total - 1];
-    if sec_of(last) != Some("end") {
-        return Err(EnpropError::invalid_config(
-            "snapshot has no \"end\" trailer — truncated mid-write?".to_string(),
-        ));
-    }
-    let counted = num(last, total, "lines")?;
-    if counted != (total - 1) as u64 {
-        return Err(EnpropError::invalid_config(format!(
-            "snapshot trailer counts {counted} lines but {} precede it — truncated mid-write?",
-            total - 1
-        )));
-    }
-    // Header: version + shape checks.
-    let header = lines[0];
-    match sec_of(header) {
-        Some(v) if v == SNAPSHOT_VERSION => {}
-        Some(v) => {
-            return Err(EnpropError::invalid_config(format!(
-                "snapshot version {v:?} is not the supported {SNAPSHOT_VERSION:?}"
-            )))
+    let (restored, plane_state) =
+        read(c, text).map_err(|e| EnpropError::invalid_config(format!("snapshot {e}")))?;
+    match (plane_state, c.plane.as_mut()) {
+        (Some(ps), Some(plane)) => {
+            plane.restore(&ps)?;
+            c.plane_next_close_s = plane.next_close_s();
         }
-        None => return Err(snap_err(1, "missing \"sec\" version tag")),
+        _ => c.plane_next_close_s = f64::INFINITY,
     }
-    let seed = num(header, 1, "seed")?;
-    if seed != c.cfg.seed {
-        return Err(snap_err(
-            1,
-            format!("snapshot seed {seed} != configured seed {}", c.cfg.seed),
-        ));
-    }
-    let n_groups = usize_of(num(header, 1, "groups")?, 1, "groups")?;
-    let n_nodes = usize_of(num(header, 1, "nodes")?, 1, "nodes")?;
-    if n_groups != c.groups.len() || n_nodes != c.nodes.len() {
-        return Err(snap_err(
-            1,
+    Ok(restored)
+}
+
+/// The line-level half of [`restore`]: everything but handing the plane
+/// state to the plane, which [`read`] returns iff the snapshot has one.
+fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneState>), LineError> {
+    let lines: Vec<&str> = text.lines().collect();
+    let total = lines.len();
+    // Crash-consistency gate first: the file must end with a complete,
+    // newline-terminated trailer that counts every preceding line, or it
+    // was cut mid-write.
+    let counted = lines
+        .last()
+        .filter(|_| text.ends_with('\n'))
+        .and_then(|last| Line::parse(total, last).ok())
+        .filter(|t| t.str("sec").is_ok_and(|s| s == "end"))
+        .and_then(|t| t.u64("lines").ok());
+    let body = total.saturating_sub(1);
+    if counted != Some(body as u64) {
+        return Err(LineError::new(
+            total.max(1),
             format!(
-                "snapshot cluster shape {n_groups}g/{n_nodes}n != configured {}g/{}n",
-                c.groups.len(),
-                c.nodes.len()
+                "no \"end\" trailer counting the {body} lines before it — truncated mid-write?"
             ),
         ));
     }
-    let has_plane = flag(header, 1, "has_plane")?;
-    if has_plane != c.plane.is_some() {
-        return Err(snap_err(
-            1,
-            "snapshot and config disagree on whether the obs plane is on (obs_window_s)",
-        ));
+    // Header: version + shape checks.
+    let h = Line::parse(1, lines[0])?;
+    let version = h.str("sec")?;
+    if version != SNAPSHOT_VERSION {
+        return Err(
+            h.error(format!("version {version:?} is not the supported {SNAPSHOT_VERSION:?}"))
+        );
     }
-    c.now = fnum(header, 1, "now")?;
-    c.seq = num(header, 1, "seq")?;
-    c.events = num(header, 1, "events")?;
+    let seed = h.u64("seed")?;
+    if seed != c.cfg.seed {
+        return Err(h.error(format!("snapshot seed {seed} != configured seed {}", c.cfg.seed)));
+    }
+    let (n_groups, n_nodes) = (h.u64("groups")?, h.u64("nodes")?);
+    if n_groups != c.groups.len() as u64 || n_nodes != c.nodes.len() as u64 {
+        return Err(h.error(format!(
+            "cluster shape {n_groups}g/{n_nodes}n != configured {}g/{}n",
+            c.groups.len(),
+            c.nodes.len()
+        )));
+    }
+    let has_plane = boolean(&h, "has_plane")?;
+    if has_plane != c.plane.is_some() {
+        return Err(
+            h.error("snapshot and config disagree on whether the obs plane is on (obs_window_s)")
+        );
+    }
+    c.now = h.f64_bits("now")?;
+    c.seq = h.u64("seq")?;
+    c.events = h.u64("events")?;
 
+    let n_nodes = c.nodes.len();
+    let topo = c.topo.map(|t| &t.topology);
     let mut source: Option<SourceState> = None;
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut saw_ctl = false;
     let mut saw_pending = false;
     let mut sketches_seen = 0u32;
-    let mut plane_head: Option<PlaneHead> = None;
+    // The `plane` and `series` lines are read once every plane section is in.
+    let (mut plane_line, mut series_line): (Option<Line<'_>>, Option<Line<'_>>) = (None, None);
     let mut plane_groups: Vec<PlaneGroupState> = Vec::new();
-    let mut series_head: Option<(f64, f64, usize, u64, f64)> = None;
     let mut series_wins: Vec<WindowState> = Vec::new();
     let mut ledger: Option<LedgerState> = None;
+    // Request ids named by node queues/slots and the pending queue, with
+    // their line numbers: checked against the `req` section at the end.
+    let mut id_refs: Vec<(usize, u64)> = Vec::new();
     c.heap.clear();
     c.pending.clear();
     c.inflight.clear();
 
-    for (idx, line) in lines.iter().enumerate().take(total - 1).skip(1) {
+    for (idx, text) in lines.iter().enumerate().take(total - 1).skip(1) {
         let lineno = idx + 1;
-        let sec = sec_of(line).ok_or_else(|| snap_err(lineno, "missing \"sec\" tag"))?;
-        match sec {
+        let l = Line::parse(lineno, text)?;
+        match &*l.str("sec")? {
             "ctl" => {
                 saw_ctl = true;
-                c.next_req_id = num(line, lineno, "next_req_id")?;
-                c.arrivals_done = flag(line, lineno, "arrivals_done")?;
-                c.drain_armed = flag(line, lineno, "drain_armed")?;
-                c.shed_mode = flag(line, lineno, "shed_mode")?;
-                c.shed_entries = num(line, lineno, "shed_entries")?;
-                c.cooldown = u32_of(num(line, lineno, "cooldown")?, lineno, "cooldown")?;
-                c.window_arrival_ops = fnum(line, lineno, "window_arrival_ops")?;
-                c.resp_sum = fnum(line, lineno, "resp_sum")?;
-                c.emergency_cap_w = fnum(line, lineno, "em_cap")?;
-                c.emergency_until_s = fnum(line, lineno, "em_until")?;
-                c.emergency_level = u32_of(num(line, lineno, "em_level")?, lineno, "em_level")?;
-                c.shed_class_floor =
-                    u8_of(num(line, lineno, "class_floor")?, lineno, "class_floor")?;
-                c.arrivals = num(line, lineno, "n_arrivals")?;
-                c.completions = num(line, lineno, "n_completions")?;
-                c.shed_admission = num(line, lineno, "n_shed_admission")?;
-                c.shed_retry = num(line, lineno, "n_shed_retry")?;
-                c.shed_backpressure = num(line, lineno, "n_shed_backpressure")?;
-                c.timeouts = num(line, lineno, "n_timeouts")?;
-                c.retries = num(line, lineno, "n_retries")?;
-                c.reroutes = num(line, lineno, "n_reroutes")?;
-                c.crashes = num(line, lineno, "n_crashes")?;
-                c.stalls = num(line, lineno, "n_stalls")?;
-                c.stragglers = num(line, lineno, "n_stragglers")?;
-                c.repairs = num(line, lineno, "n_repairs")?;
-                c.activations = num(line, lineno, "n_activations")?;
-                c.deactivations = num(line, lineno, "n_deactivations")?;
-                c.dvfs_up = num(line, lineno, "n_dvfs_up")?;
-                c.dvfs_down = num(line, lineno, "n_dvfs_down")?;
-                c.shed_toggles = num(line, lineno, "n_shed_toggles")?;
-                c.rack_crashes = num(line, lineno, "n_rack_crashes")?;
-                c.pdu_losses = num(line, lineno, "n_pdu_losses")?;
-                c.partitions = num(line, lineno, "n_partitions")?;
-                c.power_emergencies = num(line, lineno, "n_power_emergencies")?;
-                c.emergency_actions = num(line, lineno, "n_emergency_actions")?;
-                c.breaker_opens = num(line, lineno, "n_breaker_opens")?;
-                c.breaker_closes = num(line, lineno, "n_breaker_closes")?;
+                c.next_req_id = l.u64("next_req_id")?;
+                c.arrivals_done = boolean(&l, "arrivals_done")?;
+                c.drain_armed = boolean(&l, "drain_armed")?;
+                c.shed_mode = boolean(&l, "shed_mode")?;
+                c.shed_entries = l.u64("shed_entries")?;
+                c.cooldown = int(&l, "cooldown")?;
+                c.window_arrival_ops = l.f64_bits("window_arrival_ops")?;
+                c.resp_sum = l.f64_bits("resp_sum")?;
+                c.emergency_cap_w = l.f64_bits("em_cap")?;
+                c.emergency_until_s = l.f64_bits("em_until")?;
+                c.emergency_level = int(&l, "em_level")?;
+                c.shed_class_floor = int(&l, "class_floor")?;
+                c.arrivals = l.u64("n_arrivals")?;
+                c.completions = l.u64("n_completions")?;
+                c.shed_admission = l.u64("n_shed_admission")?;
+                c.shed_retry = l.u64("n_shed_retry")?;
+                c.shed_backpressure = l.u64("n_shed_backpressure")?;
+                c.timeouts = l.u64("n_timeouts")?;
+                c.retries = l.u64("n_retries")?;
+                c.reroutes = l.u64("n_reroutes")?;
+                c.crashes = l.u64("n_crashes")?;
+                c.stalls = l.u64("n_stalls")?;
+                c.stragglers = l.u64("n_stragglers")?;
+                c.repairs = l.u64("n_repairs")?;
+                c.activations = l.u64("n_activations")?;
+                c.deactivations = l.u64("n_deactivations")?;
+                c.dvfs_up = l.u64("n_dvfs_up")?;
+                c.dvfs_down = l.u64("n_dvfs_down")?;
+                c.shed_toggles = l.u64("n_shed_toggles")?;
+                c.rack_crashes = l.u64("n_rack_crashes")?;
+                c.pdu_losses = l.u64("n_pdu_losses")?;
+                c.partitions = l.u64("n_partitions")?;
+                c.power_emergencies = l.u64("n_power_emergencies")?;
+                c.emergency_actions = l.u64("n_emergency_actions")?;
+                c.breaker_opens = l.u64("n_breaker_opens")?;
+                c.breaker_closes = l.u64("n_breaker_closes")?;
             }
-            "cnt" => {
-                counters.push((
-                    str_of(line, lineno, "name")?.to_string(),
-                    num(line, lineno, "total")?,
-                ));
-            }
+            "cnt" => counters.push((l.str("name")?.into_owned(), l.u64("total")?)),
             "group" => {
-                let gi = usize_of(num(line, lineno, "i")?, lineno, "group index")?;
-                if gi >= c.groups.len() {
-                    return Err(snap_err(lineno, format!("group index {gi} out of range")));
-                }
-                let freq = usize_of(num(line, lineno, "freq")?, lineno, "freq_idx")?;
-                if freq >= c.groups[gi].rate_at.len() {
-                    return Err(snap_err(lineno, format!("freq_idx {freq} out of range")));
-                }
-                c.groups[gi].freq_idx = freq;
-                let ba = num(line, lineno, "ba")?;
-                let bb = u32_of(num(line, lineno, "bb")?, lineno, "reopens")?;
-                c.groups[gi].breaker = match num(line, lineno, "brk")? {
-                    0 => Breaker::Closed { fails: u32_of(ba, lineno, "fails")? },
-                    1 => Breaker::Open { until_s: f64::from_bits(ba), reopens: bb },
-                    2 => Breaker::HalfOpen {
-                        probe: if ba == 0 { None } else { Some(ba - 1) },
-                        reopens: bb,
-                    },
-                    other => {
-                        return Err(snap_err(lineno, format!("unknown breaker state {other}")))
-                    }
+                let gi = below(&l, l.u64("i")?, c.groups.len(), "group index")?;
+                let g = &mut c.groups[gi];
+                g.freq_idx = below(&l, l.u64("freq")?, g.rate_at.len(), "freq_idx")?;
+                let ba = l.u64("ba")?;
+                let reopens = int(&l, "bb")?;
+                g.breaker = match l.u64("brk")? {
+                    0 => Breaker::Closed { fails: narrow(&l, ba, "fails")? },
+                    1 => Breaker::Open { until_s: f64::from_bits(ba), reopens },
+                    2 => Breaker::HalfOpen { probe: ba.checked_sub(1), reopens },
+                    other => return Err(l.error(format!("unknown breaker state {other}"))),
                 };
             }
             "node" => {
-                let i = usize_of(num(line, lineno, "i")?, lineno, "node index")?;
-                if i >= c.nodes.len() {
-                    return Err(snap_err(lineno, format!("node index {i} out of range")));
-                }
-                let queue: VecDeque<u64> = arr(line, lineno, "queue")?.into_iter().collect();
-                let current = if flag(line, lineno, "cur")? {
-                    Some(Running {
-                        req: num(line, lineno, "cur_req")?,
-                        remaining_ops: fnum(line, lineno, "cur_rem")?,
-                        energy_j: fnum(line, lineno, "cur_e")?,
-                    })
-                } else {
-                    None
-                };
-                let n = &mut c.nodes[i];
-                n.admin = match num(line, lineno, "admin")? {
+                let i = below(&l, l.u64("i")?, n_nodes, "node index")?;
+                let Node {
+                    group: _,    // static: fixed by the cluster spec
+                    in_group: _, // static, likewise
+                    admin,
+                    crashed,
+                    unpowered,
+                    stalled_until,
+                    slowdown,
+                    slow_until,
+                    queue,
+                    queued_ops,
+                    current,
+                    epoch,
+                    acct_t,
+                    energy_j,
+                    win_busy_j,
+                    win_ideal_j,
+                    win_idle_j,
+                    down_span_open,
+                } = &mut c.nodes[i];
+                *admin = match l.u64("admin")? {
                     0 => Admin::Active,
                     1 => Admin::Draining,
                     2 => Admin::Deactivated,
                     3 => Admin::Down,
-                    other => {
-                        return Err(snap_err(lineno, format!("unknown admin state {other}")))
-                    }
+                    other => return Err(l.error(format!("unknown admin state {other}"))),
                 };
-                n.crashed = flag(line, lineno, "crashed")?;
-                n.unpowered = flag(line, lineno, "unpowered")?;
-                n.stalled_until = fnum(line, lineno, "stalled_until")?;
-                n.slowdown = fnum(line, lineno, "slowdown")?;
-                n.slow_until = fnum(line, lineno, "slow_until")?;
-                n.queued_ops = fnum(line, lineno, "queued_ops")?;
-                n.epoch = num(line, lineno, "epoch")?;
-                n.acct_t = fnum(line, lineno, "acct_t")?;
-                n.energy_j = fnum(line, lineno, "energy")?;
-                n.win_busy_j = fnum(line, lineno, "wb")?;
-                n.win_ideal_j = fnum(line, lineno, "wi")?;
-                n.win_idle_j = fnum(line, lineno, "wd")?;
-                n.down_span_open = flag(line, lineno, "down_span")?;
-                n.queue = queue;
-                n.current = current;
+                *crashed = boolean(&l, "crashed")?;
+                *unpowered = boolean(&l, "unpowered")?;
+                *stalled_until = l.f64_bits("stalled_until")?;
+                *slowdown = l.f64_bits("slowdown")?;
+                *slow_until = l.f64_bits("slow_until")?;
+                *queue = VecDeque::from(l.u64s("queue")?);
+                *queued_ops = l.f64_bits("queued_ops")?;
+                *current = if boolean(&l, "cur")? {
+                    let req = l.u64("cur_req")?;
+                    id_refs.push((lineno, req));
+                    Some(Running {
+                        req,
+                        remaining_ops: l.f64_bits("cur_rem")?,
+                        energy_j: l.f64_bits("cur_e")?,
+                    })
+                } else {
+                    None
+                };
+                *epoch = l.u64("epoch")?;
+                *acct_t = l.f64_bits("acct_t")?;
+                *energy_j = l.f64_bits("energy")?;
+                *win_busy_j = l.f64_bits("wb")?;
+                *win_ideal_j = l.f64_bits("wi")?;
+                *win_idle_j = l.f64_bits("wd")?;
+                *down_span_open = boolean(&l, "down_span")?;
+                id_refs.extend(queue.iter().map(|&id| (lineno, id)));
             }
             "req" => {
-                let id = num(line, lineno, "id")?;
-                let loc = match num(line, lineno, "loc")? {
+                let id = l.u64("id")?;
+                let loc = match l.u64("loc")? {
                     0 => Loc::Pending,
                     1 => Loc::Backoff,
-                    2 => Loc::OnNode(usize_of(
-                        num(line, lineno, "loc_node")?,
-                        lineno,
-                        "loc_node",
-                    )?),
-                    other => return Err(snap_err(lineno, format!("unknown req loc {other}"))),
+                    2 => Loc::OnNode(below(&l, l.u64("loc_node")?, n_nodes, "loc_node")?),
+                    other => return Err(l.error(format!("unknown req loc {other}"))),
                 };
-                let exclude = match num(line, lineno, "exclude")? {
+                let exclude = match l.u64("exclude")? {
                     0 => None,
-                    e => Some(usize_of(e - 1, lineno, "exclude")?),
+                    e => Some(below(&l, e - 1, n_nodes, "exclude")?),
                 };
                 c.inflight.insert(
                     id,
                     Req {
-                        arrived: fnum(line, lineno, "arrived")?,
-                        ops: fnum(line, lineno, "ops")?,
-                        class: u8_of(num(line, lineno, "class")?, lineno, "class")?,
-                        attempt: u32_of(num(line, lineno, "attempt")?, lineno, "attempt")?,
-                        dispatch: u32_of(num(line, lineno, "dispatch")?, lineno, "dispatch")?,
+                        arrived: l.f64_bits("arrived")?,
+                        ops: l.f64_bits("ops")?,
+                        class: int(&l, "class")?,
+                        attempt: int(&l, "attempt")?,
+                        dispatch: int(&l, "dispatch")?,
                         loc,
                         exclude,
-                        traced: flag(line, lineno, "traced")?,
+                        traced: boolean(&l, "traced")?,
                     },
                 );
             }
             "pending" => {
                 saw_pending = true;
-                c.pending = arr(line, lineno, "ids")?.into_iter().collect();
+                c.pending = VecDeque::from(l.u64s("ids")?);
+                id_refs.extend(c.pending.iter().map(|&id| (lineno, id)));
             }
             "sketch" => {
-                let s = sketch_of(line, lineno, ("alpha", "maxb", "count", "sum", "min", "max"))?;
-                match num(line, lineno, "which")? {
-                    0 => c.tick_sketch = QuantileSketch::from_state(s),
-                    1 => c.run_sketch = QuantileSketch::from_state(s),
-                    other => {
-                        return Err(snap_err(lineno, format!("unknown sketch slot {other}")))
-                    }
+                let s = QuantileSketch::from_state(sketch_of(&l)?);
+                match l.u64("which")? {
+                    0 => c.tick_sketch = s,
+                    1 => c.run_sketch = s,
+                    other => return Err(l.error(format!("unknown sketch slot {other}"))),
                 }
                 sketches_seen += 1;
             }
-            "plane" => {
-                let flat = arr(line, lineno, "ring")?;
-                if flat.len() % 2 != 0 {
-                    return Err(snap_err(lineno, "odd-length \"ring\" array"));
-                }
-                let ring = flat.chunks_exact(2).map(|ch| (ch[0], ch[1])).collect();
-                plane_head = Some((
-                    num(line, lineno, "cur_index")?,
-                    num(line, lineno, "cur_arrivals")?,
-                    num(line, lineno, "cur_shed")?,
-                    num(line, lineno, "cur_breaches")?,
-                    flag(line, lineno, "alert")?,
-                    fnum(line, lineno, "bfast")?,
-                    fnum(line, lineno, "bslow")?,
-                    ring,
-                ));
-            }
+            "plane" => plane_line = Some(l),
             "plane_group" => {
                 plane_groups.push(PlaneGroupState {
-                    energy_j: fnum(line, lineno, "energy")?,
-                    ideal_j: fnum(line, lineno, "ideal")?,
+                    energy_j: l.f64_bits("energy")?,
+                    ideal_j: l.f64_bits("ideal")?,
                     outcome_j: [
-                        fnum(line, lineno, "o0")?,
-                        fnum(line, lineno, "o1")?,
-                        fnum(line, lineno, "o2")?,
-                        fnum(line, lineno, "o3")?,
+                        l.f64_bits("o0")?,
+                        l.f64_bits("o1")?,
+                        l.f64_bits("o2")?,
+                        l.f64_bits("o3")?,
                     ],
-                    completions: num(line, lineno, "completions")?,
+                    completions: l.u64("completions")?,
                 });
             }
-            "series" => {
-                series_head = Some((
-                    fnum(line, lineno, "window_s")?,
-                    fnum(line, lineno, "alpha")?,
-                    usize_of(num(line, lineno, "max_windows")?, lineno, "max_windows")?,
-                    num(line, lineno, "evicted_count")?,
-                    fnum(line, lineno, "evicted_sum")?,
-                ));
-            }
+            "series" => series_line = Some(l),
             "series_win" => {
                 series_wins.push(WindowState {
-                    index: num(line, lineno, "index")?,
-                    count: num(line, lineno, "count")?,
-                    sum: fnum(line, lineno, "sum")?,
-                    sketch: sketch_of(
-                        line,
-                        lineno,
-                        ("alpha", "maxb", "scount", "ssum", "smin", "smax"),
-                    )?,
+                    index: l.u64("index")?,
+                    count: l.u64("count")?,
+                    sum: l.f64_bits("sum")?,
+                    sketch: sketch_of(&l)?,
                 });
             }
             "ledger" => {
-                let ch = arr(line, lineno, "charges")?;
-                if ch.len() % 3 != 0 {
-                    return Err(snap_err(lineno, "odd-shaped \"charges\" array"));
-                }
-                let charges = ch
-                    .chunks_exact(3)
-                    .map(|t| {
-                        Ok((
-                            u16::try_from(t[0])
-                                .map_err(|_| snap_err(lineno, "charge group out of range"))?,
-                            u8_of(t[1], lineno, "charge outcome")?,
-                            f64::from_bits(t[2]),
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, EnpropError>>()?;
-                let id = arr(line, lineno, "ideal")?;
-                if id.len() % 2 != 0 {
-                    return Err(snap_err(lineno, "odd-length \"ideal\" array"));
-                }
-                let ideal_j = id
-                    .chunks_exact(2)
-                    .map(|t| {
-                        Ok((
-                            u16::try_from(t[0])
-                                .map_err(|_| snap_err(lineno, "ideal group out of range"))?,
-                            f64::from_bits(t[1]),
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, EnpropError>>()?;
-                let co = arr(line, lineno, "completed")?;
-                if co.len() % 2 != 0 {
-                    return Err(snap_err(lineno, "odd-length \"completed\" array"));
-                }
-                let completed = co
-                    .chunks_exact(2)
-                    .map(|t| {
-                        Ok((
-                            u16::try_from(t[0])
-                                .map_err(|_| snap_err(lineno, "completed group out of range"))?,
-                            t[1],
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, EnpropError>>()?;
-                ledger = Some(LedgerState { charges, ideal_j, completed });
+                let group = |g: u64| narrow::<u16>(&l, g, "ledger group");
+                ledger = Some(LedgerState {
+                    charges: tuples::<3>(&l, "charges")?
+                        .into_iter()
+                        .map(|[g, o, j]| {
+                            Ok((group(g)?, narrow(&l, o, "charge outcome")?, f64::from_bits(j)))
+                        })
+                        .collect::<Result<_, LineError>>()?,
+                    ideal_j: tuples::<2>(&l, "ideal")?
+                        .into_iter()
+                        .map(|[g, j]| Ok((group(g)?, f64::from_bits(j))))
+                        .collect::<Result<_, LineError>>()?,
+                    completed: tuples::<2>(&l, "completed")?
+                        .into_iter()
+                        .map(|[g, n]| Ok((group(g)?, n)))
+                        .collect::<Result<_, LineError>>()?,
+                });
             }
             "ev" => {
-                let ev = ev_of(line, lineno)?;
+                let ev = ev_of(&l, n_nodes, topo)?;
                 if ev.seq >= c.seq {
-                    return Err(snap_err(
-                        lineno,
-                        format!("event seq {} >= header seq cursor {}", ev.seq, c.seq),
-                    ));
+                    return Err(
+                        l.error(format!("event seq {} >= header seq cursor {}", ev.seq, c.seq))
+                    );
+                }
+                // The loop never runs time backwards (nor through NaN).
+                if ev.t.is_nan() || ev.t < c.now {
+                    return Err(l.error(format!(
+                        "event time {} is before the snapshot time {}",
+                        ev.t, c.now
+                    )));
                 }
                 c.heap.push(Reverse(ev));
             }
             "source" => {
-                source = Some(match num(line, lineno, "kind")? {
+                source = Some(match l.u64("kind")? {
                     0 => SourceState::Synthetic {
-                        gap: rng_state(&arr(line, lineno, "g")?, lineno, "\"g\"")?,
-                        size: rng_state(&arr(line, lineno, "s")?, lineno, "\"s\"")?,
-                        class: rng_state(&arr(line, lineno, "c")?, lineno, "\"c\"")?,
-                        t: fnum(line, lineno, "t")?,
-                        remaining: num(line, lineno, "remaining")?,
+                        gap: rng_state(&l, "g")?,
+                        size: rng_state(&l, "s")?,
+                        class: rng_state(&l, "c")?,
+                        t: l.f64_bits("t")?,
+                        remaining: l.u64("remaining")?,
                     },
-                    1 => SourceState::Replay {
-                        next: usize_of(num(line, lineno, "next")?, lineno, "next")?,
-                    },
-                    other => {
-                        return Err(snap_err(lineno, format!("unknown source kind {other}")))
-                    }
+                    1 => SourceState::Replay { next: int(&l, "next")? },
+                    other => return Err(l.error(format!("unknown source kind {other}"))),
                 });
             }
-            other => return Err(snap_err(lineno, format!("unknown section {other:?}"))),
+            other => return Err(l.error(format!("unknown section {other:?}"))),
         }
     }
 
-    if !saw_ctl {
-        return Err(EnpropError::invalid_config(
-            "snapshot has no \"ctl\" section".to_string(),
+    // Whole-snapshot checks name the trailer line: that is where an
+    // absence becomes certain.
+    let missing = |sec: &str| LineError::new(total, format!("no {sec:?} section"));
+    if let Some(&(lineno, id)) = id_refs.iter().find(|(_, id)| !c.inflight.contains_key(id)) {
+        return Err(LineError::new(
+            lineno,
+            format!("request id {id} is not in the \"req\" section"),
         ));
+    }
+    if !saw_ctl {
+        return Err(missing("ctl"));
     }
     if !saw_pending {
-        return Err(EnpropError::invalid_config(
-            "snapshot has no \"pending\" section".to_string(),
-        ));
+        return Err(missing("pending"));
     }
     if sketches_seen != 2 {
-        return Err(EnpropError::invalid_config(format!(
-            "snapshot has {sketches_seen} sketch sections, expected 2"
-        )));
+        return Err(LineError::new(total, format!("{sketches_seen} sketch sections, expected 2")));
     }
-    if has_plane {
-        let (cur_index, cur_arrivals, cur_shed, cur_breaches, alert, burn_fast, burn_slow, ring) =
-            plane_head.ok_or_else(|| {
-                EnpropError::invalid_config("snapshot has no \"plane\" section".to_string())
-            })?;
-        let (window_s, alpha, max_windows, evicted_count, evicted_sum) =
-            series_head.ok_or_else(|| {
-                EnpropError::invalid_config("snapshot has no \"series\" section".to_string())
-            })?;
-        let ledger = ledger.ok_or_else(|| {
-            EnpropError::invalid_config("snapshot has no \"ledger\" section".to_string())
-        })?;
-        let ps = PlaneState {
+    let plane = if has_plane {
+        let p = plane_line.ok_or_else(|| missing("plane"))?;
+        let s = series_line.ok_or_else(|| missing("series"))?;
+        Some(PlaneState {
             resp: SeriesState {
-                window_s,
-                alpha,
-                max_windows,
+                window_s: s.f64_bits("window_s")?,
+                alpha: s.f64_bits("alpha")?,
+                max_windows: int(&s, "max_windows")?,
                 windows: series_wins,
-                evicted_count,
-                evicted_sum,
+                evicted_count: s.u64("evicted_count")?,
+                evicted_sum: s.f64_bits("evicted_sum")?,
             },
-            ledger,
-            cur_index,
-            cur_arrivals,
-            cur_shed,
-            cur_breaches,
+            ledger: ledger.ok_or_else(|| missing("ledger"))?,
+            cur_index: p.u64("cur_index")?,
+            cur_arrivals: p.u64("cur_arrivals")?,
+            cur_shed: p.u64("cur_shed")?,
+            cur_breaches: p.u64("cur_breaches")?,
             groups: plane_groups,
-            burn_ring: ring,
-            alert,
-            burn_fast,
-            burn_slow,
-        };
-        let plane = c.plane.as_mut().expect("has_plane checked against c.plane");
-        plane.restore(&ps)?;
-        c.plane_next_close_s = plane.next_close_s();
+            burn_ring: tuples::<2>(&p, "ring")?.into_iter().map(|[a, b]| (a, b)).collect(),
+            alert: boolean(&p, "alert")?,
+            burn_fast: p.f64_bits("bfast")?,
+            burn_slow: p.f64_bits("bslow")?,
+        })
     } else {
-        c.plane_next_close_s = f64::INFINITY;
-    }
-    let source = source.ok_or_else(|| {
-        EnpropError::invalid_config("snapshot has no \"source\" section".to_string())
-    })?;
-    Ok(Restored { source, counters })
+        None
+    };
+    let source = source.ok_or_else(|| missing("source"))?;
+    Ok((Restored { source, counters }, plane))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn line(text: &str) -> Line<'_> {
+        Line::parse(1, text.trim_end()).expect("a line the writer emits parses")
+    }
+
     #[test]
-    fn sec_and_num_parse_the_line_shapes_we_emit() {
-        let line = "{\"sec\":\"ctl\",\"a\":7,\"ab\":9,\"xs\":[1,2,3],\"empty\":[]}";
-        assert_eq!(sec_of(line), Some("ctl"));
-        assert_eq!(num(line, 1, "a").unwrap(), 7);
-        assert_eq!(num(line, 1, "ab").unwrap(), 9);
-        assert_eq!(arr(line, 1, "xs").unwrap(), vec![1, 2, 3]);
-        assert_eq!(arr(line, 1, "empty").unwrap(), Vec::<u64>::new());
-        let err = num(line, 3, "missing").unwrap_err().to_string();
-        assert!(err.contains("line 3"), "{err}");
+    fn helpers_check_ranges_and_shapes() {
+        let l = line("{\"x\":3,\"f\":2,\"xs\":[1,2,3,4],\"odd\":[1,2,3]}");
+        assert_eq!(below(&l, 2, 3, "node").unwrap(), 2);
+        let err = below(&l, 92, 3, "event node").unwrap_err().to_string();
+        assert!(err.starts_with("line 1: event node 92 out of range"), "{err}");
+        assert_eq!(tuples::<2>(&l, "xs").unwrap(), vec![[1, 2], [3, 4]]);
+        assert!(tuples::<2>(&l, "odd").is_err());
+        assert!(boolean(&l, "f").is_err());
+        assert_eq!(int::<u8>(&l, "x").unwrap(), 3);
+        assert!(narrow::<u8>(&l, 256, "class").is_err());
     }
 
     #[test]
@@ -1065,22 +946,29 @@ mod tests {
             },
             Ev { t: 8.5, seq: 14, kind: EvKind::EmergencyEnd },
         ];
+        // 4 nodes, 2 per rack, 1 rack per PDU: racks 0..2, PDUs 0..2.
+        let topo = Topology::new(4, 2, 1).unwrap();
         for ev in &evs {
-            let mut line = String::new();
-            ev_line(&mut line, ev);
-            let back = ev_of(line.trim_end(), 1).expect("round trip");
+            let mut text = String::new();
+            ev_line(&mut text, ev);
+            let back = ev_of(&line(&text), 4, Some(&topo)).expect("round trip");
             assert_eq!(back.t.to_bits(), ev.t.to_bits());
             assert_eq!(back.seq, ev.seq);
             // EvKind carries no PartialEq; compare through the encoding.
             let mut again = String::new();
             ev_line(&mut again, &back);
-            assert_eq!(again, line);
+            assert_eq!(again, text);
+            // One node fewer, or no topology, and an index points nowhere.
+            let shrunk = ev_of(&line(&text), 3, Topology::new(2, 2, 1).ok().as_ref());
+            let names_node_3 = matches!(ev.kind, EvKind::Completion { .. } | EvKind::Repair { .. });
+            if names_node_3 || matches!(ev.kind, EvKind::DomainFault { .. }) {
+                assert!(shrunk.is_err(), "{text}");
+            }
         }
     }
 
     #[test]
     fn sketch_state_round_trips_negative_bucket_keys() {
-        let mut out = String::new();
         let s = SketchState {
             alpha: 0.01,
             max_buckets: 64,
@@ -1091,13 +979,10 @@ mod tests {
             min: 0.001,
             max: 2.0,
         };
-        sketch_line(&mut out, 0, &s);
-        let back = sketch_of(
-            out.trim_end(),
-            1,
-            ("alpha", "maxb", "count", "sum", "min", "max"),
-        )
-        .expect("round trip");
+        let mut text = String::from("{");
+        push_sketch(&mut text, &s);
+        text.push('}');
+        let back = sketch_of(&line(&text)).expect("round trip");
         assert_eq!(back.buckets, s.buckets);
         assert_eq!(back.count, s.count);
         assert_eq!(back.sum.to_bits(), s.sum.to_bits());

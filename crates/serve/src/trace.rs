@@ -1,9 +1,9 @@
 //! JSONL arrival traces: the replay interchange format.
 //!
 //! One object per line, `{"t_s":<seconds>,"ops":<operations>}` with an
-//! optional `"class":<0|1|…>` SLO-class column — small enough to
-//! hand-roll (the workspace carries no JSON dependency) and stable enough
-//! to diff. [`format_trace`] and [`parse_trace`] round-trip bit-identically
+//! optional `"class":<0|1|…>` SLO-class column, read by the workspace's
+//! one flat-line reader ([`enprop_obs::Line`]) and stable enough to diff.
+//! [`format_trace`] and [`parse_trace`] round-trip bit-identically
 //! through the shortest-roundtrip float formatting both sides share.
 //!
 //! Error posture: a line may *omit* `ops` (falls back to the caller's
@@ -15,6 +15,7 @@
 //! tests pin the distinction.
 
 use enprop_faults::EnpropError;
+use enprop_obs::{Line, LineError};
 
 use crate::arrivals::Arrival;
 
@@ -36,39 +37,6 @@ pub fn format_trace(arrivals: &[Arrival]) -> String {
     out
 }
 
-/// The three-way result of looking a key up on a JSONL line: the caller
-/// decides which of the two failure modes is tolerable (absence may have
-/// a default; a malformed value never does).
-enum Field {
-    /// The key does not appear on the line.
-    Absent,
-    /// The key appears but its value does not parse as a number.
-    Malformed,
-    /// The key's numeric value.
-    Num(f64),
-}
-
-/// Look up the number following `"key":` on a single JSONL line,
-/// distinguishing an absent key from a present-but-unparseable value.
-fn json_field(line: &str, key: &str) -> Field {
-    let needle = format!("\"{key}\"");
-    let Some(found) = line.find(&needle) else {
-        return Field::Absent;
-    };
-    let rest = line[found + needle.len()..].trim_start();
-    let Some(rest) = rest.strip_prefix(':') else {
-        return Field::Malformed;
-    };
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    match rest[..end].parse() {
-        Ok(v) => Field::Num(v),
-        Err(_) => Field::Malformed,
-    }
-}
-
 /// Parse a JSONL arrival trace. Every non-empty line must carry a finite
 /// `t_s ≥ 0`; lines may omit `ops` (falls back to `default_ops`) and
 /// `class` (falls back to 0, latency-critical). Arrival times must be
@@ -83,25 +51,23 @@ pub fn parse_trace(text: &str, default_ops: f64) -> Result<Vec<Arrival>, EnpropE
     }
     let mut out = Vec::new();
     let mut prev = 0.0_f64;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
+    for (i, raw) in text.lines().enumerate() {
+        if raw.trim().is_empty() {
             continue;
         }
         let lineno = i + 1;
-        let t_s = match json_field(line, "t_s") {
-            Field::Num(v) => v,
-            Field::Absent => {
-                return Err(EnpropError::invalid_config(format!(
-                    "trace line {lineno}: missing \"t_s\""
-                )))
-            }
-            Field::Malformed => {
-                return Err(EnpropError::invalid_config(format!(
-                    "trace line {lineno}: malformed \"t_s\" value (truncated line?)"
-                )))
-            }
+        // A value that fails to read names its key; a line that is not a
+        // flat object at all reports the reader's message.
+        let bad = |e: LineError| match e.key {
+            Some(key) => EnpropError::invalid_config(format!(
+                "trace line {lineno}: malformed \"{key}\" value (truncated line?)"
+            )),
+            None => EnpropError::invalid_config(format!("trace {e}")),
         };
+        let line = Line::parse(lineno, raw).map_err(bad)?;
+        let t_s = line.opt_f64("t_s").map_err(bad)?.ok_or_else(|| {
+            EnpropError::invalid_config(format!("trace line {lineno}: missing \"t_s\""))
+        })?;
         if !t_s.is_finite() || t_s < 0.0 {
             return Err(EnpropError::invalid_config(format!(
                 "trace line {lineno}: t_s must be finite and ≥ 0, got {t_s}"
@@ -113,28 +79,15 @@ pub fn parse_trace(text: &str, default_ops: f64) -> Result<Vec<Arrival>, EnpropE
             )));
         }
         prev = t_s;
-        let ops = match json_field(line, "ops") {
-            Field::Num(v) => v,
-            Field::Absent => default_ops,
-            Field::Malformed => {
-                return Err(EnpropError::invalid_config(format!(
-                    "trace line {lineno}: malformed \"ops\" value (truncated line?)"
-                )))
-            }
-        };
+        let ops = line.opt_f64("ops").map_err(bad)?.unwrap_or(default_ops);
         if !ops.is_finite() || ops <= 0.0 {
             return Err(EnpropError::invalid_config(format!(
                 "trace line {lineno}: ops must be finite and > 0, got {ops}"
             )));
         }
-        let class = match json_field(line, "class") {
-            Field::Absent => 0,
-            Field::Malformed => {
-                return Err(EnpropError::invalid_config(format!(
-                    "trace line {lineno}: malformed \"class\" value (truncated line?)"
-                )))
-            }
-            Field::Num(v) => {
+        let class = match line.opt_f64("class").map_err(bad)? {
+            None => 0,
+            Some(v) => {
                 if v.fract() != 0.0 || !(0.0..=255.0).contains(&v) {
                     return Err(EnpropError::invalid_config(format!(
                         "trace line {lineno}: class must be an integer in [0, 255], got {v}"

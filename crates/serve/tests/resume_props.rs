@@ -20,10 +20,10 @@
 
 use enprop_clustersim::ClusterSpec;
 use enprop_faults::{
-    DomainFaultKind, DomainFaultProfile, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel,
-    Topology, TopologyFaultPlan,
+    DomainFaultKind, DomainFaultProfile, EnpropError, FaultKind, FaultPlan, GroupFaultProfile,
+    MtbfModel, Topology, TopologyFaultPlan,
 };
-use enprop_obs::MemoryRecorder;
+use enprop_obs::{MemoryRecorder, NoopRecorder};
 use enprop_serve::{
     ArrivalModel, ArrivalSource, Controller, RunHooks, RunOutcome, ServeConfig, ServeReport,
     SyntheticArrivals,
@@ -314,4 +314,135 @@ fn counter_totals_survive_resume() {
             "kill@{kill_at}: resumed event tail diverged"
         );
     }
+}
+
+/// Resume `snapshot` with no checkpoint sink, killing the continuation
+/// after `kill_after_events` total events so a corrupted clock or counter
+/// cannot stretch the run without bound.
+fn try_resume(
+    s: &Scenario,
+    snapshot: &str,
+    kill_after_events: Option<u64>,
+) -> Result<RunOutcome, EnpropError> {
+    let mut source = source_for(s);
+    let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events };
+    Controller::resume_full(
+        &s.workload,
+        &s.cluster,
+        &s.plan,
+        Some(&s.topo),
+        &s.cfg,
+        &mut source,
+        &mut NoopRecorder,
+        snapshot,
+        &mut hooks,
+    )
+}
+
+/// The first checkpoint with a line matching `pick`, with that line's
+/// `key` value replaced by `value`; plus the line's number.
+fn corrupt_first(
+    checkpoints: &[String],
+    pick: impl Fn(&str) -> bool,
+    key: &str,
+    value: &str,
+) -> (String, usize) {
+    let needle = ["\"", key, "\":"].concat();
+    for snap in checkpoints {
+        let Some(i) = snap.lines().position(&pick) else { continue };
+        let text = snap
+            .lines()
+            .enumerate()
+            .map(|(j, l)| {
+                if j != i {
+                    return format!("{l}\n");
+                }
+                let at = l.find(&needle).unwrap() + needle.len();
+                let end = at + l[at..].find([',', '}']).unwrap();
+                format!("{}{value}{}\n", &l[..at], &l[end..])
+            })
+            .collect();
+        return (text, i + 1);
+    }
+    panic!("no checkpoint has a line to corrupt");
+}
+
+/// Regression: a checkpoint of a 3-node cluster whose `ev` completion
+/// line names node 92 used to restore cleanly and then panic with an
+/// index out of bounds in the event loop. Every index and request id is
+/// now checked on restore: a typed exit-2 error naming the line.
+#[test]
+fn dangling_indices_and_ids_are_typed_errors() {
+    let s = scenario(7, 2, 300, 10.0, 60.0);
+    let full = run(&s, None);
+    let completion = |l: &str| l.contains("\"sec\":\"ev\"") && l.contains("\"k\":1,");
+    let running = |l: &str| l.contains("\"sec\":\"node\"") && l.contains("\"cur\":1,");
+    let (node_92, ev_line) = corrupt_first(&full.checkpoints, completion, "a", "92");
+    let (no_req, node_line) = corrupt_first(&full.checkpoints, running, "cur_req", "999999");
+    for (text, lineno, named) in [(node_92, ev_line, "92"), (no_req, node_line, "999999")] {
+        let err = try_resume(&s, &text, None).expect_err("a dangling reference must not resume");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(named), "{msg}");
+    }
+}
+
+/// Corruption sweep over one real checkpoint: every strict prefix, every
+/// digit incremented (9 wraps to 0), every line duplicated and every pair
+/// of adjacent lines swapped. Resuming must return `Ok` or an exit-2
+/// error, never panic, and every prefix must be an error.
+#[test]
+fn corrupted_snapshots_never_panic() {
+    let s = scenario(11, 1, 150, 10.0, 60.0);
+    let full = run(&s, None);
+    let RunOutcome::Completed(report) = &full.outcome else {
+        panic!("uninterrupted run must complete");
+    };
+    let snap = full.checkpoints.last().expect("at least one checkpoint");
+    let bound = Some(2 * report.events);
+    assert!(try_resume(&s, snap, bound).is_ok(), "the pristine checkpoint resumes");
+
+    let lines: Vec<&str> = snap.lines().collect();
+    let join = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
+    let mut variants: Vec<(String, String, bool)> = Vec::new(); // (what, text, must fail)
+    for (cut, _) in snap.char_indices() {
+        variants.push((format!("cut at byte {cut}"), snap[..cut].to_string(), true));
+    }
+    for (at, ch) in snap.char_indices().filter(|(_, ch)| ch.is_ascii_digit()) {
+        let up = char::from(b'0' + (ch as u8 - b'0' + 1) % 10);
+        let text = format!("{}{up}{}", &snap[..at], &snap[at + 1..]);
+        variants.push((format!("digit at byte {at} bumped to {up}"), text, false));
+    }
+    for i in 0..lines.len() {
+        let mut dup = lines.clone();
+        dup.insert(i, lines[i]);
+        variants.push((format!("line {} duplicated", i + 1), join(&dup), false));
+        if i + 1 < lines.len() {
+            let mut swapped = lines.clone();
+            swapped.swap(i, i + 1);
+            let what = format!("lines {} and {} swapped", i + 1, i + 2);
+            variants.push((what, join(&swapped), false));
+        }
+    }
+
+    let mut bad: Vec<String> = Vec::new();
+    for (what, text, must_fail) in &variants {
+        let got =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_resume(&s, text, bound)));
+        match got {
+            Err(_) => bad.push(format!("{what}: panicked")),
+            Ok(Err(e)) if e.exit_code() != 2 => {
+                bad.push(format!("{what}: exit {}: {e}", e.exit_code()))
+            }
+            Ok(Ok(_)) if *must_fail => bad.push(format!("{what}: resumed")),
+            Ok(_) => {}
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "{} of {} corrupted snapshots misbehaved, e.g.:\n{}",
+        bad.len(),
+        variants.len(),
+        bad.iter().take(20).cloned().collect::<Vec<_>>().join("\n")
+    );
 }

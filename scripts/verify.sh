@@ -71,5 +71,14 @@ printf '%s\n' "$obs_report" | grep -q ' g0 '
 obs_query="$(./target/release/enprop obs query --trace "$obs_tmp/serve.jsonl" \
     --name win.p99_s --quantiles win.p99_s)"
 printf '%s\n' "$obs_query" | grep -q 'p99.9'
+# A torn trace is a line-numbered exit-2 error, never silently shortened.
+printf '{"t":1,"track":"controller","name":"x","id":0,"ki' >> "$obs_tmp/serve.jsonl"
+set +e
+./target/release/enprop obs query --trace "$obs_tmp/serve.jsonl" \
+    >/dev/null 2>"$obs_tmp/torn.err"
+torn_rc=$?
+set -e
+test "$torn_rc" -eq 2
+grep -q 'line' "$obs_tmp/torn.err"
 cargo run --release -p enprop-bench --bin obs_window --offline
 echo "verify: OK"
