@@ -446,3 +446,25 @@ fn corrupted_snapshots_never_panic() {
         bad.iter().take(20).cloned().collect::<Vec<_>>().join("\n")
     );
 }
+
+/// The v2 snapshot format, pinned: the first checkpoint of
+/// `scenario(7, 2, 200, 10.0, 60.0)` as the `enprop-snapshot-v2` writer
+/// first emitted it. A refactor that changes one byte of the format fails
+/// here, and so does one that can no longer resume a stored v2 file.
+const GOLDEN_CHECKPOINT: &str = include_str!("fixtures/checkpoint_v2.jsonl");
+
+#[test]
+fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let full = run(&s, None);
+    let RunOutcome::Completed(report) = &full.outcome else {
+        panic!("uninterrupted run must complete");
+    };
+    let first = full.checkpoints.first().expect("at least one checkpoint");
+    assert!(first == GOLDEN_CHECKPOINT, "the first checkpoint differs from the v2 fixture");
+    let (resumed, _) = resume(&s, GOLDEN_CHECKPOINT);
+    assert!(
+        same_report(report, &resumed),
+        "resume from the fixture diverged:\n  full   {report:?}\n  resume {resumed:?}"
+    );
+}
