@@ -509,32 +509,10 @@ pub fn chaos_cmd(opts: &Opts, so: &ServeOpts, a9: u32, k10: u32) -> Result<(), E
 /// line the smoke gates grep.
 fn print_report(opts: &Opts, workload: &str, cluster: &ClusterSpec, mode: &str, r: &ServeReport) {
     if opts.csv {
-        let rows = vec![
-            vec!["metric".to_string(), "value".to_string()],
-            vec!["arrivals".into(), r.arrivals.to_string()],
-            vec!["completions".into(), r.completions.to_string()],
-            vec!["shed_admission".into(), r.shed_admission.to_string()],
-            vec!["shed_backpressure".into(), r.shed_backpressure.to_string()],
-            vec!["shed_retry".into(), r.shed_retry.to_string()],
+        let mut rows = vec![vec!["metric".to_string(), "value".to_string()]];
+        rows.extend(r.counters().map(|(name, n)| vec![name.to_string(), n.to_string()]));
+        rows.extend([
             vec!["in_flight_at_stop".into(), r.in_flight_at_stop.to_string()],
-            vec!["timeouts".into(), r.timeouts.to_string()],
-            vec!["retries".into(), r.retries.to_string()],
-            vec!["reroutes".into(), r.reroutes.to_string()],
-            vec!["crashes".into(), r.crashes.to_string()],
-            vec!["stalls".into(), r.stalls.to_string()],
-            vec!["stragglers".into(), r.stragglers.to_string()],
-            vec!["repairs".into(), r.repairs.to_string()],
-            vec!["activations".into(), r.activations.to_string()],
-            vec!["deactivations".into(), r.deactivations.to_string()],
-            vec!["dvfs_up".into(), r.dvfs_up.to_string()],
-            vec!["dvfs_down".into(), r.dvfs_down.to_string()],
-            vec!["rack_crashes".into(), r.rack_crashes.to_string()],
-            vec!["pdu_losses".into(), r.pdu_losses.to_string()],
-            vec!["partitions".into(), r.partitions.to_string()],
-            vec!["power_emergencies".into(), r.power_emergencies.to_string()],
-            vec!["emergency_actions".into(), r.emergency_actions.to_string()],
-            vec!["breaker_opens".into(), r.breaker_opens.to_string()],
-            vec!["breaker_closes".into(), r.breaker_closes.to_string()],
             vec!["horizon_s".into(), format!("{:.6}", r.horizon_s)],
             vec!["energy_j".into(), format!("{:.3}", r.energy_j)],
             vec!["mean_power_w".into(), format!("{:.3}", r.mean_power_w)],
@@ -545,7 +523,7 @@ fn print_report(opts: &Opts, workload: &str, cluster: &ClusterSpec, mode: &str, 
             vec!["p999_s".into(), format!("{:.6}", r.p999_s)],
             vec!["events".into(), r.events.to_string()],
             vec!["forced_stop".into(), r.forced_stop.to_string()],
-        ];
+        ]);
         print!("{}", render_csv(&rows));
     } else {
         println!(

@@ -198,3 +198,15 @@ fn export_emits_the_full_space() {
     // The frontier flag must be present on at least one row.
     assert!(stdout.contains(",true"));
 }
+
+#[test]
+fn replay_csv_reports_every_counter_once() {
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/replay_trace.jsonl");
+    let (stdout, stderr, ok) = run(&["replay", "--trace", trace, "--csv"]);
+    assert!(ok, "{stderr}");
+    for (name, _) in enprop_serve::ServeReport::default().counters() {
+        let rows = stdout.lines().filter(|l| l.split(',').next() == Some(name)).count();
+        assert_eq!(rows, 1, "counter {name} must be exactly one metric row:\n{stdout}");
+    }
+    assert!(stdout.trim_end().ends_with("conservation: OK"), "{stdout}");
+}

@@ -329,30 +329,9 @@ pub struct Controller<'a> {
     /// it; `u8::MAX` = shed nothing by class).
     pub(crate) shed_class_floor: u8,
 
-    pub(crate) arrivals: u64,
-    pub(crate) completions: u64,
-    pub(crate) shed_admission: u64,
-    pub(crate) shed_retry: u64,
-    pub(crate) shed_backpressure: u64,
-    pub(crate) timeouts: u64,
-    pub(crate) retries: u64,
-    pub(crate) reroutes: u64,
-    pub(crate) crashes: u64,
-    pub(crate) stalls: u64,
-    pub(crate) stragglers: u64,
-    pub(crate) repairs: u64,
-    pub(crate) activations: u64,
-    pub(crate) deactivations: u64,
-    pub(crate) dvfs_up: u64,
-    pub(crate) dvfs_down: u64,
-    pub(crate) shed_toggles: u64,
-    pub(crate) rack_crashes: u64,
-    pub(crate) pdu_losses: u64,
-    pub(crate) partitions: u64,
-    pub(crate) power_emergencies: u64,
-    pub(crate) emergency_actions: u64,
-    pub(crate) breaker_opens: u64,
-    pub(crate) breaker_closes: u64,
+    /// The run's event counters, kept in the report `finish` returns
+    /// (its derived fields stay at their defaults until then).
+    pub(crate) tally: ServeReport,
 }
 
 impl<'a> Controller<'a> {
@@ -367,22 +346,7 @@ impl<'a> Controller<'a> {
         source: &mut ArrivalSource,
         rec: &mut R,
     ) -> Result<ServeReport, EnpropError> {
-        Controller::run_live(workload, cluster, plan, cfg, source, rec, &mut |_| {})
-    }
-
-    /// [`Controller::run`], additionally invoking `live` with every
-    /// closed [`WindowReport`] as the plane tumbles — the `--live-report`
-    /// hook. `live` never fires when `obs_window_s == 0`.
-    pub fn run_live<R: Recorder>(
-        workload: &Workload,
-        cluster: &ClusterSpec,
-        plan: &'a FaultPlan,
-        cfg: &'a ServeConfig,
-        source: &mut ArrivalSource,
-        rec: &mut R,
-        live: &mut dyn FnMut(&WindowReport),
-    ) -> Result<ServeReport, EnpropError> {
-        let mut hooks = RunHooks { live, checkpoint: None, kill_after_events: None };
+        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
         match Controller::run_full(workload, cluster, plan, None, cfg, source, rec, &mut hooks)? {
             RunOutcome::Completed(r) => Ok(*r),
             // Unreachable: no kill hook was installed.
@@ -393,8 +357,8 @@ impl<'a> Controller<'a> {
     }
 
     /// The full-surface entry point: correlated domain faults (`topo`),
-    /// checkpointing and the kill switch, on top of everything
-    /// [`Controller::run_live`] does.
+    /// the live window-report hook, checkpointing and the kill switch, on
+    /// top of everything [`Controller::run`] does.
     #[allow(clippy::too_many_arguments)]
     pub fn run_full<R: Recorder>(
         workload: &Workload,
@@ -434,8 +398,8 @@ impl<'a> Controller<'a> {
     ) -> Result<RunOutcome, EnpropError> {
         cfg.validate()?;
         plan.validate()?;
-        let mut c = Controller::new(workload, cluster, plan, topo, cfg)?;
-        let restored = crate::snapshot::restore(&mut c, snapshot)?;
+        let fresh = Controller::new(workload, cluster, plan, topo, cfg)?;
+        let (mut c, restored) = crate::snapshot::restore(fresh, snapshot)?;
         source.restore(&restored.source)?;
         // Counter names are `'static` literals at emission time but arrive
         // from the snapshot as parsed text, so intern each one. Bounded:
@@ -582,30 +546,7 @@ impl<'a> Controller<'a> {
             emergency_until_s: f64::NEG_INFINITY,
             emergency_level: 0,
             shed_class_floor: u8::MAX,
-            arrivals: 0,
-            completions: 0,
-            shed_admission: 0,
-            shed_retry: 0,
-            shed_backpressure: 0,
-            timeouts: 0,
-            retries: 0,
-            reroutes: 0,
-            crashes: 0,
-            stalls: 0,
-            stragglers: 0,
-            repairs: 0,
-            activations: 0,
-            deactivations: 0,
-            dvfs_up: 0,
-            dvfs_down: 0,
-            shed_toggles: 0,
-            rack_crashes: 0,
-            pdu_losses: 0,
-            partitions: 0,
-            power_emergencies: 0,
-            emergency_actions: 0,
-            breaker_opens: 0,
-            breaker_closes: 0,
+            tally: ServeReport::default(),
         })
     }
 
@@ -664,7 +605,7 @@ impl<'a> Controller<'a> {
         let recurring = (self.now / cadence) as u64 + 1;
         let windows = (self.now / self.cfg.fault_window_s) as u64 + 1;
         let per_node = (self.nodes.len() as u64) * windows * 80;
-        100_000 + 300 * self.arrivals + 8 * recurring + per_node
+        100_000 + 300 * self.tally.arrivals + 8 * recurring + per_node
     }
 
     fn done(&self) -> bool {
@@ -921,7 +862,7 @@ impl<'a> Controller<'a> {
         source: &mut ArrivalSource,
         rec: &mut R,
     ) {
-        self.arrivals += 1;
+        self.tally.arrivals += 1;
         self.window_arrival_ops += ops;
         rec.tally("serve.arrivals", 1);
         if let Some(p) = &mut self.plane {
@@ -934,7 +875,7 @@ impl<'a> Controller<'a> {
         if self.shed_mode || class >= self.shed_class_floor
             || self.inflight.len() >= self.cfg.max_inflight
         {
-            self.shed_admission += 1;
+            self.tally.shed_admission += 1;
             rec.tally("serve.shed", 1);
             if let Some(p) = &mut self.plane {
                 p.on_shed();
@@ -962,7 +903,7 @@ impl<'a> Controller<'a> {
                 // cannot be placed and finds the pending queue full is
                 // shed instead of growing the queue without bound.
                 if self.pending.len() >= self.cfg.max_pending {
-                    self.shed_backpressure += 1;
+                    self.tally.shed_backpressure += 1;
                     rec.tally("serve.shed", 1);
                     if let Some(p) = &mut self.plane {
                         p.on_shed();
@@ -1081,7 +1022,7 @@ impl<'a> Controller<'a> {
         self.nodes[i].epoch += 1;
         if let Some(r) = self.inflight.remove(&cur.req) {
             let resp = self.now - r.arrived;
-            self.completions += 1;
+            self.tally.completions += 1;
             self.resp_sum += resp;
             let key = self.run_sketch.key_for(resp);
             self.tick_sketch.observe_keyed(resp, key);
@@ -1112,7 +1053,7 @@ impl<'a> Controller<'a> {
         }
         let Loc::OnNode(i) = r.loc else { return };
         let (attempt, traced) = (r.attempt, r.traced);
-        self.timeouts += 1;
+        self.tally.timeouts += 1;
         rec.tally("serve.timeouts", 1);
         let reclaimed_j = self.remove_from_node(i, req);
         self.breaker_on_failure(self.nodes[i].group, req, rec);
@@ -1124,7 +1065,7 @@ impl<'a> Controller<'a> {
             self.declare_down(i, rec);
         }
         if attempt >= self.cfg.retry.max_retries {
-            self.shed_retry += 1;
+            self.tally.shed_retry += 1;
             rec.tally("serve.shed", 1);
             if let Some(p) = &mut self.plane {
                 p.on_shed();
@@ -1145,7 +1086,7 @@ impl<'a> Controller<'a> {
             r.exclude = Some(i);
             r.loc = Loc::Backoff;
             let delay = self.cfg.retry.backoff_s(r.attempt - 1);
-            self.retries += 1;
+            self.tally.retries += 1;
             rec.tally("serve.retries", 1);
             self.push(self.now + delay, EvKind::Redispatch { req });
         }
@@ -1215,16 +1156,16 @@ impl<'a> Controller<'a> {
         rec.tally(kind.label(), 1);
         match kind {
             FaultKind::Crash => {
-                self.crashes += 1;
+                self.tally.crashes += 1;
                 self.crash_node(i);
             }
             FaultKind::Stall { duration_s } => {
-                self.stalls += 1;
+                self.tally.stalls += 1;
                 let until = self.now + duration_s;
                 self.stall_node(i, until);
             }
             FaultKind::Straggler { slowdown } => {
-                self.stragglers += 1;
+                self.tally.stragglers += 1;
                 self.advance(i);
                 let until = self.now + self.cfg.straggler_duration_s;
                 let n = &mut self.nodes[i];
@@ -1319,7 +1260,7 @@ impl<'a> Controller<'a> {
             if let Some(r) = self.inflight.get_mut(&req) {
                 r.loc = Loc::Pending;
                 r.dispatch += 1; // invalidate outstanding timeouts
-                self.reroutes += 1;
+                self.tally.reroutes += 1;
                 rec.tally("serve.reroutes", 1);
                 self.pending.push_back(req);
             }
@@ -1341,7 +1282,7 @@ impl<'a> Controller<'a> {
         n.slow_until = f64::NEG_INFINITY;
         n.admin = Admin::Active;
         n.down_span_open = false;
-        self.repairs += 1;
+        self.tally.repairs += 1;
         let track = self.node_track(i);
         rec.span_end(self.now, track, "node.down", i as u64);
         rec.counter(self.now, Track::Controller, "ctl.node_up", 1);
@@ -1385,27 +1326,27 @@ impl<'a> Controller<'a> {
         rec.tally(event.kind.label(), 1);
         match event.kind {
             DomainFaultKind::RackCrash => {
-                self.rack_crashes += 1;
+                self.tally.rack_crashes += 1;
                 for i in self.domain_members(event.domain) {
                     self.crash_node(i);
                 }
             }
             DomainFaultKind::PduLoss => {
-                self.pdu_losses += 1;
+                self.tally.pdu_losses += 1;
                 for i in self.domain_members(event.domain) {
                     self.crash_node(i);
                     self.nodes[i].unpowered = true;
                 }
             }
             DomainFaultKind::NetworkPartition { duration_s } => {
-                self.partitions += 1;
+                self.tally.partitions += 1;
                 let until = self.now + duration_s;
                 for i in self.domain_members(event.domain) {
                     self.stall_node(i, until);
                 }
             }
             DomainFaultKind::PowerEmergency { cap_w, duration_s } => {
-                self.power_emergencies += 1;
+                self.tally.power_emergencies += 1;
                 let until = self.now + duration_s;
                 self.emergency_cap_w = if self.in_emergency() {
                     self.emergency_cap_w.min(cap_w) // overlapping: strictest cap wins
@@ -1477,7 +1418,7 @@ impl<'a> Controller<'a> {
                 }
             };
             if acted {
-                self.emergency_actions += 1;
+                self.tally.emergency_actions += 1;
                 rec.counter(self.now, Track::Controller, "ctl.emergency.action", 1);
                 rec.instant(self.now, Track::Controller, "ctl.emergency.rung", f64::from(rung));
                 return;
@@ -1512,7 +1453,7 @@ impl<'a> Controller<'a> {
         self.advance(i);
         let idle = self.nodes[i].current.is_none() && self.nodes[i].queue.is_empty();
         self.nodes[i].admin = if idle { Admin::Deactivated } else { Admin::Draining };
-        self.deactivations += 1;
+        self.tally.deactivations += 1;
         rec.counter(self.now, Track::Controller, "ctl.deactivate", 1);
         rec.instant(self.now, Track::Controller, "ctl.emergency.park", i as f64);
         true
@@ -1559,7 +1500,7 @@ impl<'a> Controller<'a> {
             Breaker::HalfOpen { probe, .. } => {
                 if probe == Some(req) {
                     self.groups[gi].breaker = Breaker::Closed { fails: 0 };
-                    self.breaker_closes += 1;
+                    self.tally.breaker_closes += 1;
                     rec.instant(self.now, Track::Controller, "ctl.breaker.close", gi as f64);
                 }
             }
@@ -1580,7 +1521,7 @@ impl<'a> Controller<'a> {
         .unit();
         let until_s = self.now + self.cfg.breaker_open_s * (0.5 + jitter);
         self.groups[gi].breaker = Breaker::Open { until_s, reopens };
-        self.breaker_opens += 1;
+        self.tally.breaker_opens += 1;
         rec.counter(self.now, Track::Controller, "ctl.breaker.opens", 1);
         rec.instant(self.now, Track::Controller, "ctl.breaker.open", gi as f64);
     }
@@ -1725,7 +1666,7 @@ impl<'a> Controller<'a> {
 
     fn set_shed<R: Recorder>(&mut self, on: bool, rec: &mut R) {
         self.shed_mode = on;
-        self.shed_toggles += 1;
+        self.tally.shed_toggles += 1;
         if on {
             self.shed_entries += 1;
             rec.span_begin(self.now, Track::Controller, "shed.mode", self.shed_entries);
@@ -1773,7 +1714,7 @@ impl<'a> Controller<'a> {
         self.advance(i);
         let idle = self.nodes[i].current.is_none() && self.nodes[i].queue.is_empty();
         self.nodes[i].admin = if idle { Admin::Deactivated } else { Admin::Draining };
-        self.deactivations += 1;
+        self.tally.deactivations += 1;
         rec.counter(self.now, Track::Controller, "ctl.deactivate", 1);
         rec.instant(self.now, Track::Controller, "ctl.park_node", i as f64);
         true
@@ -1803,7 +1744,7 @@ impl<'a> Controller<'a> {
         let Some(i) = candidate else { return false };
         self.advance(i);
         self.nodes[i].admin = Admin::Active;
-        self.activations += 1;
+        self.tally.activations += 1;
         rec.counter(self.now, Track::Controller, "ctl.activate", 1);
         rec.instant(self.now, Track::Controller, "ctl.admit_node", i as f64);
         self.flush_pending();
@@ -1822,7 +1763,7 @@ impl<'a> Controller<'a> {
             });
         let Some(gi) = target else { return false };
         self.apply_dvfs(gi, self.groups[gi].freq_idx - 1);
-        self.dvfs_down += 1;
+        self.tally.dvfs_down += 1;
         rec.counter(self.now, Track::Controller, "ctl.dvfs_down", 1);
         rec.instant(self.now, Track::Controller, "ctl.brownout_group", gi as f64);
         true
@@ -1847,7 +1788,7 @@ impl<'a> Controller<'a> {
             });
         let Some(gi) = target else { return false };
         self.apply_dvfs(gi, self.groups[gi].freq_idx + 1);
-        self.dvfs_up += 1;
+        self.tally.dvfs_up += 1;
         rec.counter(self.now, Track::Controller, "ctl.dvfs_up", 1);
         rec.instant(self.now, Track::Controller, "ctl.boost_group", gi as f64);
         true
@@ -1932,37 +1873,15 @@ impl<'a> Controller<'a> {
         // enprop-lint: allow(unit-opaque) -- self.now is the controller's virtual clock, maintained in seconds throughout
         let horizon_s = self.now;
         let nan = f64::NAN;
+        // The counters are already in the tally; fill in what derives from
+        // the end state.
         ServeReport {
-            arrivals: self.arrivals,
-            completions: self.completions,
-            shed_admission: self.shed_admission,
-            shed_retry: self.shed_retry,
             in_flight_at_stop: self.inflight.len() as u64,
-            timeouts: self.timeouts,
-            retries: self.retries,
-            reroutes: self.reroutes,
-            crashes: self.crashes,
-            stalls: self.stalls,
-            stragglers: self.stragglers,
-            repairs: self.repairs,
-            activations: self.activations,
-            deactivations: self.deactivations,
-            dvfs_up: self.dvfs_up,
-            dvfs_down: self.dvfs_down,
-            shed_toggles: self.shed_toggles,
-            shed_backpressure: self.shed_backpressure,
-            rack_crashes: self.rack_crashes,
-            pdu_losses: self.pdu_losses,
-            partitions: self.partitions,
-            power_emergencies: self.power_emergencies,
-            emergency_actions: self.emergency_actions,
-            breaker_opens: self.breaker_opens,
-            breaker_closes: self.breaker_closes,
             horizon_s,
             energy_j,
             mean_power_w: if horizon_s > 0.0 { energy_j / horizon_s } else { 0.0 },
-            mean_response_s: if self.completions > 0 {
-                self.resp_sum / self.completions as f64
+            mean_response_s: if self.tally.completions > 0 {
+                self.resp_sum / self.tally.completions as f64
             } else {
                 nan
             },
@@ -1972,6 +1891,7 @@ impl<'a> Controller<'a> {
             p999_s: self.run_sketch.quantile(0.999).unwrap_or(nan),
             events: self.events,
             forced_stop: forced,
+            ..std::mem::take(&mut self.tally)
         }
     }
 }

@@ -38,7 +38,6 @@
 
 use std::collections::VecDeque;
 
-use enprop_faults::EnpropError;
 use enprop_obs::{
     EnergyLedger, EnergyOutcome, LedgerState, QuantileSketch, Recorder, SeriesState, Track,
     WindowedSeries,
@@ -386,27 +385,28 @@ impl ObsPlane {
 
     /// Restore a checkpointed [`PlaneState`] onto a freshly-constructed
     /// plane. The plane must have been built from the same config the
-    /// snapshot was taken under; a group-count mismatch (or a ledger row
-    /// with an unknown outcome tag) is a typed config error, not a panic.
-    pub fn restore(&mut self, s: &PlaneState) -> Result<(), EnpropError> {
+    /// snapshot was taken under; a group-count or window-length mismatch
+    /// (or a ledger row with an unknown outcome tag) is an error saying
+    /// which, not a panic. The snapshot reader reports it against the
+    /// snapshot's `plane` line.
+    pub fn restore(&mut self, s: &PlaneState) -> Result<(), String> {
         if s.groups.len() != self.cur_groups.len() {
-            return Err(EnpropError::invalid_config(format!(
-                "snapshot obs plane has {} groups, controller has {} — wrong cluster spec?",
+            return Err(format!(
+                "obs plane has {} groups, controller has {} — wrong cluster spec?",
                 s.groups.len(),
                 self.cur_groups.len()
-            )));
+            ));
         }
         // A different window length would re-index every window (and a
         // tiny one would make the next roll close windows without end).
         if s.resp.window_s != self.window_s {
-            return Err(EnpropError::invalid_config(format!(
-                "snapshot obs series has {} s windows, the plane has {} s — wrong obs_window_s?",
+            return Err(format!(
+                "obs series has {} s windows, the plane has {} s — wrong obs_window_s?",
                 s.resp.window_s, self.window_s
-            )));
+            ));
         }
-        self.ledger = EnergyLedger::from_state(&s.ledger).ok_or_else(|| {
-            EnpropError::invalid_config("snapshot energy ledger has an unknown outcome tag")
-        })?;
+        self.ledger = EnergyLedger::from_state(&s.ledger)
+            .ok_or("energy ledger has an unknown outcome tag")?;
         self.resp = WindowedSeries::from_state(s.resp.clone());
         self.cur_index = s.cur_index;
         self.cur_end_s = (s.cur_index + 1) as f64 * self.window_s;

@@ -114,6 +114,85 @@ impl ServeReport {
             if self.conservation_ok() { "OK" } else { "VIOLATED" }
         )
     }
+
+    /// The counter table: every event counter the controller increments,
+    /// as `(name, counter)` pairs in snapshot order. The snapshot's
+    /// `ctl` section writes and reads each as `n_<name>`, and the CLI's
+    /// `--csv` report prints one row per pair.
+    ///
+    /// The destructure has no `..`: a counter added to the struct without
+    /// a table entry fails to compile here. Fields bound `_` are not
+    /// counters; `finish` derives them when the run ends.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 24] {
+        let ServeReport {
+            arrivals,
+            completions,
+            shed_admission,
+            shed_retry,
+            in_flight_at_stop: _, // derived: the requests left in flight
+            timeouts,
+            retries,
+            reroutes,
+            crashes,
+            stalls,
+            stragglers,
+            repairs,
+            activations,
+            deactivations,
+            dvfs_up,
+            dvfs_down,
+            shed_toggles,
+            shed_backpressure,
+            rack_crashes,
+            pdu_losses,
+            partitions,
+            power_emergencies,
+            emergency_actions,
+            breaker_opens,
+            breaker_closes,
+            horizon_s: _,       // derived: the clock at the end
+            energy_j: _,        // derived: summed over the nodes
+            mean_power_w: _,    // derived: energy over horizon
+            mean_response_s: _, // derived: response sum over completions
+            p50_s: _,           // derived: from the run's sketch
+            p95_s: _,           // likewise
+            p99_s: _,           // likewise
+            p999_s: _,          // likewise
+            events: _,          // the event-loop cursor, kept by the controller
+            forced_stop: _,     // derived: how the loop ended
+        } = self;
+        [
+            ("arrivals", arrivals),
+            ("completions", completions),
+            ("shed_admission", shed_admission),
+            ("shed_retry", shed_retry),
+            ("shed_backpressure", shed_backpressure),
+            ("timeouts", timeouts),
+            ("retries", retries),
+            ("reroutes", reroutes),
+            ("crashes", crashes),
+            ("stalls", stalls),
+            ("stragglers", stragglers),
+            ("repairs", repairs),
+            ("activations", activations),
+            ("deactivations", deactivations),
+            ("dvfs_up", dvfs_up),
+            ("dvfs_down", dvfs_down),
+            ("shed_toggles", shed_toggles),
+            ("rack_crashes", rack_crashes),
+            ("pdu_losses", pdu_losses),
+            ("partitions", partitions),
+            ("power_emergencies", power_emergencies),
+            ("emergency_actions", emergency_actions),
+            ("breaker_opens", breaker_opens),
+            ("breaker_closes", breaker_closes),
+        ]
+    }
+
+    /// [`ServeReport::counters_mut`] read-only: `(name, value)` pairs.
+    pub fn counters(&self) -> [(&'static str, u64); 24] {
+        self.clone().counters_mut().map(|(name, v)| (name, *v))
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! reports.
 
 use std::cmp::Reverse;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 
 use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind, Topology};
@@ -31,7 +31,8 @@ use crate::arrivals::SourceState;
 use crate::controller::{
     Admin, Breaker, Controller, Ev, EvKind, GroupModel, Loc, Node, Req, Running,
 };
-use crate::plane::{PlaneGroupState, PlaneState};
+use crate::plane::{ObsPlane, PlaneGroupState, PlaneState};
+use crate::report::ServeReport;
 
 /// Version tag of the snapshot format; bumped on any incompatible change.
 pub const SNAPSHOT_VERSION: &str = "enprop-snapshot-v2";
@@ -158,30 +159,7 @@ pub(crate) fn serialize(
         emergency_until_s,
         emergency_level,
         shed_class_floor,
-        arrivals,
-        completions,
-        shed_admission,
-        shed_retry,
-        shed_backpressure,
-        timeouts,
-        retries,
-        reroutes,
-        crashes,
-        stalls,
-        stragglers,
-        repairs,
-        activations,
-        deactivations,
-        dvfs_up,
-        dvfs_down,
-        shed_toggles,
-        rack_crashes,
-        pdu_losses,
-        partitions,
-        power_emergencies,
-        emergency_actions,
-        breaker_opens,
-        breaker_closes,
+        tally,
     } = c;
     let mut out = String::with_capacity(4096);
     let has_plane = u8::from(plane.is_some());
@@ -193,9 +171,9 @@ pub(crate) fn serialize(
         nodes.len(),
         bits(*now),
     );
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "{{\"sec\":\"ctl\",\"next_req_id\":{next_req_id},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{shed_entries},\"cooldown\":{cooldown},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{emergency_level},\"class_floor\":{shed_class_floor},\"n_arrivals\":{arrivals},\"n_completions\":{completions},\"n_shed_admission\":{shed_admission},\"n_shed_retry\":{shed_retry},\"n_shed_backpressure\":{shed_backpressure},\"n_timeouts\":{timeouts},\"n_retries\":{retries},\"n_reroutes\":{reroutes},\"n_crashes\":{crashes},\"n_stalls\":{stalls},\"n_stragglers\":{stragglers},\"n_repairs\":{repairs},\"n_activations\":{activations},\"n_deactivations\":{deactivations},\"n_dvfs_up\":{dvfs_up},\"n_dvfs_down\":{dvfs_down},\"n_shed_toggles\":{shed_toggles},\"n_rack_crashes\":{rack_crashes},\"n_pdu_losses\":{pdu_losses},\"n_partitions\":{partitions},\"n_power_emergencies\":{power_emergencies},\"n_emergency_actions\":{emergency_actions},\"n_breaker_opens\":{breaker_opens},\"n_breaker_closes\":{breaker_closes}}}",
+        "{{\"sec\":\"ctl\",\"next_req_id\":{next_req_id},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{shed_entries},\"cooldown\":{cooldown},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{emergency_level},\"class_floor\":{shed_class_floor}",
         u8::from(*arrivals_done),
         u8::from(*drain_armed),
         u8::from(*shed_mode),
@@ -204,6 +182,10 @@ pub(crate) fn serialize(
         bits(*emergency_cap_w),
         bits(*emergency_until_s),
     );
+    for (name, n) in tally.counters() {
+        let _ = write!(out, ",\"n_{name}\":{n}");
+    }
+    out.push_str("}\n");
     // Recorder-side running totals: `Recorder::counter` events carry a
     // cumulative total kept by the *sink*, so a resumed run must continue
     // those totals or its trace diverges from the uninterrupted run's.
@@ -516,37 +498,36 @@ fn rng_state(l: &Line<'_>, key: &str) -> Result<[u64; 4], LineError> {
 
 // ---- restore ---------------------------------------------------------------
 
-/// What [`restore`] hands back beyond the controller state it writes in
-/// place: the arrival source's cursor and the recorder's aggregate counter
-/// totals at checkpoint time.
+/// What [`restore`] hands back beside the restored controller: the arrival
+/// source's cursor and the recorder's aggregate counter totals at
+/// checkpoint time.
 pub(crate) struct Restored {
     pub source: SourceState,
     pub counters: Vec<(String, u64)>,
 }
 
-/// Restore `text` (produced by [`serialize`]) onto `c`, a fresh controller
-/// built from the same workload / cluster / plans / config. Returns the
-/// arrival source's snapshotted cursor (for the caller to re-seat) and the
-/// checkpointed recorder counter totals (for the caller to preload). Any
-/// mismatch — truncation, version skew, a different seed or cluster shape,
-/// an index or request id that points nowhere — is a typed configuration
-/// error naming the line, never a panic later in the run.
-pub(crate) fn restore(c: &mut Controller<'_>, text: &str) -> Result<Restored, EnpropError> {
-    let (restored, plane_state) =
-        read(c, text).map_err(|e| EnpropError::invalid_config(format!("snapshot {e}")))?;
-    match (plane_state, c.plane.as_mut()) {
-        (Some(ps), Some(plane)) => {
-            plane.restore(&ps)?;
-            c.plane_next_close_s = plane.next_close_s();
-        }
-        _ => c.plane_next_close_s = f64::INFINITY,
-    }
-    Ok(restored)
+/// Restore `text` (produced by [`serialize`]) from `fresh`, a new
+/// controller built from the same workload / cluster / plans / config.
+/// Returns the restored controller, the arrival source's snapshotted
+/// cursor (for the caller to re-seat) and the checkpointed recorder
+/// counter totals (for the caller to preload). Any mismatch — truncation,
+/// version skew, a different seed or cluster shape, an index or request id
+/// that points nowhere — is a typed configuration error naming the line,
+/// never a panic later in the run.
+pub(crate) fn restore<'a>(
+    fresh: Controller<'a>,
+    text: &str,
+) -> Result<(Controller<'a>, Restored), EnpropError> {
+    read(fresh, text).map_err(|e| EnpropError::invalid_config(format!("snapshot {e}")))
 }
 
-/// The line-level half of [`restore`]: everything but handing the plane
-/// state to the plane, which [`read`] returns iff the snapshot has one.
-fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneState>), LineError> {
+/// [`restore`] with line-level errors. The controller comes back from one
+/// struct literal with no `..`: a field added to [`Controller`] without a
+/// snapshot source fails to compile here, as it does in [`serialize`].
+fn read<'a>(
+    mut fresh: Controller<'a>,
+    text: &str,
+) -> Result<(Controller<'a>, Restored), LineError> {
     let lines: Vec<&str> = text.lines().collect();
     let total = lines.len();
     // Crash-consistency gate first: the file must end with a complete,
@@ -576,35 +557,35 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
         );
     }
     let seed = h.u64("seed")?;
-    if seed != c.cfg.seed {
-        return Err(h.error(format!("snapshot seed {seed} != configured seed {}", c.cfg.seed)));
+    if seed != fresh.cfg.seed {
+        return Err(h.error(format!("snapshot seed {seed} != configured seed {}", fresh.cfg.seed)));
     }
     let (n_groups, n_nodes) = (h.u64("groups")?, h.u64("nodes")?);
-    if n_groups != c.groups.len() as u64 || n_nodes != c.nodes.len() as u64 {
+    if n_groups != fresh.groups.len() as u64 || n_nodes != fresh.nodes.len() as u64 {
         return Err(h.error(format!(
             "cluster shape {n_groups}g/{n_nodes}n != configured {}g/{}n",
-            c.groups.len(),
-            c.nodes.len()
+            fresh.groups.len(),
+            fresh.nodes.len()
         )));
     }
-    let has_plane = boolean(&h, "has_plane")?;
-    if has_plane != c.plane.is_some() {
+    if boolean(&h, "has_plane")? != fresh.plane.is_some() {
         return Err(
             h.error("snapshot and config disagree on whether the obs plane is on (obs_window_s)")
         );
     }
-    c.now = h.f64_bits("now")?;
-    c.seq = h.u64("seq")?;
-    c.events = h.u64("events")?;
+    let (now, seq) = (h.f64_bits("now")?, h.u64("seq")?);
 
-    let n_nodes = c.nodes.len();
-    let topo = c.topo.map(|t| &t.topology);
+    let n_nodes = fresh.nodes.len();
+    let topo = fresh.topo.map(|t| &t.topology);
     let mut source: Option<SourceState> = None;
     let mut counters: Vec<(String, u64)> = Vec::new();
-    let mut saw_ctl = false;
-    let mut saw_pending = false;
-    let mut sketches_seen = 0u32;
-    // The `plane` and `series` lines are read once every plane section is in.
+    let mut heap = BinaryHeap::new();
+    let mut inflight = BTreeMap::new();
+    let mut pending: Option<VecDeque<u64>> = None;
+    let mut sketches: [Option<QuantileSketch>; 2] = [None, None];
+    // The `ctl`, `plane` and `series` lines are read once every section
+    // is in.
+    let mut ctl: Option<Line<'_>> = None;
     let (mut plane_line, mut series_line): (Option<Line<'_>>, Option<Line<'_>>) = (None, None);
     let mut plane_groups: Vec<PlaneGroupState> = Vec::new();
     let mut series_wins: Vec<WindowState> = Vec::new();
@@ -612,57 +593,16 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
     // Request ids named by node queues/slots and the pending queue, with
     // their line numbers: checked against the `req` section at the end.
     let mut id_refs: Vec<(usize, u64)> = Vec::new();
-    c.heap.clear();
-    c.pending.clear();
-    c.inflight.clear();
 
     for (idx, text) in lines.iter().enumerate().take(total - 1).skip(1) {
         let lineno = idx + 1;
         let l = Line::parse(lineno, text)?;
         match &*l.str("sec")? {
-            "ctl" => {
-                saw_ctl = true;
-                c.next_req_id = l.u64("next_req_id")?;
-                c.arrivals_done = boolean(&l, "arrivals_done")?;
-                c.drain_armed = boolean(&l, "drain_armed")?;
-                c.shed_mode = boolean(&l, "shed_mode")?;
-                c.shed_entries = l.u64("shed_entries")?;
-                c.cooldown = int(&l, "cooldown")?;
-                c.window_arrival_ops = l.f64_bits("window_arrival_ops")?;
-                c.resp_sum = l.f64_bits("resp_sum")?;
-                c.emergency_cap_w = l.f64_bits("em_cap")?;
-                c.emergency_until_s = l.f64_bits("em_until")?;
-                c.emergency_level = int(&l, "em_level")?;
-                c.shed_class_floor = int(&l, "class_floor")?;
-                c.arrivals = l.u64("n_arrivals")?;
-                c.completions = l.u64("n_completions")?;
-                c.shed_admission = l.u64("n_shed_admission")?;
-                c.shed_retry = l.u64("n_shed_retry")?;
-                c.shed_backpressure = l.u64("n_shed_backpressure")?;
-                c.timeouts = l.u64("n_timeouts")?;
-                c.retries = l.u64("n_retries")?;
-                c.reroutes = l.u64("n_reroutes")?;
-                c.crashes = l.u64("n_crashes")?;
-                c.stalls = l.u64("n_stalls")?;
-                c.stragglers = l.u64("n_stragglers")?;
-                c.repairs = l.u64("n_repairs")?;
-                c.activations = l.u64("n_activations")?;
-                c.deactivations = l.u64("n_deactivations")?;
-                c.dvfs_up = l.u64("n_dvfs_up")?;
-                c.dvfs_down = l.u64("n_dvfs_down")?;
-                c.shed_toggles = l.u64("n_shed_toggles")?;
-                c.rack_crashes = l.u64("n_rack_crashes")?;
-                c.pdu_losses = l.u64("n_pdu_losses")?;
-                c.partitions = l.u64("n_partitions")?;
-                c.power_emergencies = l.u64("n_power_emergencies")?;
-                c.emergency_actions = l.u64("n_emergency_actions")?;
-                c.breaker_opens = l.u64("n_breaker_opens")?;
-                c.breaker_closes = l.u64("n_breaker_closes")?;
-            }
+            "ctl" => ctl = Some(l),
             "cnt" => counters.push((l.str("name")?.into_owned(), l.u64("total")?)),
             "group" => {
-                let gi = below(&l, l.u64("i")?, c.groups.len(), "group index")?;
-                let g = &mut c.groups[gi];
+                let gi = below(&l, l.u64("i")?, fresh.groups.len(), "group index")?;
+                let g = &mut fresh.groups[gi];
                 g.freq_idx = below(&l, l.u64("freq")?, g.rate_at.len(), "freq_idx")?;
                 let ba = l.u64("ba")?;
                 let reopens = int(&l, "bb")?;
@@ -694,7 +634,7 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
                     win_ideal_j,
                     win_idle_j,
                     down_span_open,
-                } = &mut c.nodes[i];
+                } = &mut fresh.nodes[i];
                 *admin = match l.u64("admin")? {
                     0 => Admin::Active,
                     1 => Admin::Draining,
@@ -741,7 +681,7 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
                     0 => None,
                     e => Some(below(&l, e - 1, n_nodes, "exclude")?),
                 };
-                c.inflight.insert(
+                inflight.insert(
                     id,
                     Req {
                         arrived: l.f64_bits("arrived")?,
@@ -756,18 +696,13 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
                 );
             }
             "pending" => {
-                saw_pending = true;
-                c.pending = VecDeque::from(l.u64s("ids")?);
-                id_refs.extend(c.pending.iter().map(|&id| (lineno, id)));
+                let ids = VecDeque::from(l.u64s("ids")?);
+                id_refs.extend(ids.iter().map(|&id| (lineno, id)));
+                pending = Some(ids);
             }
             "sketch" => {
-                let s = QuantileSketch::from_state(sketch_of(&l)?);
-                match l.u64("which")? {
-                    0 => c.tick_sketch = s,
-                    1 => c.run_sketch = s,
-                    other => return Err(l.error(format!("unknown sketch slot {other}"))),
-                }
-                sketches_seen += 1;
+                let slot = below(&l, l.u64("which")?, 2, "sketch slot")?;
+                sketches[slot] = Some(QuantileSketch::from_state(sketch_of(&l)?));
             }
             "plane" => plane_line = Some(l),
             "plane_group" => {
@@ -813,19 +748,16 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
             }
             "ev" => {
                 let ev = ev_of(&l, n_nodes, topo)?;
-                if ev.seq >= c.seq {
-                    return Err(
-                        l.error(format!("event seq {} >= header seq cursor {}", ev.seq, c.seq))
-                    );
+                if ev.seq >= seq {
+                    return Err(l.error(format!("event seq {} >= header seq cursor {seq}", ev.seq)));
                 }
                 // The loop never runs time backwards (nor through NaN).
-                if ev.t.is_nan() || ev.t < c.now {
-                    return Err(l.error(format!(
-                        "event time {} is before the snapshot time {}",
-                        ev.t, c.now
-                    )));
+                if ev.t.is_nan() || ev.t < now {
+                    return Err(
+                        l.error(format!("event time {} is before the snapshot time {now}", ev.t))
+                    );
                 }
-                c.heap.push(Reverse(ev));
+                heap.push(Reverse(ev));
             }
             "source" => {
                 source = Some(match l.u64("kind")? {
@@ -847,49 +779,80 @@ fn read(c: &mut Controller<'_>, text: &str) -> Result<(Restored, Option<PlaneSta
     // Whole-snapshot checks name the trailer line: that is where an
     // absence becomes certain.
     let missing = |sec: &str| LineError::new(total, format!("no {sec:?} section"));
-    if let Some(&(lineno, id)) = id_refs.iter().find(|(_, id)| !c.inflight.contains_key(id)) {
+    if let Some(&(lineno, id)) = id_refs.iter().find(|(_, id)| !inflight.contains_key(id)) {
         return Err(LineError::new(
             lineno,
             format!("request id {id} is not in the \"req\" section"),
         ));
     }
-    if !saw_ctl {
-        return Err(missing("ctl"));
+    let ctl = ctl.ok_or_else(|| missing("ctl"))?;
+    let mut tally = ServeReport::default();
+    for (name, n) in tally.counters_mut() {
+        *n = ctl.u64(&format!("n_{name}"))?;
     }
-    if !saw_pending {
-        return Err(missing("pending"));
-    }
-    if sketches_seen != 2 {
-        return Err(LineError::new(total, format!("{sketches_seen} sketch sections, expected 2")));
-    }
-    let plane = if has_plane {
-        let p = plane_line.ok_or_else(|| missing("plane"))?;
-        let s = series_line.ok_or_else(|| missing("series"))?;
-        Some(PlaneState {
-            resp: SeriesState {
-                window_s: s.f64_bits("window_s")?,
-                alpha: s.f64_bits("alpha")?,
-                max_windows: int(&s, "max_windows")?,
-                windows: series_wins,
-                evicted_count: s.u64("evicted_count")?,
-                evicted_sum: s.f64_bits("evicted_sum")?,
-            },
-            ledger: ledger.ok_or_else(|| missing("ledger"))?,
-            cur_index: p.u64("cur_index")?,
-            cur_arrivals: p.u64("cur_arrivals")?,
-            cur_shed: p.u64("cur_shed")?,
-            cur_breaches: p.u64("cur_breaches")?,
-            groups: plane_groups,
-            burn_ring: tuples::<2>(&p, "ring")?.into_iter().map(|[a, b]| (a, b)).collect(),
-            alert: boolean(&p, "alert")?,
-            burn_fast: p.f64_bits("bfast")?,
-            burn_slow: p.f64_bits("bslow")?,
-        })
-    } else {
-        None
+    let [tick_sketch, run_sketch] = sketches;
+    let plane = match fresh.plane {
+        Some(mut plane) => {
+            let p = plane_line.ok_or_else(|| missing("plane"))?;
+            let s = series_line.ok_or_else(|| missing("series"))?;
+            let state = PlaneState {
+                resp: SeriesState {
+                    window_s: s.f64_bits("window_s")?,
+                    alpha: s.f64_bits("alpha")?,
+                    max_windows: int(&s, "max_windows")?,
+                    windows: series_wins,
+                    evicted_count: s.u64("evicted_count")?,
+                    evicted_sum: s.f64_bits("evicted_sum")?,
+                },
+                ledger: ledger.ok_or_else(|| missing("ledger"))?,
+                cur_index: p.u64("cur_index")?,
+                cur_arrivals: p.u64("cur_arrivals")?,
+                cur_shed: p.u64("cur_shed")?,
+                cur_breaches: p.u64("cur_breaches")?,
+                groups: plane_groups,
+                burn_ring: tuples::<2>(&p, "ring")?.into_iter().map(|[a, b]| (a, b)).collect(),
+                alert: boolean(&p, "alert")?,
+                burn_fast: p.f64_bits("bfast")?,
+                burn_slow: p.f64_bits("bslow")?,
+            };
+            plane.restore(&state).map_err(|msg| p.error(msg))?;
+            Some(plane)
+        }
+        None => None,
+    };
+    let plane_next_close_s = plane.as_ref().map_or(f64::INFINITY, ObsPlane::next_close_s);
+    let c = Controller {
+        cfg: fresh.cfg,
+        plan: fresh.plan,
+        topo: fresh.topo,
+        groups: fresh.groups,
+        nodes: fresh.nodes,
+        heap,
+        seq,
+        now,
+        events: h.u64("events")?,
+        inflight,
+        pending: pending.ok_or_else(|| missing("pending"))?,
+        next_req_id: ctl.u64("next_req_id")?,
+        arrivals_done: boolean(&ctl, "arrivals_done")?,
+        drain_armed: boolean(&ctl, "drain_armed")?,
+        shed_mode: boolean(&ctl, "shed_mode")?,
+        shed_entries: ctl.u64("shed_entries")?,
+        cooldown: int(&ctl, "cooldown")?,
+        tick_sketch: tick_sketch.ok_or_else(|| missing("sketch"))?,
+        window_arrival_ops: ctl.f64_bits("window_arrival_ops")?,
+        run_sketch: run_sketch.ok_or_else(|| missing("sketch"))?,
+        resp_sum: ctl.f64_bits("resp_sum")?,
+        plane,
+        plane_next_close_s,
+        emergency_cap_w: ctl.f64_bits("em_cap")?,
+        emergency_until_s: ctl.f64_bits("em_until")?,
+        emergency_level: int(&ctl, "em_level")?,
+        shed_class_floor: int(&ctl, "class_floor")?,
+        tally,
     };
     let source = source.ok_or_else(|| missing("source"))?;
-    Ok((Restored { source, counters }, plane))
+    Ok((c, Restored { source, counters }))
 }
 
 #[cfg(test)]

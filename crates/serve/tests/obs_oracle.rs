@@ -21,8 +21,8 @@ use enprop_faults::{FaultKind, FaultPlan, GroupFaultProfile, MtbfModel};
 use enprop_obs::{PowerSample, Recorder, Track};
 use enprop_queueing::exact_quantile;
 use enprop_serve::{
-    ArrivalModel, ArrivalSource, Controller, ServeConfig, ServeReport, SyntheticArrivals,
-    WindowReport,
+    ArrivalModel, ArrivalSource, Controller, RunHooks, RunOutcome, ServeConfig, ServeReport,
+    SyntheticArrivals, WindowReport,
 };
 use enprop_workloads::catalog;
 use proptest::prelude::*;
@@ -85,17 +85,23 @@ fn run_chaos(
     let mut source = ArrivalSource::Synthetic(arrivals);
     let mut rec = OracleRecorder::default();
     let mut windows: Vec<WindowReport> = Vec::new();
-    let report = Controller::run_live(
+    let mut live = |w: &WindowReport| windows.push(w.clone());
+    let mut hooks = RunHooks { live: &mut live, checkpoint: None, kill_after_events: None };
+    let outcome = Controller::run_full(
         &workload,
         &cluster,
         &plan,
+        None,
         &cfg,
         &mut source,
         &mut rec,
-        &mut |w| windows.push(w.clone()),
+        &mut hooks,
     )
     .expect("a valid chaos scenario must terminate cleanly");
-    (report, rec.responses, windows)
+    let RunOutcome::Completed(report) = outcome else {
+        panic!("no kill hook installed");
+    };
+    (*report, rec.responses, windows)
 }
 
 /// Check one reported percentile against the oracle stream: with
