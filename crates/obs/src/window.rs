@@ -224,29 +224,28 @@ impl WindowedSeries {
         self.ring.len()
     }
 
-    /// Capture the complete series state for checkpointing.
-    pub fn state(&self) -> SeriesState {
-        SeriesState {
-            window_s: self.window_s,
-            alpha: self.alpha,
-            max_windows: self.max_windows,
-            windows: self
-                .ring
-                .iter()
-                .map(|w| WindowState {
-                    index: w.index,
-                    count: w.count,
-                    sum: w.sum,
-                    sketch: w.sketch.state(),
-                })
-                .collect(),
-            evicted_count: self.evicted_count,
-            evicted_sum: self.evicted_sum,
-        }
+    /// Sketch relative accuracy α.
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// Ring capacity: the most windows retained at once.
+    pub fn max_windows(&self) -> usize {
+        self.max_windows
+    }
+
+    /// Observations in evicted windows (the conservation sidecar).
+    pub fn evicted_count(&self) -> u64 {
+        self.evicted_count
+    }
+
+    /// Sum of observed values in evicted windows.
+    pub fn evicted_sum(&self) -> f64 {
+        self.evicted_sum
     }
 
     /// Rebuild a series from a [`SeriesState`] — the checkpoint/resume
-    /// inverse of [`WindowedSeries::state`].
+    /// inverse of reading the geometry, sidecars and [`windows`](Self::windows).
     pub fn from_state(s: SeriesState) -> Self {
         let mut out = WindowedSeries::new(s.window_s, s.alpha, s.max_windows);
         out.ring = s

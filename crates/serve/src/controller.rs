@@ -619,6 +619,7 @@ impl<'a> Controller<'a> {
         hooks: &mut RunHooks<'_>,
     ) -> Result<RunOutcome, EnpropError> {
         let mut forced = false;
+        let mut encoder = crate::snapshot::Encoder::default();
         while !self.done() {
             let Some(Reverse(ev)) = self.heap.pop() else {
                 // Unreachable by construction (recurring ticks always
@@ -637,13 +638,7 @@ impl<'a> Controller<'a> {
             // heap section and is the first thing the resume processes.
             if closing {
                 if let Some(cp) = hooks.checkpoint.as_mut() {
-                    let snap = crate::snapshot::serialize(
-                        self,
-                        &ev,
-                        &source.state(),
-                        &rec.counter_snapshot(),
-                    );
-                    cp(&snap);
+                    cp(encoder.encode(self, &ev, &source.state(), &rec.counter_snapshot()));
                 }
             }
             self.events += 1;

@@ -200,16 +200,17 @@ pub struct PlaneGroupState {
     pub completions: u64,
 }
 
-/// Checkpoint form of the whole [`ObsPlane`]: everything that mutates
-/// after construction. Static geometry (window length, burn windows,
-/// thresholds) is *not* here — the resume path rebuilds the plane from
-/// the same [`crate::ServeConfig`] and then replays this state onto it,
-/// so a snapshot restored against a different config fails loudly on the
-/// group-count check instead of silently mixing geometries.
+/// Checkpoint form of the [`ObsPlane`]: everything that mutates after
+/// construction except the response series, which the snapshot writer
+/// reads in place through [`ObsPlane::response_series`] and the reader
+/// hands to [`ObsPlane::restore`] beside this state. Static geometry
+/// (window length, burn windows, thresholds) is *not* here — the resume
+/// path rebuilds the plane from the same [`crate::ServeConfig`] and then
+/// replays this state onto it, so a snapshot restored against a different
+/// config fails loudly on the group-count check instead of silently
+/// mixing geometries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlaneState {
-    /// Windowed response-time series (ring of sketches).
-    pub resp: SeriesState,
     /// Run-level energy ledger rows.
     pub ledger: LedgerState,
     /// Next window index to close.
@@ -357,10 +358,10 @@ impl ObsPlane {
         self.burn_slow
     }
 
-    /// Snapshot every mutable field for a checkpoint (DESIGN.md §16).
+    /// Snapshot every mutable field but the response series for a
+    /// checkpoint (DESIGN.md §16).
     pub fn state(&self) -> PlaneState {
         PlaneState {
-            resp: self.resp.state(),
             ledger: self.ledger.state(),
             cur_index: self.cur_index,
             cur_arrivals: self.cur_arrivals,
@@ -383,13 +384,14 @@ impl ObsPlane {
         }
     }
 
-    /// Restore a checkpointed [`PlaneState`] onto a freshly-constructed
-    /// plane. The plane must have been built from the same config the
-    /// snapshot was taken under; a group-count or window-length mismatch
-    /// (or a ledger row with an unknown outcome tag) is an error saying
-    /// which, not a panic. The snapshot reader reports it against the
-    /// snapshot's `plane` line.
-    pub fn restore(&mut self, s: &PlaneState) -> Result<(), String> {
+    /// Restore a checkpointed [`PlaneState`] and response series onto a
+    /// freshly-constructed plane. The plane must have been built from the
+    /// same config the snapshot was taken under; a group-count or
+    /// window-length mismatch, a series whose windows do not ascend
+    /// strictly up to `cur_index` (or a ledger row with an unknown outcome
+    /// tag) is an error saying which, not a panic. The snapshot reader
+    /// reports it against the snapshot's `plane` line.
+    pub fn restore(&mut self, s: &PlaneState, resp: SeriesState) -> Result<(), String> {
         if s.groups.len() != self.cur_groups.len() {
             return Err(format!(
                 "obs plane has {} groups, controller has {} — wrong cluster spec?",
@@ -399,17 +401,26 @@ impl ObsPlane {
         }
         // A different window length would re-index every window (and a
         // tiny one would make the next roll close windows without end).
-        if s.resp.window_s != self.window_s {
+        if resp.window_s != self.window_s {
             return Err(format!(
                 "obs series has {} s windows, the plane has {} s — wrong obs_window_s?",
-                s.resp.window_s, self.window_s
+                resp.window_s, self.window_s
+            ));
+        }
+        // One window per index, none past the open one: the checkpoint
+        // encoder keys closed windows by index.
+        let ascending = resp.windows.windows(2).all(|p| p[0].index < p[1].index);
+        if !ascending || resp.windows.last().is_some_and(|w| w.index > s.cur_index) {
+            return Err(format!(
+                "obs series windows must ascend strictly up to cur_index {}",
+                s.cur_index
             ));
         }
         self.ledger = EnergyLedger::from_state(&s.ledger)
             .ok_or("energy ledger has an unknown outcome tag")?;
-        self.resp = WindowedSeries::from_state(s.resp.clone());
+        self.resp = WindowedSeries::from_state(resp);
         self.cur_index = s.cur_index;
-        self.cur_end_s = (s.cur_index + 1) as f64 * self.window_s;
+        self.cur_end_s = (s.cur_index as f64 + 1.0) * self.window_s;
         self.cur_arrivals = s.cur_arrivals;
         self.cur_shed = s.cur_shed;
         self.cur_breaches = s.cur_breaches;
@@ -538,7 +549,7 @@ impl ObsPlane {
 
     fn close_window<R: Recorder>(&mut self, rec: &mut R, live: &mut dyn FnMut(&WindowReport)) {
         let index = self.cur_index;
-        let end_s = (index + 1) as f64 * self.window_s;
+        let end_s = (index as f64 + 1.0) * self.window_s;
 
         // Latency stats for this window from the windowed series.
         let win = self.resp.windows().find(|w| w.index == index);
@@ -635,9 +646,10 @@ impl ObsPlane {
         }
         live(&report);
 
-        // Reset per-window accumulators in place.
-        self.cur_index += 1;
-        self.cur_end_s = (self.cur_index + 1) as f64 * self.window_s;
+        // Reset per-window accumulators in place. Saturating: a restored
+        // clock may sit at the last representable window index.
+        self.cur_index = self.cur_index.saturating_add(1);
+        self.cur_end_s = (self.cur_index as f64 + 1.0) * self.window_s;
         self.cur_arrivals = 0;
         self.cur_shed = 0;
         self.cur_breaches = 0;
@@ -652,7 +664,7 @@ impl ObsPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enprop_obs::{MemoryRecorder, NoopRecorder};
+    use enprop_obs::{MemoryRecorder, NoopRecorder, WindowState, WindowStats};
 
     fn plane() -> ObsPlane {
         // 1 s windows, α = 1 %, 0.1 s SLO, fast 1 / slow 3, alert > 2, exit < 1.
@@ -664,6 +676,28 @@ mod tests {
     fn complete(p: &mut ObsPlane, resp_s: f64, group: u16) {
         let key = enprop_obs::QuantileSketch::new(0.01).key_for(resp_s);
         p.on_completion(resp_s, group, key, 0.0);
+    }
+
+    /// The plane's response series in checkpoint form, as the snapshot
+    /// reader rebuilds it.
+    fn series_state(p: &ObsPlane) -> SeriesState {
+        let s = p.response_series();
+        SeriesState {
+            window_s: s.window_s(),
+            alpha: s.alpha(),
+            max_windows: s.max_windows(),
+            windows: s
+                .windows()
+                .map(|w| WindowState {
+                    index: w.index,
+                    count: w.count,
+                    sum: w.sum,
+                    sketch: w.sketch.state(),
+                })
+                .collect(),
+            evicted_count: s.evicted_count(),
+            evicted_sum: s.evicted_sum(),
+        }
     }
 
     #[test]
@@ -768,11 +802,12 @@ mod tests {
         // Mid-window-1 activity, then checkpoint.
         complete(&mut a, 0.02, 1);
         a.busy_energy(1, 3.0, 3.0);
-        let snap = a.state();
+        let (snap, series) = (a.state(), series_state(&a));
 
         let mut b = plane();
-        b.restore(&snap).expect("restore");
+        b.restore(&snap, series.clone()).expect("restore");
         assert_eq!(b.state(), snap, "state → restore → state is identity");
+        assert_eq!(series_state(&b), series);
 
         let (mut ra, mut rb) = (Vec::new(), Vec::new());
         let mut rec_a = MemoryRecorder::new();
@@ -792,9 +827,59 @@ mod tests {
 
     #[test]
     fn restore_rejects_group_count_mismatch() {
-        let snap = plane().state();
+        let p = plane();
         let mut wrong = ObsPlane::new(1.0, 0.01, 64, 2, 0.1, 1, 3, 2.0, 1.0);
-        assert!(wrong.restore(&snap).is_err());
+        assert!(wrong.restore(&p.state(), series_state(&p)).is_err());
+    }
+
+    /// The series ring must ascend strictly and end at or before the open
+    /// window: a duplicated, reordered or future window is refused.
+    #[test]
+    fn restore_rejects_windows_out_of_order() {
+        let mut a = plane();
+        complete(&mut a, 0.05, 0);
+        a.roll_to(2.5, &mut NoopRecorder, &mut |_| {});
+        let (snap, good) = (a.state(), series_state(&a));
+        assert!(plane().restore(&snap, good.clone()).is_ok());
+        let mut dup = good.clone();
+        dup.windows.insert(0, dup.windows[0].clone());
+        let mut swapped = good.clone();
+        swapped.windows.swap(0, 1);
+        let mut future = good;
+        future.windows.last_mut().unwrap().index = snap.cur_index + 1;
+        for bad in [dup, swapped, future] {
+            let err = plane().restore(&snap, bad).unwrap_err();
+            assert!(err.contains("ascend strictly"), "{err}");
+        }
+    }
+
+    /// The checkpoint encoder's contract: once a roll has closed a window,
+    /// the window never changes while the ring retains it — later
+    /// completions and rolls touch only the newest window.
+    #[test]
+    fn closed_windows_never_change() {
+        let mut p = ObsPlane::new(1.0, 0.01, 5, 2, 0.1, 1, 3, 2.0, 1.0);
+        let mut closed: Vec<WindowStats> = Vec::new();
+        for step in 0..12_u32 {
+            for k in 0..=(step % 4) {
+                complete(&mut p, 0.01 * f64::from(step + k + 1), u16::from(k % 2 == 1));
+            }
+            let t = f64::from(step) * 0.75 + 0.5;
+            p.roll_to(t, &mut NoopRecorder, &mut |_| {});
+            for w in p.response_series().windows() {
+                if let Some(before) = closed.iter().find(|c| c.index == w.index) {
+                    assert_eq!(before, w, "closed window {} changed", w.index);
+                }
+            }
+            let newly_closed: Vec<WindowStats> = p
+                .response_series()
+                .windows()
+                .filter(|w| w.index < p.cur_index && closed.iter().all(|c| c.index != w.index))
+                .cloned()
+                .collect();
+            closed.extend(newly_closed);
+        }
+        assert!(p.cur_index > 6, "the ring evicted windows along the way");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind, Topology};
 use enprop_obs::{
     LedgerState, Line, LineError, QuantileSketch, SeriesState, SketchState, WindowState,
+    WindowStats, WindowedSeries,
 };
 
 use crate::arrivals::SourceState;
@@ -118,185 +119,278 @@ fn ev_line(out: &mut String, ev: &Ev) {
     );
 }
 
-/// Serialize `c` (plus the just-popped `popped` event and the arrival
-/// source's cursor) into the versioned JSONL snapshot text. Called by the
-/// event loop at closed obs-window boundaries, after the plane roll.
-///
-/// The state structs are destructured exhaustively, with no `..`: a state
-/// field added without snapshot coverage fails to compile here. Fields
-/// bound as `_` are static inputs the resume rebuilds, or derived values.
-pub(crate) fn serialize(
-    c: &Controller<'_>,
-    popped: &Ev,
-    src: &SourceState,
-    counters: &[(&'static str, u64)],
-) -> String {
-    let Controller {
-        cfg,
-        plan: _, // static input: the resume is handed the same plan
-        topo: _, // static input, likewise
-        groups,
-        nodes,
-        heap,
-        seq,
-        now,
-        events,
-        inflight,
-        pending,
-        next_req_id,
-        arrivals_done,
-        drain_armed,
-        shed_mode,
-        shed_entries,
-        cooldown,
-        tick_sketch,
-        window_arrival_ops,
-        run_sketch,
-        resp_sum,
-        plane,
-        plane_next_close_s: _, // derived: re-read from the restored plane
-        emergency_cap_w,
-        emergency_until_s,
-        emergency_level,
-        shed_class_floor,
-        tally,
-    } = c;
-    let mut out = String::with_capacity(4096);
-    let has_plane = u8::from(plane.is_some());
-    let _ = writeln!(
-        out,
-        "{{\"sec\":\"{SNAPSHOT_VERSION}\",\"seed\":{},\"groups\":{},\"nodes\":{},\"now\":{},\"seq\":{seq},\"events\":{events},\"has_plane\":{has_plane}}}",
-        cfg.seed,
-        groups.len(),
-        nodes.len(),
-        bits(*now),
-    );
+/// One window's `series_win` line, newline included.
+fn window_line(out: &mut String, w: &WindowStats) {
     let _ = write!(
         out,
-        "{{\"sec\":\"ctl\",\"next_req_id\":{next_req_id},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{shed_entries},\"cooldown\":{cooldown},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{emergency_level},\"class_floor\":{shed_class_floor}",
-        u8::from(*arrivals_done),
-        u8::from(*drain_armed),
-        u8::from(*shed_mode),
-        bits(*window_arrival_ops),
-        bits(*resp_sum),
-        bits(*emergency_cap_w),
-        bits(*emergency_until_s),
+        "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},",
+        w.index,
+        w.count,
+        bits(w.sum),
     );
-    for (name, n) in tally.counters() {
-        let _ = write!(out, ",\"n_{name}\":{n}");
-    }
+    push_sketch(out, &w.sketch.state());
     out.push_str("}\n");
-    // Recorder-side running totals: `Recorder::counter` events carry a
-    // cumulative total kept by the *sink*, so a resumed run must continue
-    // those totals or its trace diverges from the uninterrupted run's.
-    for (name, total) in counters {
-        let _ = writeln!(out, "{{\"sec\":\"cnt\",\"name\":\"{name}\",\"total\":{total}}}");
+}
+
+/// [`window_line`] into a fresh string: the debug self-check's reference.
+fn window_text(w: &WindowStats) -> String {
+    let mut text = String::new();
+    window_line(&mut text, w);
+    text
+}
+
+/// The checkpoint encoder: it writes a [`Controller`] (plus the just-popped
+/// event and the arrival source's cursor) as the versioned JSONL snapshot
+/// text. The event loop owns one for the whole run and calls it at closed
+/// obs-window boundaries, after the plane roll; it is not part of the
+/// controller or of the snapshot.
+///
+/// A closed obs window never changes again: the plane observes only into
+/// its newest window. So a window's `series_win` line is encoded once, by
+/// the first checkpoint after the window closed, and reused by every later
+/// checkpoint until the ring evicts the window. An empty encoder is the
+/// cold path and encodes every line; a resumed run starts with one. Debug
+/// builds check every reused line against a fresh encoding.
+#[derive(Debug, Default)]
+pub(crate) struct Encoder {
+    /// The snapshot text, reused across checkpoints.
+    out: String,
+    /// Lines written to `out` so far, for the trailer.
+    lines: u64,
+    /// `(window index, series_win line)` of the retained windows below the
+    /// plane's `cur_index` at the last checkpoint, ascending, each line at
+    /// its exact length.
+    closed: VecDeque<(u64, Box<str>)>,
+}
+
+impl Encoder {
+    /// End the current line: its closing brace, the newline, and one more
+    /// line for the trailer to count.
+    fn end(&mut self) {
+        self.out.push_str("}\n");
+        self.lines += 1;
     }
-    for (gi, g) in groups.iter().enumerate() {
-        let GroupModel {
-            rate_at: _,     // static: rebuilt from the workload and cluster
-            busy_w_at: _,   // static, likewise
-            idle_w: _,      // static, likewise
-            peak_busy_w: _, // derived from busy_w_at
-            freq_idx,
-            breaker,
-        } = g;
-        let (brk, ba, bb) = match *breaker {
-            Breaker::Closed { fails } => (0, u64::from(fails), 0),
-            Breaker::Open { until_s, reopens } => (1, bits(until_s), u64::from(reopens)),
-            Breaker::HalfOpen { probe, reopens } => {
-                (2, probe.map_or(0, |p| p + 1), u64::from(reopens))
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{{\"sec\":\"group\",\"i\":{gi},\"freq\":{freq_idx},\"brk\":{brk},\"ba\":{ba},\"bb\":{bb}}}",
-        );
-    }
-    for (i, n) in nodes.iter().enumerate() {
-        let Node {
-            group: _,    // static: fixed by the cluster spec
-            in_group: _, // static, likewise
-            admin,
-            crashed,
-            unpowered,
-            stalled_until,
-            slowdown,
-            slow_until,
-            queue,
-            queued_ops,
-            current,
-            epoch,
-            acct_t,
-            energy_j,
-            win_busy_j,
-            win_ideal_j,
-            win_idle_j,
-            down_span_open,
-        } = n;
-        let admin = match admin {
-            Admin::Active => 0,
-            Admin::Draining => 1,
-            Admin::Deactivated => 2,
-            Admin::Down => 3,
-        };
+
+    /// The snapshot of `c` with `popped` and `src`; `counters` are the
+    /// recorder's running totals.
+    ///
+    /// The state structs are destructured exhaustively, with no `..`: a
+    /// state field added without snapshot coverage fails to compile here.
+    /// Fields bound as `_` are static inputs the resume rebuilds, or
+    /// derived values.
+    pub(crate) fn encode(
+        &mut self,
+        c: &Controller<'_>,
+        popped: &Ev,
+        src: &SourceState,
+        counters: &[(&'static str, u64)],
+    ) -> &str {
+        let Controller {
+            cfg,
+            plan: _, // static input: the resume is handed the same plan
+            topo: _, // static input, likewise
+            groups,
+            nodes,
+            heap,
+            seq,
+            now,
+            events,
+            inflight,
+            pending,
+            next_req_id,
+            arrivals_done,
+            drain_armed,
+            shed_mode,
+            shed_entries,
+            cooldown,
+            tick_sketch,
+            window_arrival_ops,
+            run_sketch,
+            resp_sum,
+            plane,
+            plane_next_close_s: _, // derived: re-read from the restored plane
+            emergency_cap_w,
+            emergency_until_s,
+            emergency_level,
+            shed_class_floor,
+            tally,
+        } = c;
+        self.out.clear();
+        self.lines = 0;
+        let has_plane = u8::from(plane.is_some());
         let _ = write!(
-            out,
-            "{{\"sec\":\"node\",\"i\":{i},\"admin\":{admin},\"crashed\":{},\"unpowered\":{},\"stalled_until\":{},\"slowdown\":{},\"slow_until\":{},\"queued_ops\":{},\"epoch\":{epoch},\"acct_t\":{},\"energy\":{},\"wb\":{},\"wi\":{},\"wd\":{},\"down_span\":{},\"queue\":",
-            u8::from(*crashed),
-            u8::from(*unpowered),
-            bits(*stalled_until),
-            bits(*slowdown),
-            bits(*slow_until),
-            bits(*queued_ops),
-            bits(*acct_t),
-            bits(*energy_j),
-            bits(*win_busy_j),
-            bits(*win_ideal_j),
-            bits(*win_idle_j),
-            u8::from(*down_span_open),
+            self.out,
+            "{{\"sec\":\"{SNAPSHOT_VERSION}\",\"seed\":{},\"groups\":{},\"nodes\":{},\"now\":{},\"seq\":{seq},\"events\":{events},\"has_plane\":{has_plane}",
+            cfg.seed,
+            groups.len(),
+            nodes.len(),
+            bits(*now),
         );
-        push_u64s(&mut out, queue.iter().copied());
-        match current {
-            None => out.push_str(",\"cur\":0,\"cur_req\":0,\"cur_rem\":0,\"cur_e\":0}\n"),
-            Some(Running { req, remaining_ops, energy_j }) => {
-                let _ = writeln!(
-                    out,
-                    ",\"cur\":1,\"cur_req\":{req},\"cur_rem\":{},\"cur_e\":{}}}",
-                    bits(*remaining_ops),
-                    bits(*energy_j),
-                );
+        self.end();
+        let _ = write!(
+            self.out,
+            "{{\"sec\":\"ctl\",\"next_req_id\":{next_req_id},\"arrivals_done\":{},\"drain_armed\":{},\"shed_mode\":{},\"shed_entries\":{shed_entries},\"cooldown\":{cooldown},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{emergency_level},\"class_floor\":{shed_class_floor}",
+            u8::from(*arrivals_done),
+            u8::from(*drain_armed),
+            u8::from(*shed_mode),
+            bits(*window_arrival_ops),
+            bits(*resp_sum),
+            bits(*emergency_cap_w),
+            bits(*emergency_until_s),
+        );
+        for (name, n) in tally.counters() {
+            let _ = write!(self.out, ",\"n_{name}\":{n}");
+        }
+        self.end();
+        // Recorder-side running totals: `Recorder::counter` events carry a
+        // cumulative total kept by the *sink*, so a resumed run must
+        // continue those totals or its trace diverges from the
+        // uninterrupted run's.
+        for (name, total) in counters {
+            let _ = write!(self.out, "{{\"sec\":\"cnt\",\"name\":\"{name}\",\"total\":{total}");
+            self.end();
+        }
+        for (gi, g) in groups.iter().enumerate() {
+            let GroupModel {
+                rate_at: _,     // static: rebuilt from the workload and cluster
+                busy_w_at: _,   // static, likewise
+                idle_w: _,      // static, likewise
+                peak_busy_w: _, // derived from busy_w_at
+                freq_idx,
+                breaker,
+            } = g;
+            let (brk, ba, bb) = match *breaker {
+                Breaker::Closed { fails } => (0, u64::from(fails), 0),
+                Breaker::Open { until_s, reopens } => (1, bits(until_s), u64::from(reopens)),
+                Breaker::HalfOpen { probe, reopens } => {
+                    (2, probe.map_or(0, |p| p + 1), u64::from(reopens))
+                }
+            };
+            let _ = write!(
+                self.out,
+                "{{\"sec\":\"group\",\"i\":{gi},\"freq\":{freq_idx},\"brk\":{brk},\"ba\":{ba},\"bb\":{bb}",
+            );
+            self.end();
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            let Node {
+                group: _,    // static: fixed by the cluster spec
+                in_group: _, // static, likewise
+                admin,
+                crashed,
+                unpowered,
+                stalled_until,
+                slowdown,
+                slow_until,
+                queue,
+                queued_ops,
+                current,
+                epoch,
+                acct_t,
+                energy_j,
+                win_busy_j,
+                win_ideal_j,
+                win_idle_j,
+                down_span_open,
+            } = n;
+            let admin = match admin {
+                Admin::Active => 0,
+                Admin::Draining => 1,
+                Admin::Deactivated => 2,
+                Admin::Down => 3,
+            };
+            let _ = write!(
+                self.out,
+                "{{\"sec\":\"node\",\"i\":{i},\"admin\":{admin},\"crashed\":{},\"unpowered\":{},\"stalled_until\":{},\"slowdown\":{},\"slow_until\":{},\"queued_ops\":{},\"epoch\":{epoch},\"acct_t\":{},\"energy\":{},\"wb\":{},\"wi\":{},\"wd\":{},\"down_span\":{},\"queue\":",
+                u8::from(*crashed),
+                u8::from(*unpowered),
+                bits(*stalled_until),
+                bits(*slowdown),
+                bits(*slow_until),
+                bits(*queued_ops),
+                bits(*acct_t),
+                bits(*energy_j),
+                bits(*win_busy_j),
+                bits(*win_ideal_j),
+                bits(*win_idle_j),
+                u8::from(*down_span_open),
+            );
+            push_u64s(&mut self.out, queue.iter().copied());
+            match current {
+                None => self.out.push_str(",\"cur\":0,\"cur_req\":0,\"cur_rem\":0,\"cur_e\":0"),
+                Some(Running { req, remaining_ops, energy_j }) => {
+                    let _ = write!(
+                        self.out,
+                        ",\"cur\":1,\"cur_req\":{req},\"cur_rem\":{},\"cur_e\":{}",
+                        bits(*remaining_ops),
+                        bits(*energy_j),
+                    );
+                }
+            }
+            self.end();
+        }
+        for (id, r) in inflight {
+            let Req { arrived, ops, class, attempt, dispatch, loc, exclude, traced } = r;
+            let (loc, loc_node) = match loc {
+                Loc::Pending => (0, 0),
+                Loc::Backoff => (1, 0),
+                Loc::OnNode(i) => (2, *i as u64),
+            };
+            let _ = write!(
+                self.out,
+                "{{\"sec\":\"req\",\"id\":{id},\"arrived\":{},\"ops\":{},\"class\":{class},\"attempt\":{attempt},\"dispatch\":{dispatch},\"loc\":{loc},\"loc_node\":{loc_node},\"exclude\":{},\"traced\":{}",
+                bits(*arrived),
+                bits(*ops),
+                exclude.map_or(0, |e| e as u64 + 1),
+                u8::from(*traced),
+            );
+            self.end();
+        }
+        self.out.push_str("{\"sec\":\"pending\",\"ids\":");
+        push_u64s(&mut self.out, pending.iter().copied());
+        self.end();
+        for (which, sketch) in [tick_sketch, run_sketch].into_iter().enumerate() {
+            let _ = write!(self.out, "{{\"sec\":\"sketch\",\"which\":{which},");
+            push_sketch(&mut self.out, &sketch.state());
+            self.end();
+        }
+        if let Some(plane) = plane {
+            self.plane(plane);
+        }
+        // The heap in deterministic (t, seq) order, plus the just-popped
+        // event — the first thing the resumed loop will process.
+        let mut evs: Vec<&Ev> = heap.iter().map(|Reverse(e)| e).collect();
+        evs.push(popped);
+        evs.sort();
+        for ev in evs {
+            ev_line(&mut self.out, ev);
+            self.lines += 1;
+        }
+        match src {
+            SourceState::Synthetic { gap, size, class, t, remaining } => {
+                self.out.push_str("{\"sec\":\"source\",\"kind\":0,\"g\":");
+                push_u64s(&mut self.out, gap.iter().copied());
+                self.out.push_str(",\"s\":");
+                push_u64s(&mut self.out, size.iter().copied());
+                self.out.push_str(",\"c\":");
+                push_u64s(&mut self.out, class.iter().copied());
+                let _ = write!(self.out, ",\"t\":{},\"remaining\":{remaining}", bits(*t));
+            }
+            SourceState::Replay { next } => {
+                let _ = write!(self.out, "{{\"sec\":\"source\",\"kind\":1,\"next\":{next}");
             }
         }
+        self.end();
+        let _ = writeln!(self.out, "{{\"sec\":\"end\",\"lines\":{}}}", self.lines);
+        &self.out
     }
-    for (id, r) in inflight {
-        let Req { arrived, ops, class, attempt, dispatch, loc, exclude, traced } = r;
-        let (loc, loc_node) = match loc {
-            Loc::Pending => (0, 0),
-            Loc::Backoff => (1, 0),
-            Loc::OnNode(i) => (2, *i as u64),
-        };
-        let _ = writeln!(
-            out,
-            "{{\"sec\":\"req\",\"id\":{id},\"arrived\":{},\"ops\":{},\"class\":{class},\"attempt\":{attempt},\"dispatch\":{dispatch},\"loc\":{loc},\"loc_node\":{loc_node},\"exclude\":{},\"traced\":{}}}",
-            bits(*arrived),
-            bits(*ops),
-            exclude.map_or(0, |e| e as u64 + 1),
-            u8::from(*traced),
-        );
-    }
-    out.push_str("{\"sec\":\"pending\",\"ids\":");
-    push_u64s(&mut out, pending.iter().copied());
-    out.push_str("}\n");
-    for (which, sketch) in [tick_sketch, run_sketch].into_iter().enumerate() {
-        let _ = write!(out, "{{\"sec\":\"sketch\",\"which\":{which},");
-        push_sketch(&mut out, &sketch.state());
-        out.push_str("}\n");
-    }
-    if let Some(plane) = plane {
+
+    /// The `plane`, `plane_group`, `series`, `series_win` and `ledger`
+    /// sections. The windows are read in place, not copied.
+    fn plane(&mut self, plane: &ObsPlane) {
         let ps = plane.state();
         let _ = write!(
-            out,
+            self.out,
             "{{\"sec\":\"plane\",\"cur_index\":{},\"cur_arrivals\":{},\"cur_shed\":{},\"cur_breaches\":{},\"alert\":{},\"bfast\":{},\"bslow\":{},\"ring\":",
             ps.cur_index,
             ps.cur_arrivals,
@@ -306,12 +400,12 @@ pub(crate) fn serialize(
             bits(ps.burn_fast),
             bits(ps.burn_slow),
         );
-        push_u64s(&mut out, ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]));
-        out.push_str("}\n");
+        push_u64s(&mut self.out, ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]));
+        self.end();
         for (gi, g) in ps.groups.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"sec\":\"plane_group\",\"i\":{gi},\"energy\":{},\"ideal\":{},\"o0\":{},\"o1\":{},\"o2\":{},\"o3\":{},\"completions\":{}}}",
+            let _ = write!(
+                self.out,
+                "{{\"sec\":\"plane_group\",\"i\":{gi},\"energy\":{},\"ideal\":{},\"o0\":{},\"o1\":{},\"o2\":{},\"o3\":{},\"completions\":{}",
                 bits(g.energy_j),
                 bits(g.ideal_j),
                 bits(g.outcome_j[0]),
@@ -320,64 +414,65 @@ pub(crate) fn serialize(
                 bits(g.outcome_j[3]),
                 g.completions,
             );
+            self.end();
         }
-        let _ = writeln!(
-            out,
-            "{{\"sec\":\"series\",\"window_s\":{},\"alpha\":{},\"max_windows\":{},\"evicted_count\":{},\"evicted_sum\":{}}}",
-            bits(ps.resp.window_s),
-            bits(ps.resp.alpha),
-            ps.resp.max_windows,
-            ps.resp.evicted_count,
-            bits(ps.resp.evicted_sum),
+        let series = plane.response_series();
+        let _ = write!(
+            self.out,
+            "{{\"sec\":\"series\",\"window_s\":{},\"alpha\":{},\"max_windows\":{},\"evicted_count\":{},\"evicted_sum\":{}",
+            bits(series.window_s()),
+            bits(series.alpha()),
+            series.max_windows(),
+            series.evicted_count(),
+            bits(series.evicted_sum()),
         );
-        for w in &ps.resp.windows {
-            let _ = write!(
-                out,
-                "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},",
-                w.index,
-                w.count,
-                bits(w.sum),
-            );
-            push_sketch(&mut out, &w.sketch);
-            out.push_str("}\n");
-        }
+        self.end();
+        self.series_windows(series, ps.cur_index);
         let ledger = &ps.ledger;
-        out.push_str("{\"sec\":\"ledger\",\"charges\":");
+        self.out.push_str("{\"sec\":\"ledger\",\"charges\":");
         push_u64s(
-            &mut out,
+            &mut self.out,
             ledger.charges.iter().flat_map(|&(g, o, j)| [u64::from(g), u64::from(o), bits(j)]),
         );
-        out.push_str(",\"ideal\":");
-        push_u64s(&mut out, ledger.ideal_j.iter().flat_map(|&(g, j)| [u64::from(g), bits(j)]));
-        out.push_str(",\"completed\":");
-        push_u64s(&mut out, ledger.completed.iter().flat_map(|&(g, n)| [u64::from(g), n]));
-        out.push_str("}\n");
+        self.out.push_str(",\"ideal\":");
+        push_u64s(&mut self.out, ledger.ideal_j.iter().flat_map(|&(g, j)| [u64::from(g), bits(j)]));
+        self.out.push_str(",\"completed\":");
+        push_u64s(&mut self.out, ledger.completed.iter().flat_map(|&(g, n)| [u64::from(g), n]));
+        self.end();
     }
-    // The heap in deterministic (t, seq) order, plus the just-popped
-    // event — the first thing the resumed loop will process.
-    let mut evs: Vec<&Ev> = heap.iter().map(|Reverse(e)| e).collect();
-    evs.push(popped);
-    evs.sort();
-    for ev in evs {
-        ev_line(&mut out, ev);
-    }
-    match src {
-        SourceState::Synthetic { gap, size, class, t, remaining } => {
-            out.push_str("{\"sec\":\"source\",\"kind\":0,\"g\":");
-            push_u64s(&mut out, gap.iter().copied());
-            out.push_str(",\"s\":");
-            push_u64s(&mut out, size.iter().copied());
-            out.push_str(",\"c\":");
-            push_u64s(&mut out, class.iter().copied());
-            let _ = writeln!(out, ",\"t\":{},\"remaining\":{remaining}}}", bits(*t));
+
+    /// One `series_win` line per retained window, oldest first: the open
+    /// window (index `cur_index`) encoded fresh, closed ones from the cache.
+    /// Restore guarantees the indices ascend strictly, so a window's index
+    /// names it for as long as the ring retains it.
+    fn series_windows(&mut self, series: &WindowedSeries, cur_index: u64) {
+        // Windows the ring evicted since the last checkpoint leave the
+        // cache too; what remains lines up with the ring's oldest windows.
+        let oldest = series.windows().next().map_or(u64::MAX, |w| w.index);
+        while self.closed.front().is_some_and(|&(i, _)| i < oldest) {
+            self.closed.pop_front();
         }
-        SourceState::Replay { next } => {
-            let _ = writeln!(out, "{{\"sec\":\"source\",\"kind\":1,\"next\":{next}}}");
+        for (pos, w) in series.windows().enumerate() {
+            if w.index >= cur_index {
+                window_line(&mut self.out, w);
+            } else if let Some((_, line)) = self.closed.get(pos).filter(|(i, _)| *i == w.index) {
+                debug_assert_eq!(
+                    **line,
+                    window_text(w),
+                    "obs window {} changed after a checkpoint encoded it",
+                    w.index
+                );
+                self.out.push_str(line);
+            } else {
+                // Closed since the last checkpoint: encode it once.
+                let start = self.out.len();
+                window_line(&mut self.out, w);
+                self.closed.truncate(pos);
+                self.closed.push_back((w.index, self.out[start..].into()));
+            }
+            self.lines += 1;
         }
     }
-    let body_lines = out.lines().count();
-    let _ = writeln!(out, "{{\"sec\":\"end\",\"lines\":{body_lines}}}");
-    out
 }
 
 // ---- parsing ---------------------------------------------------------------
@@ -506,7 +601,7 @@ pub(crate) struct Restored {
     pub counters: Vec<(String, u64)>,
 }
 
-/// Restore `text` (produced by [`serialize`]) from `fresh`, a new
+/// Restore `text` (produced by [`Encoder::encode`]) from `fresh`, a new
 /// controller built from the same workload / cluster / plans / config.
 /// Returns the restored controller, the arrival source's snapshotted
 /// cursor (for the caller to re-seat) and the checkpointed recorder
@@ -523,7 +618,7 @@ pub(crate) fn restore<'a>(
 
 /// [`restore`] with line-level errors. The controller comes back from one
 /// struct literal with no `..`: a field added to [`Controller`] without a
-/// snapshot source fails to compile here, as it does in [`serialize`].
+/// snapshot source fails to compile here, as it does in [`Encoder::encode`].
 fn read<'a>(
     mut fresh: Controller<'a>,
     text: &str,
@@ -574,6 +669,10 @@ fn read<'a>(
         );
     }
     let (now, seq) = (h.f64_bits("now")?, h.u64("seq")?);
+    // The clock starts at 0 and only moves forward through finite times.
+    if !(now.is_finite() && now >= 0.0) {
+        return Err(h.error(format!("\"now\" {now} is not a finite time >= 0")));
+    }
 
     let n_nodes = fresh.nodes.len();
     let topo = fresh.topo.map(|t| &t.topology);
@@ -795,17 +894,26 @@ fn read<'a>(
         Some(mut plane) => {
             let p = plane_line.ok_or_else(|| missing("plane"))?;
             let s = series_line.ok_or_else(|| missing("series"))?;
+            let series = SeriesState {
+                window_s: s.f64_bits("window_s")?,
+                alpha: s.f64_bits("alpha")?,
+                max_windows: int(&s, "max_windows")?,
+                windows: series_wins,
+                evicted_count: s.u64("evicted_count")?,
+                evicted_sum: s.f64_bits("evicted_sum")?,
+            };
+            // Every checkpoint follows the roll to `now`, which leaves the
+            // plane's open window at `now`'s window index.
+            let cur_index = p.u64("cur_index")?;
+            let want = plane.response_series().index_of(now);
+            if cur_index != want {
+                return Err(p.error(format!(
+                    "cur_index {cur_index} is not the window index {want} of the snapshot time"
+                )));
+            }
             let state = PlaneState {
-                resp: SeriesState {
-                    window_s: s.f64_bits("window_s")?,
-                    alpha: s.f64_bits("alpha")?,
-                    max_windows: int(&s, "max_windows")?,
-                    windows: series_wins,
-                    evicted_count: s.u64("evicted_count")?,
-                    evicted_sum: s.f64_bits("evicted_sum")?,
-                },
                 ledger: ledger.ok_or_else(|| missing("ledger"))?,
-                cur_index: p.u64("cur_index")?,
+                cur_index,
                 cur_arrivals: p.u64("cur_arrivals")?,
                 cur_shed: p.u64("cur_shed")?,
                 cur_breaches: p.u64("cur_breaches")?,
@@ -815,7 +923,7 @@ fn read<'a>(
                 burn_fast: p.f64_bits("bfast")?,
                 burn_slow: p.f64_bits("bslow")?,
             };
-            plane.restore(&state).map_err(|msg| p.error(msg))?;
+            plane.restore(&state, series).map_err(|msg| p.error(msg))?;
             Some(plane)
         }
         None => None,

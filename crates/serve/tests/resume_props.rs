@@ -126,10 +126,15 @@ fn run(s: &Scenario, kill_after_events: Option<u64>) -> Run {
     Run { outcome, rec, checkpoints }
 }
 
-fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder) {
+/// Resume `snapshot` to the end: the report, the telemetry and the
+/// checkpoints the resumed run wrote. Its first checkpoint is encoded cold.
+fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder, Vec<String>) {
     let mut source = source_for(s);
     let mut rec = MemoryRecorder::new();
-    let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
+    let mut checkpoints: Vec<String> = Vec::new();
+    let mut sink = |snap: &str| checkpoints.push(snap.to_string());
+    let mut hooks =
+        RunHooks { live: &mut |_| {}, checkpoint: Some(&mut sink), kill_after_events: None };
     let outcome = Controller::resume_full(
         &s.workload,
         &s.cluster,
@@ -143,7 +148,7 @@ fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder) {
     )
     .expect("resume from a good snapshot must not error");
     match outcome {
-        RunOutcome::Completed(r) => (*r, rec),
+        RunOutcome::Completed(r) => (*r, rec, checkpoints),
         RunOutcome::Killed { .. } => panic!("no kill hook installed"),
     }
 }
@@ -169,8 +174,11 @@ proptest! {
         rack_mtbf_s in 8.0f64..40.0,
         em_cap_w in 20.0f64..200.0,
         kill_frac in 0.05f64..0.95,
+        max_windows in prop_oneof![Just(3usize), Just(128)],
     ) {
-        let s = scenario(seed, a9, requests, rack_mtbf_s, em_cap_w);
+        let mut s = scenario(seed, a9, requests, rack_mtbf_s, em_cap_w);
+        // A 3-window ring evicts windows between checkpoints.
+        s.cfg.obs_max_windows = max_windows;
 
         // The uninterrupted reference run.
         let full = run(&s, None);
@@ -199,12 +207,17 @@ proptest! {
 
         // Resume from the killed run's last checkpoint.
         let snap = killed.checkpoints.last().unwrap();
-        let (report_r, rec_r) = resume(&s, snap);
+        let (report_r, rec_r, ckpt_r) = resume(&s, snap);
         prop_assert!(
             same_report(report_a, &report_r),
             "resumed report diverged:\n  full   {report_a:?}\n  resume {report_r:?}"
         );
         prop_assert_eq!(report_a.energy_j.to_bits(), report_r.energy_j.to_bits());
+
+        // Warm equals cold: the resumed run's checkpoints, the first one
+        // encoded with no cached lines, are the uninterrupted run's from
+        // the same index on.
+        prop_assert!(ckpt_r[..] == full.checkpoints[killed.checkpoints.len()..]);
 
         // Event identity: the resumed telemetry is exactly the tail of
         // the uninterrupted stream.
@@ -217,7 +230,7 @@ proptest! {
         );
 
         // And resuming twice is deterministic.
-        let (report_r2, rec_r2) = resume(&s, snap);
+        let (report_r2, rec_r2, _) = resume(&s, snap);
         prop_assert!(same_report(&report_r, &report_r2));
         prop_assert_eq!(rec_r.events(), rec_r2.events());
     }
@@ -304,8 +317,12 @@ fn counter_totals_survive_resume() {
             assert_eq!(k, f, "kill@{kill_at}: checkpoint {i} diverged");
         }
         let Some(snap) = killed.checkpoints.last() else { continue };
-        let (report_r, rec_r) = resume(&s, snap);
+        let (report_r, rec_r, ckpt_r) = resume(&s, snap);
         assert!(same_report(report_a, &report_r), "kill@{kill_at}: report diverged");
+        assert!(
+            ckpt_r[..] == full.checkpoints[killed.checkpoints.len()..],
+            "kill@{kill_at}: resumed checkpoints differ from the uninterrupted run's"
+        );
         let fe = full.rec.events();
         let re = rec_r.events();
         assert_eq!(
@@ -387,6 +404,30 @@ fn dangling_indices_and_ids_are_typed_errors() {
     }
 }
 
+/// Regression: a corrupt snapshot clock used to panic on resume in a
+/// debug build. A header `now` of NaN restored and then tripped the event
+/// loop's time assertion; a plane `cur_index` of `u64::MAX` overflowed in
+/// the restore itself, and one of `u64::MAX - 1` restored and overflowed
+/// at the first window close. Each is now a typed exit-2 error naming the
+/// header or `plane` line.
+#[test]
+fn corrupt_clock_is_a_typed_error() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let full = run(&s, None);
+    for (sec, key, value) in [
+        ("enprop-snapshot-v2", "now", "9221120237041090560"), // NaN's bit pattern
+        ("plane", "cur_index", "18446744073709551615"),
+        ("plane", "cur_index", "18446744073709551614"),
+    ] {
+        let head = format!("{{\"sec\":\"{sec}\",");
+        let (text, lineno) = corrupt_first(&full.checkpoints, |l| l.starts_with(&head), key, value);
+        let err = try_resume(&s, &text, None).expect_err("a corrupt clock must not resume");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(key), "{msg}");
+    }
+}
+
 /// Corruption sweep over one real checkpoint: every strict prefix, every
 /// digit incremented (9 wraps to 0), every line duplicated and every pair
 /// of adjacent lines swapped. Resuming must return `Ok` or an exit-2
@@ -462,7 +503,7 @@ fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
     };
     let first = full.checkpoints.first().expect("at least one checkpoint");
     assert!(first == GOLDEN_CHECKPOINT, "the first checkpoint differs from the v2 fixture");
-    let (resumed, _) = resume(&s, GOLDEN_CHECKPOINT);
+    let (resumed, _, _) = resume(&s, GOLDEN_CHECKPOINT);
     assert!(
         same_report(report, &resumed),
         "resume from the fixture diverged:\n  full   {report:?}\n  resume {resumed:?}"
