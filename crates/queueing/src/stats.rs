@@ -1,5 +1,6 @@
 //! Streaming statistics: Welford mean/variance, the P² streaming quantile
-//! estimator (Jain & Chlamtac, 1985), and exact quantiles of sorted buffers.
+//! estimator (Jain & Chlamtac, 1985), and exact quantiles of buffered
+//! samples.
 
 /// Numerically stable streaming mean/variance (Welford's algorithm).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -104,18 +105,29 @@ impl OnlineStats {
 /// Exact `q`-quantile of a set of observations (linear interpolation between
 /// order statistics, the "type 7" estimator used by R and NumPy).
 ///
-/// Sorts a copy of the input; O(n log n). Returns `None` for empty input or
+/// Selects the two order statistics in a copy of the input (O(n), no full
+/// sort), ordered by `f64::total_cmp`. Returns `None` for empty input or
 /// `q` outside `[0, 1]`.
 pub fn exact_quantile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
     let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(f64::total_cmp);
     let h = q * (v.len() - 1) as f64;
     // enprop-lint: allow(float-int-cast) -- q ∈ [0,1] is checked above, so h ∈ [0, len-1] and floor/ceil are exact in-range indices
     let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
-    Some(v[lo] + (v[hi] - v[lo]) * (h - lo as f64))
+    let (_, &mut x_lo, above) = v.select_nth_unstable_by(lo, f64::total_cmp);
+    // Order statistic `lo + 1` is the least of those selected above `lo`.
+    let x_hi = if hi == lo {
+        x_lo
+    } else {
+        above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .expect("hi = lo + 1 < len, so an element lies above lo")
+    };
+    Some(x_lo + (x_hi - x_lo) * (h - lo as f64))
 }
 
 /// P² streaming quantile estimator: O(1) memory, no buffering.
@@ -229,9 +241,7 @@ impl P2Quantile {
             return None;
         }
         if self.initial.len() < 5 {
-            let mut v = self.initial.clone();
-            v.sort_by(f64::total_cmp);
-            return exact_quantile(&v, self.q);
+            return exact_quantile(&self.initial, self.q);
         }
         Some(self.heights[2])
     }

@@ -84,6 +84,52 @@ proptest! {
     }
 }
 
+/// The sort-based `exact_quantile` that selection replaced, kept as its
+/// oracle: sort a copy by `total_cmp`, interpolate between order
+/// statistics `⌊h⌋` and `⌈h⌉`.
+fn sorted_quantile(xs: &[f64], q: f64) -> Option<f64> {
+    if xs.is_empty() || !(0.0..=1.0).contains(&q) {
+        return None;
+    }
+    let mut v: Vec<f64> = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let h = q * (v.len() - 1) as f64;
+    // enprop-lint: allow(float-int-cast) -- q ∈ [0,1] is checked above, so h ∈ [0, len-1] and floor/ceil are exact in-range indices
+    let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+    Some(v[lo] + (v[hi] - v[lo]) * (h - lo as f64))
+}
+
+/// Samples that stress the order: ±0.0, ±∞, NaNs of both signs, and
+/// rounded values that repeat, among ordinary ones.
+fn awkward_f64() -> impl Strategy<Value = f64> {
+    (0u8..10, -4.0f64..4.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        5 => -f64::NAN,
+        6 | 7 => x.round(),
+        _ => x,
+    })
+}
+
+proptest! {
+    /// Selecting the two order statistics gives the sort oracle's bits,
+    /// NaN and signed zeros included, at q = 0, ½, 1 and a random q.
+    #[test]
+    fn exact_quantile_matches_sort_oracle(
+        xs in proptest::collection::vec(awkward_f64(), 1..200),
+        q in 0.0f64..=1.0,
+    ) {
+        for q in [0.0, 0.5, 1.0, q] {
+            let got = exact_quantile(&xs, q).map(f64::to_bits);
+            let want = sorted_quantile(&xs, q).map(f64::to_bits);
+            prop_assert_eq!(got, want, "q = {}, n = {}", q, xs.len());
+        }
+    }
+}
+
 proptest! {
     /// Batch waiting decomposes and is monotone in batch size at equal
     /// utilization.
