@@ -8,6 +8,10 @@ echo "==> cargo build --release"
 cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test -q --workspace --offline
+echo "==> benchmark tests (every workload at tiny size with its output checks)"
+# The benchmark is a package of its own, outside the workspace: this is
+# the gate on its golden digests (e.g. paper_all's fig11, fig12).
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> enprop-lint (determinism, numeric hygiene, unit & lock coherence)"
