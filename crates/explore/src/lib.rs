@@ -55,4 +55,4 @@ pub use space::{
 };
 pub use stream::{stream_pareto_front, ParetoPoint, StreamOptions};
 pub use sublinear::{response_time_series, sublinear_report, SublinearReport};
-pub use sweet::{sweet_region, sweet_spot};
+pub use sweet::sweet_spot;

@@ -1,38 +1,31 @@
-//! The "sweet region": configurations meeting an execution-time deadline
-//! with (near-)minimum energy — prior work [31]'s selection rule that this
+//! The sweet spot: the minimum-energy configuration meeting an
+//! execution-time deadline — prior work [31]'s selection rule that this
 //! paper's Figs. 9–12 start from.
 
 use crate::space::EvaluatedConfig;
 
 /// The minimum-energy configuration meeting `deadline` seconds, if any.
+///
+/// Energy ties go to the faster configuration, then to the earlier one in
+/// `evald`. Exact ties are common: a homogeneous cluster's model energy is
+/// `ops · e_op` whatever its node count. Breaking them by time keeps the
+/// answer on the Pareto frontier, so the sweet spot of the streamed
+/// frontier equals the sweet spot of the whole space.
 pub fn sweet_spot(evald: &[EvaluatedConfig], deadline: f64) -> Option<&EvaluatedConfig> {
     evald
         .iter()
         .filter(|e| e.job_time <= deadline)
-        .min_by(|a, b| a.job_energy.total_cmp(&b.job_energy))
-}
-
-/// All configurations meeting `deadline` whose energy is within
-/// `(1 + tolerance)` of the minimum — the sweet *region*.
-pub fn sweet_region(
-    evald: &[EvaluatedConfig],
-    deadline: f64,
-    tolerance: f64,
-) -> Vec<&EvaluatedConfig> {
-    assert!(tolerance >= 0.0);
-    let Some(best) = sweet_spot(evald, deadline) else {
-        return Vec::new();
-    };
-    let cap = best.job_energy * (1.0 + tolerance);
-    evald
-        .iter()
-        .filter(|e| e.job_time <= deadline && e.job_energy <= cap)
-        .collect()
+        .min_by(|a, b| {
+            a.job_energy
+                .total_cmp(&b.job_energy)
+                .then(a.job_time.total_cmp(&b.job_time))
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::pareto_front;
     use crate::space::{configurations, evaluate_space, TypeSpace};
     use enprop_workloads::catalog;
 
@@ -63,23 +56,29 @@ mod tests {
     fn impossible_deadline_yields_nothing() {
         let evald = small_space();
         assert!(sweet_spot(&evald, 1e-12).is_none());
-        assert!(sweet_region(&evald, 1e-12, 0.1).is_empty());
     }
 
     #[test]
-    fn region_contains_spot_and_respects_tolerance() {
-        let evald = small_space();
-        let deadline = 1.0; // generous for this tiny EP job space
-        let best = sweet_spot(&evald, deadline).unwrap();
-        let region = sweet_region(&evald, deadline, 0.05);
-        assert!(!region.is_empty());
-        for e in &region {
-            assert!(e.job_time <= deadline);
-            assert!(e.job_energy <= best.job_energy * 1.05);
+    fn sweet_spot_is_a_frontier_member() {
+        // Every configuration's job time as the deadline covers every
+        // answer the space can give. With energy alone, EP at 2.07 s
+        // picked 1 A9 at 2.04 s over 2 A9 at 1.02 s with the same joules.
+        let types = [TypeSpace::a9(2), TypeSpace::k10(1)];
+        for w in catalog::all() {
+            let evald = evaluate_space(&w, configurations(&types));
+            let front = pareto_front(&evald);
+            for deadline in evald.iter().map(|e| e.job_time) {
+                let best = sweet_spot(&evald, deadline).unwrap();
+                assert!(
+                    front.iter().any(|f| std::ptr::eq(*f, best)),
+                    "{} at {deadline} s: {} ({} s, {} J) is dominated",
+                    w.name,
+                    best.cluster.label(),
+                    best.job_time,
+                    best.job_energy
+                );
+            }
         }
-        // Zero tolerance shrinks the region to exact minima.
-        let tight = sweet_region(&evald, deadline, 0.0);
-        assert!(tight.iter().all(|e| e.job_energy <= best.job_energy * (1.0 + 1e-12)));
     }
 
     #[test]
