@@ -120,6 +120,17 @@ impl TypeSpace {
         self.max_nodes as u64 * self.spec.cores as u64 * self.spec.frequencies.len() as u64
     }
 
+    /// This type's non-empty `(count, cores, freq)` tuples in enumeration
+    /// order: node count slowest, then active cores, then the DVFS table.
+    /// [`configurations`] and the streamed evaluator's rank decode both
+    /// walk this order.
+    pub fn tuples(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        (1..=self.max_nodes).flat_map(move |n| {
+            (1..=self.spec.cores)
+                .flat_map(move |c| self.spec.frequencies.iter().map(move |&f| (n, c, f)))
+        })
+    }
+
     /// Idle watts of this type's full fleet (`max_nodes` nodes), the
     /// per-type idle-power surface DALEK-style analyses sweep against.
     pub fn fleet_idle_w(&self) -> f64 {
@@ -159,24 +170,22 @@ pub fn count_configurations(types: &[TypeSpace]) -> u64 {
 pub fn configurations(types: &[TypeSpace]) -> Configurations {
     // Per-type choice lists: None (absent) or Some(group). Groups share
     // the type's NodeSpec allocation via Arc.
-    let mut choices: Vec<Vec<Option<NodeGroup>>> = Vec::with_capacity(types.len());
-    for t in types {
-        let mut opts = vec![None];
-        for n in 1..=t.max_nodes {
-            for c in 1..=t.spec.cores {
-                for &f in &t.spec.frequencies {
-                    opts.push(Some(NodeGroup {
+    let choices: Vec<Vec<Option<NodeGroup>>> = types
+        .iter()
+        .map(|t| {
+            std::iter::once(None)
+                .chain(t.tuples().map(|(count, cores, freq)| {
+                    Some(NodeGroup {
                         spec: Arc::clone(&t.spec),
-                        count: n,
-                        cores: c,
-                        freq: f,
+                        count,
+                        cores,
+                        freq,
                         switch: t.switch,
-                    }));
-                }
-            }
-        }
-        choices.push(opts);
-    }
+                    })
+                }))
+                .collect()
+        })
+        .collect();
     Configurations {
         idx: vec![0; choices.len()],
         choices,
@@ -422,6 +431,28 @@ mod tests {
         assert_eq!(n, 778);
         // No configuration is empty.
         assert!(configs.iter().all(|c| c.node_count() > 0));
+    }
+
+    #[test]
+    fn tuples_walk_nodes_then_cores_then_frequencies() {
+        for t in [
+            TypeSpace::a9(3),
+            TypeSpace::k10(2),
+            TypeSpace::opi5(1),
+            TypeSpace::xeon(0),
+        ] {
+            let tuples: Vec<_> = t.tuples().collect();
+            assert_eq!(tuples.len() as u64, t.tuple_count());
+            let mut expected = Vec::new();
+            for n in 1..=t.max_nodes {
+                for c in 1..=t.spec.cores {
+                    for &f in &t.spec.frequencies {
+                        expected.push((n, c, f));
+                    }
+                }
+            }
+            assert_eq!(tuples, expected);
+        }
     }
 
     #[test]

@@ -122,21 +122,14 @@ fn build_tables(workload: &Workload, types: &[TypeSpace], cache: &EvalCache) -> 
             tbl.count.push(0.0);
             tbl.j_per_op.push(0.0);
             tbl.min_j_per_op.push(f64::INFINITY);
-            // Same nesting as `configurations()` — choice index i here is
-            // choice index i there, which is what makes rank decode agree
-            // with the iterator's odometer.
-            for n in 1..=t.max_nodes {
-                for c in 1..=t.spec.cores {
-                    for &f in &t.spec.frequencies {
-                        let p = cache.point(workload, t.spec.name, c, f);
-                        tbl.tuples.push((n, c, f));
-                        tbl.count_rate_ops_s.push(n as f64 * p.rate_ops_s);
-                        tbl.rate_ops_s.push(p.rate_ops_s);
-                        tbl.count.push(n as f64);
-                        tbl.j_per_op.push(p.j_per_op);
-                        tbl.min_j_per_op.push(p.j_per_op);
-                    }
-                }
+            for (n, c, f) in t.tuples() {
+                let p = cache.point(workload, t.spec.name, c, f);
+                tbl.tuples.push((n, c, f));
+                tbl.count_rate_ops_s.push(n as f64 * p.rate_ops_s);
+                tbl.rate_ops_s.push(p.rate_ops_s);
+                tbl.count.push(n as f64);
+                tbl.j_per_op.push(p.j_per_op);
+                tbl.min_j_per_op.push(p.j_per_op);
             }
             tbl
         })
