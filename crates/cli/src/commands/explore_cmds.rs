@@ -1,56 +1,111 @@
-//! Configuration-space commands: footnote-4 counting, Pareto frontier and
-//! sweet-region queries.
+//! Configuration-space commands: footnote-4 counting, the Pareto frontier,
+//! sweet-spot queries and the CSV export. Every sweep goes through the
+//! streamed, dominance-pruned `stream_pareto_front` (DESIGN.md §17).
 
 use super::Opts;
 use crate::diag;
 use crate::output::{fmt_sig, render_csv, render_table};
 use enprop_clustersim::EnpropError;
 use enprop_explore::{
-    configurations, count_configurations, evaluate_space_with, pareto_front, stream_pareto_front,
-    sweet_spot, EvalOptions, EvaluatedConfig, StreamOptions, TypeSpace,
+    configurations, count_configurations, evaluate_config, stream_pareto_front, sweet_spot,
+    EvalCache, EvalStats, EvaluatedConfig, ParetoPoint, StreamOptions, TypeSpace,
 };
 use enprop_obs::{Recorder, Track};
 use enprop_workloads::{catalog, Workload};
 
-/// Evaluate a configuration space on the pool with memoized operating
-/// points, narrating what the pipeline did: pool size, chunking and cache
-/// totals go to `-v` diagnostics, and (when recording) to the `explore`
-/// telemetry track — one span per source chunk in config-index time plus
-/// cache hit/miss counters. Everything emitted is deterministic for a
-/// given space: chunk boundaries come from the source length and thread
-/// count, and cache totals are interleaving-independent (see
-/// `EvalCache`).
-fn evaluate_space_diag(
+/// Stream the energy-deadline Pareto frontier of the first `max_configs`
+/// configurations of a space (all of them when `None`), narrating what
+/// the evaluator did: prune and evaluation counts and the peak buffer go
+/// to `-v` diagnostics, and (when recording) to the `explore` telemetry
+/// track as counters stamped at the number of configurations walked.
+/// Everything emitted is deterministic for a given space, cap and thread
+/// count (the prune count depends on the shard layout).
+fn stream_front(
     w: &Workload,
     types: &[TypeSpace],
+    max_configs: Option<u64>,
     ctx: &mut super::ObsCtx,
-) -> Vec<EvaluatedConfig> {
-    let (evald, stats) = evaluate_space_with(w, configurations(types), EvalOptions::default());
+) -> (Vec<ParetoPoint>, EvalStats) {
+    let stream_opts = StreamOptions {
+        max_configs,
+        ..StreamOptions::default()
+    };
+    let (front, stats) = stream_pareto_front(w, types, stream_opts);
+    let walked = stats.evaluated as u64 + stats.pruned;
     diag::info(format!(
-        "evaluated {} configurations on {} thread(s) ({} chunk(s) of <= {})",
-        stats.evaluated, stats.threads, stats.chunks, stats.chunk_len
+        "{} of {walked} configurations pruned before evaluation ({:.1}%), \
+         {} fully evaluated on {} thread(s)",
+        stats.pruned,
+        100.0 * stats.pruned as f64 / walked.max(1) as f64,
+        stats.evaluated,
+        stats.threads
     ));
-    if let Some(c) = stats.cache {
-        diag::info(format!(
-            "eval cache: {} hits / {} misses ({} operating points)",
-            c.hits, c.misses, c.entries
-        ));
-    }
+    diag::info(format!(
+        "peak evaluation buffer: {} KiB; frontier {} point(s)",
+        stats.peak_buffer_bytes / 1024,
+        front.len()
+    ));
     if let Some(rec) = ctx.rec.as_memory_mut() {
-        for chunk in 0..stats.chunks {
-            let start = chunk * stats.chunk_len;
-            let end = (start + stats.chunk_len).min(stats.evaluated);
-            rec.span_begin(start as f64, Track::Explore, "explore.chunk", chunk as u64);
-            rec.span_end(end as f64, Track::Explore, "explore.chunk", chunk as u64);
-        }
-        let t_end = stats.evaluated as f64;
-        rec.counter(t_end, Track::Explore, "explore.configs", stats.evaluated as u64);
+        let t_end = walked as f64;
+        rec.counter(t_end, Track::Explore, "explore.configs", walked);
+        rec.counter(t_end, Track::Explore, "explore.stream.pruned", stats.pruned);
+        rec.counter(
+            t_end,
+            Track::Explore,
+            "explore.stream.frontier_len",
+            front.len() as u64,
+        );
+        rec.counter(
+            t_end,
+            Track::Explore,
+            "explore.stream.peak_buffer_bytes",
+            stats.peak_buffer_bytes as u64,
+        );
         if let Some(c) = stats.cache {
             rec.counter(t_end, Track::Explore, "explore.cache.hits", c.hits);
             rec.counter(t_end, Track::Explore, "explore.cache.misses", c.misses);
         }
     }
-    evald
+    (front, stats)
+}
+
+/// Print the first 40 frontier points as a table (or CSV), plus a line
+/// counting the points the table leaves out.
+fn print_frontier(opts: &Opts, front: &[ParetoPoint]) {
+    let mut rows = vec![vec![
+        "Configuration".into(),
+        "cores/freq".into(),
+        "T_job [s]".into(),
+        "E_job [J]".into(),
+        "P_busy [W]".into(),
+        "P_idle [W]".into(),
+    ]];
+    for p in front.iter().take(40) {
+        let e = &p.eval;
+        let cf: Vec<String> = e
+            .cluster
+            .groups
+            .iter()
+            .filter(|g| g.count > 0)
+            .map(|g| format!("{}x{}c@{:.1}GHz", g.spec.name, g.cores, g.freq / 1e9))
+            .collect();
+        rows.push(vec![
+            e.cluster.label(),
+            cf.join(" "),
+            fmt_sig(e.job_time),
+            fmt_sig(e.job_energy),
+            fmt_sig(e.busy_power_w),
+            fmt_sig(e.idle_power_w),
+        ]);
+    }
+    if opts.csv {
+        print!("{}", render_csv(&rows));
+    } else {
+        print!("{}", render_table(&rows));
+        if front.len() > 40 {
+            println!("… {} more frontier points", front.len() - 40);
+        }
+    }
 }
 
 /// Footnote 4: the configuration count for 10 ARM + 10 AMD nodes.
@@ -77,41 +132,10 @@ pub fn pareto_cmd(opts: &Opts, a9_max: u32, k10_max: u32, ctx: &mut super::ObsCt
         "Energy-deadline Pareto frontier: {name} over <= {a9_max} A9 + <= {k10_max} K10 \
          ({n} configurations)\n"
     );
-    let evald = evaluate_space_diag(&w, &types, ctx);
-    let front = pareto_front(&evald);
-    let mut rows = vec![vec![
-        "Configuration".into(),
-        "cores/freq".into(),
-        "T_job [s]".into(),
-        "E_job [J]".into(),
-        "P_busy [W]".into(),
-        "P_idle [W]".into(),
-    ]];
-    for e in front.iter().take(40) {
-        let cf: Vec<String> = e
-            .cluster
-            .groups
-            .iter()
-            .filter(|g| g.count > 0)
-            .map(|g| format!("{}x{}c@{:.1}GHz", g.spec.name, g.cores, g.freq / 1e9))
-            .collect();
-        rows.push(vec![
-            e.cluster.label(),
-            cf.join(" "),
-            fmt_sig(e.job_time),
-            fmt_sig(e.job_energy),
-            fmt_sig(e.busy_power_w),
-            fmt_sig(e.idle_power_w),
-        ]);
-    }
-    if opts.csv {
-        print!("{}", render_csv(&rows));
-    } else {
-        print!("{}", render_table(&rows));
-        if front.len() > 40 {
-            println!("… {} more frontier points", front.len() - 40);
-        }
-        println!("\nfrontier size: {} of {} configurations", front.len(), evald.len());
+    let (front, _) = stream_front(&w, &types, None, ctx);
+    print_frontier(opts, &front);
+    if !opts.csv {
+        println!("\nfrontier size: {} of {n} configurations", front.len());
     }
 }
 
@@ -120,17 +144,9 @@ pub fn pareto_cmd(opts: &Opts, a9_max: u32, k10_max: u32, ctx: &mut super::ObsCt
 pub struct SpaceOpts {
     /// The `--types a9:10,k10:10,pi4:16` space description.
     pub types: String,
-    /// Stream with dominance pruning instead of materializing.
-    pub stream: bool,
     /// Evaluate only the first N configurations of enumeration order.
     pub max_configs: Option<u64>,
-    /// Streaming chunk size override.
-    pub chunk: Option<usize>,
 }
-
-/// Materializing this many `EvaluatedConfig`s is where O(space) memory
-/// stops being funny; beyond it the command insists on `--stream`.
-const MATERIALIZE_LIMIT: u64 = 2_000_000;
 
 fn parse_type_list(arg: &str) -> Result<Vec<TypeSpace>, EnpropError> {
     let mut types = Vec::new();
@@ -159,8 +175,8 @@ fn parse_type_list(arg: &str) -> Result<Vec<TypeSpace>, EnpropError> {
 }
 
 /// `enprop space`: DALEK-style configuration-space exploration over any
-/// mix of catalog node types, with the streaming dominance-pruned
-/// evaluator for mega-scale spaces.
+/// mix of catalog node types; the streamed evaluator keeps memory at
+/// O(frontier + chunk) however large the space.
 pub fn space_cmd(opts: &Opts, so: &SpaceOpts, ctx: &mut super::ObsCtx) -> Result<(), EnpropError> {
     let name = opts.workload.clone().unwrap_or_else(|| "EP".into());
     // The DALEK catalog carries profiles for all six node types and keeps
@@ -194,107 +210,14 @@ pub fn space_cmd(opts: &Opts, so: &SpaceOpts, ctx: &mut super::ObsCtx) -> Result
     }
     println!("\ntotal configurations: {total}");
 
-    let (front, stats) = if so.stream {
-        let stream_opts = StreamOptions {
-            chunk: so.chunk.unwrap_or_else(|| StreamOptions::default().chunk),
-            max_configs: so.max_configs,
-            ..StreamOptions::default()
-        };
-        stream_pareto_front(&w, &types, stream_opts)
-    } else {
-        let cap = so.max_configs.map_or(total, |m| m.min(total));
-        if cap > MATERIALIZE_LIMIT {
-            return Err(EnpropError::invalid_config(format!(
-                "{cap} configurations would be materialized (> {MATERIALIZE_LIMIT}); \
-                 pass --stream for O(frontier) memory, or cap with --max-configs"
-            )));
-        }
-        let cap_usize = usize::try_from(cap).unwrap_or(usize::MAX);
-        let configs: Vec<_> = configurations(&types).take(cap_usize).collect();
-        let (evald, stats) = evaluate_space_with(&w, configs, EvalOptions::default());
-        let points = enprop_explore::pareto_indices(&evald, |e| (e.job_time, e.job_energy))
-            .into_iter()
-            .map(|i| enprop_explore::ParetoPoint {
-                index: i as u64,
-                eval: evald[i].clone(),
-            })
-            .collect();
-        (points, stats)
-    };
-
-    let evaluated = stats.evaluated as u64 + stats.pruned;
-    diag::info(format!(
-        "{} of {evaluated} configurations pruned before evaluation ({:.1}%), \
-         {} fully evaluated on {} thread(s)",
-        stats.pruned,
-        100.0 * stats.pruned as f64 / evaluated.max(1) as f64,
-        stats.evaluated,
-        stats.threads
-    ));
-    diag::info(format!(
-        "peak evaluation buffer: {} KiB; frontier {} point(s)",
-        stats.peak_buffer_bytes / 1024,
-        front.len()
-    ));
-    if let Some(rec) = ctx.rec.as_memory_mut() {
-        let t_end = evaluated as f64;
-        rec.counter(t_end, Track::Explore, "explore.configs", evaluated);
-        rec.counter(t_end, Track::Explore, "explore.stream.pruned", stats.pruned);
-        rec.counter(
-            t_end,
-            Track::Explore,
-            "explore.stream.frontier_len",
-            front.len() as u64,
-        );
-        rec.counter(
-            t_end,
-            Track::Explore,
-            "explore.stream.peak_buffer_bytes",
-            stats.peak_buffer_bytes as u64,
-        );
-        if let Some(c) = stats.cache {
-            rec.counter(t_end, Track::Explore, "explore.cache.hits", c.hits);
-            rec.counter(t_end, Track::Explore, "explore.cache.misses", c.misses);
-        }
-    }
-
-    let mut rows = vec![vec![
-        "Configuration".into(),
-        "cores/freq".into(),
-        "T_job [s]".into(),
-        "E_job [J]".into(),
-        "P_busy [W]".into(),
-        "P_idle [W]".into(),
-    ]];
-    for p in front.iter().take(40) {
-        let e = &p.eval;
-        let cf: Vec<String> = e
-            .cluster
-            .groups
-            .iter()
-            .filter(|g| g.count > 0)
-            .map(|g| format!("{}x{}c@{:.1}GHz", g.spec.name, g.cores, g.freq / 1e9))
-            .collect();
-        rows.push(vec![
-            e.cluster.label(),
-            cf.join(" "),
-            fmt_sig(e.job_time),
-            fmt_sig(e.job_energy),
-            fmt_sig(e.busy_power_w),
-            fmt_sig(e.idle_power_w),
-        ]);
-    }
+    let (front, stats) = stream_front(&w, &types, so.max_configs, ctx);
     println!();
-    if opts.csv {
-        print!("{}", render_csv(&rows));
-    } else {
-        print!("{}", render_table(&rows));
-        if front.len() > 40 {
-            println!("… {} more frontier points", front.len() - 40);
-        }
+    print_frontier(opts, &front);
+    if !opts.csv {
         println!(
-            "\nfrontier: {} of {evaluated} configurations ({} pruned before evaluation)",
+            "\nfrontier: {} of {} configurations ({} pruned before evaluation)",
             front.len(),
+            stats.evaluated as u64 + stats.pruned,
             stats.pruned
         );
     }
@@ -306,9 +229,11 @@ pub fn sweet_cmd(opts: &Opts, a9_max: u32, k10_max: u32, deadline: f64, ctx: &mu
     let name = opts.workload.clone().unwrap_or_else(|| "EP".into());
     let w = super::resolve_workload(&name);
     let types = [TypeSpace::a9(a9_max), TypeSpace::k10(k10_max)];
-    let evald = evaluate_space_diag(&w, &types, ctx);
+    // The sweet spot is never dominated, so the frontier holds it.
+    let (front, _) = stream_front(&w, &types, None, ctx);
+    let evals: Vec<EvaluatedConfig> = front.into_iter().map(|p| p.eval).collect();
     println!("Sweet spot for {name} with deadline {deadline} s:\n");
-    match sweet_spot(&evald, deadline) {
+    match sweet_spot(&evals, deadline) {
         Some(best) => {
             println!("  configuration : {}", best.cluster.label());
             for g in best.cluster.groups.iter().filter(|g| g.count > 0) {
@@ -407,23 +332,23 @@ pub fn search_cmd(opts: &Opts, a9_max: u32, k10_max: u32, deadline: f64) {
 }
 
 /// Export the evaluated configuration space as CSV (for external
-/// analysis/plotting tools).
+/// analysis/plotting tools): one pass over the enumeration through one
+/// operating-point memo, flagging the frontier's ranks.
 pub fn export_cmd(opts: &Opts, a9_max: u32, k10_max: u32, ctx: &mut super::ObsCtx) {
     let name = opts.workload.clone().unwrap_or_else(|| "EP".into());
     let w = super::resolve_workload(&name);
     let types = [TypeSpace::a9(a9_max), TypeSpace::k10(k10_max)];
-    let evald = evaluate_space_diag(&w, &types, ctx);
-    let front: std::collections::HashSet<String> = pareto_front(&evald)
-        .iter()
-        .map(|e| format!("{:?}", e.cluster))
-        .collect();
+    let (front, _) = stream_front(&w, &types, None, ctx);
+    let mut front_ranks: Vec<u64> = front.iter().map(|p| p.index).collect();
+    front_ranks.sort_unstable();
+    let cache = EvalCache::new(&w);
     println!("workload,a9,k10,a9_cores,a9_ghz,k10_cores,k10_ghz,job_time_s,job_energy_j,busy_w,idle_w,nameplate_w,on_pareto_front");
-    for e in &evald {
+    for (rank, cluster) in (0u64..).zip(configurations(&types)) {
+        let e = evaluate_config(&w, cluster, Some(&cache));
         // Absent types are omitted from the group list; look up by name.
         let g = |name: &str| e.cluster.groups.iter().find(|g| g.spec.name == name);
         let (a9n, a9c, a9f) = g("A9").map_or((0, 0, 0.0), |g| (g.count, g.cores, g.freq / 1e9));
-        let (k10n, k10c, k10f) =
-            g("K10").map_or((0, 0, 0.0), |g| (g.count, g.cores, g.freq / 1e9));
+        let (k10n, k10c, k10f) = g("K10").map_or((0, 0, 0.0), |g| (g.count, g.cores, g.freq / 1e9));
         println!(
             "{},{a9n},{k10n},{a9c},{a9f},{k10c},{k10f},{},{},{},{},{},{}",
             w.name,
@@ -432,7 +357,7 @@ pub fn export_cmd(opts: &Opts, a9_max: u32, k10_max: u32, ctx: &mut super::ObsCt
             e.busy_power_w,
             e.idle_power_w,
             e.nameplate_w,
-            front.contains(&format!("{:?}", e.cluster))
+            front_ranks.binary_search(&rank).is_ok()
         );
     }
 }

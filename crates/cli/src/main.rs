@@ -84,10 +84,9 @@ Exploration commands:
   pareto        Energy-deadline Pareto frontier  [--a9 N] [--k10 N]
   space         DALEK-style space exploration over any node-type mix
                 [--types a9:10,k10:10,pi4:16 (NAME:MAX_NODES list; names
-                a9, k10, a15, xeon, pi4, opi5)] [--stream (dominance-
-                pruned streaming evaluator, O(frontier) memory — required
-                above 2M configs)] [--max-configs N (first N configs of
-                enumeration order)] [--chunk N (streaming chunk size)]
+                a9, k10, a15, xeon, pi4, opi5)] [--max-configs N (first
+                N configs of enumeration order)]; streamed with dominance
+                pruning in O(frontier) memory, like pareto/sweet/export
   search        Extension: heuristic sweet-spot search  --deadline SECS
   export        Dump the evaluated configuration space as CSV  [--a9 N] [--k10 N]
   strategies    Extension: all energy strategies side by side
@@ -257,9 +256,7 @@ fn run() -> Result<(), EnpropError> {
         "space" => {
             let so = explore_cmds::SpaceOpts {
                 types: parse_flag(&args, "--types").unwrap_or_else(|| "a9:10,k10:10".into()),
-                stream: args.iter().any(|a| a == "--stream"),
                 max_configs: parse_num(&args, "--max-configs")?,
-                chunk: parse_num(&args, "--chunk")?,
             };
             explore_cmds::space_cmd(&opts, &so, &mut ctx)?;
         }
