@@ -1,16 +1,18 @@
 //! `just perf-smoke`: a fast perf regression gate for the evaluation
 //! pipeline. Runs a reduced configuration-space sweep (EP over ≤ 8 A9 +
-//! ≤ 6 K10) three ways — sequential/uncached, pooled/uncached and
-//! pooled+memoized — best-of-3 each, asserts the optimized path did not
-//! regress past the sequential baseline, and appends the timings to
+//! ≤ 6 K10) four ways — sequential/uncached, sequential+memoized,
+//! pooled/uncached and pooled+memoized — best-of-3 each, asserts the memo
+//! still pays for itself, and appends the timings to
 //! `BENCH_space_eval.json` (JSONL, same record shape as `BENCH_obs.json`)
 //! to seed the perf trajectory.
 //!
-//! The wall-clock bound is chosen to hold even on a single-core host,
-//! where the pool cannot help: the memo alone collapses the sweep onto a
-//! few dozen operating points, so pooled+cache must beat the uncached
-//! baseline regardless of parallelism. A `MARGIN` absorbs scheduler
-//! noise on loaded machines.
+//! The memo check compares the two one-thread sweeps of the same run:
+//! sequential+memoized × `MEMO_SPEEDUP` must not exceed
+//! sequential/uncached. One thread is what the memo serves outside this
+//! gate (`export`'s single pass and `local_search`), and it keeps pool
+//! scheduling noise out of the ratio; on a 2-vCPU host the memo measured
+//! 1.28–1.91× there over 20 runs. The pooled rows are recorded, not
+//! gated.
 //!
 //! A second, mega-scale scenario covers the blind spot the small sweep
 //! leaves: the first 10^6 configurations of a DALEK-style four-type
@@ -32,8 +34,9 @@ use std::time::Instant;
 
 /// Best-of-n repetitions per variant.
 const REPS: usize = 3;
-/// Tolerated noise factor on the pooled+cache ≤ sequential bound.
-const MARGIN: f64 = 1.2;
+/// Required speedup of the memoized one-thread sweep over the uncached
+/// one.
+const MEMO_SPEEDUP: f64 = 1.2;
 /// Mega-scale scenario size: enough configurations that materializing
 /// the space visibly hurts, small enough to stay a smoke test.
 const MEGA_CAP: u64 = 1_000_000;
@@ -75,6 +78,14 @@ fn main() -> ExitCode {
             cache: false,
         },
     );
+    let seq_cached = best_ms(
+        &w,
+        &types,
+        EvalOptions {
+            threads: Some(1),
+            cache: true,
+        },
+    );
     let pooled = best_ms(
         &w,
         &types,
@@ -85,6 +96,10 @@ fn main() -> ExitCode {
     );
     let cached = best_ms(&w, &types, EvalOptions::default());
     println!("  sequential/uncached : {seq:>8.2} ms");
+    println!(
+        "  sequential+memoized : {seq_cached:>8.2} ms ({:.2}x)",
+        seq / seq_cached
+    );
     println!(
         "  pooled/uncached     : {pooled:>8.2} ms ({:.2}x)",
         seq / pooled
@@ -151,6 +166,7 @@ fn main() -> ExitCode {
     // count is the one knob that changes the timing's meaning.
     for (cmd, wall_ms) in [
         ("space_eval.seq1", seq),
+        ("space_eval.seq1_cached", seq_cached),
         ("space_eval.pooled", pooled),
         ("space_eval.pooled_cached", cached),
         ("space_eval.pooled_1m", pooled_1m),
@@ -162,12 +178,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    println!("  appended 5 records to {}", path.display());
+    println!("  appended 6 records to {}", path.display());
 
-    if cached > seq * MARGIN {
+    if seq_cached * MEMO_SPEEDUP > seq {
         eprintln!(
-            "perf-smoke: FAIL — pooled+memoized sweep ({cached:.2} ms) regressed past \
-             sequential/uncached ({seq:.2} ms) x {MARGIN}"
+            "perf-smoke: FAIL — sequential+memoized sweep ({seq_cached:.2} ms) is not \
+             {MEMO_SPEEDUP}x faster than sequential/uncached ({seq:.2} ms)"
         );
         return ExitCode::FAILURE;
     }
@@ -179,6 +195,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("perf-smoke: OK (pooled+memoized <= sequential x {MARGIN}; streaming >= {STREAM_SPEEDUP}x pooled at {MEGA_CAP})");
+    println!("perf-smoke: OK (memoized >= {MEMO_SPEEDUP}x uncached at one thread; streaming >= {STREAM_SPEEDUP}x pooled at {MEGA_CAP})");
     ExitCode::SUCCESS
 }

@@ -43,11 +43,12 @@ obs-smoke:
     echo "obs-smoke: OK"
 
 # Perf regression gate for the evaluation pipeline: reduced sweep,
-# sequential vs pooled vs pooled+memoized, plus the mega-scale
+# sequential and pooled, each uncached and memoized, plus the mega-scale
 # streaming-vs-materializing scenario; appends BENCH_space_eval.json
-# (DESIGN.md §12, §17). Exits 1 if the optimized path regresses past the
-# sequential baseline, if streaming loses its 2x edge at 10^6 configs,
-# or if the streamed sweep drifts past 3x its best recorded trajectory.
+# (DESIGN.md §12, §17). Exits 1 if the one-thread memoized sweep is not
+# 1.2x faster than the one-thread uncached sweep of the same run, if
+# streaming loses its 2x edge at 10^6 configs, or if the streamed sweep
+# drifts past 3x its best recorded trajectory.
 perf-smoke:
     #!/usr/bin/env sh
     set -eu

@@ -39,7 +39,7 @@ trap 'rm -rf "$obs_tmp"' EXIT
     --metrics-out "$obs_tmp/m.json" >/dev/null
 grep -q traceEvents "$obs_tmp/t.json"
 grep -q enprop-obs-metrics-v1 "$obs_tmp/m.json"
-echo "==> perf smoke (pooled + memoized evaluation must not regress)"
+echo "==> perf smoke (memo speedup at one thread, streaming vs materializing)"
 cargo run --release -p enprop-bench --bin perf_smoke --offline
 # Perf trajectory for the mega-scale streamed sweep (DESIGN.md §17): the
 # row perf_smoke just appended may cost at most 3x the best previously
