@@ -11,16 +11,12 @@
 //! Appends both timings to `BENCH_serve_replay.json` (JSONL, same record
 //! shape as `BENCH_obs.json`).
 
-use enprop_clustersim::ClusterSpec;
-use enprop_obs::{append_bench_record, peak_rss_kb, BenchRecord, NoopRecorder};
-use enprop_serve::{
-    cluster_capacity_ops_s, default_ops_per_request, ArrivalModel, ArrivalSource, Controller,
-    ServeConfig, SyntheticArrivals,
-};
-use enprop_workloads::catalog;
+use enprop_bench::timed_serve;
+use enprop_faults::FaultPlan;
+use enprop_obs::{append_bench_record, peak_rss_kb, BenchRecord};
+use enprop_serve::ServeConfig;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Interleaved (off, on) measurement pairs; the gate uses the median
 /// of the within-pair ratios.
@@ -35,24 +31,8 @@ const MAX_OVERHEAD: f64 = 1.10;
 const ATTEMPTS: usize = 3;
 const SEED: u64 = 7;
 
-fn run_once(cfg: &ServeConfig, rate: f64, ops: f64) -> f64 {
-    let workload = catalog::by_name("memcached").expect("memcached is in the catalog");
-    let cluster = ClusterSpec::a9_k10(6, 2);
-    let plan = enprop_faults::FaultPlan::none();
-    let arrivals =
-        SyntheticArrivals::new(ArrivalModel::Poisson { rate }, REQUESTS, ops, 0.2, SEED)
-            .expect("valid arrival model");
-    let mut source = ArrivalSource::Synthetic(arrivals);
-    let start = Instant::now();
-    let report = Controller::run(&workload, &cluster, &plan, cfg, &mut source, &mut NoopRecorder)
-        .expect("serving run must terminate cleanly");
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        report.conservation_ok(),
-        "conservation violated: {}",
-        report.conservation_line()
-    );
-    ms
+fn run_once(cfg: &ServeConfig) -> f64 {
+    timed_serve(&FaultPlan::none(), cfg, REQUESTS).0
 }
 
 /// Overhead estimate robust to slowly-varying host noise (turbo decay,
@@ -62,20 +42,15 @@ fn run_once(cfg: &ServeConfig, rate: f64, ops: f64) -> f64 {
 /// across `REPS` pairs. Best-of times per side ride along for the bench
 /// records. One untimed warmup pair first: the run after a build pays
 /// page-cache and branch-training costs neither side should be charged.
-fn measure_overhead(
-    off_cfg: &ServeConfig,
-    on_cfg: &ServeConfig,
-    rate: f64,
-    ops: f64,
-) -> (f64, f64, f64) {
-    run_once(off_cfg, rate, ops);
-    run_once(on_cfg, rate, ops);
+fn measure_overhead(off_cfg: &ServeConfig, on_cfg: &ServeConfig) -> (f64, f64, f64) {
+    run_once(off_cfg);
+    run_once(on_cfg);
     let mut off_ms = f64::INFINITY;
     let mut on_ms = f64::INFINITY;
     let mut ratios = Vec::with_capacity(REPS);
     for _ in 0..REPS {
-        let off = run_once(off_cfg, rate, ops);
-        let on = run_once(on_cfg, rate, ops);
+        let off = run_once(off_cfg);
+        let on = run_once(on_cfg);
         off_ms = off_ms.min(off);
         on_ms = on_ms.min(on);
         ratios.push(on / off);
@@ -85,11 +60,6 @@ fn measure_overhead(
 }
 
 fn main() -> ExitCode {
-    let workload = catalog::by_name("memcached").expect("memcached is in the catalog");
-    let cluster = ClusterSpec::a9_k10(6, 2);
-    let ops = default_ops_per_request(&workload, &cluster).expect("cluster has capacity");
-    let rate = 0.6 * cluster_capacity_ops_s(&workload, &cluster).expect("cluster has capacity") / ops;
-
     println!("obs-window: {REQUESTS} requests, plane off vs on ({REPS} interleaved pairs)");
     let mut off_cfg = ServeConfig::new(SEED);
     off_cfg.obs_window_s = 0.0;
@@ -99,7 +69,7 @@ fn main() -> ExitCode {
     let mut on_ms = f64::INFINITY;
     let mut overhead = f64::INFINITY;
     for attempt in 1..=ATTEMPTS {
-        let (off, on, ratio) = measure_overhead(&off_cfg, &on_cfg, rate, ops);
+        let (off, on, ratio) = measure_overhead(&off_cfg, &on_cfg);
         off_ms = off_ms.min(off);
         on_ms = on_ms.min(on);
         overhead = overhead.min(ratio);

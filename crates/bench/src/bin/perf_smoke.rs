@@ -21,7 +21,13 @@
 //! least `STREAM_SPEEDUP`× faster — the win comes from SoA evaluation
 //! and dominance pruning, not parallelism, so it too holds on one core.
 //! Appends `space_eval.pooled_1m` and `space_eval.stream_pruned` rows.
+//!
+//! Its trajectory: the streamed time may be at most
+//! [`TRAJECTORY_FACTOR`]× the best earlier `space_eval.stream_pruned` row
+//! in the file; with no such row there is nothing to compare. Exits 1 when
+//! a gate fails, 2 when the BENCH file cannot be read or written.
 
+use enprop_bench::{trajectory_limit_ms, TRAJECTORY_FACTOR};
 use enprop_explore::{
     configurations, count_configurations, evaluate_space_with, stream_pareto_front, EvalOptions,
     StreamOptions, TypeSpace,
@@ -41,8 +47,10 @@ const MEMO_SPEEDUP: f64 = 1.2;
 /// the space visibly hurts, small enough to stay a smoke test.
 const MEGA_CAP: u64 = 1_000_000;
 /// Required speedup of streaming/pruned over pooled/uncached at
-/// `MEGA_CAP` configurations (ISSUE satellite; DESIGN.md §17).
+/// `MEGA_CAP` configurations (DESIGN.md §17).
 const STREAM_SPEEDUP: f64 = 2.0;
+/// The row the trajectory check reads and extends.
+const STREAM_CMD: &str = "space_eval.stream_pruned";
 
 /// Best wall-clock milliseconds over `REPS` runs of `f`.
 fn best_of(mut f: impl FnMut()) -> f64 {
@@ -64,6 +72,15 @@ fn best_ms(w: &Workload, types: &[TypeSpace], opts: EvalOptions) -> f64 {
 }
 
 fn main() -> ExitCode {
+    let path = Path::new("BENCH_space_eval.json");
+    let stream_limit_ms = match trajectory_limit_ms(path, STREAM_CMD) {
+        Ok(limit) => limit,
+        Err(e) => {
+            eprintln!("perf-smoke: {e}");
+            return ExitCode::from(2);
+        }
+    };
+
     let types = [TypeSpace::a9(8), TypeSpace::k10(6)];
     let w = enprop_workloads::catalog::by_name("EP").expect("EP is in the catalog");
     let n = count_configurations(&types);
@@ -161,7 +178,6 @@ fn main() -> ExitCode {
         mega_stats.peak_buffer_bytes / 1024,
     );
 
-    let path = Path::new("BENCH_space_eval.json");
     // `seed` records the pool size: the sweep has no RNG, and the thread
     // count is the one knob that changes the timing's meaning.
     for (cmd, wall_ms) in [
@@ -170,7 +186,7 @@ fn main() -> ExitCode {
         ("space_eval.pooled", pooled),
         ("space_eval.pooled_cached", cached),
         ("space_eval.pooled_1m", pooled_1m),
-        ("space_eval.stream_pruned", stream),
+        (STREAM_CMD, stream),
     ] {
         let record = BenchRecord::new(cmd, wall_ms, threads as u64);
         if let Err(e) = append_bench_record(path, &record) {
@@ -194,6 +210,16 @@ fn main() -> ExitCode {
              at {MEGA_CAP} configurations"
         );
         return ExitCode::FAILURE;
+    }
+    if let Some(limit_ms) = stream_limit_ms {
+        if stream > limit_ms {
+            eprintln!(
+                "perf-smoke: FAIL — streaming/pruned sweep ({stream:.2} ms) is over its \
+                 {limit_ms:.2} ms limit ({TRAJECTORY_FACTOR}x the best earlier {STREAM_CMD} row)"
+            );
+            return ExitCode::FAILURE;
+        }
+        println!("  trajectory: streamed {stream:.2} ms <= {limit_ms:.2} ms");
     }
     println!("perf-smoke: OK (memoized >= {MEMO_SPEEDUP}x uncached at one thread; streaming >= {STREAM_SPEEDUP}x pooled at {MEGA_CAP})");
     ExitCode::SUCCESS

@@ -55,7 +55,9 @@ pub use hist::Histogram;
 pub use ledger::{EnergyLedger, EnergyOutcome, LedgerState};
 pub use line::{Line, LineError};
 pub use metrics::{MetricsSnapshot, SpanStats, METRICS_SCHEMA};
-pub use profile::{append_bench_record, peak_rss_kb, BenchRecord, CommandTimer};
+pub use profile::{
+    append_bench_record, parse_bench_records, peak_rss_kb, BenchRecord, CommandTimer,
+};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, SwitchRecorder};
 pub use sketch::{QuantileSketch, SketchState, DEFAULT_MAX_BUCKETS, DEFAULT_SKETCH_ALPHA};
 pub use window::{SeriesState, WindowState, WindowStats, WindowedSeries};

@@ -1,8 +1,9 @@
 //! Wall-clock self-profiling for CLI commands. Unlike everything else in
 //! this crate, these timestamps are *real* time — they seed the
 //! `BENCH_obs.json` perf trajectory, they never enter simulated-time
-//! traces.
+//! traces. The BENCH row format is written and read here only.
 
+use crate::line::{Line, LineError};
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -119,6 +120,27 @@ pub fn append_bench_record(path: &Path, record: &BenchRecord) -> io::Result<()> 
     writeln!(f, "{}", record.to_json())
 }
 
+/// Read BENCH rows as [`append_bench_record`] writes them. Blank lines
+/// are skipped; any other line that is not a well-formed record is a
+/// [`LineError`] naming its line number.
+pub fn parse_bench_records(text: &str) -> Result<Vec<BenchRecord>, LineError> {
+    let mut out = Vec::new();
+    for (i, raw) in text.lines().enumerate() {
+        if raw.trim().is_empty() {
+            continue;
+        }
+        let l = Line::parse(i + 1, raw)?;
+        out.push(BenchRecord {
+            cmd: l.str("cmd")?.into_owned(),
+            wall_ms: l.f64("wall_ms")?,
+            seed: l.u64("seed")?,
+            req_per_s: l.opt_f64("req_per_s")?,
+            peak_rss_kb: l.opt_u64("peak_rss_kb")?,
+        });
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +170,28 @@ mod tests {
             "{\"cmd\":\"serve_replay.1m_chaos\",\"wall_ms\":100,\"seed\":7,\
              \"req_per_s\":1000000,\"peak_rss_kb\":4096}"
         );
+    }
+
+    #[test]
+    fn records_read_back_as_written() {
+        let plain = BenchRecord::new("a \"quoted\\ cmd\"", 12.5, 3);
+        let mut full = BenchRecord::new("serve_replay.1m_chaos", 551.599185, 7);
+        full.req_per_s = Some(1812910.5828900018);
+        full.peak_rss_kb = Some(3144);
+        let text = format!("{}\n\n{}\n", plain.to_json(), full.to_json());
+        assert_eq!(parse_bench_records(&text).unwrap(), vec![plain, full]);
+    }
+
+    #[test]
+    fn a_torn_row_names_its_line() {
+        let good = BenchRecord::new("space_eval.stream_pruned", 28.0, 1).to_json();
+        let text = format!("{good}\n{good}\n{{\"cmd\":\"space_eval.stream_pruned\",\"wall_m\n");
+        let err = parse_bench_records(&text).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.to_string().starts_with("line 3:"), "{err}");
+        let missing = "{\"cmd\":\"x\",\"seed\":1}";
+        let err = parse_bench_records(missing).unwrap_err();
+        assert_eq!((err.line, err.key.as_deref()), (1, Some("wall_ms")));
     }
 
     #[test]

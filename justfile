@@ -48,27 +48,16 @@ obs-smoke:
 # (DESIGN.md §12, §17). Exits 1 if the one-thread memoized sweep is not
 # 1.2x faster than the one-thread uncached sweep of the same run, if
 # streaming loses its 2x edge at 10^6 configs, or if the streamed sweep
-# drifts past 3x its best recorded trajectory.
+# drifts past 3x the best earlier row in that file; 2 if the file cannot
+# be read.
 perf-smoke:
-    #!/usr/bin/env sh
-    set -eu
     cargo run --release -p enprop-bench --bin perf_smoke --offline
-    rows="$(sed -n 's/.*"cmd":"space_eval\.stream_pruned","wall_ms":\([0-9.][0-9.]*\).*/\1/p' \
-        BENCH_space_eval.json)"
-    if [ "$(printf '%s\n' "$rows" | grep -c .)" -ge 2 ]; then
-        newest="$(printf '%s\n' "$rows" | tail -1)"
-        best="$(printf '%s\n' "$rows" | sed '$d' | sort -g | head -1)"
-        if [ "$(awk -v n="$newest" -v b="$best" 'BEGIN { print (n <= 3 * b) ? 1 : 0 }')" != 1 ]; then
-            echo "perf-smoke: stream_pruned regressed: ${newest} ms > 3x best ${best} ms" >&2
-            exit 1
-        fi
-        echo "perf trajectory: stream_pruned ${newest} ms (best recorded ${best} ms)"
-    fi
 
 # Serving-mode gate (DESIGN.md §13): replay the bundled arrival trace
 # under an active chaos plan, assert a clean exit and the conservation
 # invariant, then run the serve_replay throughput gate (appends
-# BENCH_serve_replay.json).
+# BENCH_serve_replay.json; exits 1 past min(10 s, 3x the best earlier
+# serve_replay.1m_chaos row)).
 serve-smoke:
     #!/usr/bin/env sh
     set -eu
