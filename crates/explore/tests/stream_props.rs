@@ -4,14 +4,15 @@
 //! (DESIGN.md §17): for any bounded space, any workload, any pool size,
 //! any chunk length and any `--max-configs` cap, the streamed, pruned,
 //! sharded frontier is exactly — bit for bit — the frontier of the
-//! materialized sweep; and the frontier merge that stitches worker
-//! shards together is order-independent.
+//! materialized sweep, reached through the same prune decisions as a
+//! reference walk over that sweep; and the frontier merge that stitches
+//! worker shards together is order-independent.
 
 use enprop_explore::{
     configurations, evaluate_space_with, pareto_indices, pareto_indices_staircase,
-    stream_pareto_front, EvalOptions, Frontier, StreamOptions, TypeSpace,
+    stream_pareto_front, EvalOptions, EvaluatedConfig, Frontier, StreamOptions, TypeSpace,
 };
-use enprop_workloads::catalog;
+use enprop_workloads::{catalog, Workload};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random (t, e) points; a coarse value grid forces
@@ -29,8 +30,55 @@ fn xorshift_points(seed: u64, n: usize, grid: u64) -> Vec<(f64, f64)> {
         .collect()
 }
 
+/// The prune decisions the streamed evaluator must make, replayed over the
+/// materialized evaluations: worker `w` of `threads` walks its chunks
+/// `k ≡ w (mod threads)` in order with a fresh [`Frontier`], prunes a
+/// configuration when the frontier's minimum energy at its job time is at
+/// or below `(ops · minᵢ j_per_opᵢ) · (1 − 1e-9)`, and otherwise inserts
+/// it. Returns `(pruned, evaluated)`.
+fn reference_walk(
+    w: &Workload,
+    evald: &[EvaluatedConfig],
+    threads: usize,
+    chunk: usize,
+) -> (u64, u64) {
+    let ops = w.ops_per_job;
+    let n_chunks = evald.len().div_ceil(chunk);
+    let (mut pruned, mut evaluated) = (0u64, 0u64);
+    for worker in 0..threads {
+        let mut frontier: Frontier<usize> = Frontier::new();
+        for k in (worker..n_chunks).step_by(threads) {
+            let end = ((k + 1) * chunk).min(evald.len());
+            for (rank, e) in evald.iter().enumerate().take(end).skip(k * chunk) {
+                let min_j_per_op = e
+                    .cluster
+                    .groups
+                    .iter()
+                    .map(|g| {
+                        w.try_operating_point(g.spec.name, g.cores, g.freq)
+                            .unwrap()
+                            .j_per_op
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                let lb_energy_j = (ops * min_j_per_op) * (1.0 - 1e-9);
+                if frontier
+                    .min_energy_at(e.job_time)
+                    .is_some_and(|e_j| e_j <= lb_energy_j)
+                {
+                    pruned += 1;
+                } else {
+                    evaluated += 1;
+                    frontier.insert(e.job_time, e.job_energy, rank);
+                }
+            }
+        }
+    }
+    (pruned, evaluated)
+}
+
 /// Streamed result must equal the materialized `pareto_front` exactly:
-/// same config indices, every `f64` field bit-identical.
+/// same config indices, every `f64` field bit-identical — and it must
+/// reach it through the same prune decisions as [`reference_walk`].
 fn assert_stream_equals_materialized(
     types: &[TypeSpace],
     wi: usize,
@@ -58,8 +106,11 @@ fn assert_stream_equals_materialized(
         },
     );
     let oracle = pareto_indices(&evald, |e| (e.job_time, e.job_energy));
+    let (pruned, evaluated) = reference_walk(&w, &evald, stats.threads, stats.chunk_len);
 
     prop_assert_eq!(stats.evaluated as u64 + stats.pruned, total);
+    prop_assert_eq!(stats.pruned, pruned);
+    prop_assert_eq!(stats.evaluated as u64, evaluated);
     prop_assert_eq!(stats.frontier_len, oracle.len());
     prop_assert_eq!(front.len(), oracle.len());
     for (p, &oi) in front.iter().zip(&oracle) {
