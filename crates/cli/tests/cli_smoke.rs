@@ -268,6 +268,27 @@ fn space_streams_past_two_million_configurations() {
 }
 
 #[test]
+fn space_cap_holds_whatever_the_per_type_bound() {
+    // The first ten configurations are the same one-node A9 points
+    // whatever `max_nodes` is, so a huge bound must neither change the
+    // frontier nor size anything by it.
+    let frontier = |types: &str| {
+        let (stdout, stderr, ok) = run(&["space", "--types", types, "--max-configs", "10"]);
+        assert!(ok, "{types}: {stderr}");
+        let at = stdout.find("\nConfiguration ").expect("frontier table");
+        stdout[at..].to_string()
+    };
+    let small = frontier("a9:1");
+    assert!(
+        small.ends_with("\nfrontier: 1 of 10 configurations (2 pruned before evaluation)\n"),
+        "{small}"
+    );
+    for types in ["a9:300000000", "a9:4294967295"] {
+        assert_eq!(frontier(types), small, "{types}");
+    }
+}
+
+#[test]
 fn sweet_stdout_is_pinned_on_the_default_space() {
     for (workload, deadline, label, digest) in [
         ("EP", "0.05", "32 A9 : 2 K10", 0xb6da_5231_1482_4c7d_u64),

@@ -120,15 +120,19 @@ impl TypeSpace {
         self.max_nodes as u64 * self.spec.cores as u64 * self.spec.frequencies.len() as u64
     }
 
+    /// This type's `(cores, freq)` operating points in enumeration order:
+    /// active cores, then the DVFS table. The streamed evaluator keeps
+    /// one table row per point.
+    pub fn points(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        (1..=self.spec.cores).flat_map(move |c| self.spec.frequencies.iter().map(move |&f| (c, f)))
+    }
+
     /// This type's non-empty `(count, cores, freq)` tuples in enumeration
-    /// order: node count slowest, then active cores, then the DVFS table.
-    /// [`configurations`] and the streamed evaluator's rank decode both
-    /// walk this order.
+    /// order: node count slowest, then [`TypeSpace::points`].
+    /// [`configurations`] walks this order, and the streamed evaluator's
+    /// odometer digit `d > 0` is tuple `d − 1`.
     pub fn tuples(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        (1..=self.max_nodes).flat_map(move |n| {
-            (1..=self.spec.cores)
-                .flat_map(move |c| self.spec.frequencies.iter().map(move |&f| (n, c, f)))
-        })
+        (1..=self.max_nodes).flat_map(move |n| self.points().map(move |(c, f)| (n, c, f)))
     }
 
     /// Idle watts of this type's full fleet (`max_nodes` nodes), the
@@ -335,7 +339,9 @@ pub struct EvalStats {
     /// maintain one).
     pub frontier_len: usize,
     /// Peak bytes of evaluation buffering: O(space) for the materializing
-    /// path, O(frontier + chunk) for the streaming path.
+    /// path; for the streaming path, its operating-point tables, each
+    /// worker's odometer state and the frontier, whatever the chunk
+    /// length or the space's size.
     pub peak_buffer_bytes: usize,
     /// Cache totals, when caching was on.
     pub cache: Option<CacheStats>,
@@ -444,13 +450,18 @@ mod tests {
             let tuples: Vec<_> = t.tuples().collect();
             assert_eq!(tuples.len() as u64, t.tuple_count());
             let mut expected = Vec::new();
-            for n in 1..=t.max_nodes {
-                for c in 1..=t.spec.cores {
-                    for &f in &t.spec.frequencies {
-                        expected.push((n, c, f));
-                    }
+            let mut points = Vec::new();
+            for c in 1..=t.spec.cores {
+                for &f in &t.spec.frequencies {
+                    points.push((c, f));
                 }
             }
+            for n in 1..=t.max_nodes {
+                for &(c, f) in &points {
+                    expected.push((n, c, f));
+                }
+            }
+            assert_eq!(t.points().collect::<Vec<_>>(), points);
             assert_eq!(tuples, expected);
         }
     }
