@@ -1,14 +1,16 @@
 # Developer task runner. `just verify` is the gate every PR must pass;
 # `./scripts/verify.sh` is the no-just fallback.
 
-# Build, test and lint the whole workspace (warnings are errors), and run
-# the benchmark package's own tests: every workload at tiny size with its
-# output checks, including the golden digests.
+# Build, test and lint the whole workspace and the benchmark package
+# (warnings are errors), and run the benchmark package's own tests: every
+# workload at tiny size with its output checks, including the golden
+# digests.
 verify: && obs-smoke perf-smoke serve-smoke resume-smoke obs-query-smoke lint-budget
     cargo build --release --workspace --offline
     cargo test -q --workspace --offline
     cargo test --offline -q --manifest-path benchmark/Cargo.toml
     cargo clippy --workspace --all-targets --offline -- -D warnings
+    cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
     cargo run --release -p enprop-lint --offline
 
 # Lint-runtime budget (DESIGN.md §15): the whole-workspace self-scan must

@@ -12,8 +12,9 @@ echo "==> benchmark tests (every workload at tiny size with its output checks)"
 # The benchmark is a package of its own, outside the workspace: this is
 # the gate on its golden digests (e.g. paper_all's fig11, fig12).
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
-echo "==> cargo clippy -D warnings"
+echo "==> cargo clippy -D warnings (workspace, then the benchmark package)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 echo "==> enprop-lint (determinism, numeric hygiene, unit & lock coherence)"
 # The pass exits 0 clean / 1 findings / 2 usage or I/O error (DESIGN.md §11, §15).
 if ! lint_json="$(./target/release/enprop-lint --json)"; then
