@@ -18,8 +18,9 @@
 //! leaves: the first 10^6 configurations of a DALEK-style four-type
 //! space, pooled/uncached (materializing) vs streaming/pruned
 //! (`stream_pareto_front`, DESIGN.md §17). The streamed path must be at
-//! least `STREAM_SPEEDUP`× faster — the win comes from SoA evaluation
-//! and dominance pruning, not parallelism, so it too holds on one core.
+//! least `STREAM_SPEEDUP`× faster — the win comes from the one-pass
+//! kernel and dominance pruning, not parallelism, so it too holds on one
+//! core.
 //! Appends `space_eval.pooled_1m` and `space_eval.stream_pruned` rows.
 //!
 //! Its trajectory: the streamed time may be at most

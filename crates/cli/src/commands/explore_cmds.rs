@@ -175,8 +175,10 @@ fn parse_type_list(arg: &str) -> Result<Vec<TypeSpace>, EnpropError> {
 }
 
 /// `enprop space`: DALEK-style configuration-space exploration over any
-/// mix of catalog node types; the streamed evaluator keeps memory at
-/// O(frontier + chunk) however large the space.
+/// mix of catalog node types. The streamed evaluator holds one table row
+/// per `(cores, freq)` point of each type, a few words per worker and the
+/// frontier, so its memory grows with neither the space nor the per-type
+/// node bounds.
 pub fn space_cmd(opts: &Opts, so: &SpaceOpts, ctx: &mut super::ObsCtx) -> Result<(), EnpropError> {
     let name = opts.workload.clone().unwrap_or_else(|| "EP".into());
     // The DALEK catalog carries profiles for all six node types and keeps

@@ -96,8 +96,8 @@ impl ClusterModel {
     /// [`SingleNodeModel`](enprop_workloads::SingleNodeModel) is linear
     /// through the origin in ops. The per-op factor comes from the shared
     /// [`Workload::try_operating_point`] accessor, the same call
-    /// `enprop-explore`'s `EvalCache` memoizes and its streaming SoA
-    /// evaluator fills columns from — so all three paths compose the same
+    /// `enprop-explore`'s `EvalCache` memoizes and its streamed evaluator
+    /// fills its point tables from — so all three paths compose the same
     /// floating-point values by construction (bit-identity is covered by
     /// explore's cache-consistency and streaming proptests).
     pub fn job_energy(&self) -> f64 {

@@ -112,9 +112,9 @@ impl EvalCache {
     /// atomicity makes each key miss exactly once, keeping
     /// [`CacheStats`] deterministic under any thread interleaving.
     ///
-    /// `pub(crate)` so the streaming SoA evaluator ([`crate::stream`])
-    /// fills its per-type columns through the same memo — one model fill
-    /// per distinct `(workload, type, cores, freq)` column entry.
+    /// `pub(crate)` so the streamed evaluator ([`crate::stream`]) fills
+    /// its per-type operating-point tables through the same memo — one
+    /// model fill per distinct `(workload, type, cores, freq)` row.
     pub(crate) fn point(
         &self,
         workload: &Workload,

@@ -46,7 +46,7 @@ impl OpDemand {
 /// scalars every cluster-level composition needs. Computed in exactly one
 /// place ([`Workload::try_operating_point`]) so the analytic model
 /// (`ClusterModel::job_energy`), the exploration cache (`EvalCache`) and
-/// the streaming SoA evaluator compose **the same floating-point values**
+/// the streamed evaluator compose **the same floating-point values**
 /// — their bit-identity contract holds by construction, not by parallel
 /// maintenance.
 #[derive(Debug, Clone, Copy, PartialEq)]
