@@ -199,8 +199,8 @@ fn export_emits_the_full_space() {
     assert!(stdout.contains(",true"));
 }
 
-/// FNV-1a (64-bit) over a command's stdout: pins every byte of a long
-/// output without committing the text.
+/// FNV-1a (64-bit) over a command's stdout or an exported file: pins
+/// every byte of a long output without committing the text.
 fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
@@ -222,6 +222,38 @@ fn pareto_stdout_is_pinned_for_every_workload() {
         assert!(ok, "{stderr}");
         assert_eq!(fnv1a(&stdout), digest, "{workload}:\n{stdout}");
     }
+}
+
+#[test]
+fn faults_stdout_is_pinned_through_the_dispatcher_section() {
+    for (args, digest) in [
+        (&["faults"][..], 0xb749_8e5e_1c40_10f6_u64),
+        (
+            &["faults", "--workload", "x264", "--utilization", "0.9"],
+            0x189e_cf92_ac8f_0699,
+        ),
+    ] {
+        let (stdout, stderr, ok) = run(args);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("\n  dispatcher queue at u = "), "{stdout}");
+        assert_eq!(fnv1a(&stdout), digest, "{args:?}:\n{stdout}");
+    }
+}
+
+#[test]
+fn fig11_jsonl_trace_is_pinned() {
+    let path = tmp_path("fig11-pin.jsonl");
+    let (_, stderr, ok) = run(&["fig11", "--trace-out", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    let body = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    // The queue probe traces 512 jobs: a depth gauge and a span each.
+    let dispatcher = body
+        .lines()
+        .filter(|l| l.contains("\"track\":\"dispatcher\""))
+        .count();
+    assert_eq!(dispatcher, 1536);
+    assert_eq!(fnv1a(&body), 0x4cde_7020_8de0_9df0);
 }
 
 #[test]
