@@ -16,7 +16,8 @@
 //! * M/M/1 ([`MM1`]) and M/G/1 ([`MG1`]) baselines with closed forms used to
 //!   cross-validate the simulator;
 //! * multi-server M/M/c and M/D/c ([`MMc`], [`MDc`], extension) for
-//!   replicated front-end dispatchers;
+//!   replicated front-end dispatchers, with an M/D/c simulation kept in
+//!   the tests as the oracle for the M/D/c approximation;
 //! * batch arrivals ([`BatchMD1`]) for the paper's jobs-per-batch
 //!   utilization sweeps (§II-C);
 //! * a discrete-event FIFO queue simulator ([`QueueSim`]) that produces
@@ -47,7 +48,7 @@ mod stats;
 pub use batch::{simulate_batches, BatchMD1};
 pub use des::{ArrivalProcess, QueueSim, ServiceProcess, SimResult};
 pub use md1::MD1;
-pub use mdc::{simulate_mdc, MDc, MMc};
+pub use mdc::{MDc, MMc};
 pub use mg1::MG1;
 pub use mm1::MM1;
 pub use stats::{exact_quantile, OnlineStats, P2Quantile};

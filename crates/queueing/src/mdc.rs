@@ -147,38 +147,38 @@ impl Queue for MDc {
     }
 }
 
-/// Discrete-event simulation of an M/D/c queue (validation for [`MDc`]).
-/// Returns the mean job wait.
-pub fn simulate_mdc(q: &MDc, jobs: usize, warmup: usize, seed: u64) -> f64 {
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut free = vec![0.0f64; q.servers as usize];
-    let mut clock = 0.0f64;
-    let mut total_wait = 0.0;
-    let mut measured = 0usize;
-    for i in 0..jobs + warmup {
-        clock += -(1.0 - rng.gen::<f64>()).ln() / q.lambda;
-        // Earliest-free server (FIFO jobs, work-conserving assignment).
-        let (idx, &earliest) = free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("MDc::new guarantees servers >= 1");
-        let start = clock.max(earliest);
-        free[idx] = start + q.service;
-        if i >= warmup {
-            total_wait += start - clock;
-            measured += 1;
-        }
-    }
-    total_wait / measured as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{MD1, MM1};
+
+    /// Discrete-event simulation of an M/D/c queue, the oracle for
+    /// [`MDc`]'s Cosmetatos approximation. Returns the mean job wait.
+    fn simulate_mdc(q: &MDc, jobs: usize, warmup: usize, seed: u64) -> f64 {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut free = vec![0.0f64; q.servers as usize];
+        let mut clock = 0.0f64;
+        let mut total_wait = 0.0;
+        let mut measured = 0usize;
+        for i in 0..jobs + warmup {
+            clock += -(1.0 - rng.gen::<f64>()).ln() / q.lambda;
+            // Earliest-free server (FIFO jobs, work-conserving assignment).
+            let (idx, &earliest) = free
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .expect("MDc::new guarantees servers >= 1");
+            let start = clock.max(earliest);
+            free[idx] = start + q.service;
+            if i >= warmup {
+                total_wait += start - clock;
+                measured += 1;
+            }
+        }
+        total_wait / measured as f64
+    }
 
     #[test]
     fn mmc_with_one_server_is_mm1() {
