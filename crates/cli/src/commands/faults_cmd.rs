@@ -211,23 +211,26 @@ pub fn faults_cmd(
     // queue and compare against the clean pool at the same offered load.
     let pool = 16;
     let clean = ClusterQueueSim::new(&sim, pool, opts.seed)?;
-    match ClusterQueueSim::with_faults_obs(&sim, pool, opts.seed, &plan, &policy, &mut ctx.rec) {
+    match ClusterQueueSim::with_faults(&sim, pool, opts.seed, &plan, &policy, &mut ctx.rec) {
         Ok(faulted) => {
             let jobs = 40_000;
             let warmup = 4_000;
-            let c = clean.run(fo.utilization, jobs, warmup, opts.seed)?;
-            let f = faulted.run_obs(fo.utilization, jobs, warmup, opts.seed, &mut ctx.rec)?;
+            let c = clean.queue(fo.utilization)?.run(jobs, warmup, opts.seed);
+            let f = faulted
+                .queue(fo.utilization)?
+                .run_obs(jobs, warmup, opts.seed, &mut ctx.rec);
             println!(
                 "\n  dispatcher queue at u = {:.2} ({} pooled service times, {} retried):",
                 fo.utilization,
                 pool,
                 faulted.retried_jobs()
             );
-            let q = |r: &enprop_clustersim::ClusterQueueResult| {
-                (r.response.mean(), r.quantile(0.95).unwrap_or(f64::NAN))
-            };
-            let (cm, cq) = q(&c);
-            let (fm, fq) = q(&f);
+            let [(cm, cq), (fm, fq)] = [&c, &f].map(|r| {
+                (
+                    r.response.mean(),
+                    r.response_quantile(0.95).unwrap_or(f64::NAN),
+                )
+            });
             println!("    clean    mean {cm:.3} s   p95 {cq:.3} s");
             println!("    faulted  mean {fm:.3} s   p95 {fq:.3} s");
             println!(

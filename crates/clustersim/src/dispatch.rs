@@ -5,45 +5,21 @@
 //! This realizes the M/D/1 assumption of §II-B against *simulated* service
 //! times — which wobble with OS jitter, so the queue is really M/G/1 with
 //! a small service variance. Tests confirm the M/D/1 closed forms stay
-//! accurate, which is the paper's justification for using them.
+//! accurate, which is the paper's justification for using them. This
+//! module builds the pool of simulated service times; the queue itself
+//! runs in [`QueueSim`].
 
 use crate::run::ClusterSim;
 use enprop_faults::{EnpropError, FaultPlan, RetryPolicy};
-use enprop_obs::{NoopRecorder, Recorder, Track};
-use enprop_queueing::{exact_quantile, OnlineStats};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use enprop_obs::{NoopRecorder, Recorder};
+use enprop_queueing::{ArrivalProcess, QueueSim, ServiceProcess};
 
-/// Cap on per-job trace records (spans, queue-depth gauges) emitted by an
-/// instrumented [`ClusterQueueSim::run_obs`]: queue runs simulate tens of
-/// thousands of jobs, and tracing each would swamp any viewer. Aggregates
-/// (histograms, tallies) still cover every job.
-const MAX_TRACED_QUEUE_JOBS: usize = 512;
-
-/// Result of a dispatcher-queue simulation.
-#[derive(Debug, Clone)]
-pub struct ClusterQueueResult {
-    /// Response-time statistics (wait + service), seconds.
-    pub response: OnlineStats,
-    /// All response-time samples (post-warmup), for exact quantiles.
-    pub samples: Vec<f64>,
-    /// Measured utilization.
-    pub utilization: f64,
-}
-
-impl ClusterQueueResult {
-    /// Exact response-time quantile, seconds.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        exact_quantile(&self.samples, q)
-    }
-}
-
-/// Dispatcher queue simulation over simulated cluster service times.
+/// The dispatcher's service-time pool: simulated cluster jobs whose
+/// durations its queue draws from.
 #[derive(Debug)]
 pub struct ClusterQueueSim {
-    service_pool: Vec<f64>,
-    mean_service: f64,
+    /// Always [`ServiceProcess::Empirical`].
+    service: ServiceProcess,
     /// Jobs in the pool that needed at least one retry (0 when the pool
     /// was built without a fault plan).
     retried_jobs: usize,
@@ -54,55 +30,25 @@ impl ClusterQueueSim {
     /// empirical service-time distribution. Rejects an empty pool with
     /// [`EnpropError::InvalidConfig`].
     pub fn new(sim: &ClusterSim<'_>, pool: usize, seed: u64) -> Result<Self, EnpropError> {
-        Self::new_obs(sim, pool, seed, &mut NoopRecorder)
-    }
-
-    /// [`ClusterQueueSim::new`] plus telemetry: the pooled jobs run
-    /// back-to-back from sim-time zero, each with its node spans and power
-    /// samples. Bit-identical to `new` for any `R`.
-    pub fn new_obs<R: Recorder>(
-        sim: &ClusterSim<'_>,
-        pool: usize,
-        seed: u64,
-        rec: &mut R,
-    ) -> Result<Self, EnpropError> {
-        if pool == 0 {
-            return Err(EnpropError::invalid_config(
-                "service pool must hold at least one job",
-            ));
-        }
-        let mut service_pool = Vec::with_capacity(pool);
-        let mut t0 = 0.0;
-        for i in 0..pool {
-            let d = sim
-                .run_job_obs(seed.wrapping_add(i as u64 * 104_729), t0, rec)
-                .duration;
-            service_pool.push(d);
-            t0 += d;
-        }
-        Ok(Self::from_pool(service_pool, 0))
+        Self::with_faults(
+            sim,
+            pool,
+            seed,
+            &FaultPlan::none(),
+            &RetryPolicy::standard(),
+            &mut NoopRecorder,
+        )
     }
 
     /// Like [`ClusterQueueSim::new`], but every pooled job runs under the
     /// fault plan with recovery — the dispatcher then queues jobs whose
     /// service times are inflated by re-dispatch waves, timed-out attempts
     /// and backoff. A job that exhausts its retry budget propagates the
-    /// error (size the budget for the plan's fault rate).
-    pub fn with_faults(
-        sim: &ClusterSim<'_>,
-        pool: usize,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<Self, EnpropError> {
-        Self::with_faults_obs(sim, pool, seed, plan, policy, &mut NoopRecorder)
-    }
-
-    /// [`ClusterQueueSim::with_faults`] plus telemetry: each pooled job's
-    /// attempts, fault instants, recovery waves and backoffs land on the
-    /// trace at its back-to-back start time. Bit-identical to
-    /// `with_faults` for any `R`.
-    pub fn with_faults_obs<R: Recorder>(
+    /// error (size the budget for the plan's fault rate). The pooled jobs
+    /// land on `rec` back-to-back from sim-time zero: node spans, power
+    /// samples, attempts, fault instants, recovery waves and backoffs.
+    /// Bit-identical for any `R`.
+    pub fn with_faults<R: Recorder>(
         sim: &ClusterSim<'_>,
         pool: usize,
         seed: u64,
@@ -132,21 +78,15 @@ impl ClusterQueueSim {
             service_pool.push(f.run.duration);
             t0 += f.run.duration;
         }
-        Ok(Self::from_pool(service_pool, retried_jobs))
-    }
-
-    fn from_pool(service_pool: Vec<f64>, retried_jobs: usize) -> Self {
-        let mean_service = service_pool.iter().sum::<f64>() / service_pool.len() as f64;
-        ClusterQueueSim {
-            service_pool,
-            mean_service,
+        Ok(ClusterQueueSim {
+            service: ServiceProcess::Empirical { pool: service_pool },
             retried_jobs,
-        }
+        })
     }
 
     /// Mean simulated service time, seconds.
     pub fn mean_service(&self) -> f64 {
-        self.mean_service
+        self.service.mean()
     }
 
     /// Pooled jobs that needed at least one retry.
@@ -154,94 +94,22 @@ impl ClusterQueueSim {
         self.retried_jobs
     }
 
-    /// Run `jobs` Poisson arrivals at the arrival rate that offers
-    /// `utilization`, discarding `warmup` jobs. The utilization must lie
-    /// strictly inside `(0, 1)` for the queue to be stable.
-    pub fn run(
-        &self,
-        utilization: f64,
-        jobs: usize,
-        warmup: usize,
-        seed: u64,
-    ) -> Result<ClusterQueueResult, EnpropError> {
-        self.run_obs(utilization, jobs, warmup, seed, &mut NoopRecorder)
-    }
-
-    /// [`ClusterQueueSim::run`] plus telemetry on the dispatcher track:
-    /// a `dispatch.queue_depth` gauge and a sojourn (`job`) span per
-    /// measured arrival (the first [`MAX_TRACED_QUEUE_JOBS`] of them),
-    /// plus `queue.wait_s` / `queue.response_s` histograms and a
-    /// `dispatch.jobs` tally over *every* measured arrival. Bit-identical
-    /// to `run` for any `R` — instrumentation draws no random numbers.
-    pub fn run_obs<R: Recorder>(
-        &self,
-        utilization: f64,
-        jobs: usize,
-        warmup: usize,
-        seed: u64,
-        rec: &mut R,
-    ) -> Result<ClusterQueueResult, EnpropError> {
+    /// The dispatcher queue over this pool: Poisson arrivals at the rate
+    /// that offers `utilization`, which must lie strictly inside `(0, 1)`
+    /// for the queue to be stable.
+    pub fn queue(&self, utilization: f64) -> Result<QueueSim, EnpropError> {
         if !(utilization > 0.0 && utilization < 1.0) {
             return Err(EnpropError::invalid_parameter(
                 "utilization",
                 format!("must be in (0, 1) for a stable queue, got {utilization}"),
             ));
         }
-        let lambda = utilization / self.mean_service;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut clock = 0.0f64;
-        let mut server_free = 0.0f64;
-        let mut response = OnlineStats::new();
-        let mut samples = Vec::with_capacity(jobs);
-        let mut busy = 0.0;
-        let mut first = 0.0;
-        // Pending departure times of jobs still in the system (arrival-time
-        // queue-depth bookkeeping; only maintained when recording).
-        let mut in_system: VecDeque<f64> = VecDeque::new();
-        let mut traced = 0usize;
-        for i in 0..jobs + warmup {
-            clock += -(1.0 - rng.gen::<f64>()).ln() / lambda;
-            let service = self.service_pool[rng.gen_range(0..self.service_pool.len())];
-            let start = clock.max(server_free);
-            server_free = start + service;
-            if R::ACTIVE {
-                while in_system.front().is_some_and(|&d| d <= clock) {
-                    in_system.pop_front();
-                }
-                if i >= warmup {
-                    rec.tally("dispatch.jobs", 1);
-                    rec.observe("queue.wait_s", start - clock);
-                    rec.observe("queue.response_s", server_free - clock);
-                    if traced < MAX_TRACED_QUEUE_JOBS {
-                        traced += 1;
-                        rec.gauge(
-                            clock,
-                            Track::Dispatcher,
-                            "dispatch.queue_depth",
-                            in_system.len() as f64,
-                        );
-                        rec.span_begin(clock, Track::Dispatcher, "job", i as u64);
-                        rec.span_end(server_free, Track::Dispatcher, "job", i as u64);
-                    }
-                }
-                in_system.push_back(server_free);
-            }
-            if i >= warmup {
-                if i == warmup {
-                    first = clock;
-                }
-                let r = server_free - clock;
-                response.push(r);
-                samples.push(r);
-                busy += service;
-            }
-        }
-        let horizon = (server_free - first).max(f64::MIN_POSITIVE);
-        Ok(ClusterQueueResult {
-            response,
-            samples,
-            utilization: (busy / horizon).min(1.0),
-        })
+        Ok(QueueSim::new(
+            ArrivalProcess::Poisson {
+                rate: utilization / self.mean_service(),
+            },
+            self.service.clone(),
+        ))
     }
 }
 
@@ -259,12 +127,12 @@ mod tests {
         let c = ClusterSpec::a9_k10(8, 4);
         let sim = ClusterSim::new(&w, &c);
         let q = ClusterQueueSim::new(&sim, 16, 7).unwrap();
-        let res = q.run(0.7, 60_000, 5_000, 11).unwrap();
+        let res = q.queue(0.7).unwrap().run(60_000, 5_000, 11);
         let md1 = MD1::from_utilization(q.mean_service(), 0.7);
         let rel = (res.response.mean() - md1.mean_response_time()).abs()
             / md1.mean_response_time();
         assert!(rel < 0.08, "mean response off by {rel}");
-        let p95_sim = res.quantile(0.95).unwrap();
+        let p95_sim = res.response_quantile(0.95).unwrap();
         let p95_md1 = md1.response_time_quantile(0.95);
         let rel = (p95_sim - p95_md1).abs() / p95_md1;
         assert!(rel < 0.10, "p95 off by {rel}: {p95_sim} vs {p95_md1}");
@@ -276,8 +144,8 @@ mod tests {
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
         let q = ClusterQueueSim::new(&sim, 8, 3).unwrap();
-        let lo = q.run(0.3, 20_000, 2_000, 5).unwrap();
-        let hi = q.run(0.95, 20_000, 2_000, 5).unwrap();
+        let lo = q.queue(0.3).unwrap().run(20_000, 2_000, 5);
+        let hi = q.queue(0.95).unwrap().run(20_000, 2_000, 5);
         assert!(
             hi.response.mean() > 3.0 * lo.response.mean(),
             "queueing delay must dominate at high load"
@@ -290,8 +158,9 @@ mod tests {
         let c = ClusterSpec::a9_k10(4, 2);
         let sim = ClusterSim::new(&w, &c);
         let q = ClusterQueueSim::new(&sim, 8, 1).unwrap();
-        let res = q.run(0.6, 40_000, 4_000, 2).unwrap();
-        assert!((res.utilization - 0.6).abs() < 0.03, "u = {}", res.utilization);
+        let res = q.queue(0.6).unwrap().run(40_000, 4_000, 2);
+        let u = res.measured_utilization;
+        assert!((u - 0.6).abs() < 0.03, "u = {u}");
     }
 
     #[test]
@@ -304,8 +173,12 @@ mod tests {
             Err(enprop_faults::EnpropError::InvalidConfig(_))
         ));
         let q = ClusterQueueSim::new(&sim, 4, 1).unwrap();
-        assert!(q.run(0.0, 100, 10, 1).is_err());
-        assert!(q.run(1.0, 100, 10, 1).is_err());
+        for u in [0.0, 1.0, f64::NAN] {
+            assert!(matches!(
+                q.queue(u),
+                Err(enprop_faults::EnpropError::InvalidParameter { .. })
+            ));
+        }
     }
 
     #[test]
@@ -316,6 +189,12 @@ mod tests {
         let sim = ClusterSim::new(&w, &c);
         let clean = ClusterQueueSim::new(&sim, 8, 7).unwrap();
         let job = sim.run_job(7);
+        // The clean pool is the fault-free jobs `run_job` simulates.
+        let run_job_mean = (0..8u64)
+            .map(|i| sim.run_job(7 + i * 104_729).duration)
+            .sum::<f64>()
+            / 8.0;
+        assert_eq!(clean.mean_service(), run_job_mean);
         let plan = FaultPlan::uniform(
             1,
             GroupFaultProfile::crashes(MtbfModel::Exponential {
@@ -330,7 +209,8 @@ mod tests {
             backoff_multiplier: 2.0,
             backoff_cap_s: f64::INFINITY,
         };
-        let faulted = ClusterQueueSim::with_faults(&sim, 8, 7, &plan, &policy).unwrap();
+        let faulted =
+            ClusterQueueSim::with_faults(&sim, 8, 7, &plan, &policy, &mut NoopRecorder).unwrap();
         assert!(
             faulted.mean_service() > clean.mean_service(),
             "faults must inflate service: {} vs {}",
@@ -338,9 +218,81 @@ mod tests {
             clean.mean_service()
         );
         // An inert plan reproduces the clean pool exactly.
-        let inert =
-            ClusterQueueSim::with_faults(&sim, 8, 7, &FaultPlan::none(), &policy).unwrap();
+        let inert = ClusterQueueSim::with_faults(
+            &sim,
+            8,
+            7,
+            &FaultPlan::none(),
+            &policy,
+            &mut NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(inert.mean_service(), clean.mean_service());
         assert_eq!(inert.retried_jobs(), 0);
+    }
+
+    /// The dispatcher loop that `QueueSim` replaced, kept verbatim (less
+    /// its telemetry) as the oracle. Returns each measured job's response
+    /// `server_free − clock` with its departure time, and the measured
+    /// utilization.
+    fn dispatcher_loop(
+        service_pool: &[f64],
+        utilization: f64,
+        jobs: usize,
+        warmup: usize,
+        seed: u64,
+    ) -> (Vec<(f64, f64)>, f64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mean_service = service_pool.iter().sum::<f64>() / service_pool.len() as f64;
+        let lambda = utilization / mean_service;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut clock = 0.0f64;
+        let mut server_free = 0.0f64;
+        let mut samples = Vec::with_capacity(jobs);
+        let mut busy = 0.0;
+        let mut first = 0.0;
+        for i in 0..jobs + warmup {
+            clock += -(1.0 - rng.gen::<f64>()).ln() / lambda;
+            let service = service_pool[rng.gen_range(0..service_pool.len())];
+            let start = clock.max(server_free);
+            server_free = start + service;
+            if i >= warmup {
+                if i == warmup {
+                    first = clock;
+                }
+                let r = server_free - clock;
+                samples.push((r, server_free));
+                busy += service;
+            }
+        }
+        let horizon = (server_free - first).max(f64::MIN_POSITIVE);
+        (samples, (busy / horizon).min(1.0))
+    }
+
+    #[test]
+    fn queue_sim_reproduces_the_dispatcher_loop() {
+        let w = catalog::by_name("EP").unwrap();
+        let c = ClusterSpec::a9_k10(8, 4);
+        let sim = ClusterSim::new(&w, &c);
+        let q = ClusterQueueSim::new(&sim, 16, 7).unwrap();
+        let ServiceProcess::Empirical { pool } = &q.service else {
+            panic!("the dispatcher pool is empirical");
+        };
+        for (u, seed) in [(0.3, 1), (0.7, 11), (0.95, 5)] {
+            let (want, want_u) = dispatcher_loop(pool, u, 20_000, 2_000, seed);
+            let got = q.queue(u).unwrap().run(20_000, 2_000, seed);
+            assert_eq!(got.response_samples.len(), want.len());
+            assert_eq!(got.measured_utilization.to_bits(), want_u.to_bits());
+            // `wait + service` and `departure − arrival` round differently,
+            // by a few ulps of the departure time at most.
+            for (i, (&r, &(r_old, departure))) in got.response_samples.iter().zip(&want).enumerate()
+            {
+                assert!(
+                    (r - r_old).abs() <= 4.0 * f64::EPSILON * departure,
+                    "u = {u}, job {i}: {r} vs {r_old} at {departure}"
+                );
+            }
+        }
     }
 }

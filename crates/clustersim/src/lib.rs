@@ -34,7 +34,7 @@ mod split;
 mod validate;
 
 pub use cluster::{ClusterSpec, NodeGroup, SwitchOverhead};
-pub use dispatch::{ClusterQueueResult, ClusterQueueSim};
+pub use dispatch::ClusterQueueSim;
 pub use enprop_faults::{
     EnpropError, FaultEvent, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel, RetryPolicy,
 };

@@ -5,19 +5,16 @@
 //! concurrently from many users. To represent the arrival of multiple
 //! jobs, we vary the number of jobs per batch" — utilization is then swept
 //! by the number of jobs per batch and batches per interval. This module
-//! provides the closed-form job-level waiting time for fixed batch sizes
-//! and a simulation cross-check.
+//! provides the closed-form job-level waiting time for fixed batch sizes;
+//! its simulation cross-check runs in [`crate::QueueSim`] with
+//! [`crate::ArrivalProcess::PoissonBatches`] arrivals.
 //!
 //! Decomposition (standard batch-queue argument): a batch of `k` jobs
 //! behaves like one super-job of service `k·D`, so the *batch* delay is
 //! the M/D/1 wait with service `k·D` at the batch rate; a random job then
 //! waits for the `(k−1)/2` batch-mates served before it on average.
 
-use crate::des::SimResult;
-use crate::stats::OnlineStats;
 use crate::Queue;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// M^\[k]/D/1: Poisson batch arrivals (fixed batch size), deterministic
 /// per-job service.
@@ -85,57 +82,24 @@ impl Queue for BatchMD1 {
     }
 }
 
-/// Simulate an M^\[k]/D/1 queue at job granularity and collect per-job
-/// response times (cross-check for [`BatchMD1`] and the engine behind the
-/// paper's jobs-per-batch utilization sweeps).
-pub fn simulate_batches(
-    q: &BatchMD1,
-    batches: usize,
-    warmup_batches: usize,
-    seed: u64,
-) -> SimResult {
-    assert!(batches > 0);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut clock = 0.0f64;
-    let mut server_free = 0.0f64;
-    let mut wait = OnlineStats::new();
-    let mut response = OnlineStats::new();
-    let mut samples = Vec::with_capacity(batches * q.batch_size as usize);
-    let mut busy = 0.0f64;
-    let mut first = 0.0f64;
-
-    for b in 0..batches + warmup_batches {
-        clock += -(1.0 - rng.gen::<f64>()).ln() / q.batch_rate;
-        if b == warmup_batches {
-            first = clock;
-        }
-        for _ in 0..q.batch_size {
-            let start = clock.max(server_free);
-            server_free = start + q.service;
-            if b >= warmup_batches {
-                let w = start - clock;
-                wait.push(w);
-                response.push(w + q.service);
-                samples.push(w + q.service);
-                busy += q.service;
-            }
-        }
-    }
-    let horizon = (server_free - first).max(f64::MIN_POSITIVE);
-    SimResult {
-        wait,
-        response,
-        response_samples: samples,
-        measured_utilization: (busy / horizon).min(1.0),
-        horizon,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::exact_quantile;
-    use crate::MD1;
+    use crate::{ArrivalProcess, QueueSim, ServiceProcess, SimResult, MD1};
+
+    /// `batches` Poisson batches of `q` through the FIFO simulator, after
+    /// `warmup_batches` discarded ones.
+    fn simulate(q: &BatchMD1, batches: usize, warmup_batches: usize, seed: u64) -> SimResult {
+        let k = q.batch_size as usize;
+        QueueSim::new(
+            ArrivalProcess::PoissonBatches {
+                rate: q.batch_rate,
+                size: k,
+            },
+            ServiceProcess::Deterministic { time: q.service },
+        )
+        .run(batches * k, warmup_batches * k, seed)
+    }
 
     #[test]
     fn k1_reduces_to_md1() {
@@ -157,7 +121,7 @@ mod tests {
     fn closed_form_matches_simulation() {
         for (k, u) in [(2u32, 0.5), (4, 0.7), (8, 0.8)] {
             let q = BatchMD1::from_utilization(0.01, k, u);
-            let sim = simulate_batches(&q, 100_000, 10_000, 42);
+            let sim = simulate(&q, 100_000, 10_000, 42);
             let rel = (sim.wait.mean() - q.mean_wait()).abs() / q.mean_wait();
             assert!(
                 rel < 0.05,
@@ -172,8 +136,8 @@ mod tests {
     #[test]
     fn quantiles_are_available_from_simulation() {
         let q = BatchMD1::from_utilization(0.02, 4, 0.7);
-        let sim = simulate_batches(&q, 50_000, 5_000, 7);
-        let p95 = exact_quantile(&sim.response_samples, 0.95).unwrap();
+        let sim = simulate(&q, 50_000, 5_000, 7);
+        let p95 = sim.response_quantile(0.95).unwrap();
         assert!(p95 > sim.response.mean());
     }
 

@@ -2,9 +2,12 @@
 //!
 //! The analytic M/D/1 results hold under idealized assumptions; the
 //! simulator both cross-validates them (its tests assert agreement with the
-//! closed forms) and serves as the dispatcher realization inside the
-//! cluster simulator, where service times come from the node simulator
-//! instead of a constant.
+//! closed forms) and is the workspace's one single-server FIFO loop: it
+//! runs the M^\[k]/D/1 batch cross-check ([`ArrivalProcess::PoissonBatches`])
+//! and the cluster dispatcher, whose service times come from the node
+//! simulator as an empirical pool ([`ServiceProcess::Empirical`]). The
+//! M/D/c simulation serves `c` servers, so it does not fold in here; it
+//! lives in `mdc.rs`'s tests as the oracle for [`crate::MDc`].
 
 use crate::stats::{exact_quantile, OnlineStats};
 use enprop_obs::{NoopRecorder, Recorder, Track};
@@ -30,23 +33,42 @@ pub enum ArrivalProcess {
         /// Fixed inter-arrival gap, seconds.
         interval: f64,
     },
+    /// Poisson *batches* of `size` jobs (M^\[k] arrivals, §II-C): an
+    /// exponential gap before each batch's first job and none before its
+    /// batch-mates.
+    PoissonBatches {
+        /// Mean batch arrival rate, batches per second.
+        rate: f64,
+        /// Jobs per batch (at least one).
+        size: usize,
+    },
 }
 
 impl ArrivalProcess {
-    fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+    /// Gap before job `i` (counted from zero), seconds.
+    fn sample<R: Rng>(&self, i: usize, rng: &mut R) -> f64 {
         match *self {
-            ArrivalProcess::Poisson { rate } => {
-                assert!(rate > 0.0, "Poisson rate must be positive");
-                // Inverse CDF; 1 − U avoids ln(0).
-                -(1.0 - rng.gen::<f64>()).ln() / rate
-            }
+            ArrivalProcess::Poisson { rate } => exponential_gap(rate, rng),
             ArrivalProcess::Deterministic { interval } => interval,
+            ArrivalProcess::PoissonBatches { rate, size } => {
+                if i.is_multiple_of(size) {
+                    exponential_gap(rate, rng)
+                } else {
+                    0.0
+                }
+            }
         }
     }
 }
 
+/// Exponential gap at `rate` per second by inverse CDF; 1 − U avoids ln(0).
+fn exponential_gap<R: Rng>(rate: f64, rng: &mut R) -> f64 {
+    assert!(rate > 0.0, "Poisson rate must be positive");
+    -(1.0 - rng.gen::<f64>()).ln() / rate
+}
+
 /// Per-job service-time process.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceProcess {
     /// Fixed service time (the paper's deterministic job model).
     Deterministic {
@@ -65,34 +87,48 @@ pub enum ServiceProcess {
         /// Largest service time, seconds.
         hi: f64,
     },
+    /// A uniform draw from measured service times (the cluster
+    /// dispatcher's pool of simulated jobs).
+    Empirical {
+        /// The service times, seconds (at least one).
+        pool: Vec<f64>,
+    },
 }
 
 impl ServiceProcess {
     fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        match *self {
-            ServiceProcess::Deterministic { time } => time,
+        match self {
+            ServiceProcess::Deterministic { time } => *time,
             ServiceProcess::Exponential { mean } => -(1.0 - rng.gen::<f64>()).ln() * mean,
-            ServiceProcess::Uniform { lo, hi } => rng.gen_range(lo..=hi),
+            ServiceProcess::Uniform { lo, hi } => rng.gen_range(*lo..=*hi),
+            ServiceProcess::Empirical { pool } => pool[rng.gen_range(0..pool.len())],
         }
     }
 
     /// Mean of the process, seconds.
     pub fn mean(&self) -> f64 {
-        match *self {
-            ServiceProcess::Deterministic { time } => time,
-            ServiceProcess::Exponential { mean } => mean,
+        match self {
+            ServiceProcess::Deterministic { time } => *time,
+            ServiceProcess::Exponential { mean } => *mean,
             ServiceProcess::Uniform { lo, hi } => 0.5 * (lo + hi),
+            ServiceProcess::Empirical { pool } => pool.iter().sum::<f64>() / pool.len() as f64,
         }
     }
 
     /// Squared coefficient of variation (`Var/mean²`).
     pub fn scv(&self) -> f64 {
-        match *self {
+        match self {
             ServiceProcess::Deterministic { .. } => 0.0,
             ServiceProcess::Exponential { .. } => 1.0,
             ServiceProcess::Uniform { lo, hi } => {
                 let mean = 0.5 * (lo + hi);
                 let var = (hi - lo) * (hi - lo) / 12.0;
+                var / (mean * mean)
+            }
+            ServiceProcess::Empirical { pool } => {
+                let mean = self.mean();
+                let var =
+                    pool.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / pool.len() as f64;
                 var / (mean * mean)
             }
         }
@@ -139,7 +175,17 @@ pub struct QueueSim {
 
 impl QueueSim {
     /// Build a simulator from arrival and service processes.
+    ///
+    /// # Panics
+    /// Panics on an empty [`ServiceProcess::Empirical`] pool or a
+    /// [`ArrivalProcess::PoissonBatches`] size of zero.
     pub fn new(arrivals: ArrivalProcess, service: ServiceProcess) -> Self {
+        if let ArrivalProcess::PoissonBatches { size, .. } = arrivals {
+            assert!(size > 0, "batch size must be at least one job");
+        }
+        if let ServiceProcess::Empirical { pool } = &service {
+            assert!(!pool.is_empty(), "service pool must hold at least one time");
+        }
         QueueSim { arrivals, service }
     }
 
@@ -165,11 +211,11 @@ impl QueueSim {
         self.run_obs(jobs, warmup, seed, &mut NoopRecorder)
     }
 
-    /// [`QueueSim::run`] plus telemetry on the queue track: a `queue.depth`
-    /// gauge and a sojourn (`job`) span per measured arrival (the first
-    /// [`MAX_TRACED_JOBS`] of them), plus `queue.wait_s` /
-    /// `queue.response_s` histograms and an `arrivals`/`departures` tally
-    /// over *every* measured job. Bit-identical to `run` for any `R` —
+    /// [`QueueSim::run`] plus telemetry on the dispatcher track: a
+    /// `dispatch.queue_depth` gauge and a sojourn (`job`) span per measured
+    /// arrival (the first 512 of them), plus `queue.wait_s` /
+    /// `queue.response_s` histograms and a `dispatch.jobs` tally over
+    /// *every* measured job. Bit-identical to `run` for any `R` —
     /// instrumentation draws no random numbers.
     pub fn run_obs<R: Recorder>(
         &self,
@@ -196,7 +242,7 @@ impl QueueSim {
         let mut traced = 0usize;
 
         for i in 0..total {
-            clock += self.arrivals.sample(&mut rng);
+            clock += self.arrivals.sample(i, &mut rng);
             let service = self.service.sample(&mut rng);
             let start = clock.max(server_free);
             let w = start - clock;
@@ -207,15 +253,19 @@ impl QueueSim {
                     in_system.pop_front();
                 }
                 if i >= warmup {
-                    rec.tally("queue.arrivals", 1);
-                    rec.tally("queue.departures", 1);
+                    rec.tally("dispatch.jobs", 1);
                     rec.observe("queue.wait_s", w);
                     rec.observe("queue.response_s", w + service);
                     if traced < MAX_TRACED_JOBS {
                         traced += 1;
-                        rec.gauge(clock, Track::Queue, "queue.depth", in_system.len() as f64);
-                        rec.span_begin(clock, Track::Queue, "job", i as u64);
-                        rec.span_end(server_free, Track::Queue, "job", i as u64);
+                        rec.gauge(
+                            clock,
+                            Track::Dispatcher,
+                            "dispatch.queue_depth",
+                            in_system.len() as f64,
+                        );
+                        rec.span_begin(clock, Track::Dispatcher, "job", i as u64);
+                        rec.span_end(server_free, Track::Dispatcher, "job", i as u64);
                     }
                 }
                 in_system.push_back(server_free);
@@ -299,7 +349,7 @@ mod tests {
             ArrivalProcess::Poisson {
                 rate: u / svc.mean(),
             },
-            svc,
+            svc.clone(),
         )
         .run(JOBS, WARMUP, 3);
         let q = MG1::from_utilization(svc.mean(), svc.scv(), u);
@@ -345,7 +395,7 @@ mod tests {
         assert_eq!(plain.response.mean(), traced.response.mean());
         assert_eq!(plain.measured_utilization, traced.measured_utilization);
 
-        assert_eq!(rec.counters()["queue.arrivals"], 2000);
+        assert_eq!(rec.counters()["dispatch.jobs"], 2000);
         assert_eq!(rec.histograms()["queue.wait_s"].count(), 2000);
         assert_eq!(rec.histograms()["queue.response_s"].count(), 2000);
         // Trace records are capped; aggregates are not.
@@ -355,5 +405,58 @@ mod tests {
             .filter(|e| e.name == "job" && matches!(e.kind, enprop_obs::EventKind::SpanBegin))
             .count();
         assert_eq!(spans, super::MAX_TRACED_JOBS);
+        assert!(rec.events().iter().all(|e| e.track == Track::Dispatcher));
+    }
+
+    #[test]
+    fn empirical_pool_moments_and_draws() {
+        let svc = ServiceProcess::Empirical {
+            pool: vec![0.01, 0.02, 0.03, 0.02],
+        };
+        assert_eq!(svc.mean(), 0.08 / 4.0);
+        // Population variance 0.00005 over mean² 0.0004.
+        assert!((svc.scv() - 0.125).abs() < 1e-12, "scv {}", svc.scv());
+        let sim = QueueSim::new(
+            ArrivalProcess::Poisson {
+                rate: 0.5 / svc.mean(),
+            },
+            svc,
+        )
+        .run(1000, 0, 4);
+        // Every response is a wait plus one of the pooled times.
+        assert!(sim.response.min() >= 0.01 && sim.wait.min() == 0.0);
+    }
+
+    #[test]
+    fn batch_mates_arrive_together() {
+        // One batch of three: job j waits for the j batch-mates served
+        // before it.
+        let sim = QueueSim::new(
+            ArrivalProcess::PoissonBatches { rate: 1.0, size: 3 },
+            ServiceProcess::Deterministic { time: 0.01 },
+        )
+        .run(3, 0, 1);
+        let (min, mean, max) = (sim.wait.min(), sim.wait.mean(), sim.wait.max());
+        assert_eq!(min, 0.0);
+        assert!((mean - 0.01).abs() < 1e-12, "mean wait {mean}");
+        assert!((max - 0.02).abs() < 1e-12, "max wait {max}");
+    }
+
+    #[test]
+    #[should_panic(expected = "service pool must hold at least one time")]
+    fn empty_pool_rejected() {
+        let _ = QueueSim::new(
+            ArrivalProcess::Poisson { rate: 1.0 },
+            ServiceProcess::Empirical { pool: Vec::new() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be at least one job")]
+    fn zero_batch_size_rejected() {
+        let _ = QueueSim::new(
+            ArrivalProcess::PoissonBatches { rate: 1.0, size: 0 },
+            ServiceProcess::Deterministic { time: 0.01 },
+        );
     }
 }

@@ -21,7 +21,10 @@
 //! * batch arrivals ([`BatchMD1`]) for the paper's jobs-per-batch
 //!   utilization sweeps (§II-C);
 //! * a discrete-event FIFO queue simulator ([`QueueSim`]) that produces
-//!   empirical response-time quantiles;
+//!   empirical response-time quantiles. It is the workspace's one
+//!   single-server FIFO loop: batches run in it as
+//!   [`ArrivalProcess::PoissonBatches`], and the cluster dispatcher as an
+//!   empirical pool of simulated job times ([`ServiceProcess::Empirical`]);
 //! * streaming statistics ([`OnlineStats`], [`P2Quantile`]) shared by the
 //!   cluster simulator.
 //!
@@ -45,7 +48,7 @@ mod mg1;
 mod mm1;
 mod stats;
 
-pub use batch::{simulate_batches, BatchMD1};
+pub use batch::BatchMD1;
 pub use des::{ArrivalProcess, QueueSim, ServiceProcess, SimResult};
 pub use md1::MD1;
 pub use mdc::{MDc, MMc};

@@ -2,8 +2,13 @@
 
 //! Property-based tests for queueing invariants.
 
-use enprop_queueing::{exact_quantile, QueueSim, Queue, MD1, MG1, MM1, P2Quantile};
+use enprop_queueing::{
+    exact_quantile, ArrivalProcess, BatchMD1, OnlineStats, P2Quantile, Queue, QueueSim,
+    ServiceProcess, SimResult, MD1, MG1, MM1,
+};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     /// PK waiting time is monotone in utilization for every queue family.
@@ -68,8 +73,7 @@ proptest! {
     /// P² estimates converge to the exact quantile on moderate streams.
     #[test]
     fn p2_close_to_exact(seed in 0u64..50) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
         let xs: Vec<f64> = (0..20_000).map(|_| {
             let v: f64 = rng.gen();
             -(1.0 - v).ln()
@@ -135,7 +139,6 @@ proptest! {
     /// utilization.
     #[test]
     fn batch_wait_monotone_in_k(s in 0.001f64..1.0, u in 0.05f64..0.9, k in 1u32..20) {
-        use enprop_queueing::BatchMD1;
         let a = BatchMD1::from_utilization(s, k, u);
         let b = BatchMD1::from_utilization(s, k + 1, u);
         prop_assert!(b.mean_wait() > a.mean_wait());
@@ -163,5 +166,83 @@ proptest! {
         let mm = MMc::from_utilization(s, c, u);
         prop_assert!((0.0..=1.0).contains(&mm.erlang_c()));
         prop_assert!(md.mean_wait() <= mm.mean_wait() + 1e-12);
+    }
+}
+
+/// The M^\[k]/D/1 batch loop that `QueueSim`'s `PoissonBatches` arrivals
+/// replaced, kept verbatim as their oracle.
+fn simulate_batches(q: &BatchMD1, batches: usize, warmup_batches: usize, seed: u64) -> SimResult {
+    assert!(batches > 0);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut clock = 0.0f64;
+    let mut server_free = 0.0f64;
+    let mut wait = OnlineStats::new();
+    let mut response = OnlineStats::new();
+    let mut samples = Vec::with_capacity(batches * q.batch_size as usize);
+    let mut busy = 0.0f64;
+    let mut first = 0.0f64;
+
+    for b in 0..batches + warmup_batches {
+        clock += -(1.0 - rng.gen::<f64>()).ln() / q.batch_rate;
+        if b == warmup_batches {
+            first = clock;
+        }
+        for _ in 0..q.batch_size {
+            let start = clock.max(server_free);
+            server_free = start + q.service;
+            if b >= warmup_batches {
+                let w = start - clock;
+                wait.push(w);
+                response.push(w + q.service);
+                samples.push(w + q.service);
+                busy += q.service;
+            }
+        }
+    }
+    let horizon = (server_free - first).max(f64::MIN_POSITIVE);
+    SimResult {
+        wait,
+        response,
+        response_samples: samples,
+        measured_utilization: (busy / horizon).min(1.0),
+        horizon,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `PoissonBatches` arrivals reproduce the batch loop bit for bit:
+    /// every sample, both means, the utilization and the horizon.
+    #[test]
+    fn poisson_batches_match_the_batch_loop(
+        k in 1u32..14,
+        u in 0.05f64..0.97,
+        service in 0.001f64..2.0,
+        batches in 1usize..300,
+        warmup in 0usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let q = BatchMD1::from_utilization(service, k, u);
+        let want = simulate_batches(&q, batches, warmup, seed);
+        let size = k as usize;
+        let got = QueueSim::new(
+            ArrivalProcess::PoissonBatches { rate: q.batch_rate, size },
+            ServiceProcess::Deterministic { time: q.service },
+        )
+        .run(batches * size, warmup * size, seed);
+        let bits = |r: &SimResult| {
+            (
+                r.response_samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                [
+                    r.wait.mean(),
+                    r.response.mean(),
+                    r.measured_utilization,
+                    r.horizon,
+                ]
+                .map(f64::to_bits),
+            )
+        };
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }

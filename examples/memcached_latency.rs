@@ -33,8 +33,13 @@ fn main() {
         // service times (includes OS jitter and protocol overheads).
         let sim = ClusterSim::new(&workload, &cluster);
         let queue = ClusterQueueSim::new(&sim, 12, 42).expect("non-empty pool");
-        let res = queue.run(load, 20_000, 2_000, 7).expect("stable load");
-        let p95_sim = res.quantile(0.95).expect("simulation produced samples");
+        let res = queue
+            .queue(load)
+            .expect("stable load")
+            .run(20_000, 2_000, 7);
+        let p95_sim = res
+            .response_quantile(0.95)
+            .expect("simulation produced samples");
 
         println!(
             "{:>16} {:>12.1} {:>12.0} {:>14.1} {:>14.1} {:>8}",

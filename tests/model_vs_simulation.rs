@@ -43,8 +43,8 @@ fn md1_p95_matches_cluster_dispatcher_sim() {
     let queue = ClusterQueueSim::new(&sim, 16, 5).unwrap();
 
     for u in [0.4, 0.7, 0.85] {
-        let res = queue.run(u, 40_000, 4_000, 9).unwrap();
-        let p95_sim = res.quantile(0.95).unwrap();
+        let res = queue.queue(u).unwrap().run(40_000, 4_000, 9);
+        let p95_sim = res.response_quantile(0.95).unwrap();
         // Feed the *simulated* mean service time to the analytic queue so
         // the comparison isolates the queueing model itself.
         let md1 = MD1::from_utilization(queue.mean_service(), u);
