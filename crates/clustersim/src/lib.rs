@@ -43,6 +43,6 @@ pub use split::{
     rate_matched_split, try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit,
 };
 pub use validate::{
-    model_prediction, try_model_prediction, try_validate, try_validate_obs, validate,
-    ModelPrediction, ValidationReport,
+    model_prediction, try_model_prediction, try_validate, validate, ModelPrediction,
+    ValidationReport,
 };

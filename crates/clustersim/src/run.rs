@@ -93,14 +93,10 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Simulate every node's share of one job individually (the common
-    /// kernel of [`ClusterSim::run_job`] and the fault-injected runs).
-    fn node_runs(&self, seed: u64) -> Vec<NodeRunData> {
-        self.node_runs_obs(seed, 0.0, &mut NoopRecorder)
-    }
-
-    /// [`ClusterSim::node_runs`] with every node placed at sim-time `t0`
-    /// on its own `Track::Node` (spans, DVFS counters, power samples).
-    fn node_runs_obs<R: Recorder>(&self, seed: u64, t0: f64, rec: &mut R) -> Vec<NodeRunData> {
+    /// kernel of [`ClusterSim::run_job`] and the fault-injected runs),
+    /// with every node placed at sim-time `t0` on its own `Track::Node`
+    /// (spans, DVFS counters, power samples).
+    fn node_runs<R: Recorder>(&self, seed: u64, t0: f64, rec: &mut R) -> Vec<NodeRunData> {
         let ops = self.workload.ops_per_job;
         let mut node_runs = Vec::new();
         for (gi, g) in self.cluster.groups.iter().enumerate() {
@@ -165,7 +161,7 @@ impl<'a> ClusterSim<'a> {
     /// Run one job of `ops_per_job` operations; every node simulated
     /// individually with its own seed.
     pub fn run_job(&self, seed: u64) -> ClusterJobRun {
-        self.compose(&self.node_runs(seed))
+        self.run_job_obs(seed, 0.0, &mut NoopRecorder)
     }
 
     /// [`ClusterSim::run_job`] plus telemetry: per-node `node_run` spans
@@ -173,7 +169,7 @@ impl<'a> ClusterSim<'a> {
     /// cluster-track `job` span. Bit-identical to `run_job` for any `R` —
     /// instrumentation draws no random numbers.
     pub fn run_job_obs<R: Recorder>(&self, seed: u64, t0: f64, rec: &mut R) -> ClusterJobRun {
-        let run = self.compose(&self.node_runs_obs(seed, t0, rec));
+        let run = self.compose(&self.node_runs(seed, t0, rec));
         if R::ACTIVE && run.duration > 0.0 {
             rec.span_begin(t0, Track::Cluster, "job", seed);
             rec.span_end(t0 + run.duration, Track::Cluster, "job", seed);
@@ -571,7 +567,7 @@ impl ClusterSim<'_> {
     ) -> Result<FaultedJobRun, EnpropError> {
         plan.validate()?;
         policy.validate()?;
-        let nodes = self.node_runs_obs(seed, t0, rec);
+        let nodes = self.node_runs(seed, t0, rec);
         let base = self.compose(&nodes);
         if plan.is_inert() {
             if R::ACTIVE && base.duration > 0.0 {

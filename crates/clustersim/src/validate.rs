@@ -69,20 +69,11 @@ pub struct ValidationReport {
 }
 
 /// Validate the model against `samples` simulated jobs on `cluster`,
-/// reporting a typed error for an empty cluster or a missing profile.
-pub fn try_validate(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-    samples: usize,
-    seed: u64,
-) -> Result<ValidationReport, EnpropError> {
-    try_validate_obs(workload, cluster, samples, seed, &mut NoopRecorder)
-}
-
-/// [`try_validate`] plus telemetry: the sampled jobs run back-to-back
-/// from sim-time zero with per-node spans and power samples.
-/// Bit-identical to `try_validate` for any `R`.
-pub fn try_validate_obs<R: Recorder>(
+/// reporting a typed error for an empty cluster or a missing profile. The
+/// sampled jobs land on `rec` back-to-back from sim-time zero with
+/// per-node spans and power samples; the report is bit-identical for any
+/// `R`.
+pub fn try_validate<R: Recorder>(
     workload: &Workload,
     cluster: &ClusterSpec,
     samples: usize,
@@ -112,7 +103,8 @@ pub fn validate(
     samples: usize,
     seed: u64,
 ) -> ValidationReport {
-    try_validate(workload, cluster, samples, seed).unwrap_or_else(|e| panic!("{e}"))
+    try_validate(workload, cluster, samples, seed, &mut NoopRecorder)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Table-4 regeneration: validate the analytic model against the
 //! simulated testbed for every workload.
 
-use enprop_clustersim::{try_validate_obs, ClusterSpec, ValidationReport};
+use enprop_clustersim::{try_validate, ClusterSpec, ValidationReport};
 use enprop_obs::{NoopRecorder, Recorder};
 use enprop_workloads::catalog;
 
@@ -45,7 +45,7 @@ pub fn table4_obs<R: Recorder>(samples: usize, seed: u64, rec: &mut R) -> Vec<Ta
         .iter()
         .map(|&(name, t, e)| {
             let w = catalog::by_name(name).expect("catalog workload");
-            let report = try_validate_obs(&w, &cluster, samples, seed, rec)
+            let report = try_validate(&w, &cluster, samples, seed, rec)
                 .unwrap_or_else(|err| panic!("{err}"));
             Table4Row {
                 domain: w.domain,

@@ -8,8 +8,6 @@ pub enum Track {
     Cluster,
     /// The front-end dispatcher queue.
     Dispatcher,
-    /// The standalone single-server queue simulator.
-    Queue,
     /// Configuration-space exploration. Events on this track use
     /// *config-index* time (the position in the enumeration order), not
     /// seconds: evaluation is model arithmetic, not a simulated timeline,
@@ -39,7 +37,7 @@ impl Track {
         match self {
             Track::Cluster => 1,
             Track::Dispatcher => 2,
-            Track::Queue => 3,
+            // 3 belonged to a retired queue track; no other track takes it.
             Track::Explore => 4,
             Track::Controller => 5,
             Track::Node { group, node } => 16 + u64::from(group) * 1024 + u64::from(node),
@@ -53,7 +51,6 @@ impl Track {
         match self {
             Track::Cluster => "cluster".into(),
             Track::Dispatcher => "dispatcher".into(),
-            Track::Queue => "queue".into(),
             Track::Explore => "explore".into(),
             Track::Controller => "controller".into(),
             Track::Node { group, node } => format!("node g{group}.n{node}"),
@@ -142,7 +139,6 @@ mod tests {
         let tracks = [
             Track::Cluster,
             Track::Dispatcher,
-            Track::Queue,
             Track::Explore,
             Track::Controller,
             Track::Node { group: 0, node: 0 },

@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn chrome_trace_flags_unclosed_spans() {
         let mut r = MemoryRecorder::new();
-        r.span_begin(1.0, Track::Queue, "job", 3);
+        r.span_begin(1.0, Track::Dispatcher, "job", 3);
         let out = chrome_trace(r.events());
         assert!(out.contains("unclosed"), "{out}");
     }
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn non_finite_values_become_null() {
         let mut r = MemoryRecorder::new();
-        r.gauge(0.0, Track::Queue, "g", f64::NAN);
+        r.gauge(0.0, Track::Dispatcher, "g", f64::NAN);
         assert!(jsonl(r.events()).contains("\"value\":null"));
     }
 

@@ -357,13 +357,13 @@ mod tests {
     #[test]
     fn switch_off_drops_everything_on_records() {
         let mut off = SwitchRecorder::Off;
-        off.span_begin(0.0, Track::Queue, "s", 1);
+        off.span_begin(0.0, Track::Dispatcher, "s", 1);
         assert!(!off.enabled());
         assert!(off.as_memory().is_none());
 
         let mut on = SwitchRecorder::on();
         assert!(on.enabled());
-        on.span_begin(0.0, Track::Queue, "s", 1);
+        on.span_begin(0.0, Track::Dispatcher, "s", 1);
         on.observe("h", 1.0);
         let m = on.as_memory().unwrap();
         assert_eq!(m.events().len(), 1);
