@@ -88,6 +88,11 @@ pub fn faults_cmd(
     };
     plan.validate()?;
     policy.validate()?;
+    // The clean dispatcher queue, built before any output so that an
+    // unstable `--utilization` fails in CSV mode too. Its pool records
+    // nothing.
+    let pool = 16;
+    let clean = ClusterQueueSim::new(&sim, pool, opts.seed)?.queue(fo.utilization)?;
 
     if !opts.csv {
         println!(
@@ -209,13 +214,11 @@ pub fn faults_cmd(
 
     // Dispatcher view: feed the failure-inflated service times into the
     // queue and compare against the clean pool at the same offered load.
-    let pool = 16;
-    let clean = ClusterQueueSim::new(&sim, pool, opts.seed)?;
     match ClusterQueueSim::with_faults(&sim, pool, opts.seed, &plan, &policy, &mut ctx.rec) {
         Ok(faulted) => {
             let jobs = 40_000;
             let warmup = 4_000;
-            let c = clean.queue(fo.utilization)?.run(jobs, warmup, opts.seed);
+            let c = clean.run(jobs, warmup, opts.seed);
             let f = faulted
                 .queue(fo.utilization)?
                 .run_obs(jobs, warmup, opts.seed, &mut ctx.rec);

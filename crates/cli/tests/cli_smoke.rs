@@ -241,6 +241,24 @@ fn faults_stdout_is_pinned_through_the_dispatcher_section() {
 }
 
 #[test]
+fn faults_rejects_an_unstable_utilization_before_any_output() {
+    for args in [
+        &["faults", "--utilization", "1.5"][..],
+        &["faults", "--utilization", "1.5", "--csv"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_enprop"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}:\n{stdout}");
+        assert!(stderr.contains("utilization"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn fig11_jsonl_trace_is_pinned() {
     let path = tmp_path("fig11-pin.jsonl");
     let (_, stderr, ok) = run(&["fig11", "--trace-out", path.to_str().unwrap()]);
