@@ -277,7 +277,7 @@ pub struct EvaluatedConfig {
 /// evaluation helper shared by `evaluate_space` and `local_search`.
 /// With a cache, cluster values compose from memoized operating points;
 /// without one, a fresh [`ClusterModel`] is built. Both paths return
-/// bit-identical results (the [`crate::cache`] contract).
+/// bit-identical results (the [`EvalCache`] contract).
 pub fn evaluate_config(
     workload: &Workload,
     cluster: ClusterSpec,

@@ -1,6 +1,6 @@
 //! The unit-dimension inference pass: U001–U004.
 //!
-//! Walks the [`spine`](crate::spine) statements of a file, assigns each
+//! Walks the [`spine`] statements of a file, assigns each
 //! recognized expression a dimension from the [`units`](crate::units)
 //! suffix grammar, and flags incoherent combinations:
 //!

@@ -187,7 +187,7 @@ impl GroupAcc {
     }
 }
 
-/// Checkpoint form of one in-progress [`GroupAcc`] (DESIGN.md §16).
+/// Checkpoint form of one in-progress `GroupAcc` (DESIGN.md §16).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlaneGroupState {
     /// Actual joules so far in the open window.

@@ -15,6 +15,10 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> cargo clippy -D warnings (workspace, then the benchmark package)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+echo "==> rustdoc -D warnings (library docs and their intra-doc links)"
+# --lib: the enprop library and the enprop binary would write the same
+# doc output file.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 echo "==> enprop-lint (determinism, numeric hygiene, unit & lock coherence)"
 # The pass exits 0 clean / 1 findings / 2 usage or I/O error (DESIGN.md §11, §15).
 if ! lint_json="$(./target/release/enprop-lint --json)"; then
