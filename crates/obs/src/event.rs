@@ -37,7 +37,7 @@ impl Track {
         match self {
             Track::Cluster => 1,
             Track::Dispatcher => 2,
-            // 3 belonged to a retired queue track; no other track takes it.
+            // 3 stays unused so that no other track's tid moves.
             Track::Explore => 4,
             Track::Controller => 5,
             Track::Node { group, node } => 16 + u64::from(group) * 1024 + u64::from(node),

@@ -231,18 +231,16 @@ proptest! {
             ServiceProcess::Deterministic { time: q.service },
         )
         .run(batches * size, warmup * size, seed);
-        let bits = |r: &SimResult| {
-            (
-                r.response_samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                [
-                    r.wait.mean(),
-                    r.response.mean(),
-                    r.measured_utilization,
-                    r.horizon,
-                ]
-                .map(f64::to_bits),
-            )
+        let first_diff = got
+            .response_samples
+            .iter()
+            .zip(&want.response_samples)
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        prop_assert_eq!(first_diff, None);
+        prop_assert_eq!(got.response_samples.len(), want.response_samples.len());
+        let summary = |r: &SimResult| {
+            [r.wait.mean(), r.response.mean(), r.measured_utilization, r.horizon].map(f64::to_bits)
         };
-        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(summary(&got), summary(&want));
     }
 }
