@@ -382,3 +382,46 @@ fn replay_csv_reports_every_counter_once() {
     }
     assert!(stdout.trim_end().ends_with("conservation: OK"), "{stdout}");
 }
+
+#[test]
+fn serve_stdout_is_pinned() {
+    let (stdout, stderr, ok) = run(&["serve", "--requests", "20000", "--seed", "3"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(fnv1a(&stdout), 0x1c46_0dcd_a587_7f80, "{stdout}");
+}
+
+/// The chaos replay `scripts/verify.sh` runs, pinned in all three
+/// outputs: the report, the JSONL trace and the last checkpoint.
+#[test]
+fn chaos_replay_outputs_are_pinned() {
+    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/replay_trace.jsonl");
+    let jsonl = tmp_path("replay-pin.jsonl");
+    let ckpt = tmp_path("replay-pin-ckpt.jsonl");
+    let (stdout, stderr, ok) = run(&[
+        "replay",
+        "--trace",
+        trace,
+        "--mtbf",
+        "6",
+        "--stall",
+        "2",
+        "--slowdown",
+        "3",
+        "--repair",
+        "5",
+        "--seed",
+        "7",
+        "--trace-out",
+        jsonl.to_str().unwrap(),
+        "--checkpoint-out",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert!(ok, "{stderr}");
+    let events = std::fs::read_to_string(&jsonl).expect("trace written");
+    let snapshot = std::fs::read_to_string(&ckpt).expect("checkpoint written");
+    let _ = std::fs::remove_file(&jsonl);
+    let _ = std::fs::remove_file(&ckpt);
+    assert_eq!(fnv1a(&stdout), 0x5f1f_692a_eb7c_1f7b, "{stdout}");
+    assert_eq!(fnv1a(&events), 0x6725_f9b7_3b15_7972);
+    assert_eq!(fnv1a(&snapshot), 0x1d00_20db_65b6_817c);
+}
