@@ -128,6 +128,8 @@ pub struct SyntheticArrivals {
     /// never perturbs gaps or sizes.
     class_rng: FaultRng,
     t: f64,
+    /// The configured stream length.
+    requests: u64,
     remaining: u64,
     ops_per_request: f64,
     ops_jitter: f64,
@@ -166,6 +168,7 @@ impl SyntheticArrivals {
             size_rng: FaultRng::from_key(&[seed, 0x73697a65]),
             class_rng: FaultRng::from_key(&[seed, 0x636c6173]),
             t: 0.0,
+            requests,
             remaining: requests,
             ops_per_request,
             ops_jitter,
@@ -232,23 +235,6 @@ impl SyntheticArrivals {
             remaining: self.remaining,
         }
     }
-
-    /// Restore the cursor captured by [`SyntheticArrivals::state`]. The
-    /// generator must have been constructed with the same model and
-    /// parameters as the one the state came from.
-    pub fn restore(&mut self, state: &SourceState) -> Result<(), EnpropError> {
-        let SourceState::Synthetic { gap, size, class, t, remaining } = state else {
-            return Err(EnpropError::invalid_config(
-                "snapshot source cursor is a replay cursor, but the run uses a synthetic generator",
-            ));
-        };
-        self.gap_rng = FaultRng::from_state(*gap);
-        self.size_rng = FaultRng::from_state(*size);
-        self.class_rng = FaultRng::from_state(*class);
-        self.t = *t;
-        self.remaining = *remaining;
-        Ok(())
-    }
 }
 
 /// Checkpoint cursor of an [`ArrivalSource`]: everything needed to resume
@@ -301,23 +287,38 @@ impl ArrivalSource {
         }
     }
 
-    /// Restore a cursor captured by [`ArrivalSource::state`] onto a
-    /// freshly-constructed source of the *same kind and parameters*.
-    /// A kind mismatch (snapshot from a replay resumed against a
-    /// generator, or vice versa) is a typed configuration error.
-    pub fn restore(&mut self, state: &SourceState) -> Result<(), EnpropError> {
+    /// Seat a cursor captured by [`ArrivalSource::state`] on a freshly
+    /// constructed source of the *same kind and parameters*, and return
+    /// how many arrivals the source has issued at that cursor. A kind
+    /// mismatch, or a cursor past the configured stream, is the error.
+    pub(crate) fn seat(&mut self, state: SourceState) -> Result<u64, String> {
         match (self, state) {
-            (ArrivalSource::Synthetic(s), st @ SourceState::Synthetic { .. }) => s.restore(st),
-            (ArrivalSource::Replay(r), SourceState::Replay { next }) => r.seek(*next),
+            (
+                ArrivalSource::Synthetic(s),
+                SourceState::Synthetic { gap, size, class, t, remaining },
+            ) => {
+                if remaining > s.requests {
+                    return Err(format!(
+                        "synthetic cursor has {remaining} arrivals left, but the run generates {}",
+                        s.requests
+                    ));
+                }
+                s.gap_rng = FaultRng::from_state(gap);
+                s.size_rng = FaultRng::from_state(size);
+                s.class_rng = FaultRng::from_state(class);
+                s.t = t;
+                s.remaining = remaining;
+                Ok(s.requests - remaining)
+            }
+            (ArrivalSource::Replay(r), SourceState::Replay { next }) => {
+                r.seek(next)?;
+                Ok(next as u64)
+            }
             (ArrivalSource::Synthetic(_), SourceState::Replay { .. }) => {
-                Err(EnpropError::invalid_config(
-                    "snapshot source cursor is a replay cursor, but the run uses a synthetic generator",
-                ))
+                Err("source cursor is a replay cursor, but the run uses a synthetic generator".into())
             }
             (ArrivalSource::Replay(_), SourceState::Synthetic { .. }) => {
-                Err(EnpropError::invalid_config(
-                    "snapshot source cursor is a synthetic generator, but the run replays a trace",
-                ))
+                Err("source cursor is a synthetic generator, but the run replays a trace".into())
             }
         }
     }

@@ -43,6 +43,7 @@ pub mod arrivals;
 pub mod chaos;
 pub mod config;
 pub mod controller;
+mod inflight;
 pub mod plane;
 pub mod report;
 pub mod snapshot;

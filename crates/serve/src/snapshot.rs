@@ -19,7 +19,7 @@
 //! reports.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 
 use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind, Topology};
@@ -28,10 +28,11 @@ use enprop_obs::{
     WindowStats, WindowedSeries,
 };
 
-use crate::arrivals::SourceState;
+use crate::arrivals::{ArrivalSource, SourceState};
 use crate::controller::{
-    Admin, Breaker, Controller, Ev, EvKind, GroupModel, Loc, Node, Req, Running,
+    window_start_s, Admin, Breaker, Controller, Ev, EvKind, GroupModel, Loc, Node, Req, Running,
 };
+use crate::inflight::Inflight;
 use crate::plane::{ObsPlane, PlaneGroupState, PlaneState};
 use crate::report::ServeReport;
 
@@ -192,6 +193,7 @@ impl Encoder {
             groups,
             nodes,
             heap,
+            next_arrival,
             seq,
             now,
             events,
@@ -329,7 +331,7 @@ impl Encoder {
             }
             self.end();
         }
-        for (id, r) in inflight {
+        for (id, r) in inflight.iter() {
             let Req { arrived, ops, class, attempt, dispatch, loc, exclude, traced } = r;
             let (loc, loc_node) = match loc {
                 Loc::Pending => (0, 0),
@@ -357,9 +359,10 @@ impl Encoder {
         if let Some(plane) = plane {
             self.plane(plane);
         }
-        // The heap in deterministic (t, seq) order, plus the just-popped
-        // event — the first thing the resumed loop will process.
-        let mut evs: Vec<&Ev> = heap.iter().map(|Reverse(e)| e).collect();
+        // The heap and the pending arrival in deterministic (t, seq) order,
+        // plus the just-popped event — the first thing the resumed loop
+        // will process.
+        let mut evs: Vec<&Ev> = heap.iter().map(|Reverse(e)| e).chain(next_arrival).collect();
         evs.push(popped);
         evs.sort();
         for ev in evs {
@@ -593,27 +596,21 @@ fn rng_state(l: &Line<'_>, key: &str) -> Result<[u64; 4], LineError> {
 
 // ---- restore ---------------------------------------------------------------
 
-/// What [`restore`] hands back beside the restored controller: the arrival
-/// source's cursor and the recorder's aggregate counter totals at
-/// checkpoint time.
-pub(crate) struct Restored {
-    pub source: SourceState,
-    pub counters: Vec<(String, u64)>,
-}
-
 /// Restore `text` (produced by [`Encoder::encode`]) from `fresh`, a new
-/// controller built from the same workload / cluster / plans / config.
-/// Returns the restored controller, the arrival source's snapshotted
-/// cursor (for the caller to re-seat) and the checkpointed recorder
+/// controller built from the same workload / cluster / plans / config, and
+/// seat `source`, built from the same arrival flags, at the snapshotted
+/// cursor. Returns the restored controller and the checkpointed recorder
 /// counter totals (for the caller to preload). Any mismatch — truncation,
-/// version skew, a different seed or cluster shape, an index or request id
-/// that points nowhere — is a typed configuration error naming the line,
+/// version skew, a different seed, cluster shape or arrival stream, an
+/// index or request id that points nowhere, a clock the controller could
+/// not have reached — is a typed configuration error naming the line,
 /// never a panic later in the run.
 pub(crate) fn restore<'a>(
     fresh: Controller<'a>,
     text: &str,
-) -> Result<(Controller<'a>, Restored), EnpropError> {
-    read(fresh, text).map_err(|e| EnpropError::invalid_config(format!("snapshot {e}")))
+    source: &mut ArrivalSource,
+) -> Result<(Controller<'a>, Vec<(String, u64)>), EnpropError> {
+    read(fresh, text, source).map_err(|e| EnpropError::invalid_config(format!("snapshot {e}")))
 }
 
 /// [`restore`] with line-level errors. The controller comes back from one
@@ -622,7 +619,8 @@ pub(crate) fn restore<'a>(
 fn read<'a>(
     mut fresh: Controller<'a>,
     text: &str,
-) -> Result<(Controller<'a>, Restored), LineError> {
+    source: &mut ArrivalSource,
+) -> Result<(Controller<'a>, Vec<(String, u64)>), LineError> {
     let lines: Vec<&str> = text.lines().collect();
     let total = lines.len();
     // Crash-consistency gate first: the file must end with a complete,
@@ -673,13 +671,22 @@ fn read<'a>(
     if !(now.is_finite() && now >= 0.0) {
         return Err(h.error(format!("\"now\" {now} is not a finite time >= 0")));
     }
+    // The livelock guard must be able to count events at this clock.
+    fresh.now = now;
+    if fresh.event_budget().is_none() {
+        return Err(h.error(format!("\"now\" {now} is past the clock the event budget counts")));
+    }
 
     let n_nodes = fresh.nodes.len();
     let topo = fresh.topo.map(|t| &t.topology);
-    let mut source: Option<SourceState> = None;
+    let window_s = fresh.cfg.fault_window_s;
+    let mut cursor: Option<(Line<'_>, SourceState)> = None;
     let mut counters: Vec<(String, u64)> = Vec::new();
     let mut heap = BinaryHeap::new();
-    let mut inflight = BTreeMap::new();
+    let mut next_arrival: Option<Ev> = None;
+    // `(line, id, request)`, ascending by id; the ring is sized from these
+    // ids only once they are checked against the arrival source.
+    let mut reqs: Vec<(usize, u64, Req)> = Vec::new();
     let mut pending: Option<VecDeque<u64>> = None;
     let mut sketches: [Option<QuantileSketch>; 2] = [None, None];
     // The `ctl`, `plane` and `series` lines are read once every section
@@ -780,19 +787,20 @@ fn read<'a>(
                     0 => None,
                     e => Some(below(&l, e - 1, n_nodes, "exclude")?),
                 };
-                inflight.insert(
-                    id,
-                    Req {
-                        arrived: l.f64_bits("arrived")?,
-                        ops: l.f64_bits("ops")?,
-                        class: int(&l, "class")?,
-                        attempt: int(&l, "attempt")?,
-                        dispatch: int(&l, "dispatch")?,
-                        loc,
-                        exclude,
-                        traced: boolean(&l, "traced")?,
-                    },
-                );
+                if let Some(&(_, last, _)) = reqs.last().filter(|&&(_, last, _)| id <= last) {
+                    return Err(l.error(format!("request id {id} does not ascend past {last}")));
+                }
+                let req = Req {
+                    arrived: l.f64_bits("arrived")?,
+                    ops: l.f64_bits("ops")?,
+                    class: int(&l, "class")?,
+                    attempt: int(&l, "attempt")?,
+                    dispatch: int(&l, "dispatch")?,
+                    loc,
+                    exclude,
+                    traced: boolean(&l, "traced")?,
+                };
+                reqs.push((lineno, id, req));
             }
             "pending" => {
                 let ids = VecDeque::from(l.u64s("ids")?);
@@ -856,10 +864,25 @@ fn read<'a>(
                         l.error(format!("event time {} is before the snapshot time {now}", ev.t))
                     );
                 }
-                heap.push(Reverse(ev));
+                match ev.kind {
+                    EvKind::Arrival { .. } if next_arrival.is_some() => {
+                        return Err(l.error("a second pending arrival (the source looks one ahead)"));
+                    }
+                    EvKind::Arrival { .. } => next_arrival = Some(ev),
+                    EvKind::FaultWindow { window, .. } | EvKind::DomainWindow { window }
+                        if ev.t.to_bits() != window_start_s(window, window_s).to_bits() =>
+                    {
+                        return Err(l.error(format!(
+                            "window {window} event at t = {}, but the controller schedules it at {}",
+                            ev.t,
+                            window_start_s(window, window_s)
+                        )));
+                    }
+                    _ => heap.push(Reverse(ev)),
+                }
             }
             "source" => {
-                source = Some(match l.u64("kind")? {
+                let state = match l.u64("kind")? {
                     0 => SourceState::Synthetic {
                         gap: rng_state(&l, "g")?,
                         size: rng_state(&l, "s")?,
@@ -869,7 +892,8 @@ fn read<'a>(
                     },
                     1 => SourceState::Replay { next: int(&l, "next")? },
                     other => return Err(l.error(format!("unknown source kind {other}"))),
-                });
+                };
+                cursor = Some((l, state));
             }
             other => return Err(l.error(format!("unknown section {other:?}"))),
         }
@@ -878,16 +902,51 @@ fn read<'a>(
     // Whole-snapshot checks name the trailer line: that is where an
     // absence becomes certain.
     let missing = |sec: &str| LineError::new(total, format!("no {sec:?} section"));
-    if let Some(&(lineno, id)) = id_refs.iter().find(|(_, id)| !inflight.contains_key(id)) {
-        return Err(LineError::new(
-            lineno,
-            format!("request id {id} is not in the \"req\" section"),
-        ));
-    }
     let ctl = ctl.ok_or_else(|| missing("ctl"))?;
     let mut tally = ServeReport::default();
     for (name, n) in tally.counters_mut() {
         *n = ctl.u64(&format!("n_{name}"))?;
+    }
+    // Each processed arrival took the next request id, and each arrival
+    // pulled from the source is processed or pending (in the look-ahead
+    // slot until the stream runs dry). So the source's issued count bounds
+    // every request id, and through it the ring's size.
+    let next_req_id = ctl.u64("next_req_id")?;
+    if let Some(&(lineno, id, _)) = reqs.last().filter(|&&(_, id, _)| id >= next_req_id) {
+        let msg = format!("request id {id} is not below next_req_id {next_req_id}");
+        return Err(LineError::new(lineno, msg));
+    }
+    if tally.arrivals != next_req_id {
+        return Err(ctl.error(format!(
+            "{} arrivals counted, but next_req_id is {next_req_id}",
+            tally.arrivals
+        )));
+    }
+    let arrivals_done = boolean(&ctl, "arrivals_done")?;
+    if arrivals_done == next_arrival.is_some() {
+        return Err(ctl.error(format!(
+            "arrivals_done is {arrivals_done}, but {} arrival is pending",
+            if arrivals_done { "an" } else { "no" }
+        )));
+    }
+    let (src, state) = cursor.ok_or_else(|| missing("source"))?;
+    let issued = source.seat(state).map_err(|msg| src.error(msg))?;
+    let looking_ahead = u64::from(next_arrival.is_some());
+    if next_req_id.checked_add(looking_ahead) != Some(issued) {
+        return Err(src.error(format!(
+            "the source has issued {issued} arrivals, but the snapshot holds {next_req_id} \
+             processed and {looking_ahead} pending — different arrival flags?"
+        )));
+    }
+    let mut inflight = Inflight::default();
+    for (_, id, req) in reqs {
+        inflight.insert(id, req);
+    }
+    if let Some(&(lineno, id)) = id_refs.iter().find(|&&(_, id)| !inflight.contains_key(id)) {
+        return Err(LineError::new(
+            lineno,
+            format!("request id {id} is not in the \"req\" section"),
+        ));
     }
     let [tick_sketch, run_sketch] = sketches;
     let plane = match fresh.plane {
@@ -936,13 +995,14 @@ fn read<'a>(
         groups: fresh.groups,
         nodes: fresh.nodes,
         heap,
+        next_arrival,
         seq,
         now,
         events: h.u64("events")?,
         inflight,
         pending: pending.ok_or_else(|| missing("pending"))?,
-        next_req_id: ctl.u64("next_req_id")?,
-        arrivals_done: boolean(&ctl, "arrivals_done")?,
+        next_req_id,
+        arrivals_done,
         drain_armed: boolean(&ctl, "drain_armed")?,
         shed_mode: boolean(&ctl, "shed_mode")?,
         shed_entries: ctl.u64("shed_entries")?,
@@ -959,8 +1019,7 @@ fn read<'a>(
         shed_class_floor: int(&ctl, "class_floor")?,
         tally,
     };
-    let source = source.ok_or_else(|| missing("source"))?;
-    Ok((c, Restored { source, counters }))
+    Ok((c, counters))
 }
 
 #[cfg(test)]

@@ -133,12 +133,12 @@ impl ReplayCursor {
     /// Move the cursor to `position` (resume path). One past the end is
     /// legal — an exhausted cursor; beyond that the snapshot and trace
     /// disagree and the resume must fail loudly.
-    pub fn seek(&mut self, position: usize) -> Result<(), EnpropError> {
+    pub(crate) fn seek(&mut self, position: usize) -> Result<(), String> {
         if position > self.arrivals.len() {
-            return Err(EnpropError::invalid_config(format!(
-                "snapshot replay cursor at {position}, but the trace has only {} arrivals — wrong trace file?",
+            return Err(format!(
+                "replay cursor at {position}, but the trace has only {} arrivals — wrong trace file?",
                 self.arrivals.len()
-            )));
+            ));
         }
         self.next = position;
         Ok(())
