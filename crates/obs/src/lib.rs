@@ -41,7 +41,6 @@
 mod event;
 mod export;
 mod hist;
-mod ledger;
 mod line;
 mod metrics;
 mod profile;
@@ -52,7 +51,6 @@ mod window;
 pub use event::{EventKind, PowerSample, TraceEvent, Track};
 pub use export::{chrome_trace, jsonl, parse_jsonl, ParsedEvent, ParsedKind};
 pub use hist::Histogram;
-pub use ledger::{EnergyLedger, EnergyOutcome, LedgerState};
 pub use line::{Line, LineError};
 pub use metrics::{MetricsSnapshot, SpanStats, METRICS_SCHEMA};
 pub use profile::{

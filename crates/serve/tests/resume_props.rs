@@ -26,7 +26,7 @@ use enprop_faults::{
 use enprop_obs::{MemoryRecorder, NoopRecorder};
 use enprop_serve::{
     ArrivalModel, ArrivalSource, Controller, RunHooks, RunOutcome, ServeConfig, ServeReport,
-    SyntheticArrivals,
+    SyntheticArrivals, SNAPSHOT_VERSION,
 };
 use enprop_workloads::{catalog, Workload};
 use proptest::prelude::*;
@@ -415,7 +415,7 @@ fn corrupt_clock_is_a_typed_error() {
     let s = scenario(7, 2, 200, 10.0, 60.0);
     let full = run(&s, None);
     for (sec, key, value) in [
-        ("enprop-snapshot-v2", "now", "9221120237041090560"), // NaN's bit pattern
+        (SNAPSHOT_VERSION, "now", "9221120237041090560"), // NaN's bit pattern
         ("plane", "cur_index", "18446744073709551615"),
         ("plane", "cur_index", "18446744073709551614"),
     ] {
@@ -488,11 +488,11 @@ fn corrupted_snapshots_never_panic() {
     );
 }
 
-/// The v2 snapshot format, pinned: the first checkpoint of
-/// `scenario(7, 2, 200, 10.0, 60.0)` as the `enprop-snapshot-v2` writer
+/// The v3 snapshot format, pinned: the first checkpoint of
+/// `scenario(7, 2, 200, 10.0, 60.0)` as the `enprop-snapshot-v3` writer
 /// first emitted it. A refactor that changes one byte of the format fails
-/// here, and so does one that can no longer resume a stored v2 file.
-const GOLDEN_CHECKPOINT: &str = include_str!("fixtures/checkpoint_v2.jsonl");
+/// here, and so does one that can no longer resume a stored v3 file.
+const GOLDEN_CHECKPOINT: &str = include_str!("fixtures/checkpoint_v3.jsonl");
 
 #[test]
 fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
@@ -502,12 +502,25 @@ fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
         panic!("uninterrupted run must complete");
     };
     let first = full.checkpoints.first().expect("at least one checkpoint");
-    assert!(first == GOLDEN_CHECKPOINT, "the first checkpoint differs from the v2 fixture");
+    assert!(first == GOLDEN_CHECKPOINT, "the first checkpoint differs from the v3 fixture");
     let (resumed, _, _) = resume(&s, GOLDEN_CHECKPOINT);
     assert!(
         same_report(report, &resumed),
         "resume from the fixture diverged:\n  full   {report:?}\n  resume {resumed:?}"
     );
+}
+
+/// A snapshot of an older format is refused on its header line: v3
+/// dropped v2's `ledger` section and keys, and no reader translates them.
+#[test]
+fn an_older_snapshot_version_is_a_typed_error_on_the_header() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let (head, body) = GOLDEN_CHECKPOINT.split_once('\n').unwrap();
+    let v2 = format!("{}\n{body}", set_key(head, "sec", "\"enprop-snapshot-v2\""));
+    let err = try_resume(&s, &v2, None).expect_err("a v2 snapshot must not resume");
+    assert_eq!(err.exit_code(), 2, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("line 1:") && msg.contains("enprop-snapshot-v2"), "{msg}");
 }
 
 /// Every checkpoint of the golden scenario, pinned as one FNV-1a digest
@@ -525,7 +538,7 @@ fn every_checkpoint_of_the_golden_scenario_is_pinned() {
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-    assert_eq!((full.checkpoints.len(), digest), (6, 0x4bd0_28cb_8de6_ff8d));
+    assert_eq!((full.checkpoints.len(), digest), (6, 0x1b9d_7679_bda8_2a11));
 }
 
 /// The golden fixture moved to clock `t` as consistently as a hand edit
@@ -537,7 +550,7 @@ fn golden_at_clock(t: f64) -> String {
     GOLDEN_CHECKPOINT
         .lines()
         .map(|l| {
-            let edited = if l.starts_with("{\"sec\":\"enprop-snapshot-v2\",") {
+            let edited = if l.starts_with(&format!("{{\"sec\":\"{SNAPSHOT_VERSION}\",")) {
                 set_key(l, "now", &bits)
             } else if l.starts_with("{\"sec\":\"ev\",") {
                 set_key(l, "t", &bits)

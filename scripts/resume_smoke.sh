@@ -36,7 +36,7 @@ flags="--requests 2000 --utilization 0.7 --mtbf 40 --rack-mtbf 25 \
     --kill-after-events "$kill_at" --trace-out "$tmp/killed.jsonl" > "$tmp/killed.txt"
 grep -q "run killed" "$tmp/killed.txt"
 test -f "$tmp/ckpt.jsonl"
-grep -q "enprop-snapshot-v2" "$tmp/ckpt.jsonl"
+grep -q "enprop-snapshot-v3" "$tmp/ckpt.jsonl"
 
 start_ns=$(date +%s%N)
 # shellcheck disable=SC2086
