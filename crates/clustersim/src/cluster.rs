@@ -158,11 +158,6 @@ impl ClusterSpec {
         self.groups.iter().map(|g| g.count).sum()
     }
 
-    /// Degree of inter-node heterogeneity (non-empty node types).
-    pub fn heterogeneity_degree(&self) -> usize {
-        self.groups.iter().filter(|g| g.count > 0).count()
-    }
-
     /// Cluster idle power (nodes only, per the paper's metric convention).
     pub fn idle_w(&self) -> f64 {
         self.groups.iter().map(|g| g.idle_w()).sum()
@@ -238,12 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_degree() {
+    fn labels_and_node_count() {
         let c = ClusterSpec::a9_k10(32, 12);
         assert_eq!(c.label(), "32 A9 : 12 K10");
-        assert_eq!(c.heterogeneity_degree(), 2);
         assert_eq!(c.node_count(), 44);
-        assert_eq!(ClusterSpec::a9_k10(128, 0).heterogeneity_degree(), 1);
     }
 
     #[test]

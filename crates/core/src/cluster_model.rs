@@ -13,7 +13,7 @@ use enprop_faults::EnpropError;
 use enprop_metrics::{
     LinearCurve, PowerCurve, PprCurve, ProportionalityMetrics, ThroughputCurve,
 };
-use enprop_queueing::{BatchMD1, MD1};
+use enprop_queueing::MD1;
 use enprop_workloads::Workload;
 
 /// The analytic model of one workload on one cluster configuration.
@@ -165,22 +165,6 @@ impl ClusterModel {
     pub fn p95_response_time(&self, u: f64) -> f64 {
         self.md1(u).response_time_quantile(0.95)
     }
-
-    /// The batch-arrival dispatcher of §II-C: utilization achieved with
-    /// `jobs_per_batch` jobs arriving together (`M^[k]/D/1`). `k = 1`
-    /// degenerates to [`ClusterModel::md1`].
-    pub fn batch_md1(&self, u: f64, jobs_per_batch: u32) -> BatchMD1 {
-        BatchMD1::from_utilization(self.job_time(), jobs_per_batch, u)
-    }
-
-    /// Mean response time under batch arrivals, seconds. Batching leaves
-    /// utilization (and therefore the power curve) unchanged but inflates
-    /// waiting — why the paper's proportionality results are
-    /// batch-size-independent while its response times are not.
-    pub fn mean_response_time_batched(&self, u: f64, jobs_per_batch: u32) -> f64 {
-        use enprop_queueing::Queue as _;
-        self.batch_md1(u, jobs_per_batch).mean_response_time()
-    }
 }
 
 #[cfg(test)]
@@ -259,12 +243,12 @@ mod tests {
 
     #[test]
     fn batching_inflates_response_time_at_equal_utilization() {
-        use enprop_queueing::Queue as _;
+        use enprop_queueing::{BatchMD1, Queue as _};
         let model = ClusterModel::new(ep(), ClusterSpec::a9_k10(32, 12));
         let single = model.md1(0.6).mean_response_time();
-        let k1 = model.mean_response_time_batched(0.6, 1);
+        let k1 = BatchMD1::from_utilization(model.job_time(), 1, 0.6).mean_response_time();
         assert!((single - k1).abs() < 1e-12, "k = 1 must degenerate");
-        let k8 = model.mean_response_time_batched(0.6, 8);
+        let k8 = BatchMD1::from_utilization(model.job_time(), 8, 0.6).mean_response_time();
         assert!(k8 > 2.0 * single, "batch of 8: {k8} vs {single}");
     }
 

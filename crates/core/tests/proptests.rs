@@ -95,7 +95,8 @@ proptest! {
         let w = catalog::by_name(name).unwrap();
         let m = ClusterModel::new(w, ClusterSpec::a9_k10(8, 2));
         let single = m.md1(u).mean_response_time();
-        let batched = m.mean_response_time_batched(u, k);
+        let batched = enprop_queueing::BatchMD1::from_utilization(m.job_time(), k, u)
+            .mean_response_time();
         if k == 1 {
             prop_assert!((batched - single).abs() < 1e-12 * single);
         } else {

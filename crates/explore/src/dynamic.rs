@@ -129,25 +129,6 @@ impl DynamicEnvelope {
         SampledCurve::new(grid.points().map(|u| (u, self.serve(u).1)).collect())
     }
 
-    /// Like [`DynamicEnvelope::power_curve`] but charging a switching
-    /// penalty: every configuration change along the utilization sweep
-    /// costs `penalty_w` of additional average power at that level
-    /// (amortized node power-up/down energy).
-    pub fn power_curve_with_switching(&self, grid: GridSpec, penalty_w: f64) -> SampledCurve {
-        assert!(penalty_w >= 0.0);
-        let mut prev_label: Option<String> = None;
-        let samples = grid
-            .points()
-            .map(|u| {
-                let (label, watts) = self.serve(u);
-                let switched = prev_label.as_deref().is_some_and(|p| p != label);
-                prev_label = Some(label.to_string());
-                (u, watts + if switched { penalty_w } else { 0.0 })
-            })
-            .collect();
-        SampledCurve::new(samples)
-    }
-
     /// Number of distinct configurations the sweep actually uses.
     pub fn active_configurations(&self, grid: GridSpec) -> usize {
         let mut labels: Vec<String> = grid
@@ -224,16 +205,6 @@ mod tests {
             "only {} active rungs",
             envelope.active_configurations(GRID)
         );
-    }
-
-    #[test]
-    fn switching_penalty_only_adds_power() {
-        let envelope = ladder("blackscholes");
-        let free = envelope.power_curve(GRID);
-        let charged = envelope.power_curve_with_switching(GRID, 25.0);
-        for u in GRID.points() {
-            assert!(charged.power(u) + 1e-9 >= free.power(u));
-        }
     }
 
     #[test]

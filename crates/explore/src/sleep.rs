@@ -34,14 +34,6 @@ impl SleepPolicy {
             wake_latency_s: 2.0,
         }
     }
-
-    /// Full shutdown: no power, slow wake.
-    pub fn shutdown() -> Self {
-        SleepPolicy {
-            sleep_w: 0.0,
-            wake_latency_s: 30.0,
-        }
-    }
 }
 
 /// A homogeneous cluster managed with per-node sleep: at offered load `u`
@@ -185,7 +177,9 @@ mod tests {
     fn shutdown_saves_more_power_but_wakes_slower() {
         let w = catalog::by_name("EP").unwrap();
         let ba = SleepManagedCluster::homogeneous(&w, "K10", 16, SleepPolicy::barely_alive());
-        let sd = SleepManagedCluster::homogeneous(&w, "K10", 16, SleepPolicy::shutdown());
+        // Full shutdown: no power, slow wake.
+        let shutdown = SleepPolicy { sleep_w: 0.0, wake_latency_s: 30.0 };
+        let sd = SleepManagedCluster::homogeneous(&w, "K10", 16, shutdown);
         assert!(sd.power_at(0.2) < ba.power_at(0.2));
         assert!(
             sd.p95_response_time(0.2, 0.3) > ba.p95_response_time(0.2, 0.3),

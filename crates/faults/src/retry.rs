@@ -40,18 +40,6 @@ impl RetryPolicy {
         }
     }
 
-    /// No retries and no slack: any fault that delays the job past its
-    /// fault-free duration fails it (useful to measure raw fault impact).
-    pub fn fail_fast() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            timeout_factor: f64::INFINITY,
-            backoff_base_s: 0.0,
-            backoff_multiplier: 1.0,
-            backoff_cap_s: f64::INFINITY,
-        }
-    }
-
     /// Validate the policy's parameters.
     pub fn validate(&self) -> Result<(), EnpropError> {
         if self.timeout_factor.is_nan() || self.timeout_factor <= 1.0 {
@@ -130,14 +118,6 @@ mod tests {
         p.backoff_cap_s = f64::NAN;
         assert!(p.validate().is_err());
         p.backoff_cap_s = f64::INFINITY;
-        assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    fn fail_fast_never_retries_and_never_times_out() {
-        let p = RetryPolicy::fail_fast();
-        assert_eq!(p.max_attempts(), 1);
-        assert!(p.timeout_factor.is_infinite());
         assert!(p.validate().is_ok());
     }
 

@@ -77,21 +77,6 @@ impl Topology {
         self.racks().div_ceil(self.racks_per_pdu)
     }
 
-    /// Rack housing node `node`.
-    pub fn rack_of(&self, node: usize) -> usize {
-        node / self.nodes_per_rack
-    }
-
-    /// PDU feeding rack `rack`.
-    pub fn pdu_of_rack(&self, rack: usize) -> usize {
-        rack / self.racks_per_pdu
-    }
-
-    /// PDU feeding node `node`.
-    pub fn pdu_of(&self, node: usize) -> usize {
-        self.pdu_of_rack(self.rack_of(node))
-    }
-
     /// Node indices housed in `rack` (clipped to the node count).
     pub fn rack_nodes(&self, rack: usize) -> std::ops::Range<usize> {
         let lo = (rack * self.nodes_per_rack).min(self.nodes);
@@ -391,9 +376,7 @@ mod tests {
         let t = topo();
         assert_eq!(t.racks(), 2);
         assert_eq!(t.pdus(), 1);
-        assert_eq!(t.rack_of(0), 0);
-        assert_eq!(t.rack_of(5), 1);
-        assert_eq!(t.pdu_of(7), 0);
+        assert_eq!(t.rack_nodes(0), 0..4);
         assert_eq!(t.rack_nodes(1), 4..8);
         assert_eq!(t.pdu_nodes(0), 0..8);
         assert_eq!(t.domain_nodes(Domain::Cluster), 0..8);

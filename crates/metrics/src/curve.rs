@@ -180,12 +180,6 @@ impl SampledCurve {
         SampledCurve { samples }
     }
 
-    /// Sample a [`PowerCurve`] on a uniform grid of `steps + 1` points.
-    pub fn from_curve<C: PowerCurve>(curve: &C, steps: usize) -> Self {
-        let grid = crate::GridSpec::new(steps);
-        SampledCurve::new(grid.points().map(|u| (u, curve.power(u))).collect())
-    }
-
     /// The underlying `(utilization, watts)` samples, sorted by utilization.
     pub fn samples(&self) -> &[(f64, f64)] {
         &self.samples
@@ -275,16 +269,6 @@ mod tests {
         assert_eq!(c.power(0.0), 10.0); // flat before first sample
         assert_eq!(c.power(1.0), 40.0); // flat after last sample
         assert!((c.power(0.5) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_from_curve_roundtrips() {
-        let l = LinearCurve::new(5.0, 50.0);
-        let s = SampledCurve::from_curve(&l, 10);
-        for i in 0..=20 {
-            let u = i as f64 / 20.0;
-            assert!((s.power(u) - l.power(u)).abs() < 1e-9);
-        }
     }
 
     #[test]

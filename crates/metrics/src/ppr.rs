@@ -62,13 +62,6 @@ impl<C: PowerCurve> PprCurve<C> {
         }
     }
 
-    /// PPR at full utilization — the single value reported in the paper's
-    /// Table 6 (computed there at each node's most energy-efficient
-    /// configuration).
-    pub fn peak_ppr(&self) -> f64 {
-        self.ppr(1.0)
-    }
-
     /// Sample `PPR(u)` on `n` evenly spaced utilization levels from
     /// `lo` to `1.0` inclusive (the paper plots 10%..100%).
     pub fn sample(&self, lo: f64, n: usize) -> Vec<(f64, f64)> {
@@ -91,7 +84,7 @@ mod tests {
     #[test]
     fn ppr_at_peak_is_peak_throughput_over_peak_power() {
         let ppr = PprCurve::new(ThroughputCurve::new(1000.0), LinearCurve::new(40.0, 100.0));
-        assert!((ppr.peak_ppr() - 10.0).abs() < 1e-12);
+        assert!((ppr.ppr(1.0) - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -134,6 +127,6 @@ mod tests {
         // A9 on EP: peak 2.4315 W, PPR 6,048,057 (rand/s)/W at u = 1.
         let thru = ThroughputCurve::new(6_048_057.0 * 2.4315);
         let ppr = PprCurve::new(thru, LinearCurve::new(1.8, 2.4315));
-        assert!((ppr.peak_ppr() - 6_048_057.0).abs() / 6_048_057.0 < 1e-6);
+        assert!((ppr.ppr(1.0) - 6_048_057.0).abs() / 6_048_057.0 < 1e-6);
     }
 }

@@ -83,21 +83,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Inclusive lower bound of bucket `i` (`0.0` for the underflow
-    /// bucket).
-    pub fn bucket_lower_bound(i: usize) -> f64 {
-        if i == 0 {
-            0.0
-        } else {
-            (2.0f64).powi(MIN_EXP + i as i32)
-        }
-    }
-
-    /// Per-bucket counts, low bucket first.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Approximate `q`-quantile (`0 ≤ q ≤ 1`): the upper bound of the
     /// bucket holding the `q`-th observation, clamped to the exact
     /// min/max. `None` when empty.
@@ -154,9 +139,9 @@ mod tests {
         let b1 = Histogram::bucket_index(1.0);
         let b2 = Histogram::bucket_index(2.0);
         assert_eq!(b2, b1 + 1);
-        assert_eq!(h.bucket_counts()[b1], 2);
-        assert_eq!(h.bucket_counts()[b2], 1);
-        assert_eq!(Histogram::bucket_lower_bound(b1), 1.0);
+        assert_eq!(h.counts[b1], 2);
+        assert_eq!(h.counts[b2], 1);
+        assert_eq!(b1 as i32 + MIN_EXP, 0, "bucket b1 starts at 2^0");
     }
 
     #[test]

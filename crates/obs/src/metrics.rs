@@ -113,11 +113,6 @@ impl MetricsSnapshot {
         &self.spans
     }
 
-    /// Whether a gauge series with this name was recorded.
-    pub fn has_gauge(&self, name: &str) -> bool {
-        self.gauges.contains_key(name)
-    }
-
     /// Serialize as a single JSON document.
     pub fn to_json(&self) -> String {
         fn num(v: f64) -> String {
@@ -269,7 +264,7 @@ mod tests {
         assert_eq!(job.max_s, 2.0);
         assert_eq!(snap.spans()["attempt"].unclosed, 1);
         assert_eq!(snap.counters()["dispatch.retries"], 4);
-        assert!(snap.has_gauge("dispatch.queue_depth"));
+        assert!(snap.gauges.contains_key("dispatch.queue_depth"));
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl MemoryRecorder {
         self.counters.entry(name).or_insert(0);
     }
 
-    /// Pre-register an empty histogram.
-    pub fn declare_histogram(&mut self, name: &'static str) {
-        self.hists.entry(name).or_default();
-    }
-
     /// Number of recorded trace events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -349,9 +344,7 @@ mod tests {
     fn declared_series_exist_at_zero() {
         let mut r = MemoryRecorder::new();
         r.declare_counter("dispatch.retries");
-        r.declare_histogram("queue.wait_s");
         assert_eq!(r.counters()["dispatch.retries"], 0);
-        assert_eq!(r.histograms()["queue.wait_s"].count(), 0);
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl QuantileSketch {
         self.max_buckets
     }
 
-    /// Buckets currently allocated (≤ [`Self::max_buckets`] + 1).
-    pub fn bucket_len(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Key for a positive finite value.
     fn key(&self, v: f64) -> i32 {
         (v.ln() / self.ln_gamma).ceil().clamp(i32::MIN as f64, i32::MAX as f64) as i32
@@ -489,7 +484,7 @@ mod tests {
         for i in 0..6000u32 {
             s.observe(10f64.powf(f64::from(i % 60) - 30.0));
         }
-        assert!(s.bucket_len() <= 16, "bucket_len {}", s.bucket_len());
+        assert!(s.buckets.len() <= 16, "{} buckets", s.buckets.len());
         assert_eq!(s.count(), 6000);
         // The top decade survives collapse: p100 is exact, p99+ is close.
         assert_eq!(s.quantile(1.0), Some(10f64.powf(29.0)));

@@ -3,15 +3,14 @@
 //!
 //! Memory is O(retained windows × sketch buckets), independent of the
 //! event count — the property the serving plane needs to survive
-//! 10⁸-request days. Sliding-window views are built by *merging* the last
-//! `k` tumbling windows' sketches ([`WindowedSeries::merged_last`]), which
-//! is exactly what the SLO burn-rate monitor's slow window consumes.
+//! 10⁸-request days.
 //!
-//! Conservation contract: `total_count()` (retained + evicted) equals the
-//! number of `observe` calls, and `total_sum()` likewise — windowing never
-//! loses events, it only forgets their fine structure once a window is
-//! evicted from the ring. The chaos property tests pin this against the
-//! serving controller's unwindowed counters.
+//! Conservation contract: the retained windows' counts plus
+//! [`WindowedSeries::evicted_count`] equal the number of `observe` calls,
+//! and the sums likewise — windowing never loses events, it only forgets
+//! their fine structure once a window is evicted from the ring. The chaos
+//! property tests pin this against the serving controller's unwindowed
+//! counters.
 
 use std::collections::VecDeque;
 
@@ -172,58 +171,6 @@ impl WindowedSeries {
         self.ring.iter()
     }
 
-    /// The current (most recent) window, if any observation or advance
-    /// has happened.
-    pub fn current(&self) -> Option<&WindowStats> {
-        self.ring.back()
-    }
-
-    /// Events per second in the most recent window.
-    pub fn current_rate(&self) -> f64 {
-        self.current()
-            .map_or(0.0, |w| w.count as f64 / self.window_s)
-    }
-
-    /// Merge the sketches of the last `k` retained windows (including the
-    /// current one) — the sliding-window view. Returns an empty sketch
-    /// when nothing is retained.
-    pub fn merged_last(&self, k: usize) -> QuantileSketch {
-        let mut out = QuantileSketch::new(self.alpha);
-        let take = k.min(self.ring.len());
-        for w in self.ring.iter().rev().take(take) {
-            out.merge(&w.sketch);
-        }
-        out
-    }
-
-    /// Count over the last `k` retained windows.
-    pub fn count_last(&self, k: usize) -> u64 {
-        let take = k.min(self.ring.len());
-        self.ring.iter().rev().take(take).map(|w| w.count).sum()
-    }
-
-    /// Sum over the last `k` retained windows.
-    pub fn sum_last(&self, k: usize) -> f64 {
-        let take = k.min(self.ring.len());
-        self.ring.iter().rev().take(take).map(|w| w.sum).sum()
-    }
-
-    /// Total observations ever (retained + evicted) — the conservation
-    /// invariant's left-hand side.
-    pub fn total_count(&self) -> u64 {
-        self.evicted_count + self.ring.iter().map(|w| w.count).sum::<u64>()
-    }
-
-    /// Total observed sum ever (retained + evicted).
-    pub fn total_sum(&self) -> f64 {
-        self.evicted_sum + self.ring.iter().map(|w| w.sum).sum::<f64>()
-    }
-
-    /// Retained window count (≤ the configured maximum).
-    pub fn retained(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Sketch relative accuracy α.
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -298,6 +245,16 @@ pub struct SeriesState {
 mod tests {
     use super::*;
 
+    /// Observations ever (retained + evicted): the conservation total.
+    fn total_count(s: &WindowedSeries) -> u64 {
+        s.evicted_count + s.ring.iter().map(|w| w.count).sum::<u64>()
+    }
+
+    /// Observed sum ever (retained + evicted).
+    fn total_sum(s: &WindowedSeries) -> f64 {
+        s.evicted_sum + s.ring.iter().map(|w| w.sum).sum::<f64>()
+    }
+
     #[test]
     fn tumbling_windows_partition_by_time() {
         let mut s = WindowedSeries::new(1.0, 0.01, 8);
@@ -309,9 +266,8 @@ mod tests {
         assert_eq!(idx, [0, 1, 3]);
         let counts: Vec<u64> = s.windows().map(|w| w.count).collect();
         assert_eq!(counts, [2, 1, 1]);
-        assert_eq!(s.current_rate(), 1.0);
-        assert_eq!(s.total_count(), 4);
-        assert_eq!(s.total_sum(), 10.0);
+        assert_eq!(total_count(&s), 4);
+        assert_eq!(total_sum(&s), 10.0);
     }
 
     #[test]
@@ -320,24 +276,9 @@ mod tests {
         for i in 0..100 {
             s.observe(f64::from(i), 1.0);
         }
-        assert_eq!(s.retained(), 4);
-        assert_eq!(s.total_count(), 100);
-        assert_eq!(s.total_sum(), 100.0);
-    }
-
-    #[test]
-    fn merged_last_is_the_sliding_view() {
-        let mut s = WindowedSeries::new(1.0, 0.01, 8);
-        for i in 0..40 {
-            // Windows 0..4, values 10x the window index.
-            let t = f64::from(i) / 10.0;
-            s.observe(t, f64::from(i / 10) * 10.0 + 1.0);
-        }
-        let last2 = s.merged_last(2);
-        assert_eq!(last2.count(), 20);
-        assert!(last2.min().unwrap() >= 21.0);
-        assert_eq!(s.count_last(2), 20);
-        assert_eq!(s.sum_last(2), (21.0 + 31.0) * 10.0);
+        assert_eq!(s.ring.len(), 4);
+        assert_eq!(total_count(&s), 100);
+        assert_eq!(total_sum(&s), 100.0);
     }
 
     #[test]
@@ -345,9 +286,8 @@ mod tests {
         let mut s = WindowedSeries::new(2.0, 0.01, 8);
         s.observe(0.5, 1.0);
         s.advance_to(9.0);
-        assert_eq!(s.current().map(|w| w.index), Some(4));
-        assert_eq!(s.current_rate(), 0.0);
-        assert_eq!(s.total_count(), 1);
+        assert_eq!(s.ring.back().map(|w| (w.index, w.count)), Some((4, 0)));
+        assert_eq!(total_count(&s), 1);
     }
 
     #[test]
@@ -358,7 +298,7 @@ mod tests {
         s.observe(0.7, 3.0); // back into retained window 0
         let w0 = s.windows().next().unwrap();
         assert_eq!(w0.count, 2);
-        assert_eq!(s.total_count(), 3);
+        assert_eq!(total_count(&s), 3);
     }
 
     #[test]
@@ -368,7 +308,7 @@ mod tests {
             s.observe(f64::from(i), 1.0);
         }
         s.observe(0.5, 7.0); // long-evicted window
-        assert_eq!(s.total_count(), 11);
-        assert_eq!(s.total_sum(), 17.0);
+        assert_eq!(total_count(&s), 11);
+        assert_eq!(total_sum(&s), 17.0);
     }
 }

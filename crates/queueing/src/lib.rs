@@ -25,8 +25,8 @@
 //!   single-server FIFO loop: batches run in it as
 //!   [`ArrivalProcess::PoissonBatches`], and the cluster dispatcher as an
 //!   empirical pool of simulated job times ([`ServiceProcess::Empirical`]);
-//! * streaming statistics ([`OnlineStats`], [`P2Quantile`]) shared by the
-//!   cluster simulator.
+//! * streaming statistics ([`OnlineStats`]) shared by the cluster
+//!   simulator.
 //!
 //! ```
 //! use enprop_queueing::{Queue, MD1};
@@ -54,7 +54,7 @@ pub use md1::MD1;
 pub use mdc::{MDc, MMc};
 pub use mg1::MG1;
 pub use mm1::MM1;
-pub use stats::{exact_quantile, OnlineStats, P2Quantile};
+pub use stats::{exact_quantile, OnlineStats};
 
 /// Common interface of the analytic single-server queues.
 pub trait Queue {

@@ -87,20 +87,6 @@ impl ChaosOutcome {
             .sum()
     }
 
-    /// Total correlated domain events (rack crashes, PDU losses,
-    /// partitions, power emergencies) across the sweep.
-    pub fn total_domain_faults(&self) -> u64 {
-        self.plans
-            .iter()
-            .map(|p| {
-                p.report.rack_crashes
-                    + p.report.pdu_losses
-                    + p.report.partitions
-                    + p.report.power_emergencies
-            })
-            .sum()
-    }
-
     /// Circuit-breaker opens across the sweep.
     pub fn breaker_opens(&self) -> u64 {
         self.plans.iter().map(|p| p.report.breaker_opens).sum()
@@ -422,11 +408,15 @@ mod tests {
         let out = domain_chaos_sweep(&w, &c, &cfg, 4, 600, 0.6).unwrap();
         assert!(out.all_ok(), "{}", out.summary_line());
         assert!(out.total_faults() > 0, "node-level chaos must still inject");
-        assert!(
-            out.total_domain_faults() > 0,
-            "correlated domain events must fire: {}",
-            out.summary_line()
-        );
+        let domain_faults: u64 = out
+            .plans
+            .iter()
+            .map(|p| {
+                let r = &p.report;
+                r.rack_crashes + r.pdu_losses + r.partitions + r.power_emergencies
+            })
+            .sum();
+        assert!(domain_faults > 0, "correlated domain events must fire: {}", out.summary_line());
         assert!(
             out.breaker_opens() > 0,
             "the sweep must engage circuit breakers at least once"

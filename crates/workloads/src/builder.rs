@@ -93,13 +93,6 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Add a node type from DPR/PPR targets directly (the form the paper's
-    /// tables use).
-    pub fn node_targets(mut self, spec: NodeSpec, targets: NodeTargets, shape: Shape) -> Self {
-        self.entries.push((spec, targets, shape));
-        self
-    }
-
     /// Calibrate and assemble the workload.
     ///
     /// # Panics

@@ -130,64 +130,3 @@ mod tests {
         assert!(m.ops >= 1);
     }
 }
-
-/// Calibrate a complete custom [`Workload`](crate::Workload) from live
-/// kernel measurements on this host: measure `kernel`'s throughput, scale
-/// it to each node type by clock-and-core ratio, and build demand vectors
-/// through [`crate::builder::WorkloadBuilder`] — the full paper
-/// methodology with your machine as the testbed.
-///
-/// `host_freq` is this machine's clock (Hz); `busy_fraction` is the busy
-/// power of each target node as a fraction between its idle and nameplate
-/// peak (0.5 = midway), standing in for a power-meter reading.
-pub fn calibrate_from_host(
-    name: &'static str,
-    unit: &'static str,
-    kernel: Kernel,
-    host_freq: f64,
-    busy_fraction: f64,
-) -> crate::Workload {
-    use crate::calibration::Shape;
-    use enprop_nodesim::NodeSpec;
-    assert!(host_freq > 0.0);
-    assert!((0.0..=1.0).contains(&busy_fraction));
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let m = measure(kernel, 0.1);
-    // enprop-lint: allow(unit-opaque) -- cycles/op = threads × Hz ÷ (ops/s); thread and cycle counts sit outside the dimension lattice
-    let host_cycles_per_op = threads as f64 * host_freq / m.ops_per_sec;
-
-    let mut builder = crate::builder::WorkloadBuilder::new(name, unit).domain("host-calibrated");
-    for spec in [NodeSpec::cortex_a9(), NodeSpec::opteron_k10()] {
-        // Scale throughput by the node's aggregate cycle budget (the
-        // paper's cycles-per-op inversion).
-        let thru = spec.cores as f64 * spec.fmax() / host_cycles_per_op;
-        let idle = spec.power.sys_idle_w;
-        let peak = spec.nameplate_peak_w();
-        let busy = idle + busy_fraction * (peak - idle);
-        builder = builder.node_measured(spec, thru, busy, Shape::Compute { mem_ratio: 0.2 });
-    }
-    builder.build()
-}
-
-#[cfg(test)]
-mod host_calibration_tests {
-    use super::*;
-
-    #[test]
-    fn host_calibrated_workload_runs_the_pipeline() {
-        let w = calibrate_from_host("host-bs", "options", Kernel::Blackscholes, 3.0e9, 0.6);
-        assert_eq!(w.profiles.len(), 2);
-        // Throughputs scale with the node cycle budgets: K10 (6 × 2.1 GHz)
-        // vs A9 (4 × 1.4 GHz) → 2.25×.
-        let thru = |node: &str| {
-            let p = w.try_profile(node).unwrap();
-            crate::SingleNodeModel::new(&p.spec, &p.demand, w.io_rate)
-                .throughput(p.spec.cores, p.spec.fmax())
-        };
-        let ratio = thru("K10") / thru("A9");
-        assert!((ratio - 2.25).abs() < 1e-9, "ratio {ratio}");
-        assert!(thru("A9") > 0.0);
-    }
-}

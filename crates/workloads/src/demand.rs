@@ -105,16 +105,6 @@ impl Workload {
             })
     }
 
-    /// Like [`Workload::profile`] but panics with a clear message.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_profile` and propagate the `EnpropError` instead of panicking"
-    )]
-    pub fn profile_or_panic(&self, node_name: &str) -> &NodeProfile {
-        self.try_profile(node_name)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The `(rate, energy-per-op)` operating point of one node of type
     /// `node_name` running `cores` active cores at `freq` Hz — the
     /// canonical per-op accessor behind every cluster composition (see
@@ -190,13 +180,6 @@ mod tests {
                 node: "K10".into()
             }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no calibrated profile")]
-    #[allow(deprecated)]
-    fn missing_profile_panics_with_context() {
-        toy_workload().profile_or_panic("K10");
     }
 
     #[test]

@@ -222,103 +222,3 @@ mod tests {
         assert!(s.checksum.is_finite());
     }
 }
-
-impl Hmm {
-    /// Beam-pruned Viterbi: states whose score falls more than `beam`
-    /// below the per-frame best are pruned (set to −∞), the speed/accuracy
-    /// dial every production recognizer exposes. A wide beam reproduces
-    /// exact Viterbi; a narrow beam trades likelihood for work.
-    pub fn viterbi_beam(&self, frames: &[Vec<f64>], beam: f64) -> (f64, Vec<usize>) {
-        assert!(beam > 0.0, "beam width must be positive");
-        let n = self.states.len();
-        assert!(n > 0 && !frames.is_empty());
-        let scores: Vec<Vec<f64>> = frames
-            .par_iter()
-            .map(|f| self.states.iter().map(|g| g.log_likelihood(f)).collect())
-            .collect();
-
-        let mut delta = vec![f64::NEG_INFINITY; n];
-        delta[0] = scores[0][0];
-        let mut back: Vec<Vec<usize>> = Vec::with_capacity(frames.len());
-        back.push(vec![0; n]);
-        for frame_scores in scores.iter().skip(1) {
-            let mut next = vec![f64::NEG_INFINITY; n];
-            let mut bp = vec![0usize; n];
-            for s in 0..n {
-                let stay = delta[s] + self.log_self;
-                let advance = if s > 0 {
-                    delta[s - 1] + self.log_next
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let (best, from) = if stay >= advance { (stay, s) } else { (advance, s - 1) };
-                if best.is_finite() {
-                    next[s] = best + frame_scores[s];
-                }
-                bp[s] = from;
-            }
-            // Prune: drop states far below the frame's best hypothesis.
-            let best = next.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            for v in next.iter_mut() {
-                if *v < best - beam {
-                    *v = f64::NEG_INFINITY;
-                }
-            }
-            delta = next;
-            back.push(bp);
-        }
-        let (mut state, &best) = delta
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("Viterbi lattice has at least one state");
-        let mut path = vec![0usize; frames.len()];
-        for t in (0..frames.len()).rev() {
-            path[t] = state;
-            state = back[t][state];
-        }
-        (best, path)
-    }
-}
-
-#[cfg(test)]
-mod beam_tests {
-    use super::*;
-
-    fn staircase_frames(hmm: &Hmm, per_state: usize) -> Vec<Vec<f64>> {
-        (0..hmm.states.len() * per_state)
-            .map(|t| hmm.states[t / per_state].means[..hmm.states[0].dim].to_vec())
-            .collect()
-    }
-
-    #[test]
-    fn wide_beam_equals_exact_viterbi() {
-        let hmm = Hmm::synthetic(5, 6, 2, 11);
-        let frames = staircase_frames(&hmm, 4);
-        let (exact_ll, exact_path) = hmm.viterbi(&frames);
-        let (beam_ll, beam_path) = hmm.viterbi_beam(&frames, 1e9);
-        assert_eq!(exact_path, beam_path);
-        assert!((exact_ll - beam_ll).abs() < 1e-9);
-    }
-
-    #[test]
-    fn narrow_beam_never_beats_exact() {
-        let hmm = Hmm::synthetic(6, 4, 2, 13);
-        let frames = staircase_frames(&hmm, 3);
-        let (exact_ll, _) = hmm.viterbi(&frames);
-        for beam in [2.0, 5.0, 20.0] {
-            let (ll, path) = hmm.viterbi_beam(&frames, beam);
-            assert!(ll <= exact_ll + 1e-9, "beam {beam}: {ll} > {exact_ll}");
-            // Paths remain structurally valid (left-to-right).
-            assert!(path.windows(2).all(|w| w[1] >= w[0] && w[1] <= w[0] + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "beam width")]
-    fn zero_beam_rejected() {
-        let hmm = Hmm::synthetic(3, 4, 2, 1);
-        let frames = staircase_frames(&hmm, 2);
-        let _ = hmm.viterbi_beam(&frames, 0.0);
-    }
-}

@@ -224,144 +224,3 @@ mod tests {
         let _ = Frame::synthetic(100, 48, 1);
     }
 }
-
-/// 8×8 orthonormal DCT-II of a residual block — the transform stage that
-/// follows motion estimation in a real encoder.
-///
-/// `C[u][v] = a(u)a(v) Σ_x Σ_y f(x,y) cos[(2x+1)uπ/16] cos[(2y+1)vπ/16]`
-/// with `a(0) = 1/√8`, `a(u>0) = 1/2`. Orthonormal, so [`idct8x8`] is its
-/// exact inverse and Parseval's theorem holds (both property-tested).
-pub fn dct8x8(block: &[f64; 64]) -> [f64; 64] {
-    transform8x8(block, false)
-}
-
-/// Inverse 8×8 DCT (DCT-III with the same orthonormal scaling).
-pub fn idct8x8(coeffs: &[f64; 64]) -> [f64; 64] {
-    transform8x8(coeffs, true)
-}
-
-fn basis(u: usize, x: usize) -> f64 {
-    let a = if u == 0 { (1.0f64 / 8.0).sqrt() } else { 0.5 };
-    a * ((2 * x + 1) as f64 * u as f64 * std::f64::consts::PI / 16.0).cos()
-}
-
-fn transform8x8(input: &[f64; 64], inverse: bool) -> [f64; 64] {
-    // Separable: rows then columns.
-    let mut tmp = [0.0f64; 64];
-    for r in 0..8 {
-        for k in 0..8 {
-            let mut acc = 0.0;
-            for x in 0..8 {
-                let b = if inverse { basis(x, k) } else { basis(k, x) };
-                acc += input[r * 8 + x] * b;
-            }
-            tmp[r * 8 + k] = acc;
-        }
-    }
-    let mut out = [0.0f64; 64];
-    for c in 0..8 {
-        for k in 0..8 {
-            let mut acc = 0.0;
-            for y in 0..8 {
-                let b = if inverse { basis(y, k) } else { basis(k, y) };
-                acc += tmp[y * 8 + c] * b;
-            }
-            out[k * 8 + c] = acc;
-        }
-    }
-    out
-}
-
-/// Residual of a 16×16 macroblock against its motion-compensated
-/// prediction, transformed as four 8×8 DCT blocks; returns the count of
-/// significant coefficients after dead-zone quantization (a proxy for the
-/// bits the block would cost).
-pub fn transform_cost(cur: &Frame, reference: &Frame, bx: usize, by: usize, mv: MotionVector, q: f64) -> u32 {
-    assert!(q > 0.0);
-    let mut significant = 0;
-    for sub in 0..4 {
-        let ox = bx + (sub % 2) * 8;
-        let oy = by + (sub / 2) * 8;
-        let mut block = [0.0f64; 64];
-        for y in 0..8 {
-            for x in 0..8 {
-                let cx = ox + x;
-                let cy = oy + y;
-                let rx = (cx as isize + mv.dx as isize)
-                    .clamp(0, reference.width as isize - 1) as usize;
-                let ry = (cy as isize + mv.dy as isize)
-                    .clamp(0, reference.height as isize - 1) as usize;
-                block[y * 8 + x] = cur.pixels[cy * cur.width + cx] as f64
-                    - reference.pixels[ry * reference.width + rx] as f64;
-            }
-        }
-        let coeffs = dct8x8(&block);
-        significant += coeffs.iter().filter(|c| c.abs() >= q).count() as u32;
-    }
-    significant
-}
-
-#[cfg(test)]
-mod dct_tests {
-    use super::*;
-
-    fn sample_block(seed: u64) -> [f64; 64] {
-        let mut state = seed | 1;
-        let mut out = [0.0f64; 64];
-        for v in out.iter_mut() {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            *v = ((state >> 40) as f64 / (1u64 << 24) as f64 - 0.5) * 255.0;
-        }
-        out
-    }
-
-    #[test]
-    fn dct_roundtrips() {
-        let block = sample_block(1);
-        let back = idct8x8(&dct8x8(&block));
-        for (a, b) in block.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn parseval_energy_preserved() {
-        let block = sample_block(2);
-        let coeffs = dct8x8(&block);
-        let e_pixel: f64 = block.iter().map(|v| v * v).sum();
-        let e_freq: f64 = coeffs.iter().map(|v| v * v).sum();
-        assert!((e_pixel - e_freq).abs() < 1e-6 * e_pixel);
-    }
-
-    #[test]
-    fn flat_block_is_pure_dc() {
-        let block = [13.0f64; 64];
-        let coeffs = dct8x8(&block);
-        // DC = 8 · 13 for the orthonormal scaling (a(0)² Σ = 1/8 · 64·13).
-        assert!((coeffs[0] - 8.0 * 13.0).abs() < 1e-9);
-        for &c in &coeffs[1..] {
-            assert!(c.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn perfect_prediction_costs_nothing() {
-        // Identical frames with a zero MV: residual 0 → no coefficients.
-        let f = Frame::synthetic(32, 32, 3);
-        let mv = MotionVector { dx: 0, dy: 0, sad: 0 };
-        assert_eq!(transform_cost(&f, &f, 0, 0, mv, 0.5), 0);
-    }
-
-    #[test]
-    fn worse_prediction_costs_more() {
-        let reference = Frame::synthetic(64, 32, 4);
-        let cur = reference.shifted(3, 0);
-        let good = MotionVector { dx: -3, dy: 0, sad: 0 };
-        let bad = MotionVector { dx: 0, dy: 0, sad: u32::MAX };
-        let c_good = transform_cost(&cur, &reference, 16, 8, good, 2.0);
-        let c_bad = transform_cost(&cur, &reference, 16, 8, bad, 2.0);
-        assert!(c_good < c_bad, "good {c_good} vs bad {c_bad}");
-    }
-}

@@ -51,13 +51,13 @@ fn search_agrees_with_enumeration() {
 /// Batch arrivals and multi-dispatcher queues compose with the model.
 #[test]
 fn batching_and_pooling_bracket_the_plain_dispatcher() {
-    use enprop::queueing::{MDc, Queue};
+    use enprop::queueing::{BatchMD1, MDc, Queue};
     let w = catalog::by_name("EP").unwrap();
     let m = ClusterModel::new(w, ClusterSpec::a9_k10(16, 4));
     let u = 0.7;
     let plain = m.md1(u).mean_response_time();
     // Batching (burstier) hurts; pooled dispatchers (smoother) help.
-    let batched = m.mean_response_time_batched(u, 6);
+    let batched = BatchMD1::from_utilization(m.job_time(), 6, u).mean_response_time();
     let pooled = MDc::from_utilization(m.job_time(), 4, u).mean_response_time();
     assert!(batched > plain);
     assert!(pooled < plain);

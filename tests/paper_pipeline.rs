@@ -57,7 +57,7 @@ fn proportionality_and_ppr_disagree_for_ep() {
     // Best PPR at full utilization → the A9-only mix.
     let best_ppr = models
         .iter()
-        .max_by(|a, b| a.ppr_curve().peak_ppr().total_cmp(&b.ppr_curve().peak_ppr()))
+        .max_by(|a, b| a.ppr_curve().ppr(1.0).total_cmp(&b.ppr_curve().ppr(1.0)))
         .unwrap();
     assert_eq!(best_ppr.cluster().label(), "128 A9 : 0 K10");
 
@@ -150,8 +150,8 @@ fn heterogeneous_mix_rankings_disagree_for_ep() {
         .iter()
         .max_by(|a, b| {
             a.1.ppr_curve()
-                .peak_ppr()
-                .total_cmp(&b.1.ppr_curve().peak_ppr())
+                .ppr(1.0)
+                .total_cmp(&b.1.ppr_curve().ppr(1.0))
         })
         .unwrap();
     assert_eq!(best_ppr.0, "96 A9 : 4 K10");
