@@ -24,7 +24,7 @@ pub enum Track {
         node: u16,
     },
     /// One node *group* as a whole — per-group aggregates from the
-    /// observability plane (energy attribution, EP index, J/request).
+    /// observability plane (window energy, EP index, J/request).
     Group {
         /// Node-group index in the cluster spec.
         group: u16,
