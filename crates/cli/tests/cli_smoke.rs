@@ -390,6 +390,21 @@ fn serve_stdout_is_pinned() {
     assert_eq!(fnv1a(&stdout), 0x1c46_0dcd_a587_7f80, "{stdout}");
 }
 
+/// The chaos sweep's stdout, pinned with and without the correlated
+/// failure-domain plans layered over the per-node ones.
+#[test]
+fn chaos_sweep_stdout_is_pinned() {
+    for (domains, digest) in [(false, 0xc4c7_3cd4_9889_bb47_u64), (true, 0x94ea_42ab_b004_8941)] {
+        let mut args = vec!["chaos", "--requests", "2000", "--plans", "4"];
+        if domains {
+            args.push("--domains");
+        }
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "{stderr}");
+        assert_eq!(fnv1a(&stdout), digest, "--domains {domains}:\n{stdout}");
+    }
+}
+
 /// The chaos replay `scripts/verify.sh` runs, pinned in all three
 /// outputs: the report, the JSONL trace and the last checkpoint.
 #[test]
