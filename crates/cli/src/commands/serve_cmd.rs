@@ -8,9 +8,9 @@ use crate::output::render_csv;
 use enprop_clustersim::{ClusterSpec, EnpropError, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel};
 use enprop_faults::{DomainFaultKind, DomainFaultProfile, Topology, TopologyFaultPlan};
 use enprop_serve::{
-    chaos_sweep, cluster_capacity_ops_s, default_ops_per_request, domain_chaos_sweep, format_trace,
-    parse_trace, Arrival, ArrivalModel, ArrivalSource, Controller, ReplayCursor, RunHooks,
-    RunOutcome, ServeConfig, ServeReport, SyntheticArrivals, WindowReport,
+    chaos_sweep, cluster_capacity_ops_s, default_ops_per_request, format_trace, parse_trace,
+    Arrival, ArrivalModel, ArrivalSource, Controller, ReplayCursor, RunHooks, RunOutcome,
+    ServeConfig, ServeReport, SyntheticArrivals, WindowReport,
 };
 use enprop_workloads::catalog;
 use std::path::{Path, PathBuf};
@@ -441,11 +441,15 @@ pub fn chaos_cmd(opts: &Opts, so: &ServeOpts, a9: u32, k10: u32) -> Result<(), E
     let workload = serving_workload(opts)?;
     let cluster = ClusterSpec::a9_k10(a9, k10);
     let cfg = serve_config(opts, so);
-    let out = if so.domains {
-        domain_chaos_sweep(&workload, &cluster, &cfg, so.plans, so.requests, so.utilization)?
-    } else {
-        chaos_sweep(&workload, &cluster, &cfg, so.plans, so.requests, so.utilization)?
-    };
+    let out = chaos_sweep(
+        &workload,
+        &cluster,
+        &cfg,
+        so.plans,
+        so.requests,
+        so.utilization,
+        so.domains,
+    )?;
 
     if !opts.csv {
         println!(

@@ -51,8 +51,7 @@ pub mod trace;
 
 pub use arrivals::{Arrival, ArrivalModel, ArrivalSource, SourceState, SyntheticArrivals};
 pub use chaos::{
-    chaos_sweep, domain_chaos_sweep, spans_balanced, sweep_domain_plan, sweep_plan, ChaosOutcome,
-    PlanOutcome,
+    chaos_sweep, spans_balanced, sweep_domain_plan, sweep_plan, ChaosOutcome, PlanOutcome,
 };
 pub use config::ServeConfig;
 pub use controller::{
