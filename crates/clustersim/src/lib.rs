@@ -39,10 +39,5 @@ pub use enprop_faults::{
     EnpropError, FaultEvent, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel, RetryPolicy,
 };
 pub use run::{ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, Observation, PowerTrace};
-pub use split::{
-    rate_matched_split, try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit,
-};
-pub use validate::{
-    model_prediction, try_model_prediction, try_validate, validate, ModelPrediction,
-    ValidationReport,
-};
+pub use split::{try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit};
+pub use validate::{try_model_prediction, try_validate, validate, ModelPrediction, ValidationReport};

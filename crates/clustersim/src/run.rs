@@ -236,25 +236,6 @@ impl<'a> ClusterSim<'a> {
             throughput: jobs as f64 * mean.ops / period,
         }
     }
-
-    /// Sweep utilization over `points` evenly spaced levels in
-    /// `(0, 1]` and return `(utilization, avg_power_w)` samples — the
-    /// simulated counterpart of the model's power curve.
-    ///
-    /// The observation `period` is sized automatically to hold ≥ 100 jobs
-    /// at full load so utilization quantization stays below 1%.
-    pub fn power_samples(&self, points: usize, seed: u64) -> Vec<(f64, f64)> {
-        assert!(points >= 2);
-        let mean = self.sample_jobs(5, seed);
-        let period = mean.duration * 100.0;
-        (0..=points)
-            .map(|i| {
-                let u = i as f64 / points as f64;
-                let o = self.observe(u, period, seed);
-                (o.utilization, o.avg_power_w)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -282,23 +263,6 @@ mod tests {
         assert_eq!(o.jobs, 0);
         assert!((o.avg_power_w - c.idle_w()).abs() < 1e-9);
         assert_eq!(o.throughput, 0.0);
-    }
-
-    #[test]
-    fn power_grows_with_utilization() {
-        let w = catalog::by_name("blackscholes").unwrap();
-        let c = ClusterSpec::a9_k10(4, 2);
-        let sim = ClusterSim::new(&w, &c);
-        let samples = sim.power_samples(10, 3);
-        for pair in samples.windows(2) {
-            assert!(
-                pair[1].1 >= pair[0].1 - 1e-6,
-                "power decreased: {pair:?}"
-            );
-        }
-        // Endpoints: idle power at u = 0; above idle at u = 1.
-        assert!((samples[0].1 - c.idle_w()).abs() < 1e-9);
-        assert!(samples.last().unwrap().1 > c.idle_w() * 1.05);
     }
 
     #[test]

@@ -89,16 +89,6 @@ pub fn try_rate_matched_split_surviving(
     })
 }
 
-/// Compute the rate-matched split of `workload` over `cluster`.
-///
-/// # Panics
-/// Panics when the cluster is empty or a node type lacks a calibrated
-/// profile for the workload. Use [`try_rate_matched_split`] to get a
-/// typed [`EnpropError`] instead.
-pub fn rate_matched_split(workload: &Workload, cluster: &ClusterSpec) -> WorkSplit {
-    try_rate_matched_split(workload, cluster).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +99,7 @@ mod tests {
     fn shares_sum_to_one_over_nodes() {
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(32, 12);
-        let s = rate_matched_split(&w, &c);
+        let s = try_rate_matched_split(&w, &c).unwrap();
         let total: f64 = s
             .ops_frac
             .iter()
@@ -123,7 +113,7 @@ mod tests {
     fn all_node_types_finish_together() {
         let w = catalog::by_name("blackscholes").unwrap();
         let c = ClusterSpec::a9_k10(10, 5);
-        let s = rate_matched_split(&w, &c);
+        let s = try_rate_matched_split(&w, &c).unwrap();
         let ops = w.ops_per_job;
         // time for a node of group i = assigned ops / its rate
         let times: Vec<f64> = s
@@ -143,7 +133,7 @@ mod tests {
     fn faster_nodes_get_more_work() {
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(1, 1);
-        let s = rate_matched_split(&w, &c);
+        let s = try_rate_matched_split(&w, &c).unwrap();
         // K10 runs EP ~6.6× faster per node than A9 (Table 6 inversion).
         assert!(s.ops_frac[1] > 4.0 * s.ops_frac[0]);
     }
@@ -152,16 +142,8 @@ mod tests {
     fn homogeneous_split_is_even() {
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(8, 0);
-        let s = rate_matched_split(&w, &c);
+        let s = try_rate_matched_split(&w, &c).unwrap();
         assert!((s.ops_frac[0] - 1.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "no capacity")]
-    fn empty_cluster_panics() {
-        let w = catalog::by_name("EP").unwrap();
-        let c = ClusterSpec::a9_k10(0, 0);
-        let _ = rate_matched_split(&w, &c);
     }
 
     #[test]
@@ -181,7 +163,7 @@ mod tests {
     fn surviving_split_with_all_alive_is_the_plain_split() {
         let w = catalog::by_name("blackscholes").unwrap();
         let c = ClusterSpec::a9_k10(10, 5);
-        let full = rate_matched_split(&w, &c);
+        let full = try_rate_matched_split(&w, &c).unwrap();
         let surv = try_rate_matched_split_surviving(&w, &c, &[10, 5]).unwrap();
         assert_eq!(full, surv);
     }
@@ -200,7 +182,7 @@ mod tests {
             .sum();
         assert!((total - 1.0).abs() < 1e-12, "shares sum to {total}");
         // Losing nodes lowers the aggregate rate.
-        let full = rate_matched_split(&w, &c);
+        let full = try_rate_matched_split(&w, &c).unwrap();
         assert!(s.cluster_rate < full.cluster_rate);
     }
 

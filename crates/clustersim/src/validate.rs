@@ -42,15 +42,6 @@ pub fn try_model_prediction(
     Ok(ModelPrediction { time, energy })
 }
 
-/// Evaluate the analytic model for one job of `workload` on `cluster`.
-///
-/// # Panics
-/// Panics when the cluster is empty or a profile is missing. Use
-/// [`try_model_prediction`] for a typed error.
-pub fn model_prediction(workload: &Workload, cluster: &ClusterSpec) -> ModelPrediction {
-    try_model_prediction(workload, cluster).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Table-4 style validation row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidationReport {
@@ -185,9 +176,9 @@ mod tests {
     #[test]
     fn prediction_composes_over_groups() {
         let w = catalog::by_name("EP").unwrap();
-        let a = model_prediction(&w, &ClusterSpec::a9_k10(4, 0));
-        let b = model_prediction(&w, &ClusterSpec::a9_k10(0, 2));
-        let ab = model_prediction(&w, &ClusterSpec::a9_k10(4, 2));
+        let a = try_model_prediction(&w, &ClusterSpec::a9_k10(4, 0)).unwrap();
+        let b = try_model_prediction(&w, &ClusterSpec::a9_k10(0, 2)).unwrap();
+        let ab = try_model_prediction(&w, &ClusterSpec::a9_k10(4, 2)).unwrap();
         // The mixed cluster is faster than either homogeneous half.
         assert!(ab.time < a.time && ab.time < b.time);
         // Its rate is the sum of the halves' rates.

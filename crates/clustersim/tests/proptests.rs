@@ -3,7 +3,7 @@
 //! Property-based tests for the cluster simulator and work splitting.
 
 use enprop_clustersim::{
-    model_prediction, rate_matched_split, ClusterSim, ClusterSpec,
+    try_model_prediction, try_rate_matched_split, ClusterSim, ClusterSpec,
 };
 use enprop_workloads::catalog;
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ proptest! {
         prop_assume!(a9 + k10 > 0);
         let w = catalog::by_name(name).unwrap();
         let c = ClusterSpec::a9_k10(a9, k10);
-        let s = rate_matched_split(&w, &c);
+        let s = try_rate_matched_split(&w, &c).unwrap();
         let total: f64 = s
             .ops_frac
             .iter()
@@ -53,7 +53,7 @@ proptest! {
     fn sim_brackets_model(name in workload_name(), seed in 0u64..32) {
         let w = catalog::by_name(name).unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
-        let pred = model_prediction(&w, &c);
+        let pred = try_model_prediction(&w, &c).unwrap();
         let run = ClusterSim::new(&w, &c).run_job(seed);
         prop_assert!(run.duration >= pred.time * 0.999,
             "sim faster than model: {} vs {}", run.duration, pred.time);

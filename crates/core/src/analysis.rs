@@ -57,19 +57,6 @@ pub fn try_single_node_model<'a>(
     ))
 }
 
-/// The analytic single-node model for a workload/node pair at an arbitrary
-/// operating point (used by the configuration sweeps).
-///
-/// # Panics
-/// Panics when the node has no calibrated profile. Use
-/// [`try_single_node_model`] for a typed error.
-pub fn single_node_model<'a>(
-    workload: &'a Workload,
-    node_name: &str,
-) -> SingleNodeModel<'a> {
-    try_single_node_model(workload, node_name).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The most energy-efficient (highest-PPR) operating point of one node
 /// type for one workload (Table 6's "most energy-efficient configuration
 /// per type of node").
@@ -119,11 +106,6 @@ pub fn try_best_ppr_config(
 /// [`try_best_ppr_config`] for a typed error.
 pub fn best_ppr_config(workload: &Workload, node_name: &str) -> BestPpr {
     try_best_ppr_config(workload, node_name).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Table-8 style cluster metrics row.
-pub fn cluster_metrics_row(model: &ClusterModel) -> ProportionalityMetrics {
-    model.metrics()
 }
 
 /// Power curve of `model` normalized against an external reference peak
@@ -203,7 +185,7 @@ mod tests {
                 assert_eq!(best.cores, spec.cores, "{name} on {node}");
                 assert_eq!(best.freq, spec.fmax(), "{name} on {node}");
                 // And therefore the best PPR matches Table 6.
-                let m = single_node_model(&w, node);
+                let m = try_single_node_model(&w, node).unwrap();
                 assert!((best.ppr - m.ppr(spec.cores, spec.fmax())).abs() < 1e-9);
             }
         }

@@ -170,7 +170,7 @@ impl ClusterModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enprop_clustersim::model_prediction;
+    use enprop_clustersim::try_model_prediction;
     use enprop_workloads::catalog;
 
     fn ep() -> Workload {
@@ -209,7 +209,7 @@ mod tests {
         let w = ep();
         let cluster = ClusterSpec::a9_k10(8, 4);
         let model = ClusterModel::new(w.clone(), cluster.clone());
-        let pred = model_prediction(&w, &cluster);
+        let pred = try_model_prediction(&w, &cluster).unwrap();
         assert!((model.job_time() - pred.time).abs() < 1e-12 * pred.time);
         assert!((model.job_energy() - pred.energy).abs() < 1e-9 * pred.energy);
     }

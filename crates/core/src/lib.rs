@@ -44,9 +44,9 @@ mod cluster_model;
 mod validation;
 
 pub use analysis::{
-    best_ppr_config, cluster_metrics_row, normalized_power_samples, quadratic_ablation,
-    single_node_model, single_node_row, try_best_ppr_config, try_single_node_model,
-    try_single_node_row, BestPpr, NodeMetricsRow, QuadraticAblation,
+    best_ppr_config, normalized_power_samples, quadratic_ablation, single_node_row,
+    try_best_ppr_config, try_single_node_model, try_single_node_row, BestPpr, NodeMetricsRow,
+    QuadraticAblation,
 };
 pub use cluster_model::ClusterModel;
 pub use enprop_faults::EnpropError;

@@ -1,22 +1,10 @@
 //! Power-budget arithmetic (paper §III-C and footnote 3): cluster mixes
-//! constrained by a fixed nameplate budget, and the A9↔K10 substitution
-//! ratio.
+//! constrained by a fixed nameplate budget.
 
 use enprop_clustersim::ClusterSpec;
 
 /// The paper's peak power budget for the cluster-wide analysis: 1 kW.
 pub const PAPER_BUDGET_W: f64 = 1000.0;
-
-/// Substitution ratio between two node types under the budget: how many
-/// nodes of the `small` type replace one node of the `big` type at equal
-/// nameplate power (including the small type's switch overhead, amortized).
-///
-/// For the paper's A9 (5 W + 20 W switch per 8) vs K10 (60 W):
-/// `60 / (5 + 20/8) = 8`.
-pub fn substitution_ratio(small_node_w: f64, small_switch_w_amortized: f64, big_node_w: f64) -> f64 {
-    assert!(small_node_w > 0.0 && big_node_w > 0.0);
-    big_node_w / (small_node_w + small_switch_w_amortized)
-}
 
 /// Enumerate the A9:K10 mixes inside `budget_w`, stepping the K10 count
 /// down by `k10_step` from the maximum and filling the rest with A9 nodes
@@ -58,12 +46,6 @@ fn whole_units(watts: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_substitution_ratio_is_8() {
-        let r = substitution_ratio(5.0, 20.0 / 8.0, 60.0);
-        assert!((r - 8.0).abs() < 1e-12);
-    }
 
     #[test]
     fn paper_mixes_regenerated() {
@@ -119,15 +101,6 @@ mod budget_proptests {
             }
             prop_assert_eq!(mixes[0].groups[1].count, whole_units(budget));
             prop_assert_eq!(mixes.last().unwrap().groups[1].count, 0);
-        }
-
-        /// The substitution ratio is scale-free in the big node's power.
-        #[test]
-        fn substitution_ratio_scales(small in 1.0f64..20.0, amortized in 0.0f64..10.0, big in 10.0f64..200.0) {
-            let r = substitution_ratio(small, amortized, big);
-            let r2 = substitution_ratio(small, amortized, 2.0 * big);
-            prop_assert!((r2 - 2.0 * r).abs() < 1e-9);
-            prop_assert!(r > 0.0);
         }
     }
 }

@@ -40,12 +40,10 @@ mod stream;
 mod sublinear;
 mod sweet;
 
-pub use budget::{budget_mixes, substitution_ratio, PAPER_BUDGET_W};
+pub use budget::{budget_mixes, PAPER_BUDGET_W};
 pub use cache::{CacheStats, EvalCache};
 pub use dynamic::DynamicEnvelope;
-pub use pareto::{
-    knee_point, pareto_front, pareto_indices, pareto_indices_staircase, Frontier, FrontierPoint,
-};
+pub use pareto::{knee_point, pareto_front, pareto_indices, Frontier, FrontierPoint};
 pub use search::{local_search, SearchResult};
 pub use sleep::{SleepManagedCluster, SleepPolicy};
 pub use space::{
@@ -54,5 +52,5 @@ pub use space::{
     EvaluatedConfig, TypeSpace,
 };
 pub use stream::{stream_pareto_front, ParetoPoint, StreamOptions};
-pub use sublinear::{response_time_series, sublinear_report, SublinearReport};
+pub use sublinear::{sublinear_report, SublinearReport};
 pub use sweet::sweet_spot;

@@ -78,8 +78,8 @@ pub struct FrontierPoint<P> {
 /// keys are all kept, adjacent, in insertion order. This mirrors the
 /// oracle's tie rule (equal points do not dominate each other), so a
 /// staircase fed every item of a slice keeps exactly the index set
-/// [`pareto_indices`] reports — pinned by [`pareto_indices_staircase`]'s
-/// cross-check test and the streaming proptests.
+/// [`pareto_indices`] reports — pinned by the streaming proptests'
+/// cross-check.
 ///
 /// Every query is a binary search: because `e` decreases as `t`
 /// increases, the last point with `t' ≤ t` carries the *minimum* energy
@@ -180,37 +180,6 @@ impl<P> Frontier<P> {
     }
 }
 
-/// [`pareto_indices`] computed through the incremental [`Frontier`]
-/// staircase — same index set, same output order, O(n log n) with
-/// amortized O(1) evictions. The sort-sweep oracle stays authoritative;
-/// this twin exists because the streaming path needs *incremental*
-/// membership (points arrive one chunk at a time and prune later work),
-/// and the cross-check test pins the two to exact agreement.
-pub fn pareto_indices_staircase<T, F>(items: &[T], key: F) -> Vec<usize>
-where
-    F: Fn(&T) -> (f64, f64),
-{
-    let mut frontier = Frontier::new();
-    for (i, item) in items.iter().enumerate() {
-        let (t, e) = key(item);
-        let _ = frontier.insert(t, e, i);
-    }
-    let mut out: Vec<(f64, f64, usize)> = frontier
-        .into_points()
-        .into_iter()
-        .map(|p| (p.t, p.e, p.payload))
-        .collect();
-    // The oracle emits duplicates in original-index order (stable sort);
-    // the staircase keeps them in insertion order, which for a single
-    // in-order pass is the same — the sort makes it explicit.
-    out.sort_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.total_cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
-    out.into_iter().map(|(_, _, i)| i).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,20 +225,6 @@ mod tests {
             pts.push((a, b));
         }
         pts
-    }
-
-    #[test]
-    fn staircase_twin_matches_the_oracle_exactly() {
-        // Coarse grids force plenty of exact ties/duplicates — the cases
-        // where the tie rules could diverge.
-        for (seed, grid) in [(1u64, 1000u64), (2, 40), (3, 8), (4, 3), (5, 1)] {
-            let pts = xorshift_points(400, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), grid);
-            assert_eq!(
-                pareto_indices(&pts, |p| *p),
-                pareto_indices_staircase(&pts, |p| *p),
-                "seed {seed} grid {grid}"
-            );
-        }
     }
 
     #[test]

@@ -88,16 +88,6 @@ impl TypeSpace {
         }
     }
 
-    /// A space over a caller-supplied node type with explicit switch
-    /// overhead — the building block behind every named constructor.
-    pub fn custom(spec: NodeSpec, max_nodes: u32, switch: Option<SwitchOverhead>) -> Self {
-        TypeSpace {
-            spec: Arc::new(spec),
-            max_nodes,
-            switch,
-        }
-    }
-
     /// Look up a type space by catalog name (`a9`, `k10`, `a15`, `xeon`,
     /// `pi4`, `opi5`, case-insensitive) — the CLI's `--types` vocabulary.
     pub fn try_named(name: &str, max_nodes: u32) -> Result<Self, enprop_faults::EnpropError> {

@@ -9,11 +9,33 @@
 //! worker shards together is order-independent.
 
 use enprop_explore::{
-    configurations, evaluate_space_with, pareto_indices, pareto_indices_staircase,
-    stream_pareto_front, EvalOptions, EvaluatedConfig, Frontier, StreamOptions, TypeSpace,
+    configurations, evaluate_space_with, pareto_indices, stream_pareto_front, EvalOptions,
+    EvaluatedConfig, Frontier, StreamOptions, TypeSpace,
 };
 use enprop_workloads::{catalog, Workload};
 use proptest::prelude::*;
+
+/// [`pareto_indices`] computed through the incremental [`Frontier`]
+/// staircase the streaming path prunes with: the same index set in the
+/// same order, which the `staircase_twin_matches_the_quadratic_oracle`
+/// property pins.
+fn pareto_indices_staircase<T, F>(items: &[T], key: F) -> Vec<usize>
+where
+    F: Fn(&T) -> (f64, f64),
+{
+    let mut frontier = Frontier::new();
+    for (i, item) in items.iter().enumerate() {
+        let (t, e) = key(item);
+        let _ = frontier.insert(t, e, i);
+    }
+    let mut out: Vec<(f64, f64, usize)> =
+        frontier.into_points().into_iter().map(|p| (p.t, p.e, p.payload)).collect();
+    // The oracle emits duplicates in original-index order (stable sort);
+    // the staircase keeps them in insertion order, which for a single
+    // in-order pass is the same — the sort makes it explicit.
+    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+    out.into_iter().map(|(_, _, i)| i).collect()
+}
 
 /// Deterministic pseudo-random (t, e) points; a coarse value grid forces
 /// duplicate coordinates so tie-handling is exercised, not dodged.

@@ -19,18 +19,12 @@ pub enum Linearity {
     Mixed,
 }
 
-/// Classify a curve on a utilization grid, with a relative PG tolerance.
+/// Classify a curve against the ideal line `u · reference_peak`, with a
+/// relative PG tolerance: `tol` is the |PG| below which a point counts as
+/// "on the ideal line" (the paper's plots effectively use visual
+/// tolerance — `1e-3` is a good programmatic default).
 ///
-/// `tol` is the |PG| below which a point counts as "on the ideal line";
-/// the paper's plots effectively use visual tolerance — `1e-3` is a good
-/// programmatic default.
-pub fn classify_curve<C: PowerCurve>(curve: &C, grid: GridSpec, tol: f64) -> Linearity {
-    classify_against(curve, curve.peak(), grid, tol)
-}
-
-/// Classify a curve against an *external* ideal line `u · reference_peak`.
-///
-/// This is the Figs. 9–10 setting: every Pareto configuration is compared
+/// Against an *external* reference peak this is the Figs. 9–10 setting: every Pareto configuration is compared
 /// to the ideal proportionality of the maximum configuration, so a mix
 /// with fewer brawny nodes can genuinely sit below the ideal (§III-D's
 /// "scaling the energy proportionality wall").
@@ -122,13 +116,13 @@ mod tests {
     #[test]
     fn linear_curve_with_idle_power_is_super_linear() {
         let c = LinearCurve::new(45.0, 69.0);
-        assert_eq!(classify_curve(&c, GRID, TOL), Linearity::SuperLinear);
+        assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::SuperLinear);
     }
 
     #[test]
     fn ideal_curve_is_ideal() {
         let c = IdealCurve::new(100.0);
-        assert_eq!(classify_curve(&c, GRID, TOL), Linearity::Ideal);
+        assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::Ideal);
     }
 
     #[test]
@@ -136,13 +130,13 @@ mod tests {
         // Scaled-down cluster: peak below the reference peak at every u.
         let c = SampledCurve::new(vec![(0.0, 0.0), (0.5, 10.0), (1.0, 40.0)]);
         // Against its own peak (40 W) this dips below ideal mid-range.
-        assert_eq!(classify_curve(&c, GRID, TOL), Linearity::SubLinear);
+        assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::SubLinear);
     }
 
     #[test]
     fn s_shaped_curve_is_mixed_and_has_crossover() {
         let c = SampledCurve::new(vec![(0.0, 10.0), (0.5, 20.0), (1.0, 100.0)]);
-        assert_eq!(classify_curve(&c, GRID, TOL), Linearity::Mixed);
+        assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::Mixed);
         let xs = crossovers(&c, GRID);
         assert_eq!(xs.len(), 1, "enters the sub-linear region once; the u=1 endpoint touch is not a crossing");
         assert!(xs[0] > 0.1 && xs[0] < 0.5);

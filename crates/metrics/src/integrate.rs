@@ -47,21 +47,6 @@ pub fn integrate<F: Fn(f64) -> f64>(f: F, grid: GridSpec) -> f64 {
     acc * h
 }
 
-/// Trapezoidal integral of already-sampled `(x, y)` pairs.
-///
-/// The samples must be sorted by `x`; the integral covers `[x0, xn]`.
-/// Returns 0 for fewer than two samples.
-pub fn integrate_samples(samples: &[(f64, f64)]) -> f64 {
-    samples
-        .windows(2)
-        .map(|w| {
-            let (x0, y0) = w[0];
-            let (x1, y1) = w[1];
-            (x1 - x0) * 0.5 * (y0 + y1)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,21 +68,6 @@ mod tests {
     fn integrates_quadratic_accurately() {
         let v = integrate(|u| u * u, GridSpec::default());
         assert!((v - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sample_integration_matches_function_integration() {
-        let grid = GridSpec::new(100);
-        let samples: Vec<(f64, f64)> = grid.points().map(|u| (u, u * u)).collect();
-        let a = integrate_samples(&samples);
-        let b = integrate(|u| u * u, grid);
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_integration_handles_degenerate_input() {
-        assert_eq!(integrate_samples(&[]), 0.0);
-        assert_eq!(integrate_samples(&[(0.0, 5.0)]), 0.0);
     }
 
     #[test]

@@ -40,9 +40,9 @@ mod integrate;
 mod ppr;
 mod proportionality;
 
-pub use classify::{classify_against, classify_curve, crossovers, crossovers_against, gap_against, Linearity};
+pub use classify::{classify_against, crossovers, crossovers_against, gap_against, Linearity};
 pub use curve::{IdealCurve, LinearCurve, PowerCurve, QuadraticCurve, SampledCurve};
-pub use integrate::{integrate, integrate_samples, GridSpec};
+pub use integrate::{integrate, GridSpec};
 pub use ppr::{PprCurve, ThroughputCurve};
 pub use proportionality::{
     dynamic_power_range, energy_proportionality_metric, idle_to_peak_ratio,

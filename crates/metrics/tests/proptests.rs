@@ -3,7 +3,7 @@
 //! Property-based tests for the metric identities the paper relies on.
 
 use enprop_metrics::{
-    classify_curve, dynamic_power_range, energy_proportionality_metric, idle_to_peak_ratio,
+    classify_against, dynamic_power_range, energy_proportionality_metric, idle_to_peak_ratio,
     linear_deviation_ratio, proportionality_gap, GridSpec, IdealCurve, LinearCurve, Linearity,
     PowerCurve, PprCurve, ProportionalityMetrics, QuadraticCurve, SampledCurve, ThroughputCurve,
 };
@@ -85,9 +85,9 @@ proptest! {
     fn classification_consistency((idle, peak) in idle_peak()) {
         prop_assume!(peak > idle * 1.01);
         let lin = LinearCurve::new(idle, peak);
-        prop_assert_eq!(classify_curve(&lin, GRID, 1e-6), Linearity::SuperLinear);
+        prop_assert_eq!(classify_against(&lin, lin.peak(), GRID, 1e-6), Linearity::SuperLinear);
         let ideal = IdealCurve::new(peak);
-        prop_assert_eq!(classify_curve(&ideal, GRID, 1e-6), Linearity::Ideal);
+        prop_assert_eq!(classify_against(&ideal, ideal.peak(), GRID, 1e-6), Linearity::Ideal);
     }
 
     /// PPR is non-decreasing in utilization for linear power curves and

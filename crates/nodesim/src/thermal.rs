@@ -21,16 +21,6 @@ pub struct ThermalModel {
     pub headroom_s: f64,
 }
 
-impl ThermalModel {
-    /// A model that never throttles (infinite budget).
-    pub fn unconstrained() -> Self {
-        ThermalModel {
-            tdp_w: f64::INFINITY,
-            headroom_s: 0.0,
-        }
-    }
-}
-
 /// Run `work` under a thermal envelope: start at the requested frequency;
 /// if the run's average power exceeds the TDP, only the first
 /// `headroom_s` proceeds at full speed and the remaining work re-runs at
@@ -127,7 +117,8 @@ mod tests {
             spec.cores,
             spec.fmax(),
             &Frictions::default(),
-            &ThermalModel::unconstrained(),
+            // An infinite budget: never throttles.
+            &ThermalModel { tdp_w: f64::INFINITY, headroom_s: 0.0 },
             0,
         );
         assert_eq!(f, spec.fmax());

@@ -95,16 +95,6 @@ impl KvStore {
         self.shard(key).read().map.get(key).cloned()
     }
 
-    /// Remove a key; true if it existed.
-    pub fn delete(&self, key: &[u8]) -> bool {
-        let mut shard = self.shard(key).write();
-        let existed = shard.map.remove(key).is_some();
-        if existed {
-            shard.order.retain(|k| k != key);
-        }
-        existed
-    }
-
     /// Total number of stored keys.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().map.len()).sum()
@@ -184,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_removes() {
-        let kv = KvStore::new(2);
-        kv.set(b"k", b"v".to_vec());
-        assert!(kv.delete(b"k"));
-        assert!(!kv.delete(b"k"));
-        assert!(kv.is_empty());
-    }
-
-    #[test]
     fn shards_round_up_to_power_of_two() {
         assert_eq!(KvStore::new(5).shards.len(), 8);
         assert_eq!(KvStore::new(0).shards.len(), 1);
@@ -249,17 +230,6 @@ mod tests {
         kv.set(b"other", vec![1]);
         assert_eq!(kv.len(), 2);
         assert_eq!(kv.get(b"hot"), Some(vec![9]));
-    }
-
-    #[test]
-    fn delete_frees_capacity() {
-        let kv = KvStore::with_capacity(1, 2);
-        kv.set(b"a", vec![1]);
-        kv.set(b"b", vec![2]);
-        assert!(kv.delete(b"a"));
-        kv.set(b"c", vec![3]);
-        assert_eq!(kv.len(), 2);
-        assert!(kv.get(b"b").is_some() && kv.get(b"c").is_some());
     }
 
     #[test]

@@ -74,27 +74,6 @@ impl BigUint {
         limb < self.limbs.len() && (self.limbs[limb] >> (i % 64)) & 1 == 1
     }
 
-    /// `self + other`.
-    pub fn add(&self, other: &BigUint) -> BigUint {
-        let n = self.limbs.len().max(other.limbs.len());
-        let mut out = Vec::with_capacity(n + 1);
-        let mut carry = 0u64;
-        for i in 0..n {
-            let a = self.limbs.get(i).copied().unwrap_or(0);
-            let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (s1, c1) = a.overflowing_add(b);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.push(s2);
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        if carry > 0 {
-            out.push(carry);
-        }
-        let mut v = BigUint { limbs: out };
-        v.normalize();
-        v
-    }
-
     /// `self − other`; panics on underflow.
     pub fn sub(&self, other: &BigUint) -> BigUint {
         assert!(self >= other, "BigUint subtraction underflow");
@@ -323,22 +302,6 @@ impl MontgomeryCtx {
     }
 }
 
-/// An RSA public key.
-#[derive(Debug, Clone)]
-pub struct RsaPublicKey {
-    /// Modulus.
-    pub n: BigUint,
-    /// Public exponent (65537 in practice).
-    pub e: BigUint,
-}
-
-impl RsaPublicKey {
-    /// RSA verification primitive: `signature^e mod n == message_rep`.
-    pub fn verify(&self, signature: &BigUint, message_rep: &BigUint) -> bool {
-        &signature.modpow(&self.e, &self.n) == message_rep
-    }
-}
-
 /// A deterministic 2048-bit odd modulus for throughput benchmarking (the
 /// verify *timing* only depends on the modulus width, not its factors).
 pub fn bench_modulus_2048() -> BigUint {
@@ -395,12 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip_against_u128() {
+    fn sub_matches_u128() {
         let pairs = [(0u128, 0u128), (1, 1), (u64::MAX as u128, 1), (1 << 100, 12345)];
         for (a, b) in pairs {
-            let s = big(a).add(&big(b));
-            assert_eq!(as_u128(&s), a + b);
-            assert_eq!(as_u128(&s.sub(&big(b))), a);
+            assert_eq!(as_u128(&big(a + b).sub(&big(b))), a);
         }
     }
 
@@ -451,24 +412,6 @@ mod tests {
         assert!(v.bit(0) && v.bit(1) && !v.bit(2) && v.bit(3));
         assert_eq!(v.bits(), 4);
         assert_eq!(BigUint::zero().bits(), 0);
-    }
-
-    #[test]
-    fn rsa_sign_verify_roundtrip_small_key() {
-        // The classic textbook key: p=61, q=53 → n=3233, e=17, d=2753.
-        let n = big(3233);
-        let e = BigUint::from_u64(17);
-        let d = BigUint::from_u64(2753);
-        let key = RsaPublicKey { n: n.clone(), e };
-        for m in [0u128, 1, 42, 65, 123, 3232] {
-            let msg = big(m);
-            let sig = msg.modpow(&d, &n); // "sign"
-            assert!(key.verify(&sig, &msg), "m = {m}");
-            // Tampered signature must fail (sig+1 unless it wraps to the
-            // same residue, which these small cases don't).
-            let bad = sig.add(&BigUint::one()).rem(&n);
-            assert!(!key.verify(&bad, &msg), "tampered sig accepted for m = {m}");
-        }
     }
 
     #[test]

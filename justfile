@@ -4,8 +4,9 @@
 # Build, test and lint the whole workspace and the benchmark package
 # (warnings are errors), build the library docs with rustdoc warnings as
 # errors (`--lib`: the enprop library and binary share a doc file name),
-# and run the benchmark package's own tests: every workload at tiny size
-# with its output checks, including the golden digests.
+# run the benchmark package's own tests: every workload at tiny size
+# with its output checks, including the golden digests; and fail when the
+# dead-API scan lists a library function outside its kept set.
 verify: && obs-smoke perf-smoke serve-smoke resume-smoke obs-query-smoke lint-budget
     cargo build --release --workspace --offline
     cargo test -q --workspace --offline
@@ -14,6 +15,7 @@ verify: && obs-smoke perf-smoke serve-smoke resume-smoke obs-query-smoke lint-bu
     cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
     cargo run --release -p enprop-lint --offline
+    python3 scripts/dead_pub_fns.py
 
 # Lint-runtime budget (DESIGN.md §15): the whole-workspace self-scan must
 # stay interactive (< 2 s) and its wall time is recorded with the other

@@ -37,6 +37,8 @@ if [ "$scan_ms" -ge 2000 ]; then
     exit 1
 fi
 printf '{"cmd":"lint.scan","wall_ms":%s,"seed":1}\n' "$scan_ms" >> BENCH_lint_scan.json
+echo "==> dead API scan (library pub fns nothing outside tests calls, beyond the kept set)"
+python3 scripts/dead_pub_fns.py
 echo "==> obs smoke (trace + metrics exports)"
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT

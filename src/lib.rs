@@ -55,7 +55,7 @@ pub mod prelude {
     };
     pub use enprop_explore::{
         budget_mixes, count_configurations, enumerate_configurations, evaluate_space,
-        pareto_front, response_time_series, sublinear_report, sweet_spot, TypeSpace,
+        pareto_front, sublinear_report, sweet_spot, TypeSpace,
     };
     pub use enprop_metrics::{
         classify_against, GridSpec, LinearCurve, Linearity, PowerCurve, PprCurve,

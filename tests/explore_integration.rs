@@ -93,7 +93,15 @@ fn energy_floor_uses_dvfs_or_fewer_resources() {
     );
 }
 
-/// The response-time series of explore agrees with the core model.
+/// 95th-percentile response time versus utilization for one configuration
+/// (one series of Figs. 11–12).
+fn response_time_series(w: &Workload, config: &ClusterSpec, us: &[f64]) -> Vec<(f64, f64)> {
+    let model = ClusterModel::new(w.clone(), config.clone());
+    us.iter().map(|&u| (u, model.p95_response_time(u))).collect()
+}
+
+/// The response-time series pairs each utilization with the core model's
+/// p95 there.
 #[test]
 fn response_series_consistent_with_model() {
     let w = catalog::by_name("x264").unwrap();
@@ -104,6 +112,53 @@ fn response_series_consistent_with_model() {
     for (i, &(u, p95)) in series.iter().enumerate() {
         assert_eq!(u, us[i]);
         assert!((p95 - model.p95_response_time(u)).abs() < 1e-12 * p95);
+    }
+}
+
+/// §III-E: cutting brawny nodes costs EP milliseconds of p95 and x264
+/// seconds.
+#[test]
+fn ep_response_times_are_ms_scale_and_x264_seconds_scale() {
+    // §III-E's contrast: for EP the sub-linear configurations cost
+    // little absolute response time; for x264 the cost is seconds.
+    let us: Vec<f64> = (2..=9).map(|i| i as f64 / 10.0).collect();
+    let ep = catalog::by_name("EP").unwrap();
+    let x264 = catalog::by_name("x264").unwrap();
+    let full = ClusterSpec::a9_k10(32, 12);
+    let cut = ClusterSpec::a9_k10(25, 5);
+
+    let ep_full = response_time_series(&ep, &full, &us);
+    let ep_cut = response_time_series(&ep, &cut, &us);
+    let x_full = response_time_series(&x264, &full, &us);
+    let x_cut = response_time_series(&x264, &cut, &us);
+
+    for i in 0..us.len() {
+        let ep_gap = ep_cut[i].1 - ep_full[i].1;
+        let x_gap = x_cut[i].1 - x_full[i].1;
+        assert!(ep_gap >= 0.0 && x_gap >= 0.0);
+        // Known deviation from the paper (see DESIGN.md): with
+        // throughputs back-derived from Tables 6–7 the EP spread is
+        // milliseconds-to-tenths rather than sub-millisecond, but the
+        // contrast that carries §III-E — EP sub-second, x264 seconds,
+        // two orders of magnitude apart — holds at every utilization.
+        assert!(ep_gap < 0.5, "EP gap at u={}: {ep_gap} s", us[i]);
+        assert!(x_gap > 1.0, "x264 gap at u={}: {x_gap} s", us[i]);
+        assert!(
+            x_gap > 20.0 * ep_gap,
+            "contrast collapsed at u={}: EP {ep_gap} vs x264 {x_gap}",
+            us[i]
+        );
+    }
+}
+
+/// The p95 series never falls as utilization rises.
+#[test]
+fn response_series_is_monotone_in_utilization() {
+    let w = catalog::by_name("EP").unwrap();
+    let us: Vec<f64> = (1..=19).map(|i| i as f64 / 20.0).collect();
+    let series = response_time_series(&w, &ClusterSpec::a9_k10(25, 7), &us);
+    for pair in series.windows(2) {
+        assert!(pair[1].1 >= pair[0].1 - 1e-12);
     }
 }
 

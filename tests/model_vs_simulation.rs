@@ -7,6 +7,34 @@ use enprop::clustersim::{ClusterQueueSim, ClusterSim};
 use enprop::metrics::SampledCurve;
 use enprop::prelude::*;
 
+/// Sweep utilization over `points` evenly spaced levels in `[0, 1]` and
+/// return `(utilization, avg_power_w)` samples: the simulated counterpart
+/// of the model's power curve. The observation period holds ~100 mean
+/// jobs at full load, so utilization quantization stays below 1%.
+fn power_samples(sim: &ClusterSim, points: usize, seed: u64) -> Vec<(f64, f64)> {
+    let period = sim.sample_jobs(5, seed).duration * 100.0;
+    (0..=points)
+        .map(|i| {
+            let o = sim.observe(i as f64 / points as f64, period, seed);
+            (o.utilization, o.avg_power_w)
+        })
+        .collect()
+}
+
+/// Simulated power never falls as utilization rises: idle power at
+/// u = 0, above idle at u = 1.
+#[test]
+fn power_grows_with_utilization() {
+    let w = catalog::by_name("blackscholes").unwrap();
+    let c = ClusterSpec::a9_k10(4, 2);
+    let samples = power_samples(&ClusterSim::new(&w, &c), 10, 3);
+    for pair in samples.windows(2) {
+        assert!(pair[1].1 >= pair[0].1 - 1e-6, "power decreased: {pair:?}");
+    }
+    assert!((samples[0].1 - c.idle_w()).abs() < 1e-9);
+    assert!(samples.last().unwrap().1 > c.idle_w() * 1.05);
+}
+
 /// The model's linear power curve tracks the simulator's measured power
 /// samples across the whole utilization axis (within the friction gap).
 #[test]
@@ -18,7 +46,7 @@ fn power_curves_agree_across_utilization() {
         let curve = model.power_curve();
 
         let sim = ClusterSim::new(&w, &cluster);
-        let samples = SampledCurve::new(sim.power_samples(10, 3));
+        let samples = SampledCurve::new(power_samples(&sim, 10, 3));
 
         for i in 0..=10 {
             let u = i as f64 / 10.0;
