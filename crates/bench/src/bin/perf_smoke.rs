@@ -168,9 +168,7 @@ fn main() -> ExitCode {
         mega_stats = Some(stats);
     });
     let mega_stats = mega_stats.expect("at least one streamed rep ran");
-    println!(
-        "  pooled/uncached     : {pooled_1m:>8.2} ms (materializes {MEGA_CAP} configs)"
-    );
+    println!("  pooled/uncached     : {pooled_1m:>8.2} ms (materializes {MEGA_CAP} configs)");
     println!(
         "  streaming + pruned  : {stream:>8.2} ms ({:.2}x, {:.1}% pruned, frontier {}, peak {} KiB)",
         pooled_1m / stream,

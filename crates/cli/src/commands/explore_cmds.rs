@@ -314,7 +314,10 @@ pub fn search_cmd(opts: &Opts, a9_max: u32, k10_max: u32, deadline: f64) {
             for g in best.cluster.groups.iter().filter(|g| g.count > 0) {
                 println!(
                     "    {} x{}: {} cores @ {:.2} GHz",
-                    g.spec.name, g.count, g.cores, g.freq / 1e9
+                    g.spec.name,
+                    g.count,
+                    g.cores,
+                    g.freq / 1e9
                 );
             }
             println!("  job time      : {} s", fmt_sig(best.job_time));

@@ -4,8 +4,8 @@
 use super::{ObsCtx, Opts};
 use crate::output::render_csv;
 use enprop_clustersim::{
-    ClusterQueueSim, ClusterSim, ClusterSpec, EnpropError, FaultKind, FaultPlan,
-    GroupFaultProfile, MtbfModel, RetryPolicy,
+    ClusterQueueSim, ClusterSim, ClusterSpec, EnpropError, FaultKind, FaultPlan, GroupFaultProfile,
+    MtbfModel, RetryPolicy,
 };
 use enprop_workloads::catalog;
 
@@ -191,7 +191,10 @@ pub fn faults_cmd(
         });
     }
     let n = completed as f64;
-    println!("  {} jobs under faults ({} exhausted the retry budget):", fo.jobs, exhausted);
+    println!(
+        "  {} jobs under faults ({} exhausted the retry budget):",
+        fo.jobs, exhausted
+    );
     println!(
         "    mean duration   {:.3} s  ({:+.1}% vs fault-free)",
         dur_sum / n,

@@ -113,7 +113,13 @@ pub fn fig6_cmd(opts: &Opts) {
             });
         }
         let unit = w.unit;
-        emit_series(opts, series, "utilization [%]", &format!("PPR [({unit}/s)/W]"), true);
+        emit_series(
+            opts,
+            series,
+            "utilization [%]",
+            &format!("PPR [({unit}/s)/W]"),
+            true,
+        );
         println!();
     }
 }
@@ -158,7 +164,13 @@ pub fn fig8_cmd(opts: &Opts) {
         });
     }
     let unit = w.unit;
-    emit_series(opts, series, "utilization [%]", &format!("PPR [({unit}/s)/W]"), false);
+    emit_series(
+        opts,
+        series,
+        "utilization [%]",
+        &format!("PPR [({unit}/s)/W]"),
+        false,
+    );
 }
 
 /// The Pareto-configuration mixes plotted in Figs. 9–12 (≤ 32 A9, ≤ 12
@@ -173,7 +185,10 @@ pub fn paper_pareto_mixes() -> Vec<ClusterSpec> {
 /// Figs. 9 (EP) / 10 (x264): proportionality of Pareto configurations
 /// against the maximum configuration's ideal line.
 pub fn fig9_cmd(opts: &Opts, default_workload: &str) {
-    let name = opts.workload.clone().unwrap_or_else(|| default_workload.into());
+    let name = opts
+        .workload
+        .clone()
+        .unwrap_or_else(|| default_workload.into());
     let w = get_workload(&name);
     let fig = if name == "x264" { "10" } else { "9" };
     println!("Figure {fig} ({name}): proportionality of Pareto-optimal configurations\n");
@@ -195,7 +210,13 @@ pub fn fig9_cmd(opts: &Opts, default_workload: &str) {
                 .collect(),
         });
     }
-    emit_series(opts, series, "utilization [%]", "peak power [%] (of 32A9:12K10)", false);
+    emit_series(
+        opts,
+        series,
+        "utilization [%]",
+        "peak power [%] (of 32A9:12K10)",
+        false,
+    );
 }
 
 /// Figs. 11 (EP) / 12 (x264): 95th-percentile response time of the
@@ -203,7 +224,10 @@ pub fn fig9_cmd(opts: &Opts, default_workload: &str) {
 /// dispatcher run backs the analytic curves with concrete job spans,
 /// retries, DVFS transitions and queue-depth samples.
 pub fn fig11_cmd(opts: &Opts, default_workload: &str, ctx: &mut ObsCtx) {
-    let name = opts.workload.clone().unwrap_or_else(|| default_workload.into());
+    let name = opts
+        .workload
+        .clone()
+        .unwrap_or_else(|| default_workload.into());
     let w = get_workload(&name);
     let fig = if name == "x264" { "12" } else { "11" };
     println!("Figure {fig} ({name}): 95th-percentile response time of heterogeneous mixes\n");
@@ -219,7 +243,13 @@ pub fn fig11_cmd(opts: &Opts, default_workload: &str, ctx: &mut ObsCtx) {
                 .collect(),
         });
     }
-    emit_series(opts, series, "utilization [%]", "p95 response time [s]", true);
+    emit_series(
+        opts,
+        series,
+        "utilization [%]",
+        "p95 response time [s]",
+        true,
+    );
     if ctx.rec.enabled() {
         traced_queue_probe(opts, &w, &mut ctx.rec);
     }
@@ -384,7 +414,10 @@ pub fn pg_cmd(opts: &Opts) {
         rows.push(row);
     };
     for node in ["A9", "K10"] {
-        push_system(format!("1 {node}"), &ClusterModel::single_node(w.clone(), node));
+        push_system(
+            format!("1 {node}"),
+            &ClusterModel::single_node(w.clone(), node),
+        );
     }
     for mix in budget_mixes(1000.0, 4) {
         push_system(mix.label(), &ClusterModel::new(w.clone(), mix.clone()));

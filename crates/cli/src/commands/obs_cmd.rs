@@ -36,9 +36,8 @@ pub struct ObsQueryOpts {
 }
 
 fn read_trace(path: &Path) -> Result<Vec<ParsedEvent>, EnpropError> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        EnpropError::invalid_config(format!("cannot read {}: {e}", path.display()))
-    })?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| EnpropError::invalid_config(format!("cannot read {}: {e}", path.display())))?;
     let events = parse_jsonl(&text)
         .map_err(|e| EnpropError::invalid_config(format!("{}: {e}", path.display())))?;
     if events.is_empty() {
@@ -132,7 +131,10 @@ pub fn query_cmd(opts: &Opts, q: &ObsQueryOpts) -> Result<(), EnpropError> {
             );
         }
         if hits.len() > q.limit {
-            println!("  … {} more matching events (raise --limit)", hits.len() - q.limit);
+            println!(
+                "  … {} more matching events (raise --limit)",
+                hits.len() - q.limit
+            );
         }
         println!("{} of {total} events matched", hits.len());
     }

@@ -5,7 +5,9 @@
 
 use super::{ObsCtx, Opts};
 use crate::output::render_csv;
-use enprop_clustersim::{ClusterSpec, EnpropError, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel};
+use enprop_clustersim::{
+    ClusterSpec, EnpropError, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel,
+};
 use enprop_faults::{DomainFaultKind, DomainFaultProfile, Topology, TopologyFaultPlan};
 use enprop_serve::{
     chaos_sweep, cluster_capacity_ops_s, default_ops_per_request, format_trace, parse_trace,
@@ -216,11 +218,8 @@ fn serve_topology(
         }
         _ => {}
     }
-    let mut plan = TopologyFaultPlan::none(Topology::new(
-        n_nodes,
-        so.nodes_per_rack,
-        so.racks_per_pdu,
-    )?);
+    let mut plan =
+        TopologyFaultPlan::none(Topology::new(n_nodes, so.nodes_per_rack, so.racks_per_pdu)?);
     plan.seed = opts.seed;
     if let Some(mtbf_s) = so.rack_mtbf_s {
         plan.rack = DomainFaultProfile {
@@ -239,7 +238,10 @@ fn serve_topology(
             mtbf: MtbfModel::Exponential { mtbf_s },
             kinds: vec![(
                 1.0,
-                DomainFaultKind::PowerEmergency { cap_w, duration_s: EMERGENCY_DURATION_S },
+                DomainFaultKind::PowerEmergency {
+                    cap_w,
+                    duration_s: EMERGENCY_DURATION_S,
+                },
             )],
         };
     }
@@ -255,9 +257,8 @@ fn write_checkpoint(path: &Path, snapshot: &str) -> Result<(), EnpropError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, snapshot).map_err(|e| {
-        EnpropError::invalid_config(format!("cannot write {}: {e}", tmp.display()))
-    })?;
+    std::fs::write(&tmp, snapshot)
+        .map_err(|e| EnpropError::invalid_config(format!("cannot write {}: {e}", tmp.display())))?;
     std::fs::rename(&tmp, path).map_err(|e| {
         EnpropError::invalid_config(format!(
             "cannot rename {} over {}: {e}",
@@ -297,7 +298,10 @@ fn run_serving(
     };
     let mut hooks = RunHooks {
         live: &mut live,
-        checkpoint: so.checkpoint_out.is_some().then_some(&mut cp_sink as &mut dyn FnMut(&str)),
+        checkpoint: so
+            .checkpoint_out
+            .is_some()
+            .then_some(&mut cp_sink as &mut dyn FnMut(&str)),
         kill_after_events: so.kill_after_events,
     };
     let outcome = if let Some(snap_path) = &so.resume_from {
@@ -305,11 +309,26 @@ fn run_serving(
             EnpropError::invalid_config(format!("cannot read {}: {e}", snap_path.display()))
         })?;
         Controller::resume_full(
-            workload, cluster, plan, topo, cfg, source, &mut ctx.rec, &snapshot, &mut hooks,
+            workload,
+            cluster,
+            plan,
+            topo,
+            cfg,
+            source,
+            &mut ctx.rec,
+            &snapshot,
+            &mut hooks,
         )?
     } else {
         Controller::run_full(
-            workload, cluster, plan, topo, cfg, source, &mut ctx.rec, &mut hooks,
+            workload,
+            cluster,
+            plan,
+            topo,
+            cfg,
+            source,
+            &mut ctx.rec,
+            &mut hooks,
         )?
     };
     if let Some(e) = cp_err {
@@ -396,7 +415,16 @@ pub fn serve_cmd(
     let cfg = serve_config(opts, so);
     let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
     run_serving(
-        opts, so, &workload, &cluster, &plan, topo.as_ref(), &cfg, &mut source, "serve", ctx,
+        opts,
+        so,
+        &workload,
+        &cluster,
+        &plan,
+        topo.as_ref(),
+        &cfg,
+        &mut source,
+        "serve",
+        ctx,
     )
 }
 
@@ -431,7 +459,16 @@ pub fn replay_cmd(
     let cfg = serve_config(opts, so);
     let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
     run_serving(
-        opts, so, &workload, &cluster, &plan, topo.as_ref(), &cfg, &mut source, "replay", ctx,
+        opts,
+        so,
+        &workload,
+        &cluster,
+        &plan,
+        topo.as_ref(),
+        &cfg,
+        &mut source,
+        "replay",
+        ctx,
     )
 }
 
@@ -454,7 +491,11 @@ pub fn chaos_cmd(opts: &Opts, so: &ServeOpts, a9: u32, k10: u32) -> Result<(), E
     if !opts.csv {
         println!(
             "Chaos sweep{}: {} on {} ({} nodes), {} plans x {} requests @ {:.0}% load\n",
-            if so.domains { " (correlated failure domains)" } else { "" },
+            if so.domains {
+                " (correlated failure domains)"
+            } else {
+                ""
+            },
             workload.name,
             cluster.label(),
             cluster.node_count(),
@@ -487,7 +528,12 @@ pub fn chaos_cmd(opts: &Opts, so: &ServeOpts, a9: u32, k10: u32) -> Result<(), E
             r.shed().to_string(),
             format!("{:.4}", r.p95_s),
             if p.conservation_ok { "ok" } else { "VIOLATED" }.to_string(),
-            if p.spans_balanced { "balanced" } else { "LEAKED" }.to_string(),
+            if p.spans_balanced {
+                "balanced"
+            } else {
+                "LEAKED"
+            }
+            .to_string(),
         ]);
     }
     if opts.csv {
@@ -514,13 +560,19 @@ pub fn chaos_cmd(opts: &Opts, so: &ServeOpts, a9: u32, k10: u32) -> Result<(), E
 fn print_report(opts: &Opts, workload: &str, cluster: &ClusterSpec, mode: &str, r: &ServeReport) {
     if opts.csv {
         let mut rows = vec![vec!["metric".to_string(), "value".to_string()]];
-        rows.extend(r.counters().map(|(name, n)| vec![name.to_string(), n.to_string()]));
+        rows.extend(
+            r.counters()
+                .map(|(name, n)| vec![name.to_string(), n.to_string()]),
+        );
         rows.extend([
             vec!["in_flight_at_stop".into(), r.in_flight_at_stop.to_string()],
             vec!["horizon_s".into(), format!("{:.6}", r.horizon_s)],
             vec!["energy_j".into(), format!("{:.3}", r.energy_j)],
             vec!["mean_power_w".into(), format!("{:.3}", r.mean_power_w)],
-            vec!["mean_response_s".into(), format!("{:.6}", r.mean_response_s)],
+            vec![
+                "mean_response_s".into(),
+                format!("{:.6}", r.mean_response_s),
+            ],
             vec!["p50_s".into(), format!("{:.6}", r.p50_s)],
             vec!["p95_s".into(), format!("{:.6}", r.p95_s)],
             vec!["p99_s".into(), format!("{:.6}", r.p99_s)],
@@ -560,8 +612,7 @@ fn print_report(opts: &Opts, workload: &str, cluster: &ClusterSpec, mode: &str, 
             r.shed_toggles,
             if r.forced_stop { "   [FORCED STOP]" } else { "" }
         );
-        let domain_events =
-            r.rack_crashes + r.pdu_losses + r.partitions + r.power_emergencies;
+        let domain_events = r.rack_crashes + r.pdu_losses + r.partitions + r.power_emergencies;
         if domain_events + r.breaker_opens + r.shed_backpressure > 0 {
             println!(
                 "  domains: {} rack crashes, {} PDU losses, {} partitions, {} power emergencies \

@@ -119,9 +119,7 @@ pub fn table8_cmd(opts: &Opts) {
     for w in catalog::all() {
         let metrics: Vec<_> = mixes
             .iter()
-            .map(|&(a9, k10)| {
-                ClusterModel::new(w.clone(), ClusterSpec::a9_k10(a9, k10)).metrics()
-            })
+            .map(|&(a9, k10)| ClusterModel::new(w.clone(), ClusterSpec::a9_k10(a9, k10)).metrics())
             .collect();
         let mut row = vec![w.name.to_string()];
         row.extend(metrics.iter().map(|m| format!("{:.2}", m.dpr)));

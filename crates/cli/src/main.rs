@@ -261,7 +261,8 @@ fn run() -> Result<(), EnpropError> {
             explore_cmds::space_cmd(&opts, &so, &mut ctx)?;
         }
         "search" => {
-            let deadline: f64 = require_num(&args, "--deadline", "search requires --deadline SECS")?;
+            let deadline: f64 =
+                require_num(&args, "--deadline", "search requires --deadline SECS")?;
             explore_cmds::search_cmd(&opts, a9, k10, deadline);
         }
         "strategies" => strategies::strategies_cmd(&opts),
@@ -294,14 +295,15 @@ fn run() -> Result<(), EnpropError> {
                     obs_cmd::query_cmd(&opts, &q)?;
                 }
                 "report" => {
-                    let trace = parse_flag(&args, "--trace").map(PathBuf::from).ok_or_else(
-                        || {
-                            EnpropError::invalid_parameter(
+                    let trace =
+                        parse_flag(&args, "--trace")
+                            .map(PathBuf::from)
+                            .ok_or_else(|| {
+                                EnpropError::invalid_parameter(
                                 "--trace",
                                 "obs report requires --trace FILE (a --trace-out .jsonl export)",
                             )
-                        },
-                    )?;
+                            })?;
                     obs_cmd::report_cmd(&opts, &trace)?;
                 }
                 "power" => {
@@ -402,9 +404,15 @@ fn run() -> Result<(), EnpropError> {
             match cmd.as_str() {
                 "serve" => serve_cmd::serve_cmd(&opts, &so, a9_serve, k10_serve, &mut ctx)?,
                 "replay" => {
-                    let trace = parse_flag(&args, "--trace").map(PathBuf::from).ok_or_else(
-                        || EnpropError::invalid_parameter("--trace", "replay requires --trace FILE"),
-                    )?;
+                    let trace =
+                        parse_flag(&args, "--trace")
+                            .map(PathBuf::from)
+                            .ok_or_else(|| {
+                                EnpropError::invalid_parameter(
+                                    "--trace",
+                                    "replay requires --trace FILE",
+                                )
+                            })?;
                     serve_cmd::replay_cmd(&opts, &so, &trace, a9_serve, k10_serve, &mut ctx)?;
                 }
                 _ => serve_cmd::chaos_cmd(&opts, &so, a9_serve, k10_serve)?,

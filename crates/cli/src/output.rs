@@ -108,7 +108,10 @@ pub fn ascii_plot(
     } else {
         format!("{ymin:.3}")
     };
-    out.push_str(&format!("{y_label}{}\n", if log_y { " [log scale]" } else { "" }));
+    out.push_str(&format!(
+        "{y_label}{}\n",
+        if log_y { " [log scale]" } else { "" }
+    ));
     for (i, row) in canvas.iter().enumerate() {
         let margin = if i == 0 {
             format!("{y_hi:>10} |")
@@ -193,8 +196,14 @@ mod tests {
     #[test]
     fn plot_contains_series_glyphs_and_legend() {
         let s = vec![
-            Series { label: "one".into(), points: vec![(0.0, 0.0), (1.0, 1.0)] },
-            Series { label: "two".into(), points: vec![(0.0, 1.0), (1.0, 0.0)] },
+            Series {
+                label: "one".into(),
+                points: vec![(0.0, 0.0), (1.0, 1.0)],
+            },
+            Series {
+                label: "two".into(),
+                points: vec![(0.0, 1.0), (1.0, 0.0)],
+            },
         ];
         let out = ascii_plot(&s, 40, 10, false, "x", "y");
         assert!(out.contains('*') && out.contains('o'));
@@ -205,14 +214,20 @@ mod tests {
     #[test]
     fn plot_handles_empty_and_degenerate_input() {
         assert_eq!(ascii_plot(&[], 20, 5, false, "x", "y"), "(no data)\n");
-        let s = vec![Series { label: "flat".into(), points: vec![(1.0, 5.0), (1.0, 5.0)] }];
+        let s = vec![Series {
+            label: "flat".into(),
+            points: vec![(1.0, 5.0), (1.0, 5.0)],
+        }];
         let out = ascii_plot(&s, 20, 5, false, "x", "y");
         assert!(out.contains('*'));
     }
 
     #[test]
     fn log_plot_labels_decades() {
-        let s = vec![Series { label: "l".into(), points: vec![(0.0, 1.0), (1.0, 1000.0)] }];
+        let s = vec![Series {
+            label: "l".into(),
+            points: vec![(0.0, 1.0), (1.0, 1000.0)],
+        }];
         let out = ascii_plot(&s, 20, 5, true, "x", "y");
         assert!(out.contains("log scale"));
         assert!(out.contains("1000.000"));

@@ -41,14 +41,23 @@ fn table7_csv_is_machine_readable() {
 fn footnote4_reports_36380() {
     let (stdout, _, ok) = run(&["footnote4"]);
     assert!(ok);
-    assert!(stdout.contains("36380") || stdout.contains("36,380"), "{stdout}");
+    assert!(
+        stdout.contains("36380") || stdout.contains("36,380"),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn fig9_draws_all_five_mixes() {
     let (stdout, _, ok) = run(&["fig9"]);
     assert!(ok);
-    for label in ["32 A9 : 12 K10", "25 A9 : 10 K10", "25 A9 : 8 K10", "25 A9 : 7 K10", "25 A9 : 5 K10"] {
+    for label in [
+        "32 A9 : 12 K10",
+        "25 A9 : 10 K10",
+        "25 A9 : 8 K10",
+        "25 A9 : 7 K10",
+        "25 A9 : 5 K10",
+    ] {
         assert!(stdout.contains(label), "missing {label}");
     }
     assert!(stdout.contains("Ideal"));
@@ -74,9 +83,32 @@ fn help_lists_every_paper_artifact() {
     let (stdout, _, ok) = run(&["help"]);
     assert!(ok);
     for cmd in [
-        "table4", "table5", "table6", "table7", "table8", "fig2", "fig5", "fig6", "fig7",
-        "fig8", "fig9", "fig10", "fig11", "fig12", "footnote4", "pareto", "sweet", "search",
-        "dynamic", "ablation", "strategies", "kernels", "power", "trace", "export", "pg",
+        "table4",
+        "table5",
+        "table6",
+        "table7",
+        "table8",
+        "fig2",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "footnote4",
+        "pareto",
+        "sweet",
+        "search",
+        "dynamic",
+        "ablation",
+        "strategies",
+        "kernels",
+        "power",
+        "trace",
+        "export",
+        "pg",
     ] {
         assert!(stdout.contains(cmd), "usage missing {cmd}");
     }
@@ -92,7 +124,13 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
 fn help_lists_telemetry_flags() {
     let (stdout, _, ok) = run(&["help"]);
     assert!(ok);
-    for flag in ["--trace-out", "--metrics-out", "--profile", "--verbose", "--quiet"] {
+    for flag in [
+        "--trace-out",
+        "--metrics-out",
+        "--profile",
+        "--verbose",
+        "--quiet",
+    ] {
         assert!(stdout.contains(flag), "usage missing {flag}");
     }
 }
@@ -113,7 +151,10 @@ fn telemetry_flags_leave_stdout_untouched() {
         metrics.to_str().unwrap(),
     ]);
     assert!(ok);
-    assert_eq!(plain, traced, "exports must not perturb the experiment output");
+    assert_eq!(
+        plain, traced,
+        "exports must not perturb the experiment output"
+    );
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&metrics);
 }
@@ -148,7 +189,13 @@ fn golden_jsonl_trace_is_byte_identical_across_runs() {
     let a = tmp_path("golden-a.jsonl");
     let b = tmp_path("golden-b.jsonl");
     for p in [&a, &b] {
-        let (_, _, ok) = run(&["table4", "--samples", "2", "--trace-out", p.to_str().unwrap()]);
+        let (_, _, ok) = run(&[
+            "table4",
+            "--samples",
+            "2",
+            "--trace-out",
+            p.to_str().unwrap(),
+        ]);
         assert!(ok);
     }
     let body_a = std::fs::read(&a).expect("first run written");
@@ -156,7 +203,10 @@ fn golden_jsonl_trace_is_byte_identical_across_runs() {
     assert!(!body_a.is_empty());
     assert_eq!(body_a, body_b, "same seed + command must trace identically");
     let first = String::from_utf8(body_a).unwrap();
-    assert!(first.lines().next().unwrap().starts_with("{\"t\":"), "{first}");
+    assert!(
+        first.lines().next().unwrap().starts_with("{\"t\":"),
+        "{first}"
+    );
     let _ = std::fs::remove_file(&a);
     let _ = std::fs::remove_file(&b);
 }
@@ -183,7 +233,10 @@ fn profile_appends_a_bench_record() {
         .expect("binary runs");
     assert!(out.status.success());
     let body = std::fs::read_to_string(dir.join("BENCH_obs.json")).expect("bench file");
-    assert!(body.lines().next().unwrap().contains("\"cmd\":\"table5\""), "{body}");
+    assert!(
+        body.lines().next().unwrap().contains("\"cmd\":\"table5\""),
+        "{body}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -194,7 +247,11 @@ fn export_emits_the_full_space() {
     // 1·4·5 = 20 A9 tuples, 1·6·3 = 18 K10 tuples → 21·19 − 1 = 398 rows.
     let data_rows = stdout.lines().skip(1).filter(|l| !l.is_empty()).count();
     assert_eq!(data_rows, 398, "{stdout}");
-    assert!(stdout.lines().next().unwrap().starts_with("workload,a9,k10"));
+    assert!(stdout
+        .lines()
+        .next()
+        .unwrap()
+        .starts_with("workload,a9,k10"));
     // The frontier flag must be present on at least one row.
     assert!(stdout.contains(",true"));
 }
@@ -373,12 +430,21 @@ fn sweet_stdout_is_pinned_on_the_default_space() {
 
 #[test]
 fn replay_csv_reports_every_counter_once() {
-    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/replay_trace.jsonl");
+    let trace = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/replay_trace.jsonl"
+    );
     let (stdout, stderr, ok) = run(&["replay", "--trace", trace, "--csv"]);
     assert!(ok, "{stderr}");
     for (name, _) in enprop_serve::ServeReport::default().counters() {
-        let rows = stdout.lines().filter(|l| l.split(',').next() == Some(name)).count();
-        assert_eq!(rows, 1, "counter {name} must be exactly one metric row:\n{stdout}");
+        let rows = stdout
+            .lines()
+            .filter(|l| l.split(',').next() == Some(name))
+            .count();
+        assert_eq!(
+            rows, 1,
+            "counter {name} must be exactly one metric row:\n{stdout}"
+        );
     }
     assert!(stdout.trim_end().ends_with("conservation: OK"), "{stdout}");
 }
@@ -394,7 +460,10 @@ fn serve_stdout_is_pinned() {
 /// failure-domain plans layered over the per-node ones.
 #[test]
 fn chaos_sweep_stdout_is_pinned() {
-    for (domains, digest) in [(false, 0xc4c7_3cd4_9889_bb47_u64), (true, 0x94ea_42ab_b004_8941)] {
+    for (domains, digest) in [
+        (false, 0xc4c7_3cd4_9889_bb47_u64),
+        (true, 0x94ea_42ab_b004_8941),
+    ] {
         let mut args = vec!["chaos", "--requests", "2000", "--plans", "4"];
         if domains {
             args.push("--domains");
@@ -409,7 +478,10 @@ fn chaos_sweep_stdout_is_pinned() {
 /// outputs: the report, the JSONL trace and the last checkpoint.
 #[test]
 fn chaos_replay_outputs_are_pinned() {
-    let trace = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/replay_trace.jsonl");
+    let trace = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/replay_trace.jsonl"
+    );
     let jsonl = tmp_path("replay-pin.jsonl");
     let ckpt = tmp_path("replay-pin-ckpt.jsonl");
     let (stdout, stderr, ok) = run(&[

@@ -3,7 +3,14 @@ use enprop_clustersim::{validate, ClusterSpec};
 use enprop_workloads::catalog;
 fn main() {
     let c = ClusterSpec::a9_k10(4, 2);
-    for name in ["EP", "memcached", "x264", "blackscholes", "Julius", "RSA-2048"] {
+    for name in [
+        "EP",
+        "memcached",
+        "x264",
+        "blackscholes",
+        "Julius",
+        "RSA-2048",
+    ] {
         let w = catalog::by_name(name).expect("workload is in the catalog");
         let r = validate(&w, &c, 5, 7);
         println!(

@@ -189,11 +189,7 @@ mod tests {
         for (a9, k10) in [(0, 16), (32, 12), (64, 8), (96, 4), (128, 0)] {
             let c = ClusterSpec::a9_k10(a9, k10);
             let w = c.nameplate_w();
-            assert!(
-                (w - 960.0).abs() < 1e-9,
-                "{}: {w} W",
-                c.label()
-            );
+            assert!((w - 960.0).abs() < 1e-9, "{}: {w} W", c.label());
             assert!(w <= 1000.0);
         }
     }
@@ -252,10 +248,7 @@ mod tests {
         let mut g = NodeGroup::full(NodeSpec::cortex_a9(), 4);
         g.freq = 1.3e9;
         let err = ClusterSpec::try_new(vec![g]).unwrap_err();
-        assert!(matches!(
-            err,
-            enprop_faults::EnpropError::InvalidConfig(_)
-        ));
+        assert!(matches!(err, enprop_faults::EnpropError::InvalidConfig(_)));
         assert!(err.to_string().contains("frequency"));
         assert!(ClusterSpec::try_new(vec![NodeGroup::full(NodeSpec::cortex_a9(), 2)]).is_ok());
     }

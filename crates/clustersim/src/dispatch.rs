@@ -129,8 +129,7 @@ mod tests {
         let q = ClusterQueueSim::new(&sim, 16, 7).unwrap();
         let res = q.queue(0.7).unwrap().run(60_000, 5_000, 11);
         let md1 = MD1::from_utilization(q.mean_service(), 0.7);
-        let rel = (res.response.mean() - md1.mean_response_time()).abs()
-            / md1.mean_response_time();
+        let rel = (res.response.mean() - md1.mean_response_time()).abs() / md1.mean_response_time();
         assert!(rel < 0.08, "mean response off by {rel}");
         let p95_sim = res.response_quantile(0.95).unwrap();
         let p95_md1 = md1.response_time_quantile(0.95);

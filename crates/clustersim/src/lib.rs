@@ -40,4 +40,6 @@ pub use enprop_faults::{
 };
 pub use run::{ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, Observation, PowerTrace};
 pub use split::{try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit};
-pub use validate::{try_model_prediction, try_validate, validate, ModelPrediction, ValidationReport};
+pub use validate::{
+    try_model_prediction, try_validate, validate, ModelPrediction, ValidationReport,
+};

@@ -5,9 +5,9 @@
 use crate::cluster::ClusterSpec;
 use crate::split::{try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit};
 use enprop_faults::{EnpropError, FaultKind, FaultPlan, RetryPolicy};
+use enprop_nodesim::NodeSim;
 use enprop_obs::{EventKind, MemoryRecorder, NoopRecorder, Recorder, TraceEvent, Track};
 use enprop_workloads::Workload;
-use enprop_nodesim::NodeSim;
 
 /// Result of running one job across the whole cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,10 +66,7 @@ impl<'a> ClusterSim<'a> {
     /// Build the simulator (computes the rate-matched split once),
     /// reporting a typed error for an empty cluster or a missing
     /// workload profile.
-    pub fn try_new(
-        workload: &'a Workload,
-        cluster: &'a ClusterSpec,
-    ) -> Result<Self, EnpropError> {
+    pub fn try_new(workload: &'a Workload, cluster: &'a ClusterSpec) -> Result<Self, EnpropError> {
         let split = try_rate_matched_split(workload, cluster)?;
         Ok(ClusterSim {
             workload,
@@ -142,10 +139,7 @@ impl<'a> ClusterSim<'a> {
     /// Compose per-node runs into the cluster-level job result (early
     /// finishers idle until the slowest node completes).
     fn compose(&self, node_runs: &[NodeRunData]) -> ClusterJobRun {
-        let duration = node_runs
-            .iter()
-            .map(|r| r.duration)
-            .fold(0.0f64, f64::max);
+        let duration = node_runs.iter().map(|r| r.duration).fold(0.0f64, f64::max);
         // Early finishers idle until the job completes on the slowest node.
         let energy: f64 = node_runs
             .iter()
@@ -320,10 +314,7 @@ impl PowerTrace {
     pub fn energy(&self) -> f64 {
         let mut total = 0.0;
         for (i, &(t0, w)) in self.segments.iter().enumerate() {
-            let t1 = self
-                .segments
-                .get(i + 1)
-                .map_or(self.period, |&(t, _)| t);
+            let t1 = self.segments.get(i + 1).map_or(self.period, |&(t, _)| t);
             total += w * (t1 - t0);
         }
         total
@@ -376,7 +367,12 @@ impl ClusterSim<'_> {
         let mut t = 0.0;
         for j in 0..o.jobs {
             let run = self.run_job_obs(seed.wrapping_add(j * 7919), t, rec);
-            rec.gauge(t, Track::Cluster, "cluster.power_w", run.energy / run.duration);
+            rec.gauge(
+                t,
+                Track::Cluster,
+                "cluster.power_w",
+                run.energy / run.duration,
+            );
             t += run.duration;
         }
         if t < period {
@@ -403,7 +399,12 @@ mod trace_tests {
         // The observation uses the 5-job average; the trace simulates each
         // job individually — agreement within the job-to-job jitter.
         let rel = (trace.energy() - o.energy).abs() / o.energy;
-        assert!(rel < 0.02, "trace {} vs observation {}", trace.energy(), o.energy);
+        assert!(
+            rel < 0.02,
+            "trace {} vs observation {}",
+            trace.energy(),
+            o.energy
+        );
         assert!((trace.mean_power() - o.avg_power_w).abs() / o.avg_power_w < 0.02);
     }
 
@@ -579,8 +580,7 @@ impl ClusterSim<'_> {
             let mut lost_ops = 0.0;
             let mut outcomes = Vec::with_capacity(nodes.len());
             for r in &nodes {
-                let events =
-                    plan.events_for_node(seed, attempt, r.group, r.node, sample_horizon);
+                let events = plan.events_for_node(seed, attempt, r.group, r.node, sample_horizon);
                 let mut slowdown = 1.0;
                 let mut stall_s = 0.0;
                 let mut crash_at = None;
@@ -633,7 +633,11 @@ impl ClusterSim<'_> {
                     Some(t) => {
                         alive[r.group] -= 1;
                         let t = t.min(nominal_finish);
-                        let frac = if nominal_finish > 0.0 { t / nominal_finish } else { 1.0 };
+                        let frac = if nominal_finish > 0.0 {
+                            t / nominal_finish
+                        } else {
+                            1.0
+                        };
                         let share_ops = self.split.ops_frac[r.group] * ops;
                         lost_ops += share_ops * (1.0 - frac);
                         outcomes.push(NodeOutcome {
@@ -662,7 +666,12 @@ impl ClusterSim<'_> {
                 total_time += wave_end;
                 total_energy += wave_energy;
                 if R::ACTIVE {
-                    rec.span_end(attempt_start + wave_end, Track::Cluster, "attempt", attempt as u64);
+                    rec.span_end(
+                        attempt_start + wave_end,
+                        Track::Cluster,
+                        "attempt",
+                        attempt as u64,
+                    );
                 }
                 true
             } else {
@@ -672,12 +681,22 @@ impl ClusterSim<'_> {
                     let degraded =
                         try_rate_matched_split_surviving(self.workload, self.cluster, &alive)?;
                     let t = lost_ops / degraded.cluster_rate;
-                    let p = idle_w
-                        + busy_delta_w * (degraded.cluster_rate / self.split.cluster_rate);
+                    let p =
+                        idle_w + busy_delta_w * (degraded.cluster_rate / self.split.cluster_rate);
                     redispatched_ops += lost_ops;
                     if R::ACTIVE {
-                        rec.span_begin(attempt_start + wave_end, Track::Cluster, "recovery", attempt as u64);
-                        rec.span_end(attempt_start + wave_end + t, Track::Cluster, "recovery", attempt as u64);
+                        rec.span_begin(
+                            attempt_start + wave_end,
+                            Track::Cluster,
+                            "recovery",
+                            attempt as u64,
+                        );
+                        rec.span_end(
+                            attempt_start + wave_end + t,
+                            Track::Cluster,
+                            "recovery",
+                            attempt as u64,
+                        );
                         rec.instant(
                             attempt_start + wave_end,
                             Track::Cluster,
@@ -693,7 +712,12 @@ impl ClusterSim<'_> {
                 let attempt_energy = wave_energy + recovery_energy;
                 if completion <= timeout_s {
                     if R::ACTIVE {
-                        rec.span_end(attempt_start + completion, Track::Cluster, "attempt", attempt as u64);
+                        rec.span_end(
+                            attempt_start + completion,
+                            Track::Cluster,
+                            "attempt",
+                            attempt as u64,
+                        );
                         rec.span_end(attempt_start + completion, Track::Cluster, "job", seed);
                         rec.tally("cluster.jobs_completed", 1);
                     }
@@ -716,7 +740,12 @@ impl ClusterSim<'_> {
                 total_time += timeout_s;
                 total_energy += attempt_energy * (timeout_s / completion);
                 if R::ACTIVE {
-                    rec.span_end(attempt_start + timeout_s, Track::Cluster, "attempt", attempt as u64);
+                    rec.span_end(
+                        attempt_start + timeout_s,
+                        Track::Cluster,
+                        "attempt",
+                        attempt as u64,
+                    );
                 }
                 true
             };
@@ -832,7 +861,12 @@ mod fault_plan_tests {
             seed: 0,
             groups: vec![GroupFaultProfile {
                 mtbf: MtbfModel::Schedule(vec![base.duration * 0.25]),
-                kinds: vec![(1.0, FaultKind::Stall { duration_s: stall_s })],
+                kinds: vec![(
+                    1.0,
+                    FaultKind::Stall {
+                        duration_s: stall_s,
+                    },
+                )],
             }],
         };
         let f = sim.run_job_under_plan(&stall, &policy, 2).unwrap();
@@ -897,7 +931,10 @@ mod fault_plan_tests {
             backoff_cap_s: f64::INFINITY,
         };
         let err = sim.run_job_under_plan(&plan, &policy, 3).unwrap_err();
-        assert!(matches!(err, EnpropError::RetryBudgetExhausted { attempts: 2, .. }));
+        assert!(matches!(
+            err,
+            EnpropError::RetryBudgetExhausted { attempts: 2, .. }
+        ));
 
         // One retry allowed and only the first attempt's schedule slows it
         // down? Schedules recur, so instead verify the accounting on a plan
@@ -906,7 +943,9 @@ mod fault_plan_tests {
         let flaky = FaultPlan::uniform(
             42,
             GroupFaultProfile {
-                mtbf: MtbfModel::Exponential { mtbf_s: base.duration * 2.0 },
+                mtbf: MtbfModel::Exponential {
+                    mtbf_s: base.duration * 2.0,
+                },
                 kinds: vec![(1.0, FaultKind::Straggler { slowdown: 20.0 })],
             },
             2,

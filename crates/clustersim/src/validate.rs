@@ -120,7 +120,11 @@ mod tests {
         }
         let r = validate(&w, &reference(), 3, 42);
         assert!(r.time_error_pct < 1.0, "time err {}", r.time_error_pct);
-        assert!(r.energy_error_pct < 1.0, "energy err {}", r.energy_error_pct);
+        assert!(
+            r.energy_error_pct < 1.0,
+            "energy err {}",
+            r.energy_error_pct
+        );
     }
 
     #[test]

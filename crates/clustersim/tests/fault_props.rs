@@ -34,7 +34,12 @@ fn mixed_fault_profile() -> impl Strategy<Value = GroupFaultProfile> {
             mtbf: MtbfModel::Exponential { mtbf_s: mtbf_x },
             kinds: vec![
                 (1.0, FaultKind::Crash),
-                (1.0, FaultKind::Stall { duration_s: stall_x }),
+                (
+                    1.0,
+                    FaultKind::Stall {
+                        duration_s: stall_x,
+                    },
+                ),
                 (1.0, FaultKind::Straggler { slowdown }),
             ],
         }

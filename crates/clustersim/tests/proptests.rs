@@ -2,9 +2,7 @@
 
 //! Property-based tests for the cluster simulator and work splitting.
 
-use enprop_clustersim::{
-    try_model_prediction, try_rate_matched_split, ClusterSim, ClusterSpec,
-};
+use enprop_clustersim::{try_model_prediction, try_rate_matched_split, ClusterSim, ClusterSpec};
 use enprop_workloads::catalog;
 use proptest::prelude::*;
 

@@ -75,10 +75,7 @@ pub struct BestPpr {
 /// Sweep every `(cores, frequency)` pair of the node and return the
 /// PPR-optimal one, reporting a typed error when the node has no
 /// calibrated profile.
-pub fn try_best_ppr_config(
-    workload: &Workload,
-    node_name: &str,
-) -> Result<BestPpr, EnpropError> {
+pub fn try_best_ppr_config(workload: &Workload, node_name: &str) -> Result<BestPpr, EnpropError> {
     let profile = workload.try_profile(node_name)?;
     let model = try_single_node_model(workload, node_name)?;
     let mut best: Option<BestPpr> = None;
@@ -150,7 +147,11 @@ mod tests {
             let a9 = single_node_row(&w, "A9").metrics;
             let k10 = single_node_row(&w, "K10").metrics;
             assert!((a9.dpr - a9_dpr).abs() < 0.01, "{name} A9 DPR {}", a9.dpr);
-            assert!((k10.dpr - k10_dpr).abs() < 0.01, "{name} K10 DPR {}", k10.dpr);
+            assert!(
+                (k10.dpr - k10_dpr).abs() < 0.01,
+                "{name} K10 DPR {}",
+                k10.dpr
+            );
             // §III-B collapse: EPM = LDR = 1 − IPR.
             assert!((a9.epm - (1.0 - a9.ipr)).abs() < 1e-6);
             assert!((k10.ldr - k10.epm).abs() < 1e-9);
@@ -222,9 +223,15 @@ mod tests {
         // power). All curves are in percent-of-reference-peak, so the
         // external ideal line is `100 · u`.
         let c_ref = normalized_power_samples(&reference, ref_peak, grid);
-        assert_eq!(classify_against(&c_ref, 100.0, grid, 1e-3), Linearity::SuperLinear);
+        assert_eq!(
+            classify_against(&c_ref, 100.0, grid, 1e-3),
+            Linearity::SuperLinear
+        );
         // The reduced mix transitions: super-linear at low u, sub-linear later.
-        assert_eq!(classify_against(&c_below, 100.0, grid, 1e-3), Linearity::Mixed);
+        assert_eq!(
+            classify_against(&c_below, 100.0, grid, 1e-3),
+            Linearity::Mixed
+        );
         let xs = crossovers_against(&c_below, 100.0, grid);
         assert_eq!(xs.len(), 1);
         assert!(xs[0] > 0.3 && xs[0] < 0.55, "crossover at {}", xs[0]);

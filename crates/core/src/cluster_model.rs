@@ -10,9 +10,7 @@
 
 use enprop_clustersim::{try_rate_matched_split, ClusterSpec, WorkSplit};
 use enprop_faults::EnpropError;
-use enprop_metrics::{
-    LinearCurve, PowerCurve, PprCurve, ProportionalityMetrics, ThroughputCurve,
-};
+use enprop_metrics::{LinearCurve, PowerCurve, PprCurve, ProportionalityMetrics, ThroughputCurve};
 use enprop_queueing::MD1;
 use enprop_workloads::Workload;
 

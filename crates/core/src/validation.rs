@@ -67,7 +67,14 @@ mod tests {
         let names: Vec<&str> = rows.iter().map(|r| r.program).collect();
         assert_eq!(
             names,
-            ["EP", "memcached", "x264", "blackscholes", "Julius", "RSA-2048"]
+            [
+                "EP",
+                "memcached",
+                "x264",
+                "blackscholes",
+                "Julius",
+                "RSA-2048"
+            ]
         );
         assert_eq!(rows[0].domain, "HPC");
         assert_eq!(rows[1].domain, "Web Server");

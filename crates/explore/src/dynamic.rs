@@ -131,10 +131,7 @@ impl DynamicEnvelope {
 
     /// Number of distinct configurations the sweep actually uses.
     pub fn active_configurations(&self, grid: GridSpec) -> usize {
-        let mut labels: Vec<String> = grid
-            .points()
-            .map(|u| self.serve(u).0.to_string())
-            .collect();
+        let mut labels: Vec<String> = grid.points().map(|u| self.serve(u).0.to_string()).collect();
         labels.sort();
         labels.dedup();
         labels.len()

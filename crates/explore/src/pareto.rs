@@ -282,8 +282,11 @@ mod tests {
             for f in frontiers {
                 merged.merge(f);
             }
-            let got: std::collections::BTreeSet<usize> =
-                merged.into_points().into_iter().map(|p| p.payload).collect();
+            let got: std::collections::BTreeSet<usize> = merged
+                .into_points()
+                .into_iter()
+                .map(|p| p.payload)
+                .collect();
             assert_eq!(got, whole, "{shards} shards");
         }
     }
@@ -320,9 +323,10 @@ mod tests {
             if idx.contains(&j) {
                 continue;
             }
-            let dominated = pts.iter().enumerate().any(|(i, p)| {
-                i != j && p.0 <= q.0 && p.1 <= q.1 && (p.0 < q.0 || p.1 < q.1)
-            });
+            let dominated = pts
+                .iter()
+                .enumerate()
+                .any(|(i, p)| i != j && p.0 <= q.0 && p.1 <= q.1 && (p.0 < q.0 || p.1 < q.1));
             assert!(dominated, "{q:?} should be dominated");
         }
     }
@@ -338,9 +342,15 @@ pub fn knee_point<'a>(front: &[&'a EvaluatedConfig]) -> Option<&'a EvaluatedConf
     if front.is_empty() {
         return None;
     }
-    let t_min = front.iter().map(|e| e.job_time).fold(f64::INFINITY, f64::min);
+    let t_min = front
+        .iter()
+        .map(|e| e.job_time)
+        .fold(f64::INFINITY, f64::min);
     let t_max = front.iter().map(|e| e.job_time).fold(0.0f64, f64::max);
-    let e_min = front.iter().map(|e| e.job_energy).fold(f64::INFINITY, f64::min);
+    let e_min = front
+        .iter()
+        .map(|e| e.job_energy)
+        .fold(f64::INFINITY, f64::min);
     let e_max = front.iter().map(|e| e.job_energy).fold(0.0f64, f64::max);
     let t_span = (t_max - t_min).max(f64::MIN_POSITIVE);
     let e_span = (e_max - e_min).max(f64::MIN_POSITIVE);

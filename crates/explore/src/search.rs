@@ -200,9 +200,7 @@ pub fn local_search(
         }
 
         if current.job_time <= deadline
-            && best
-                .as_ref()
-                .is_none_or(|b| better(&current, b, deadline))
+            && best.as_ref().is_none_or(|b| better(&current, b, deadline))
         {
             best = Some(current);
         }

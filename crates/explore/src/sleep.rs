@@ -108,10 +108,7 @@ impl SleepManagedCluster {
         // capacity ratio.
         let stretch = self.nodes as f64 / awake;
         let t_awake = self.model.job_time() * stretch;
-        let md1 = enprop_queueing::MD1::from_utilization(
-            t_awake,
-            (u * stretch).min(0.95),
-        );
+        let md1 = enprop_queueing::MD1::from_utilization(t_awake, (u * stretch).min(0.95));
         md1.response_time_quantile(0.95) + spike_probability * self.policy.wake_latency_s
     }
 }
@@ -154,7 +151,11 @@ mod tests {
         let c = k10_sleepers();
         assert!((c.power_at(1.0) - c.model.busy_power_w()).abs() < 1e-6);
         assert_eq!(c.awake_nodes(1.0), 16);
-        assert_eq!(c.awake_nodes(0.0), 1, "one node stays up for background work");
+        assert_eq!(
+            c.awake_nodes(0.0),
+            1,
+            "one node stays up for background work"
+        );
     }
 
     #[test]
@@ -178,7 +179,10 @@ mod tests {
         let w = catalog::by_name("EP").unwrap();
         let ba = SleepManagedCluster::homogeneous(&w, "K10", 16, SleepPolicy::barely_alive());
         // Full shutdown: no power, slow wake.
-        let shutdown = SleepPolicy { sleep_w: 0.0, wake_latency_s: 30.0 };
+        let shutdown = SleepPolicy {
+            sleep_w: 0.0,
+            wake_latency_s: 30.0,
+        };
         let sd = SleepManagedCluster::homogeneous(&w, "K10", 16, shutdown);
         assert!(sd.power_at(0.2) < ba.power_at(0.2));
         assert!(

@@ -366,7 +366,10 @@ where
     let iter = configs.into_iter();
     let (lo, hi) = iter.size_hint();
     let est = hi.unwrap_or(lo);
-    let threads = opts.threads.unwrap_or_else(rayon::current_num_threads).max(1);
+    let threads = opts
+        .threads
+        .unwrap_or_else(rayon::current_num_threads)
+        .max(1);
     let cache = opts.cache.then(|| EvalCache::new(workload));
     let cache_ref = cache.as_ref();
     let out: Vec<EvaluatedConfig> = iter

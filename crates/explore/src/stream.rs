@@ -506,11 +506,7 @@ mod tests {
     #[test]
     fn dalek_types_stream_end_to_end() {
         let w = catalog::dalek("blackscholes").unwrap();
-        let types = [
-            TypeSpace::pi4(2),
-            TypeSpace::opi5(2),
-            TypeSpace::a9(1),
-        ];
+        let types = [TypeSpace::pi4(2), TypeSpace::opi5(2), TypeSpace::a9(1)];
         assert_stream_matches_materialized(
             &w,
             &types,
@@ -549,11 +545,8 @@ mod tests {
             max_configs: None,
         };
         let (_, stream_stats) = stream_pareto_front(&w, &types, opts);
-        let (_, pooled_stats) = crate::space::evaluate_space_with(
-            &w,
-            configurations(&types),
-            EvalOptions::default(),
-        );
+        let (_, pooled_stats) =
+            crate::space::evaluate_space_with(&w, configurations(&types), EvalOptions::default());
         assert!(
             stream_stats.peak_buffer_bytes * 10 < pooled_stats.peak_buffer_bytes,
             "stream {} vs pooled {}",

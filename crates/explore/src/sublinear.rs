@@ -62,7 +62,11 @@ mod tests {
         let r8 = sublinear_report(&w, &ClusterSpec::a9_k10(25, 8), peak, GRID);
         let r7 = sublinear_report(&w, &ClusterSpec::a9_k10(25, 7), peak, GRID);
         // (25,8) is still above ideal at u = 0.5; (25,7) is below.
-        assert!(r8.crossovers.first().is_none_or(|&x| x > 0.5), "{:?}", r8.crossovers);
+        assert!(
+            r8.crossovers.first().is_none_or(|&x| x > 0.5),
+            "{:?}",
+            r8.crossovers
+        );
         assert_eq!(r7.linearity, Linearity::Mixed);
         assert!(
             r7.crossovers.first().is_some_and(|&x| x < 0.5),

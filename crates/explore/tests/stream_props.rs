@@ -28,12 +28,19 @@ where
         let (t, e) = key(item);
         let _ = frontier.insert(t, e, i);
     }
-    let mut out: Vec<(f64, f64, usize)> =
-        frontier.into_points().into_iter().map(|p| (p.t, p.e, p.payload)).collect();
+    let mut out: Vec<(f64, f64, usize)> = frontier
+        .into_points()
+        .into_iter()
+        .map(|p| (p.t, p.e, p.payload))
+        .collect();
     // The oracle emits duplicates in original-index order (stable sort);
     // the staircase keeps them in insertion order, which for a single
     // in-order pass is the same — the sort makes it explicit.
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+    out.sort_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    });
     out.into_iter().map(|(_, _, i)| i).collect()
 }
 

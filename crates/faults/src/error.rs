@@ -141,7 +141,10 @@ mod tests {
     #[test]
     fn exit_codes_partition_the_error_space() {
         assert_eq!(EnpropError::invalid_config("x").exit_code(), 2);
-        assert_eq!(EnpropError::invalid_parameter("mtbf", "negative").exit_code(), 2);
+        assert_eq!(
+            EnpropError::invalid_parameter("mtbf", "negative").exit_code(),
+            2
+        );
         assert_eq!(
             EnpropError::MissingProfile {
                 workload: "EP".into(),

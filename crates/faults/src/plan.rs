@@ -134,7 +134,8 @@ impl MtbfModel {
                 times
             }
             MtbfModel::Schedule(times) => {
-                let mut within: Vec<f64> = times.iter().copied().filter(|&t| t < horizon_s).collect();
+                let mut within: Vec<f64> =
+                    times.iter().copied().filter(|&t| t < horizon_s).collect();
                 within.sort_by(f64::total_cmp);
                 within
             }
@@ -434,7 +435,10 @@ mod tests {
         );
         let a0 = plan.events_for_node(1, 0, 0, 0, 50.0);
         let a1 = plan.events_for_node(1, 7, 0, 0, 50.0);
-        assert_eq!(a0.iter().map(|e| e.at_s).collect::<Vec<_>>(), vec![10.0, 30.0]);
+        assert_eq!(
+            a0.iter().map(|e| e.at_s).collect::<Vec<_>>(),
+            vec![10.0, 30.0]
+        );
         assert_eq!(
             a0.iter().map(|e| e.at_s).collect::<Vec<_>>(),
             a1.iter().map(|e| e.at_s).collect::<Vec<_>>(),
@@ -465,7 +469,12 @@ mod tests {
     #[test]
     fn validation_rejects_bad_parameters() {
         assert!(MtbfModel::Exponential { mtbf_s: 0.0 }.validate().is_err());
-        assert!(MtbfModel::Weibull { scale_s: 10.0, shape: -1.0 }.validate().is_err());
+        assert!(MtbfModel::Weibull {
+            scale_s: 10.0,
+            shape: -1.0
+        }
+        .validate()
+        .is_err());
         assert!(MtbfModel::Schedule(vec![-3.0]).validate().is_err());
         let bad_kind = GroupFaultProfile {
             mtbf: MtbfModel::Exponential { mtbf_s: 5.0 },

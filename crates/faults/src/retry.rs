@@ -45,7 +45,10 @@ impl RetryPolicy {
         if self.timeout_factor.is_nan() || self.timeout_factor <= 1.0 {
             return Err(EnpropError::invalid_parameter(
                 "timeout_factor",
-                format!("must be > 1 (got {}); attempts could never succeed", self.timeout_factor),
+                format!(
+                    "must be > 1 (got {}); attempts could never succeed",
+                    self.timeout_factor
+                ),
             ));
         }
         if !self.backoff_base_s.is_finite() || self.backoff_base_s < 0.0 {

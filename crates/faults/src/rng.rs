@@ -94,7 +94,9 @@ mod tests {
 
     #[test]
     fn any_key_component_decorrelates() {
-        let base: Vec<u64> = (0..50).map(|_| FaultRng::from_key(&[7, 0, 3]).next_u64()).collect();
+        let base: Vec<u64> = (0..50)
+            .map(|_| FaultRng::from_key(&[7, 0, 3]).next_u64())
+            .collect();
         for key in [[8, 0, 3], [7, 1, 3], [7, 0, 4]] {
             let other = FaultRng::from_key(&key).next_u64();
             assert!(!base.contains(&other), "stream collision for {key:?}");

@@ -47,8 +47,16 @@ pub struct Topology {
 
 impl Topology {
     /// Build and validate a topology.
-    pub fn new(nodes: usize, nodes_per_rack: usize, racks_per_pdu: usize) -> Result<Self, EnpropError> {
-        let t = Topology { nodes, nodes_per_rack, racks_per_pdu };
+    pub fn new(
+        nodes: usize,
+        nodes_per_rack: usize,
+        racks_per_pdu: usize,
+    ) -> Result<Self, EnpropError> {
+        let t = Topology {
+            nodes,
+            nodes_per_rack,
+            racks_per_pdu,
+        };
         t.validate()?;
         Ok(t)
     }
@@ -56,13 +64,22 @@ impl Topology {
     /// Validate the shape parameters.
     pub fn validate(&self) -> Result<(), EnpropError> {
         if self.nodes == 0 {
-            return Err(EnpropError::invalid_parameter("topology nodes", "must be ≥ 1"));
+            return Err(EnpropError::invalid_parameter(
+                "topology nodes",
+                "must be ≥ 1",
+            ));
         }
         if self.nodes_per_rack == 0 {
-            return Err(EnpropError::invalid_parameter("nodes_per_rack", "must be ≥ 1"));
+            return Err(EnpropError::invalid_parameter(
+                "nodes_per_rack",
+                "must be ≥ 1",
+            ));
         }
         if self.racks_per_pdu == 0 {
-            return Err(EnpropError::invalid_parameter("racks_per_pdu", "must be ≥ 1"));
+            return Err(EnpropError::invalid_parameter(
+                "racks_per_pdu",
+                "must be ≥ 1",
+            ));
         }
         Ok(())
     }
@@ -168,7 +185,10 @@ pub struct DomainFaultProfile {
 impl DomainFaultProfile {
     /// A level that never faults.
     pub fn none() -> Self {
-        DomainFaultProfile { mtbf: MtbfModel::Disabled, kinds: Vec::new() }
+        DomainFaultProfile {
+            mtbf: MtbfModel::Disabled,
+            kinds: Vec::new(),
+        }
     }
 
     /// True when this level can never produce an event.
@@ -307,23 +327,55 @@ impl TopologyFaultPlan {
     /// of `horizon_s` seconds. Deterministic in all arguments; events are
     /// returned ordered by `(at_s, level, domain)` so ties across domains
     /// resolve identically on every run.
-    pub fn events_for_window(&self, run_seed: u64, window: u32, horizon_s: f64) -> Vec<DomainEvent> {
+    pub fn events_for_window(
+        &self,
+        run_seed: u64,
+        window: u32,
+        horizon_s: f64,
+    ) -> Vec<DomainEvent> {
         if self.is_inert() || horizon_s <= 0.0 {
             return Vec::new();
         }
         let mut out = Vec::new();
         if !self.rack.is_inert() {
             for r in 0..self.topology.racks() {
-                self.sample_domain(run_seed, window, RACK_TAG, r, Domain::Rack(r), &self.rack, horizon_s, &mut out);
+                self.sample_domain(
+                    run_seed,
+                    window,
+                    RACK_TAG,
+                    r,
+                    Domain::Rack(r),
+                    &self.rack,
+                    horizon_s,
+                    &mut out,
+                );
             }
         }
         if !self.pdu.is_inert() {
             for p in 0..self.topology.pdus() {
-                self.sample_domain(run_seed, window, PDU_TAG, p, Domain::Pdu(p), &self.pdu, horizon_s, &mut out);
+                self.sample_domain(
+                    run_seed,
+                    window,
+                    PDU_TAG,
+                    p,
+                    Domain::Pdu(p),
+                    &self.pdu,
+                    horizon_s,
+                    &mut out,
+                );
             }
         }
         if !self.cluster.is_inert() {
-            self.sample_domain(run_seed, window, CLUSTER_TAG, 0, Domain::Cluster, &self.cluster, horizon_s, &mut out);
+            self.sample_domain(
+                run_seed,
+                window,
+                CLUSTER_TAG,
+                0,
+                Domain::Cluster,
+                &self.cluster,
+                horizon_s,
+                &mut out,
+            );
         }
         // Total order even under time ties: level tag then domain index.
         out.sort_by(|a, b| {
@@ -346,10 +398,15 @@ impl TopologyFaultPlan {
         horizon_s: f64,
         out: &mut Vec<DomainEvent>,
     ) {
-        let mut rng = FaultRng::from_key(&[self.seed, run_seed, u64::from(window), tag, index as u64]);
+        let mut rng =
+            FaultRng::from_key(&[self.seed, run_seed, u64::from(window), tag, index as u64]);
         let times = profile.mtbf.sample_times(&mut rng, horizon_s);
         for at_s in times.into_iter().take(MAX_EVENTS_PER_DOMAIN) {
-            out.push(DomainEvent { at_s, domain, kind: profile.draw_kind(&mut rng) });
+            out.push(DomainEvent {
+                at_s,
+                domain,
+                kind: profile.draw_kind(&mut rng),
+            });
         }
     }
 }
@@ -408,8 +465,16 @@ mod tests {
             },
             pdu: DomainFaultProfile::none(),
             cluster: DomainFaultProfile {
-                mtbf: MtbfModel::Exponential { mtbf_s: mtbf_s * 4.0 },
-                kinds: vec![(1.0, DomainFaultKind::PowerEmergency { cap_w: 80.0, duration_s: 20.0 })],
+                mtbf: MtbfModel::Exponential {
+                    mtbf_s: mtbf_s * 4.0,
+                },
+                kinds: vec![(
+                    1.0,
+                    DomainFaultKind::PowerEmergency {
+                        cap_w: 80.0,
+                        duration_s: 20.0,
+                    },
+                )],
             },
         }
     }
@@ -428,8 +493,16 @@ mod tests {
         let b = plan.events_for_window(7, 0, 1000.0);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        assert_ne!(a, plan.events_for_window(8, 0, 1000.0), "run seed decorrelates");
-        assert_ne!(a, plan.events_for_window(7, 1, 1000.0), "window decorrelates");
+        assert_ne!(
+            a,
+            plan.events_for_window(8, 0, 1000.0),
+            "run seed decorrelates"
+        );
+        assert_ne!(
+            a,
+            plan.events_for_window(7, 1, 1000.0),
+            "window decorrelates"
+        );
     }
 
     #[test]
@@ -465,9 +538,21 @@ mod tests {
     #[test]
     fn validation_rejects_bad_kind_parameters() {
         let mut plan = rack_crash_plan(40.0);
-        plan.cluster.kinds = vec![(1.0, DomainFaultKind::PowerEmergency { cap_w: 0.0, duration_s: 5.0 })];
+        plan.cluster.kinds = vec![(
+            1.0,
+            DomainFaultKind::PowerEmergency {
+                cap_w: 0.0,
+                duration_s: 5.0,
+            },
+        )];
         assert!(plan.validate().is_err());
-        plan.cluster.kinds = vec![(1.0, DomainFaultKind::PowerEmergency { cap_w: 50.0, duration_s: 0.0 })];
+        plan.cluster.kinds = vec![(
+            1.0,
+            DomainFaultKind::PowerEmergency {
+                cap_w: 50.0,
+                duration_s: 0.0,
+            },
+        )];
         assert!(plan.validate().is_err());
         plan.rack.kinds = vec![(1.0, DomainFaultKind::NetworkPartition { duration_s: -1.0 })];
         assert!(plan.validate().is_err());
@@ -478,9 +563,16 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(DomainFaultKind::RackCrash.label(), "fault.rack_crash");
         assert_eq!(DomainFaultKind::PduLoss.label(), "fault.pdu_loss");
-        assert_eq!(DomainFaultKind::NetworkPartition { duration_s: 1.0 }.label(), "fault.partition");
         assert_eq!(
-            DomainFaultKind::PowerEmergency { cap_w: 1.0, duration_s: 1.0 }.label(),
+            DomainFaultKind::NetworkPartition { duration_s: 1.0 }.label(),
+            "fault.partition"
+        );
+        assert_eq!(
+            DomainFaultKind::PowerEmergency {
+                cap_w: 1.0,
+                duration_s: 1.0
+            }
+            .label(),
             "fault.power_emergency"
         );
     }

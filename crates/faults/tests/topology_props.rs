@@ -8,9 +8,7 @@
 //! thread-sensitivity here would break the bit-identical replay
 //! contract).
 
-use enprop_faults::{
-    DomainFaultKind, DomainFaultProfile, MtbfModel, Topology, TopologyFaultPlan,
-};
+use enprop_faults::{DomainFaultKind, DomainFaultProfile, MtbfModel, Topology, TopologyFaultPlan};
 use proptest::prelude::*;
 
 /// A valid, non-inert plan over a small random topology.
@@ -50,7 +48,13 @@ fn plan() -> impl Strategy<Value = TopologyFaultPlan> {
                     },
                     cluster: DomainFaultProfile {
                         mtbf: MtbfModel::Exponential { mtbf_s: clu_mtbf },
-                        kinds: vec![(1.0, DomainFaultKind::PowerEmergency { cap_w, duration_s: dur })],
+                        kinds: vec![(
+                            1.0,
+                            DomainFaultKind::PowerEmergency {
+                                cap_w,
+                                duration_s: dur,
+                            },
+                        )],
                     },
                 }
             },

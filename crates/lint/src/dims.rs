@@ -35,10 +35,42 @@ const DIM_PRESERVING: &[&str] = &[
 /// exponents) or whose result has nothing to do with the receiver's
 /// dimension: the result is unknown.
 const DIM_ERASING: &[&str] = &[
-    "sqrt", "cbrt", "powi", "powf", "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2",
-    "log10", "hypot", "signum", "len", "iter", "into_iter", "unwrap", "unwrap_or",
-    "unwrap_or_else", "unwrap_or_default", "expect", "sum", "product", "collect", "map",
-    "and_then", "get", "min_by", "max_by", "fold", "sin", "cos", "tan", "atan2", "mul_add",
+    "sqrt",
+    "cbrt",
+    "powi",
+    "powf",
+    "exp",
+    "exp2",
+    "exp_m1",
+    "ln",
+    "ln_1p",
+    "log",
+    "log2",
+    "log10",
+    "hypot",
+    "signum",
+    "len",
+    "iter",
+    "into_iter",
+    "unwrap",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "expect",
+    "sum",
+    "product",
+    "collect",
+    "map",
+    "and_then",
+    "get",
+    "min_by",
+    "max_by",
+    "fold",
+    "sin",
+    "cos",
+    "tan",
+    "atan2",
+    "mul_add",
 ];
 
 struct Ctx<'a> {
@@ -191,9 +223,7 @@ fn check_level(trees: &[Tree], fn_dim: Option<Dim>, is_fn_body: bool, ctx: &mut 
                                     "unit-assign",
                                     "U002",
                                     e.pos(),
-                                    format!(
-                                        "function name claims `{fd}` but its result is `{vd}`"
-                                    ),
+                                    format!("function name claims `{fd}` but its result is `{vd}`"),
                                     Some((fd.to_string(), vd.to_string())),
                                 );
                             }
@@ -271,7 +301,13 @@ fn target_name(target: &Expr) -> Option<String> {
 /// Well-known numeric sentinel constants: they behave like literals for
 /// U004 purposes (`f64::INFINITY` is not a unit claim gone missing).
 const SENTINEL_CONSTS: &[&str] = &[
-    "NAN", "INFINITY", "NEG_INFINITY", "EPSILON", "MAX", "MIN", "MIN_POSITIVE",
+    "NAN",
+    "INFINITY",
+    "NEG_INFINITY",
+    "EPSILON",
+    "MAX",
+    "MIN",
+    "MIN_POSITIVE",
 ];
 
 /// Is this expression a bare product/quotient over names and literals —
@@ -415,8 +451,20 @@ fn infer(e: &Expr, ctx: &mut Ctx<'_>) -> Option<Dim> {
 fn is_numeric_ty(ty: &str) -> bool {
     matches!(
         ty,
-        "f64" | "f32" | "u8" | "u16" | "u32" | "u64" | "u128" | "usize" | "i8" | "i16" | "i32"
-            | "i64" | "i128" | "isize"
+        "f64"
+            | "f32"
+            | "u8"
+            | "u16"
+            | "u32"
+            | "u64"
+            | "u128"
+            | "usize"
+            | "i8"
+            | "i16"
+            | "i32"
+            | "i64"
+            | "i128"
+            | "isize"
     )
 }
 
@@ -507,7 +555,10 @@ mod tests {
         assert_eq!(codes("let p_w = idle_w + 0.5;"), Vec::<&str>::new());
         // A product of pure literals adopts its context's dimension: no
         // U002 on `working_set_bytes: 256.0 * 1024.0`.
-        assert_eq!(codes("C { working_set_bytes: 256.0 * 1024.0, }"), Vec::<&str>::new());
+        assert_eq!(
+            codes("C { working_set_bytes: 256.0 * 1024.0, }"),
+            Vec::<&str>::new()
+        );
     }
 
     #[test]
@@ -518,16 +569,21 @@ mod tests {
             codes("let ideal_j = if busy { dt_s * peak_w } else { 0.0 };"),
             Vec::<&str>::new()
         );
-        assert_eq!(codes("let total_bytes = vec![0u8; 256];"), Vec::<&str>::new());
-        assert_eq!(codes("lost_ops += share_ops * rng.gen::<f64>();"), Vec::<&str>::new());
+        assert_eq!(
+            codes("let total_bytes = vec![0u8; 256];"),
+            Vec::<&str>::new()
+        );
+        assert_eq!(
+            codes("lost_ops += share_ops * rng.gen::<f64>();"),
+            Vec::<&str>::new()
+        );
     }
 
     #[test]
     fn nested_fn_dims_do_not_leak() {
         // Inner fn's body is checked against the inner name only; the
         // outer trailing expression is checked against the outer name.
-        let src =
-            "fn outer_j() -> f64 { fn inner_w() -> f64 { self.p_w } inner_w() * self.dt_s }";
+        let src = "fn outer_j() -> f64 { fn inner_w() -> f64 { self.p_w } inner_w() * self.dt_s }";
         assert_eq!(codes(src), Vec::<&str>::new());
         let bad = "fn outer_j() -> f64 { fn inner_w() -> f64 { self.p_w } inner_w() }";
         assert_eq!(codes(bad), vec!["U002"]);

@@ -412,7 +412,11 @@ fn number(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     }
 
     out.tokens.push(Token {
-        kind: if is_float { TokKind::Float } else { TokKind::Int },
+        kind: if is_float {
+            TokKind::Float
+        } else {
+            TokKind::Int
+        },
         text,
         line,
         col,
@@ -467,7 +471,9 @@ mod tests {
     #[test]
     fn raw_strings_with_hashes() {
         let toks = kinds(r###"let s = r#"quote " inside"#; let t = 1;"###);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Str && t.contains("quote")));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Str && t.contains("quote")));
         assert!(toks.iter().any(|(_, t)| t == "t"));
     }
 

@@ -73,10 +73,7 @@ pub fn check(path: &str, src: &str, trees: &[Tree]) -> Vec<Finding> {
         // C002: both orders present within this one function.
         for i in 0..ctx.pairs.len() {
             let (a, b, pos) = &ctx.pairs[i];
-            let reversed = ctx
-                .pairs
-                .iter()
-                .find(|(x, y, _)| x == b && y == a);
+            let reversed = ctx.pairs.iter().find(|(x, y, _)| x == b && y == a);
             if let Some((_, _, rpos)) = reversed {
                 // Report once per unordered pair, at the later site.
                 if (a.as_str(), pos.line) > (b.as_str(), rpos.line) {
@@ -99,7 +96,9 @@ pub fn check(path: &str, src: &str, trees: &[Tree]) -> Vec<Finding> {
     }
 
     let mut out = ctx.out;
-    out.sort_by(|a, b| (a.line, a.col, a.code, &a.message).cmp(&(b.line, b.col, b.code, &b.message)));
+    out.sort_by(|a, b| {
+        (a.line, a.col, a.code, &a.message).cmp(&(b.line, b.col, b.code, &b.message))
+    });
     out.dedup_by(|a, b| a.code == b.code && a.line == b.line && a.col == b.col);
     out
 }
@@ -157,7 +156,10 @@ fn stmt_exprs<'e>(stmt: &'e Stmt<'_>) -> Vec<&'e Expr> {
 /// Is this method call a lock acquisition, and of which path?
 fn acquisition_of(e: &Expr, has_rwlock: bool) -> Option<(String, Pos)> {
     if let Expr::Method {
-        recv, method, args, pos,
+        recv,
+        method,
+        args,
+        pos,
     } = e
     {
         let is_acq = method == "lock" || (has_rwlock && (method == "read" || method == "write"));
@@ -209,7 +211,10 @@ fn expr_calls<'e>(e: &'e Expr, out: &mut Vec<(&'e str, Pos)>) {
             }
         }
         Expr::Method {
-            recv, method, args, pos,
+            recv,
+            method,
+            args,
+            pos,
         } => {
             out.push((method, *pos));
             expr_calls(recv, out);
@@ -231,12 +236,7 @@ fn expr_calls<'e>(e: &'e Expr, out: &mut Vec<(&'e str, Pos)>) {
 
 /// Process one expression under the current held-guard stack: flag C001
 /// re-entry (direct or via same-file helper) and record C002 pairs.
-fn scan_expr(
-    e: &Expr,
-    held: &[Held],
-    fn_locks: &[(String, Vec<String>)],
-    ctx: &mut Ctx<'_>,
-) {
+fn scan_expr(e: &Expr, held: &[Held], fn_locks: &[(String, Vec<String>)], ctx: &mut Ctx<'_>) {
     let mut acqs = Vec::new();
     expr_acquisitions(e, ctx.has_rwlock, &mut acqs);
     for (lock, pos) in &acqs {
@@ -368,8 +368,7 @@ mod tests {
 
     #[test]
     fn c001_respects_drop() {
-        let src =
-            "fn f(&self) { let g = self.inner.lock(); drop(g); self.inner.lock().push(1); }";
+        let src = "fn f(&self) { let g = self.inner.lock(); drop(g); self.inner.lock().push(1); }";
         assert_eq!(codes(src), Vec::<&str>::new());
     }
 

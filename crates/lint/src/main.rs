@@ -91,7 +91,10 @@ fn main() -> ExitCode {
             match scan::find_workspace_root(&cwd) {
                 Some(r) => r,
                 None => {
-                    eprintln!("enprop-lint: no workspace root found above {}", cwd.display());
+                    eprintln!(
+                        "enprop-lint: no workspace root found above {}",
+                        cwd.display()
+                    );
                     return ExitCode::from(2);
                 }
             }

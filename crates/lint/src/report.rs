@@ -130,7 +130,11 @@ pub fn explain(id: &str) -> Option<String> {
 pub fn list_rules() -> String {
     let mut out = String::new();
     for r in crate::rules::RULES {
-        let _ = writeln!(out, "{:>5}  {:<16} {:?}: {}", r.code, r.id, r.scope, r.summary);
+        let _ = writeln!(
+            out,
+            "{:>5}  {:<16} {:?}: {}",
+            r.code, r.id, r.scope, r.summary
+        );
     }
     out
 }

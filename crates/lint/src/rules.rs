@@ -40,7 +40,14 @@ pub fn lock_scope(rel_path: &str) -> bool {
 
 /// Crates whose state drives discrete-event simulation: any
 /// nondeterminism here breaks golden-trace replay.
-pub const SIM_CRATES: &[&str] = &["nodesim", "clustersim", "queueing", "faults", "obs", "serve"];
+pub const SIM_CRATES: &[&str] = &[
+    "nodesim",
+    "clustersim",
+    "queueing",
+    "faults",
+    "obs",
+    "serve",
+];
 
 /// Crates holding the paper's numeric models: silent precision loss here
 /// corrupts the Table 4 error claim.
@@ -284,7 +291,11 @@ const WAIVER_MARKER: &str = "enprop-lint:";
 fn parse_waivers(comments: &[Comment], path: &str, findings: &mut Vec<Finding>) -> Vec<Waiver> {
     let mut waivers = Vec::new();
     for c in comments {
-        let body = c.text.trim_start_matches('/').trim_start_matches('*').trim();
+        let body = c
+            .text
+            .trim_start_matches('/')
+            .trim_start_matches('*')
+            .trim();
         let Some(pos) = body.find(WAIVER_MARKER) else {
             continue;
         };
@@ -480,7 +491,10 @@ fn punct_at(toks: &[Token], i: usize, text: &str) -> bool {
 
 /// `a :: b` — `a` at i, `b` expected two puncts later.
 fn path_seg(toks: &[Token], i: usize, a: &str, b: &str) -> bool {
-    ident_at(toks, i, a) && punct_at(toks, i + 1, ":") && punct_at(toks, i + 2, ":") && ident_at(toks, i + 3, b)
+    ident_at(toks, i, a)
+        && punct_at(toks, i + 1, ":")
+        && punct_at(toks, i + 2, ":")
+        && ident_at(toks, i + 3, b)
 }
 
 const INT_TYPES: &[&str] = &[
@@ -542,7 +556,9 @@ fn match_wall_clock(toks: &[Token], i: usize, t: &Token) -> Option<String> {
         return None;
     }
     if t.text == "SystemTime" {
-        return Some("`SystemTime` reads the host clock; simulation time is the f64 event clock".into());
+        return Some(
+            "`SystemTime` reads the host clock; simulation time is the f64 event clock".into(),
+        );
     }
     if path_seg(toks, i, "Instant", "now") {
         return Some("`Instant::now()` reads the host clock; derive times from sim state".into());
@@ -565,10 +581,14 @@ fn match_ambient_state(toks: &[Token], i: usize, t: &Token) -> Option<String> {
         return None;
     }
     if t.text == "static" && ident_at(toks, i + 1, "mut") {
-        return Some("`static mut` is ambient sim state; keep state in the simulator structs".into());
+        return Some(
+            "`static mut` is ambient sim state; keep state in the simulator structs".into(),
+        );
     }
     if t.text == "thread_local" {
-        return Some("`thread_local!` state differs per thread; keep state in the simulator structs".into());
+        return Some(
+            "`thread_local!` state differs per thread; keep state in the simulator structs".into(),
+        );
     }
     None
 }
@@ -632,7 +652,10 @@ fn match_float_eq(toks: &[Token], i: usize, t: &Token) -> Option<String> {
         // and fat arrows / compound assignment.
         if i >= 1
             && toks[i - 1].kind == TokKind::Punct
-            && matches!(toks[i - 1].text.as_str(), "<" | ">" | "!" | "=" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^")
+            && matches!(
+                toks[i - 1].text.as_str(),
+                "<" | ">" | "!" | "=" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
+            )
         {
             return None;
         }

@@ -102,7 +102,11 @@ pub enum Expr {
     Lit { kind: TokKind, pos: Pos },
     /// `a`, `a::b`, `self.x.y` — a pure identifier chain. `last` is the
     /// final segment (the one carrying any unit suffix).
-    Path { text: String, last: String, pos: Pos },
+    Path {
+        text: String,
+        last: String,
+        pos: Pos,
+    },
     /// `f(args)` or `a::b::f(args)`.
     Call {
         last: String,
@@ -346,9 +350,7 @@ pub fn statements<'a>(trees: &'a [Tree]) -> Vec<Stmt<'a>> {
             // case the block is mid-expression and the segment continues.
             let continues = match its.get(idx + 1) {
                 Some(next) => {
-                    next.ident() == Some("else")
-                        || next.is_punct(".")
-                        || bin_op_of(next).is_some()
+                    next.ident() == Some("else") || next.is_punct(".") || bin_op_of(next).is_some()
                 }
                 None => false,
             };
@@ -428,7 +430,11 @@ fn parse_stmt<'a>(seg: &[Item<'a>]) -> Stmt<'a> {
     }
 
     // Skip leading statement keywords for the remaining forms.
-    while seg.get(i).and_then(Item::ident).is_some_and(|id| SKIP_KEYWORDS.contains(&id)) {
+    while seg
+        .get(i)
+        .and_then(Item::ident)
+        .is_some_and(|id| SKIP_KEYWORDS.contains(&id))
+    {
         i += 1;
     }
     let seg = &seg[i..];
@@ -646,10 +652,9 @@ fn parse_primary(seg: &[Item<'_>]) -> (Expr, usize) {
 
     let (mut expr, mut used) = match first {
         Item::Tok(t) => match t.kind {
-            TokKind::Int | TokKind::Float | TokKind::Str | TokKind::Char => (
-                Expr::Lit { kind: t.kind, pos },
-                1,
-            ),
+            TokKind::Int | TokKind::Float | TokKind::Str | TokKind::Char => {
+                (Expr::Lit { kind: t.kind, pos }, 1)
+            }
             TokKind::Ident => {
                 if SKIP_KEYWORDS.contains(&t.text.as_str()) || t.text == "as" {
                     return (Expr::Opaque { pos }, 0);
@@ -692,14 +697,7 @@ fn parse_primary(seg: &[Item<'_>]) -> (Expr, usize) {
                 {
                     return (Expr::Opaque { pos }, k + 2);
                 }
-                (
-                    Expr::Path {
-                        text,
-                        last,
-                        pos,
-                    },
-                    k,
-                )
+                (Expr::Path { text, last, pos }, k)
             }
             TokKind::Lifetime | TokKind::Punct => return (Expr::Opaque { pos }, 0),
         },
@@ -771,19 +769,17 @@ fn parse_primary(seg: &[Item<'_>]) -> (Expr, usize) {
                 }
             }
             // Call on a path: `f(args)`.
-            Some(Item::Group(g)) if g.delim == Delim::Paren => {
-                match &expr {
-                    Expr::Path { last, pos, .. } => {
-                        expr = Expr::Call {
-                            last: last.clone(),
-                            args: call_args(g),
-                            pos: *pos,
-                        };
-                        used += 1;
-                    }
-                    _ => break,
+            Some(Item::Group(g)) if g.delim == Delim::Paren => match &expr {
+                Expr::Path { last, pos, .. } => {
+                    expr = Expr::Call {
+                        last: last.clone(),
+                        args: call_args(g),
+                        pos: *pos,
+                    };
+                    used += 1;
                 }
-            }
+                _ => break,
+            },
             // Index: `recv[i]` — transparent for dimensions.
             Some(Item::Group(g)) if g.delim == Delim::Bracket => {
                 expr = Expr::Index {
@@ -904,7 +900,11 @@ mod tests {
     fn binary_precedence() {
         let e = parse_one("a + b * c");
         match e {
-            Expr::Binary { op: BinOp::Add, rhs, .. } => {
+            Expr::Binary {
+                op: BinOp::Add,
+                rhs,
+                ..
+            } => {
                 assert!(matches!(*rhs, Expr::Binary { op: BinOp::Mul, .. }));
             }
             other => panic!("expected Add at the top, got {other:?}"),
@@ -917,7 +917,9 @@ mod tests {
         match e {
             Expr::Method { method, recv, .. } => {
                 assert_eq!(method, "max");
-                assert!(matches!(*recv, Expr::Method { ref method, .. } if method == "busy_power_w"));
+                assert!(
+                    matches!(*recv, Expr::Method { ref method, .. } if method == "busy_power_w")
+                );
             }
             other => panic!("expected method chain, got {other:?}"),
         }
@@ -943,7 +945,9 @@ mod tests {
         let tree = build(&toks);
         let stmts = statements(&tree);
         match &stmts[0] {
-            Stmt::Assign { target, op, value, .. } => {
+            Stmt::Assign {
+                target, op, value, ..
+            } => {
                 assert!(matches!(target, Expr::Path { last, .. } if last == "energy_j"));
                 assert_eq!(*op, AssignOp::AddAssign);
                 assert!(matches!(value, Expr::Path { last, .. } if last == "joules"));
@@ -957,7 +961,9 @@ mod tests {
         let toks = lex("a == b;").tokens;
         let tree = build(&toks);
         let stmts = statements(&tree);
-        assert!(matches!(&stmts[0], Stmt::Exprs(es) if matches!(es[0], Expr::Binary { op: BinOp::Eq, .. })));
+        assert!(
+            matches!(&stmts[0], Stmt::Exprs(es) if matches!(es[0], Expr::Binary { op: BinOp::Eq, .. }))
+        );
     }
 
     #[test]
@@ -1035,6 +1041,9 @@ mod tests {
     #[test]
     fn method_turbofish_parses_as_method() {
         let e = parse_one("rng.gen::<f64>()");
-        assert!(matches!(e, Expr::Method { ref method, .. } if method == "gen"), "{e:?}");
+        assert!(
+            matches!(e, Expr::Method { ref method, .. } if method == "gen"),
+            "{e:?}"
+        );
     }
 }

@@ -84,11 +84,9 @@ pub fn build(tokens: &[Token]) -> Vec<Tree> {
     let mut stack: Vec<Open> = Vec::new();
     let mut top: Vec<Tree> = Vec::new();
 
-    let push = |stack: &mut Vec<Open>, top: &mut Vec<Tree>, tree: Tree| {
-        match stack.last_mut() {
-            Some(open) => open.children.push(tree),
-            None => top.push(tree),
-        }
+    let push = |stack: &mut Vec<Open>, top: &mut Vec<Tree>, tree: Tree| match stack.last_mut() {
+        Some(open) => open.children.push(tree),
+        None => top.push(tree),
     };
 
     for tok in tokens {

@@ -52,12 +52,42 @@ pub const DIMLESS: Dim = Dim {
     b: 0,
 };
 
-const ENERGY: Dim = Dim { j: 1, s: 0, ops: 0, b: 0 };
-const POWER: Dim = Dim { j: 1, s: -1, ops: 0, b: 0 };
-const TIME: Dim = Dim { j: 0, s: 1, ops: 0, b: 0 };
-const FREQ: Dim = Dim { j: 0, s: -1, ops: 0, b: 0 };
-const OPS: Dim = Dim { j: 0, s: 0, ops: 1, b: 0 };
-const BYTES: Dim = Dim { j: 0, s: 0, ops: 0, b: 1 };
+const ENERGY: Dim = Dim {
+    j: 1,
+    s: 0,
+    ops: 0,
+    b: 0,
+};
+const POWER: Dim = Dim {
+    j: 1,
+    s: -1,
+    ops: 0,
+    b: 0,
+};
+const TIME: Dim = Dim {
+    j: 0,
+    s: 1,
+    ops: 0,
+    b: 0,
+};
+const FREQ: Dim = Dim {
+    j: 0,
+    s: -1,
+    ops: 0,
+    b: 0,
+};
+const OPS: Dim = Dim {
+    j: 0,
+    s: 0,
+    ops: 1,
+    b: 0,
+};
+const BYTES: Dim = Dim {
+    j: 0,
+    s: 0,
+    ops: 0,
+    b: 1,
+};
 
 /// Dimension of a product: exponents add.
 impl std::ops::Mul for Dim {
@@ -118,7 +148,12 @@ impl fmt::Display for Dim {
             Some(n) => f.write_str(n),
             None => {
                 let mut first = true;
-                for (sym, e) in [("J", self.j), ("s", self.s), ("ops", self.ops), ("B", self.b)] {
+                for (sym, e) in [
+                    ("J", self.j),
+                    ("s", self.s),
+                    ("ops", self.ops),
+                    ("B", self.b),
+                ] {
                     if e == 0 {
                         continue;
                     }

@@ -37,13 +37,20 @@ fn clean_tree_exits_zero() {
 #[test]
 fn seeded_violation_exits_one_with_json() {
     let root = fixture("dirty", true);
-    let out = bin().args(["--json", "--root"]).arg(&root).output().unwrap();
+    let out = bin()
+        .args(["--json", "--root"])
+        .arg(&root)
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"format\":\"enprop-lint-v2\""), "{stdout}");
     assert!(stdout.contains("\"scan_ms\":"), "{stdout}");
     assert!(stdout.contains("\"rule\":\"unseeded-rng\""), "{stdout}");
-    assert!(stdout.contains("\"path\":\"crates/nodesim/src/lib.rs\""), "{stdout}");
+    assert!(
+        stdout.contains("\"path\":\"crates/nodesim/src/lib.rs\""),
+        "{stdout}"
+    );
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -56,7 +63,11 @@ fn waivers_subcommand_lists_sites() {
          fn g() { let mut r = thread_rng(); }\n",
     )
     .unwrap();
-    let out = bin().args(["waivers", "--root"]).arg(&root).output().unwrap();
+    let out = bin()
+        .args(["waivers", "--root"])
+        .arg(&root)
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let listing = String::from_utf8(out.stdout).unwrap();
     assert!(
@@ -90,7 +101,10 @@ fn rule_docs_are_reachable() {
     for code in codes {
         assert!(listing.contains(code), "missing {code} in --list-rules");
     }
-    let out = bin().args(["--explain", "float-int-cast"]).output().unwrap();
+    let out = bin()
+        .args(["--explain", "float-int-cast"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(0));
     let page = String::from_utf8(out.stdout).unwrap();
     assert!(page.contains("N001") && page.contains("waiver"), "{page}");
@@ -100,7 +114,12 @@ fn rule_docs_are_reachable() {
         let out = bin().args(["--explain", rule.id]).output().unwrap();
         assert_eq!(out.status.code(), Some(0), "--explain {} failed", rule.id);
         let page = String::from_utf8(out.stdout).unwrap();
-        assert!(page.contains(rule.code), "--explain {} lacks {}", rule.id, rule.code);
+        assert!(
+            page.contains(rule.code),
+            "--explain {} lacks {}",
+            rule.id,
+            rule.code
+        );
         assert!(!rule.rationale.is_empty());
     }
 }

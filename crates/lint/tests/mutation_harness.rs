@@ -38,7 +38,11 @@ const FRAGMENTS: &[&str] = &[
 ];
 
 fn finding_codes(src: &str) -> Vec<&'static str> {
-    lint_source(MODEL, src).findings.iter().map(|f| f.code).collect()
+    lint_source(MODEL, src)
+        .findings
+        .iter()
+        .map(|f| f.code)
+        .collect()
 }
 
 /// Every mutant of `src` where exactly one occurrence of `from` is

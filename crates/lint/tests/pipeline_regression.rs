@@ -58,9 +58,9 @@ fn vendored_pool_sees_only_lock_rules() {
         "vendor/rayon must be walked for the lock rules"
     );
     assert!(
-        !scanned
-            .iter()
-            .any(|p| p.starts_with(root.join("vendor")) && !p.starts_with(root.join("vendor/rayon"))),
+        !scanned.iter().any(
+            |p| p.starts_with(root.join("vendor")) && !p.starts_with(root.join("vendor/rayon"))
+        ),
         "a non-rayon vendor crate leaked into the lint scan"
     );
     // A determinism violation in the vendored pool must NOT report: only
@@ -87,7 +87,8 @@ fn cache_hashmap_is_legal_in_a_model_crate() {
     // D002 (HashMap iteration-order hazards) is scoped to Sim crates;
     // the explore cache's HashMap is keyed lookup only and must not
     // require a waiver. Guard the scoping with a focused fixture.
-    let fixture = "use std::collections::HashMap;\nfn f() { let _m: HashMap<u32, f64> = HashMap::new(); }\n";
+    let fixture =
+        "use std::collections::HashMap;\nfn f() { let _m: HashMap<u32, f64> = HashMap::new(); }\n";
     let in_explore = lint_source("crates/explore/src/cache.rs", fixture);
     assert!(
         in_explore.findings.is_empty(),

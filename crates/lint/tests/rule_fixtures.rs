@@ -17,7 +17,11 @@ const MODEL: &str = "crates/core/src/fixture.rs";
 const OUT: &str = "crates/cli/src/fixture.rs";
 
 fn rules_hit(path: &str, src: &str) -> Vec<&'static str> {
-    lint_source(path, src).findings.iter().map(|f| f.rule).collect()
+    lint_source(path, src)
+        .findings
+        .iter()
+        .map(|f| f.rule)
+        .collect()
 }
 
 fn waived_count(path: &str, src: &str) -> (usize, usize) {
@@ -516,7 +520,10 @@ fn waiver_records_expose_usage() {
         .collect();
     assert_eq!(
         used,
-        [("map-iter".to_string(), true), ("wall-clock".to_string(), false)]
+        [
+            ("map-iter".to_string(), true),
+            ("wall-clock".to_string(), false)
+        ]
     );
 }
 

@@ -25,13 +25,48 @@ fn lint_file(rel: &str) -> FileReport {
 
 #[test]
 fn stream_identifiers_claim_the_dimensions_they_mean() {
-    const ENERGY: Dim = Dim { j: 1, s: 0, ops: 0, b: 0 };
-    const POWER: Dim = Dim { j: 1, s: -1, ops: 0, b: 0 };
-    const TIME: Dim = Dim { j: 0, s: 1, ops: 0, b: 0 };
-    const RATE: Dim = Dim { j: 0, s: -1, ops: 1, b: 0 };
-    const PER_OP_ENERGY: Dim = Dim { j: 1, s: 0, ops: -1, b: 0 };
-    const BYTES: Dim = Dim { j: 0, s: 0, ops: 0, b: 1 };
-    const OPS: Dim = Dim { j: 0, s: 0, ops: 1, b: 0 };
+    const ENERGY: Dim = Dim {
+        j: 1,
+        s: 0,
+        ops: 0,
+        b: 0,
+    };
+    const POWER: Dim = Dim {
+        j: 1,
+        s: -1,
+        ops: 0,
+        b: 0,
+    };
+    const TIME: Dim = Dim {
+        j: 0,
+        s: 1,
+        ops: 0,
+        b: 0,
+    };
+    const RATE: Dim = Dim {
+        j: 0,
+        s: -1,
+        ops: 1,
+        b: 0,
+    };
+    const PER_OP_ENERGY: Dim = Dim {
+        j: 1,
+        s: 0,
+        ops: -1,
+        b: 0,
+    };
+    const BYTES: Dim = Dim {
+        j: 0,
+        s: 0,
+        ops: 0,
+        b: 1,
+    };
+    const OPS: Dim = Dim {
+        j: 0,
+        s: 0,
+        ops: 1,
+        b: 0,
+    };
     // (identifier introduced by the §17 path, dimension it must claim)
     let table = [
         ("lb_energy_j", ENERGY),

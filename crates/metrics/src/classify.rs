@@ -116,7 +116,10 @@ mod tests {
     #[test]
     fn linear_curve_with_idle_power_is_super_linear() {
         let c = LinearCurve::new(45.0, 69.0);
-        assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::SuperLinear);
+        assert_eq!(
+            classify_against(&c, c.peak(), GRID, TOL),
+            Linearity::SuperLinear
+        );
     }
 
     #[test]
@@ -130,7 +133,10 @@ mod tests {
         // Scaled-down cluster: peak below the reference peak at every u.
         let c = SampledCurve::new(vec![(0.0, 0.0), (0.5, 10.0), (1.0, 40.0)]);
         // Against its own peak (40 W) this dips below ideal mid-range.
-        assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::SubLinear);
+        assert_eq!(
+            classify_against(&c, c.peak(), GRID, TOL),
+            Linearity::SubLinear
+        );
     }
 
     #[test]
@@ -138,7 +144,11 @@ mod tests {
         let c = SampledCurve::new(vec![(0.0, 10.0), (0.5, 20.0), (1.0, 100.0)]);
         assert_eq!(classify_against(&c, c.peak(), GRID, TOL), Linearity::Mixed);
         let xs = crossovers(&c, GRID);
-        assert_eq!(xs.len(), 1, "enters the sub-linear region once; the u=1 endpoint touch is not a crossing");
+        assert_eq!(
+            xs.len(),
+            1,
+            "enters the sub-linear region once; the u=1 endpoint touch is not a crossing"
+        );
         assert!(xs[0] > 0.1 && xs[0] < 0.5);
     }
 

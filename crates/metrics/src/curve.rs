@@ -172,7 +172,10 @@ impl SampledCurve {
     pub fn new(mut samples: Vec<(f64, f64)>) -> Self {
         assert!(!samples.is_empty(), "SampledCurve requires ≥ 1 sample");
         for &(u, p) in &samples {
-            assert!(u.is_finite() && p.is_finite(), "non-finite sample ({u}, {p})");
+            assert!(
+                u.is_finite() && p.is_finite(),
+                "non-finite sample ({u}, {p})"
+            );
             assert!((0.0..=1.0).contains(&u), "utilization {u} out of [0,1]");
             assert!(p >= 0.0, "negative power {p}");
         }

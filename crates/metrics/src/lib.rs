@@ -45,8 +45,8 @@ pub use curve::{IdealCurve, LinearCurve, PowerCurve, QuadraticCurve, SampledCurv
 pub use integrate::{integrate, GridSpec};
 pub use ppr::{PprCurve, ThroughputCurve};
 pub use proportionality::{
-    dynamic_power_range, energy_proportionality_metric, idle_to_peak_ratio,
-    linear_deviation_ratio, proportionality_gap, ProportionalityMetrics,
+    dynamic_power_range, energy_proportionality_metric, idle_to_peak_ratio, linear_deviation_ratio,
+    proportionality_gap, ProportionalityMetrics,
 };
 
 /// Relative tolerance used throughout the crate when comparing power values.

@@ -88,7 +88,13 @@ pub fn characterize(spec: &NodeSpec, frictions: &Frictions, seed: u64) -> Measur
     let idle_w = spec.power.sys_idle_w;
 
     // CPU-max: P = idle + c·act → act = (P − idle)/c.
-    let run = sim.run(&MicroBench::CpuMax.work(spec, secs), spec.cores, f, frictions, seed);
+    let run = sim.run(
+        &MicroBench::CpuMax.work(spec, secs),
+        spec.cores,
+        f,
+        frictions,
+        seed,
+    );
     let core_act_w = (run.energy.total() / run.duration - idle_w) / c;
 
     // Cache stream: P = idle + c·stall + mem (datasheet) + ε·act.
@@ -219,7 +225,8 @@ pub fn characterize_dvfs_exponent(spec: &NodeSpec, frictions: &Frictions, seed: 
                 spec.cores,
                 f,
                 frictions,
-                seed.wrapping_add(i as u64).wrapping_add(rep.wrapping_mul(0x5DEE_CE66)),
+                seed.wrapping_add(i as u64)
+                    .wrapping_add(rep.wrapping_mul(0x5DEE_CE66)),
             );
             let p = run.energy.total() / run.duration;
             p_total += p / REPS as f64;
@@ -258,7 +265,11 @@ mod dvfs_tests {
 
     #[test]
     fn recovers_the_power_exponent() {
-        for spec in [NodeSpec::cortex_a9(), NodeSpec::opteron_k10(), NodeSpec::xeon_e5()] {
+        for spec in [
+            NodeSpec::cortex_a9(),
+            NodeSpec::opteron_k10(),
+            NodeSpec::xeon_e5(),
+        ] {
             let got = characterize_dvfs_exponent(&spec, &Frictions::default(), 0);
             let want = spec.power.freq_exp;
             assert!(

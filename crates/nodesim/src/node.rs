@@ -67,8 +67,8 @@ impl NodeWork {
             mem_bytes: self.mem_bytes * k,
             io_bytes: self.io_bytes * k,
             io_requests: self.io_requests * k,
-            io_rate: self.io_rate,                   // a rate, not a quantity
-            act_power_scale: self.act_power_scale,   // a property, not a quantity
+            io_rate: self.io_rate,                 // a rate, not a quantity
+            act_power_scale: self.act_power_scale, // a property, not a quantity
         }
     }
 
@@ -285,8 +285,8 @@ impl NodeSim {
             // Memory request: issued at chunk start, granted FIFO by the
             // shared controller; service is the slower of the cycle model
             // and the bandwidth floor.
-            let mem_svc_raw = (chunk_mem_cycles[i] / freq)
-                .max(chunk_mem_bytes[i] / self.spec.mem_bandwidth);
+            let mem_svc_raw =
+                (chunk_mem_cycles[i] / freq).max(chunk_mem_bytes[i] / self.spec.mem_bandwidth);
             // Contention loss grows with the number of interleaving cores.
             let contention = 1.0 + frictions.mem_contention * (c as f64 - 1.0) / c as f64;
             let mem_svc = mem_svc_raw * contention * jitter.factor(frictions.os_jitter);
@@ -424,7 +424,11 @@ mod tests {
         // T = cycles / (c·f) exactly when friction-free.
         let sim = a9();
         let run = sim.run(&cpu_work(5.6e9), 4, 1.4e9, &Frictions::default(), 0);
-        assert!((run.duration - 1.0).abs() < 1e-9, "duration {}", run.duration);
+        assert!(
+            (run.duration - 1.0).abs() < 1e-9,
+            "duration {}",
+            run.duration
+        );
         // Energy: act power for 1 s per core + idle.
         let p = &sim.spec().power;
         let expect = 4.0 * p.core_act_w * 1.0 + p.sys_idle_w;
@@ -570,7 +574,10 @@ mod tests {
         let hot = sim.run(&cpu_work(5.6e9), 4, 1.4e9, &fr, 0);
         assert_eq!(hot.duration, base.duration);
         assert!(hot.energy.cpu_act > base.energy.cpu_act);
-        assert_eq!(hot.energy.idle, base.energy.idle, "idle power is measured, not modeled");
+        assert_eq!(
+            hot.energy.idle, base.energy.idle,
+            "idle power is measured, not modeled"
+        );
     }
 
     #[test]

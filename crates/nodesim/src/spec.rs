@@ -51,7 +51,7 @@ impl NodeSpec {
             l2_total: 1 << 20,
             l3_total: 0,
             memory: 1 << 30,
-            mem_bandwidth: 1.5e9,       // LP-DDR2 sustainable
+            mem_bandwidth: 1.5e9,         // LP-DDR2 sustainable
             net_bandwidth: 100.0e6 / 8.0, // 100 Mbps
             power: PowerSpec {
                 sys_idle_w: 1.8,
@@ -80,7 +80,7 @@ impl NodeSpec {
             l2_total: 6 * (512 << 10),
             l3_total: 6 << 20,
             memory: 8 << 30,
-            mem_bandwidth: 8.0e9,        // DDR3 sustainable
+            mem_bandwidth: 8.0e9,          // DDR3 sustainable
             net_bandwidth: 1000.0e6 / 8.0, // 1 Gbps
             power: PowerSpec {
                 sys_idle_w: 45.0,
@@ -235,7 +235,9 @@ impl NodeSpec {
     /// Nameplate peak power: everything active at `fmax` (used for power
     /// budgeting; the paper quotes ~5 W for A9, ~60 W for K10).
     pub fn nameplate_peak_w(&self) -> f64 {
-        self.power.busy_power(self.cores, 1.0, self.fmax(), self.fmax()) + self.power.mem_w
+        self.power
+            .busy_power(self.cores, 1.0, self.fmax(), self.fmax())
+            + self.power.mem_w
             + self.power.net_w
     }
 }
@@ -290,7 +292,9 @@ mod tests {
     #[test]
     fn small_node_specs_are_wimpy_and_valid() {
         for spec in [NodeSpec::raspberry_pi4(), NodeSpec::orange_pi5()] {
-            assert!(spec.validate_operating_point(spec.cores, spec.fmax()).is_ok());
+            assert!(spec
+                .validate_operating_point(spec.cores, spec.fmax())
+                .is_ok());
             let nameplate = spec.nameplate_peak_w();
             assert!(
                 nameplate > spec.power.sys_idle_w && nameplate < 15.0,

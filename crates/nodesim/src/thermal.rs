@@ -118,7 +118,10 @@ mod tests {
             spec.fmax(),
             &Frictions::default(),
             // An infinite budget: never throttles.
-            &ThermalModel { tdp_w: f64::INFINITY, headroom_s: 0.0 },
+            &ThermalModel {
+                tdp_w: f64::INFINITY,
+                headroom_s: 0.0,
+            },
             0,
         );
         assert_eq!(f, spec.fmax());
@@ -217,8 +220,7 @@ mod tests {
             0,
         );
         assert!(
-            (run.avg_power_w * run.duration - run.energy.total()).abs()
-                < 1e-9 * run.energy.total()
+            (run.avg_power_w * run.duration - run.energy.total()).abs() < 1e-9 * run.energy.total()
         );
     }
 }

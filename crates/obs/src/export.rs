@@ -119,9 +119,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                 open.entry((e.track, e.name, e.id)).or_default().push(e.t_s);
             }
             EventKind::SpanEnd => {
-                let begin = open
-                    .get_mut(&(e.track, e.name, e.id))
-                    .and_then(Vec::pop);
+                let begin = open.get_mut(&(e.track, e.name, e.id)).and_then(Vec::pop);
                 if let Some(b) = begin {
                     records.push(format!(
                         "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\

@@ -32,11 +32,19 @@ pub struct LineError {
 impl LineError {
     /// An error about line `line` as a whole.
     pub fn new(line: usize, msg: impl Into<String>) -> Self {
-        LineError { line, key: None, msg: msg.into() }
+        LineError {
+            line,
+            key: None,
+            msg: msg.into(),
+        }
     }
 
     fn keyed(line: usize, key: &str, msg: String) -> Self {
-        LineError { line, key: Some(key.to_string()), msg }
+        LineError {
+            line,
+            key: Some(key.to_string()),
+            msg,
+        }
     }
 }
 
@@ -60,7 +68,12 @@ pub struct Line<'a> {
 impl<'a> Line<'a> {
     /// Parse `text`, line number `no` (1-based), as one flat object.
     pub fn parse(no: usize, text: &'a str) -> Result<Self, LineError> {
-        let mut p = Parser { text, at: 0, no, key: None };
+        let mut p = Parser {
+            text,
+            at: 0,
+            no,
+            key: None,
+        };
         let mut pairs: Vec<(&'a str, &'a str)> = Vec::new();
         p.expect(b'{')?;
         let mut more = !p.eat(b'}');
@@ -102,8 +115,13 @@ impl<'a> Line<'a> {
         let Some(&(_, raw)) = self.pairs.iter().find(|&&(k, _)| k == key) else {
             return Ok(None);
         };
-        let err =
-            || LineError::keyed(self.no, key, format!("malformed \"{key}\" value: {expected}"));
+        let err = || {
+            LineError::keyed(
+                self.no,
+                key,
+                format!("malformed \"{key}\" value: {expected}"),
+            )
+        };
         conv(raw).map(Some).ok_or_else(err)
     }
 
@@ -174,8 +192,9 @@ fn decode_escapes(s: &str) -> Option<Cow<'_, str>> {
         out.push_str(&rest[..i]);
         let (c, len) = match rest.as_bytes().get(i + 1)? {
             b'u' => {
-                let hex =
-                    rest.get(i + 2..i + 6).filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))?;
+                let hex = rest
+                    .get(i + 2..i + 6)
+                    .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))?;
                 (char::from_u32(u32::from_str_radix(hex, 16).ok()?)?, 6)
             }
             b'b' => ('\u{8}', 2),
@@ -205,8 +224,11 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, detail: &str) -> LineError {
-        let detail =
-            if self.at >= self.text.len() { "line ends early (truncated?)" } else { detail };
+        let detail = if self.at >= self.text.len() {
+            "line ends early (truncated?)"
+        } else {
+            detail
+        };
         match self.key {
             Some(k) => LineError::keyed(self.no, k, format!("malformed \"{k}\" value: {detail}")),
             None => LineError::new(self.no, detail),
@@ -332,7 +354,11 @@ mod tests {
         assert_eq!(l.u64s("xs").unwrap(), vec![1, 2, 3]);
         assert_eq!(l.u64s("e").unwrap(), Vec::<u64>::new());
         assert_eq!(l.f64_bits("a").unwrap().to_bits(), 7);
-        assert!(Line::parse(1, "{}").unwrap().opt_f64("a").unwrap().is_none());
+        assert!(Line::parse(1, "{}")
+            .unwrap()
+            .opt_f64("a")
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -342,7 +368,11 @@ mod tests {
         let missing = l.u64("zz").unwrap_err();
         assert_eq!((missing.line, missing.key.as_deref()), (4, Some("zz")));
         assert!(missing.msg.contains("missing"), "{missing}");
-        for (key, bad) in [("f", l.opt_u64("f")), ("s", l.opt_u64("s")), ("xs", l.opt_u64("xs"))] {
+        for (key, bad) in [
+            ("f", l.opt_u64("f")),
+            ("s", l.opt_u64("s")),
+            ("xs", l.opt_u64("xs")),
+        ] {
             let e = bad.unwrap_err();
             assert_eq!(e.key.as_deref(), Some(key));
             assert!(e.to_string().starts_with("line 4: malformed"), "{e}");
@@ -410,7 +440,11 @@ mod tests {
     }
 
     fn vals() -> impl Strategy<Value = Vec<Val>> {
-        let one = (0u8..4, 0u64..=u64::MAX, proptest::collection::vec(0u32..0x11_0000, 0..6));
+        let one = (
+            0u8..4,
+            0u64..=u64::MAX,
+            proptest::collection::vec(0u32..0x11_0000, 0..6),
+        );
         proptest::collection::vec(one.prop_map(val), 0..8)
     }
 

@@ -247,11 +247,15 @@ mod tests {
         r.gauge(0.0, Track::Dispatcher, "dispatch.queue_depth", 2.0);
         r.gauge(1.0, Track::Dispatcher, "dispatch.queue_depth", 5.0);
         r.observe("queue.wait_s", 0.5);
-        r.power(1.0, Track::Node { group: 0, node: 0 }, PowerSample {
-            cpu_act_w: 1.0,
-            idle_w: 1.0,
-            ..Default::default()
-        });
+        r.power(
+            1.0,
+            Track::Node { group: 0, node: 0 },
+            PowerSample {
+                cpu_act_w: 1.0,
+                idle_w: 1.0,
+                ..Default::default()
+            },
+        );
         r
     }
 

@@ -72,10 +72,7 @@ pub fn peak_rss_kb() -> Option<u64> {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
         for line in status.lines() {
             if let Some(rest) = line.strip_prefix("VmHWM:") {
-                return rest
-                    .split_whitespace()
-                    .next()
-                    .and_then(|v| v.parse().ok());
+                return rest.split_whitespace().next().and_then(|v| v.parse().ok());
             }
         }
         None
@@ -107,7 +104,11 @@ impl CommandTimer {
 
     /// Stop and produce the record.
     pub fn finish(self) -> BenchRecord {
-        BenchRecord::new(self.cmd, self.start.elapsed().as_secs_f64() * 1e3, self.seed)
+        BenchRecord::new(
+            self.cmd,
+            self.start.elapsed().as_secs_f64() * 1e3,
+            self.seed,
+        )
     }
 }
 
@@ -157,7 +158,10 @@ mod tests {
     #[test]
     fn record_json_is_one_object() {
         let r = BenchRecord::new("fig11", 12.5, 3);
-        assert_eq!(r.to_json(), "{\"cmd\":\"fig11\",\"wall_ms\":12.5,\"seed\":3}");
+        assert_eq!(
+            r.to_json(),
+            "{\"cmd\":\"fig11\",\"wall_ms\":12.5,\"seed\":3}"
+        );
     }
 
     #[test]

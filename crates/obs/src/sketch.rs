@@ -160,7 +160,9 @@ impl QuantileSketch {
 
     /// Key for a positive finite value.
     fn key(&self, v: f64) -> i32 {
-        (v.ln() / self.ln_gamma).ceil().clamp(i32::MIN as f64, i32::MAX as f64) as i32
+        (v.ln() / self.ln_gamma)
+            .ceil()
+            .clamp(i32::MIN as f64, i32::MAX as f64) as i32
     }
 
     /// Midpoint value represented by bucket `key` (within α of any member).
@@ -213,7 +215,9 @@ impl QuantileSketch {
     fn collapse(&mut self) {
         while self.buckets.len() > self.max_buckets {
             let (_, n) = self.buckets.remove(0);
-            let Some(next) = self.buckets.first_mut() else { return };
+            let Some(next) = self.buckets.first_mut() else {
+                return;
+            };
             next.1 += n;
         }
     }
@@ -426,7 +430,10 @@ mod tests {
             let est = s.quantile(q).unwrap();
             let rel = (est - exact).abs() / exact;
             // Interpolation adds at most one bucket of slack on top of α.
-            assert!(rel <= 2.5 * alpha, "q={q}: est {est} vs exact {exact} (rel {rel})");
+            assert!(
+                rel <= 2.5 * alpha,
+                "q={q}: est {est} vs exact {exact} (rel {rel})"
+            );
         }
     }
 

@@ -121,7 +121,9 @@ impl WindowedSeries {
                 return;
             }
         }
-        let Some(w) = self.ring.back_mut() else { return };
+        let Some(w) = self.ring.back_mut() else {
+            return;
+        };
         w.count += 1;
         w.sum += v;
         w.sketch.observe(v);
@@ -137,7 +139,9 @@ impl WindowedSeries {
         if self.ring.back().is_none() {
             self.ring.push_back(WindowStats::new(0, self.alpha));
         }
-        let Some(w) = self.ring.back_mut() else { return };
+        let Some(w) = self.ring.back_mut() else {
+            return;
+        };
         w.count += 1;
         w.sum += v;
         w.sketch.observe_keyed(v, key);

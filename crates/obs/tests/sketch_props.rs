@@ -16,8 +16,8 @@
 
 use enprop_obs::{QuantileSketch, WindowedSeries};
 use enprop_queueing::exact_quantile;
-use proptest::prelude::*;
 use proptest::collection::vec as pvec;
+use proptest::prelude::*;
 
 /// The tail quantiles the serving plane actually consumes.
 const QS: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 0.999];

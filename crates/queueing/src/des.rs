@@ -308,7 +308,11 @@ mod tests {
             let sim = QueueSim::md1(service, u).run(JOBS, WARMUP, 42);
             let theory = MD1::from_utilization(service, u).mean_wait();
             let err = (sim.wait.mean() - theory).abs() / theory;
-            assert!(err < 0.05, "u = {u}: sim {} vs theory {theory}", sim.wait.mean());
+            assert!(
+                err < 0.05,
+                "u = {u}: sim {} vs theory {theory}",
+                sim.wait.mean()
+            );
         }
     }
 
@@ -334,7 +338,9 @@ mod tests {
         )
         .run(JOBS, WARMUP, 11);
         let q = MM1::from_utilization(mean, u);
-        assert!((sim.response.mean() - q.mean_response_time()).abs() / q.mean_response_time() < 0.05);
+        assert!(
+            (sim.response.mean() - q.mean_response_time()).abs() / q.mean_response_time() < 0.05
+        );
         let p95_sim = sim.response_quantile(0.95).unwrap();
         let p95_th = q.response_time_quantile(0.95);
         assert!((p95_sim - p95_th).abs() / p95_th < 0.05);
@@ -354,7 +360,12 @@ mod tests {
         .run(JOBS, WARMUP, 3);
         let q = MG1::from_utilization(svc.mean(), svc.scv(), u);
         let err = (sim.wait.mean() - q.mean_wait()).abs() / q.mean_wait();
-        assert!(err < 0.06, "sim {} vs theory {}", sim.wait.mean(), q.mean_wait());
+        assert!(
+            err < 0.06,
+            "sim {} vs theory {}",
+            sim.wait.mean(),
+            q.mean_wait()
+        );
     }
 
     #[test]

@@ -347,7 +347,10 @@ mod tests {
         let p99 = q.wait_quantile(0.99);
         let gap = p999 - p99;
         let expect = (10.0f64).ln() / q.decay_rate();
-        assert!((gap - expect).abs() / expect < 0.15, "gap {gap} vs {expect}");
+        assert!(
+            (gap - expect).abs() / expect < 0.15,
+            "gap {gap} vs {expect}"
+        );
     }
 
     #[test]

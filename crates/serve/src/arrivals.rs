@@ -304,7 +304,13 @@ impl ArrivalSource {
         match (self, state) {
             (
                 ArrivalSource::Synthetic(s),
-                SourceState::Synthetic { gap, size, class, t, remaining },
+                SourceState::Synthetic {
+                    gap,
+                    size,
+                    class,
+                    t,
+                    remaining,
+                },
             ) => {
                 if remaining > s.requests {
                     return Err(format!(
@@ -313,7 +319,9 @@ impl ArrivalSource {
                     ));
                 }
                 if !(t.is_finite() && t >= 0.0) {
-                    return Err(format!("synthetic cursor time {t} is not a finite time >= 0"));
+                    return Err(format!(
+                        "synthetic cursor time {t} is not a finite time >= 0"
+                    ));
                 }
                 s.gap_rng = FaultRng::from_state(gap);
                 s.size_rng = FaultRng::from_state(size);
@@ -326,9 +334,9 @@ impl ArrivalSource {
                 r.seek(next)?;
                 Ok(next as u64)
             }
-            (ArrivalSource::Synthetic(_), SourceState::Replay { .. }) => {
-                Err("source cursor is a replay cursor, but the run uses a synthetic generator".into())
-            }
+            (ArrivalSource::Synthetic(_), SourceState::Replay { .. }) => Err(
+                "source cursor is a replay cursor, but the run uses a synthetic generator".into(),
+            ),
             (ArrivalSource::Replay(_), SourceState::Synthetic { .. }) => {
                 Err("source cursor is a synthetic generator, but the run replays a trace".into())
             }
@@ -359,7 +367,11 @@ mod tests {
             assert!(w[1].t_s > w[0].t_s);
         }
         for x in &a {
-            assert!(x.ops >= 800.0 - 1e-9 && x.ops <= 1200.0 + 1e-9, "ops {}", x.ops);
+            assert!(
+                x.ops >= 800.0 - 1e-9 && x.ops <= 1200.0 + 1e-9,
+                "ops {}",
+                x.ops
+            );
         }
     }
 
@@ -415,11 +427,24 @@ mod tests {
         let mut fresh = source().unwrap();
         assert_eq!(fresh.seat(state), Ok(2));
         assert_eq!(fresh.last_issued_s(), t);
-        let SourceState::Synthetic { gap, size, class, remaining, .. } = state else {
+        let SourceState::Synthetic {
+            gap,
+            size,
+            class,
+            remaining,
+            ..
+        } = state
+        else {
             unreachable!("a synthetic source")
         };
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let at = SourceState::Synthetic { gap, size, class, t: bad, remaining };
+            let at = SourceState::Synthetic {
+                gap,
+                size,
+                class,
+                t: bad,
+                remaining,
+            };
             assert!(fresh.seat(at).is_err(), "cursor time {bad}");
         }
     }

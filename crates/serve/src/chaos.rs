@@ -152,7 +152,10 @@ pub fn sweep_plan(seed: u64, index: u32, group_count: usize) -> FaultPlan {
         };
         groups.push(GroupFaultProfile { mtbf, kinds });
     }
-    FaultPlan { seed: seed ^ u64::from(index).wrapping_mul(0x9e3779b97f4a7c15), groups }
+    FaultPlan {
+        seed: seed ^ u64::from(index).wrapping_mul(0x9e3779b97f4a7c15),
+        groups,
+    }
 }
 
 /// Derive domain sweep plan `index` from `seed`: randomized rack / PDU /
@@ -172,21 +175,29 @@ pub fn sweep_domain_plan(
     // often as a rack.
     let rack_mtbf_s = 6.0 + rng.unit() * 30.0;
     let rack = DomainFaultProfile {
-        mtbf: MtbfModel::Exponential { mtbf_s: rack_mtbf_s },
+        mtbf: MtbfModel::Exponential {
+            mtbf_s: rack_mtbf_s,
+        },
         kinds: vec![
             (1.0 + rng.unit(), DomainFaultKind::RackCrash),
             (
                 rng.unit(),
-                DomainFaultKind::NetworkPartition { duration_s: 1.0 + rng.unit() * 3.0 },
+                DomainFaultKind::NetworkPartition {
+                    duration_s: 1.0 + rng.unit() * 3.0,
+                },
             ),
         ],
     };
     let pdu = DomainFaultProfile {
-        mtbf: MtbfModel::Exponential { mtbf_s: rack_mtbf_s * 2.0 },
+        mtbf: MtbfModel::Exponential {
+            mtbf_s: rack_mtbf_s * 2.0,
+        },
         kinds: vec![(1.0, DomainFaultKind::PduLoss)],
     };
     let cluster = DomainFaultProfile {
-        mtbf: MtbfModel::Exponential { mtbf_s: 8.0 + rng.unit() * 20.0 },
+        mtbf: MtbfModel::Exponential {
+            mtbf_s: 8.0 + rng.unit() * 20.0,
+        },
         kinds: vec![(
             1.0,
             DomainFaultKind::PowerEmergency {
@@ -256,7 +267,9 @@ pub fn chaos_sweep(
     };
     for p in 0..plans {
         let plan = sweep_plan(cfg.seed, p, cluster.groups.len());
-        let topo = domains.then(|| sweep_domain_plan(cfg.seed, p, n_nodes)).transpose()?;
+        let topo = domains
+            .then(|| sweep_domain_plan(cfg.seed, p, n_nodes))
+            .transpose()?;
         let mut plan_cfg = cfg.clone();
         plan_cfg.seed = cfg.seed.wrapping_add(u64::from(p));
         let arrivals = SyntheticArrivals::new(
@@ -268,7 +281,11 @@ pub fn chaos_sweep(
         )?;
         let mut source = ArrivalSource::Synthetic(arrivals);
         let mut rec = MemoryRecorder::new();
-        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
+        let mut hooks = RunHooks {
+            live: &mut |_| {},
+            checkpoint: None,
+            kill_after_events: None,
+        };
         let run = Controller::run_full(
             workload,
             cluster,
@@ -291,7 +308,8 @@ pub fn chaos_sweep(
             }
             // Unreachable: no kill hook was installed.
             Ok(RunOutcome::Killed { .. }) => {
-                out.run_errors.push((p, "killed without a kill hook".to_string()));
+                out.run_errors
+                    .push((p, "killed without a kill hook".to_string()));
             }
             Err(e) => out.run_errors.push((p, e.to_string())),
         }
@@ -386,7 +404,11 @@ mod tests {
                 r.rack_crashes + r.pdu_losses + r.partitions + r.power_emergencies
             })
             .sum();
-        assert!(domain_faults > 0, "correlated domain events must fire: {}", out.summary_line());
+        assert!(
+            domain_faults > 0,
+            "correlated domain events must fire: {}",
+            out.summary_line()
+        );
         assert!(
             out.breaker_opens() > 0,
             "the sweep must engage circuit breakers at least once"

@@ -132,7 +132,10 @@ impl ServeConfig {
         if !self.obs_window_s.is_finite() || self.obs_window_s < 0.0 {
             return Err(EnpropError::invalid_parameter(
                 "obs_window_s",
-                format!("must be finite and ≥ 0 (0 = plane off), got {}", self.obs_window_s),
+                format!(
+                    "must be finite and ≥ 0 (0 = plane off), got {}",
+                    self.obs_window_s
+                ),
             ));
         }
         if !self.obs_alpha.is_finite() || self.obs_alpha <= 0.0 || self.obs_alpha >= 0.5 {

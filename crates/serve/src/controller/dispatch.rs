@@ -74,7 +74,11 @@ impl<'a> Controller<'a> {
         }
         let Some(cur) = &n.current else { return };
         let rate = self.groups[n.group].rate() / n.slowdown;
-        let start = if n.stalled_until > self.now { n.stalled_until } else { self.now };
+        let start = if n.stalled_until > self.now {
+            n.stalled_until
+        } else {
+            self.now
+        };
         let t = start + cur.remaining_ops / rate;
         let epoch = n.epoch;
         self.push(t, EvKind::Completion { node: i, epoch });
@@ -87,11 +91,16 @@ impl<'a> Controller<'a> {
         if n.current.is_some() {
             return;
         }
-        let Some(req) = n.queue.pop_front() else { return };
+        let Some(req) = n.queue.pop_front() else {
+            return;
+        };
         let ops = self.inflight.get(req).map_or(0.0, |r| r.ops);
         let n = &mut self.nodes[i];
         n.queued_ops = (n.queued_ops - ops).max(0.0);
-        n.current = Some(Running { req, remaining_ops: ops });
+        n.current = Some(Running {
+            req,
+            remaining_ops: ops,
+        });
         self.reschedule_completion(i);
     }
 
@@ -114,7 +123,8 @@ impl<'a> Controller<'a> {
         let id = self.tally.arrivals - 1;
         // Admission control: shed mode, the emergency ladder's class
         // floor, and the in-flight cap all shed here.
-        if self.shed_mode || class >= self.shed_class_floor
+        if self.shed_mode
+            || class >= self.shed_class_floor
             || self.inflight.len() >= self.cfg.max_inflight
         {
             self.shed(id, |t| &mut t.shed_admission, rec);
@@ -169,7 +179,9 @@ impl<'a> Controller<'a> {
     /// choice. Returns false (and marks the request Pending) when no
     /// Active node exists.
     fn dispatch(&mut self, req: u64) -> bool {
-        let Some(r) = self.inflight.get(req) else { return true };
+        let Some(r) = self.inflight.get(req) else {
+            return true;
+        };
         let ops = r.ops;
         let exclude = r.exclude;
         let mut best: Option<(f64, usize)> = None;
@@ -182,10 +194,13 @@ impl<'a> Controller<'a> {
             if !g.breaker.admits() {
                 continue;
             }
-            let backlog =
-                n.queued_ops + n.current.as_ref().map_or(0.0, |c| c.remaining_ops) + ops;
+            let backlog = n.queued_ops + n.current.as_ref().map_or(0.0, |c| c.remaining_ops) + ops;
             let score = backlog / g.rate();
-            let slot = if Some(i) == exclude { &mut best_excluded } else { &mut best };
+            let slot = if Some(i) == exclude {
+                &mut best_excluded
+            } else {
+                &mut best
+            };
             let better = match *slot {
                 Some((best_score, _)) => score < best_score,
                 None => true,
@@ -201,7 +216,9 @@ impl<'a> Controller<'a> {
             return false;
         };
         let dispatch_gen = {
-            let Some(r) = self.inflight.get_mut(req) else { return true };
+            let Some(r) = self.inflight.get_mut(req) else {
+                return true;
+            };
             r.loc = Loc::OnNode(i);
             r.exclude = None;
             r.dispatch += 1;
@@ -233,10 +250,15 @@ impl<'a> Controller<'a> {
         let mut tries = self.pending.len();
         while tries > 0 {
             tries -= 1;
-            let Some(req) = self.pending.pop_front() else { break };
+            let Some(req) = self.pending.pop_front() else {
+                break;
+            };
             let live = matches!(
                 self.inflight.get(req),
-                Some(Req { loc: Loc::Pending, .. })
+                Some(Req {
+                    loc: Loc::Pending,
+                    ..
+                })
             );
             if !live {
                 continue;
@@ -252,7 +274,9 @@ impl<'a> Controller<'a> {
             return; // superseded schedule
         }
         self.advance(i);
-        let Some(cur) = self.nodes[i].current.take() else { return };
+        let Some(cur) = self.nodes[i].current.take() else {
+            return;
+        };
         self.nodes[i].epoch += 1;
         if let Some(r) = self.inflight.remove(cur.req) {
             let resp = self.now - r.arrived;
@@ -281,7 +305,9 @@ impl<'a> Controller<'a> {
     }
 
     pub(super) fn on_timeout<R: Recorder>(&mut self, req: u64, dispatch: u32, rec: &mut R) {
-        let Some(r) = self.inflight.get(req) else { return };
+        let Some(r) = self.inflight.get(req) else {
+            return;
+        };
         if r.dispatch != dispatch {
             return; // stale: the request moved since this was scheduled
         }
@@ -313,7 +339,10 @@ impl<'a> Controller<'a> {
     pub(super) fn on_redispatch(&mut self, req: u64) {
         let live = matches!(
             self.inflight.get(req),
-            Some(Req { loc: Loc::Backoff, .. })
+            Some(Req {
+                loc: Loc::Backoff,
+                ..
+            })
         );
         if live && !self.dispatch(req) {
             self.pending.push_back(req);
@@ -352,7 +381,10 @@ mod tests {
     /// only while serving, neither crashed nor stalled, idle watts else.
     #[test]
     fn a_node_draws_busy_watts_only_while_serving() {
-        let (w, c) = (catalog::by_name("memcached").unwrap(), ClusterSpec::a9_k10(1, 0));
+        let (w, c) = (
+            catalog::by_name("memcached").unwrap(),
+            ClusterSpec::a9_k10(1, 0),
+        );
         let (plan, cfg) = (FaultPlan::none(), ServeConfig::new(1));
         let mut ctl = Controller::new(&w, &c, &plan, None, &cfg).unwrap();
         let g = &ctl.groups[0];
@@ -361,7 +393,10 @@ mod tests {
         let n = &mut ctl.nodes[0];
         let draw = |n: &Node, t: f64| n.draw_w(g, n.busy_at(t));
         assert_eq!(draw(n, 0.0), idle_w, "no request: idle");
-        n.current = Some(Running { req: 0, remaining_ops: 1.0 });
+        n.current = Some(Running {
+            req: 0,
+            remaining_ops: 1.0,
+        });
         assert_eq!(draw(n, 0.0), busy_w);
         n.stalled_until = 2.0;
         assert_eq!(draw(n, 1.0), idle_w, "stalled until 2 s");

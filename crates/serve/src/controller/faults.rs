@@ -19,15 +19,17 @@ impl<'a> Controller<'a> {
         let w = self.cfg.fault_window_s;
         let base = f64::from(window) * w;
         let n = &self.nodes[i];
-        let events = self.plan.events_for_node(
-            self.cfg.seed,
-            window,
-            n.group,
-            u32::from(n.in_group),
-            w,
-        );
+        let events =
+            self.plan
+                .events_for_node(self.cfg.seed, window, n.group, u32::from(n.in_group), w);
         for e in events {
-            self.push(base + e.at_s, EvKind::Fault { node: i, kind: e.kind });
+            self.push(
+                base + e.at_s,
+                EvKind::Fault {
+                    node: i,
+                    kind: e.kind,
+                },
+            );
         }
         self.schedule_next_window(window, |window| EvKind::FaultWindow { node: i, window });
     }
@@ -197,7 +199,9 @@ impl<'a> Controller<'a> {
     /// Nodes of `domain` a blast-radius event can still hit: powered-off
     /// and already-down/crashed nodes are skipped (nothing to break).
     fn domain_members(&self, domain: Domain) -> Vec<usize> {
-        let Some(topo) = self.topo else { return Vec::new() };
+        let Some(topo) = self.topo else {
+            return Vec::new();
+        };
         topo.topology
             .domain_nodes(domain)
             .filter(|&i| i < self.nodes.len())

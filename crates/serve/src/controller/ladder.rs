@@ -50,14 +50,24 @@ impl Breaker {
     /// Whether the group may take a dispatch: an Open group takes nothing,
     /// and a HalfOpen group takes exactly one probe at a time.
     pub(super) fn admits(&self) -> bool {
-        !matches!(self, Breaker::Open { .. } | Breaker::HalfOpen { probe: Some(_), .. })
+        !matches!(
+            self,
+            Breaker::Open { .. } | Breaker::HalfOpen { probe: Some(_), .. }
+        )
     }
 
     /// Request `req` was dispatched into the group: into a HalfOpen group,
     /// it becomes the probe.
     pub(super) fn on_dispatch(&mut self, req: u64) {
-        if let Breaker::HalfOpen { probe: None, reopens } = *self {
-            *self = Breaker::HalfOpen { probe: Some(req), reopens };
+        if let Breaker::HalfOpen {
+            probe: None,
+            reopens,
+        } = *self
+        {
+            *self = Breaker::HalfOpen {
+                probe: Some(req),
+                reopens,
+            };
         }
     }
 }
@@ -67,7 +77,10 @@ impl<'a> Controller<'a> {
 
     /// Instantaneous cluster power, watts.
     fn power_now(&self) -> f64 {
-        self.nodes.iter().map(|n| n.draw_w(&self.groups[n.group], n.busy_at(self.now))).sum()
+        self.nodes
+            .iter()
+            .map(|n| n.draw_w(&self.groups[n.group], n.busy_at(self.now)))
+            .sum()
     }
 
     /// Believed serving capacity, ops/s (Active nodes at their DVFS level;
@@ -140,7 +153,12 @@ impl<'a> Controller<'a> {
             if acted {
                 self.tally.emergency_actions += 1;
                 rec.counter(self.now, Track::Controller, "ctl.emergency.action", 1);
-                rec.instant(self.now, Track::Controller, "ctl.emergency.rung", f64::from(rung));
+                rec.instant(
+                    self.now,
+                    Track::Controller,
+                    "ctl.emergency.rung",
+                    f64::from(rung),
+                );
                 return;
             }
             if self.emergency_level >= 3 {
@@ -249,13 +267,25 @@ impl<'a> Controller<'a> {
         for gi in 0..self.groups.len() {
             match self.groups[gi].breaker {
                 Breaker::Open { until_s, reopens } if self.now >= until_s => {
-                    self.groups[gi].breaker = Breaker::HalfOpen { probe: None, reopens };
-                    rec.instant(self.now, Track::Controller, "ctl.breaker.half_open", gi as f64);
+                    self.groups[gi].breaker = Breaker::HalfOpen {
+                        probe: None,
+                        reopens,
+                    };
+                    rec.instant(
+                        self.now,
+                        Track::Controller,
+                        "ctl.breaker.half_open",
+                        gi as f64,
+                    );
                 }
-                Breaker::HalfOpen { probe: Some(id), reopens }
-                    if !self.inflight.contains_key(id) =>
-                {
-                    self.groups[gi].breaker = Breaker::HalfOpen { probe: None, reopens };
+                Breaker::HalfOpen {
+                    probe: Some(id),
+                    reopens,
+                } if !self.inflight.contains_key(id) => {
+                    self.groups[gi].breaker = Breaker::HalfOpen {
+                        probe: None,
+                        reopens,
+                    };
                 }
                 _ => {}
             }
@@ -370,8 +400,7 @@ impl<'a> Controller<'a> {
             return;
         }
         let demand = self.window_arrival_ops / TICK_S;
-        if self.capacity_after_parking_one() > demand * CAPACITY_MARGIN
-            && self.deactivate_one(rec)
+        if self.capacity_after_parking_one() > demand * CAPACITY_MARGIN && self.deactivate_one(rec)
         {
             self.cooldown = SCALE_COOLDOWN_TICKS;
         }
@@ -419,7 +448,9 @@ impl<'a> Controller<'a> {
     }
 
     fn deactivate_one<R: Recorder>(&mut self, rec: &mut R) -> bool {
-        let Some(i) = self.park_candidate() else { return false };
+        let Some(i) = self.park_candidate() else {
+            return false;
+        };
         self.deactivate(i, "ctl.park_node", rec);
         true
     }
@@ -430,7 +461,11 @@ impl<'a> Controller<'a> {
     fn deactivate<R: Recorder>(&mut self, i: usize, instant: &'static str, rec: &mut R) {
         self.advance(i);
         let idle = self.nodes[i].current.is_none() && self.nodes[i].queue.is_empty();
-        self.nodes[i].admin = if idle { Admin::Deactivated } else { Admin::Draining };
+        self.nodes[i].admin = if idle {
+            Admin::Deactivated
+        } else {
+            Admin::Draining
+        };
         self.tally.deactivations += 1;
         rec.counter(self.now, Track::Controller, "ctl.deactivate", 1);
         rec.instant(self.now, Track::Controller, instant, i as f64);
@@ -546,14 +581,38 @@ mod tests {
         let mut closed = Breaker::Closed { fails: 3 };
         assert!(closed.admits());
         closed.on_dispatch(7);
-        assert_eq!(closed, Breaker::Closed { fails: 3 }, "a closed breaker takes no probe");
-        assert!(!Breaker::Open { until_s: 1.0, reopens: 0 }.admits());
-        let mut half = Breaker::HalfOpen { probe: None, reopens: 2 };
+        assert_eq!(
+            closed,
+            Breaker::Closed { fails: 3 },
+            "a closed breaker takes no probe"
+        );
+        assert!(!Breaker::Open {
+            until_s: 1.0,
+            reopens: 0
+        }
+        .admits());
+        let mut half = Breaker::HalfOpen {
+            probe: None,
+            reopens: 2,
+        };
         assert!(half.admits());
         half.on_dispatch(7);
-        assert_eq!(half, Breaker::HalfOpen { probe: Some(7), reopens: 2 });
+        assert_eq!(
+            half,
+            Breaker::HalfOpen {
+                probe: Some(7),
+                reopens: 2
+            }
+        );
         assert!(!half.admits(), "one probe at a time");
         half.on_dispatch(8);
-        assert_eq!(half, Breaker::HalfOpen { probe: Some(7), reopens: 2 }, "the probe stays");
+        assert_eq!(
+            half,
+            Breaker::HalfOpen {
+                probe: Some(7),
+                reopens: 2
+            },
+            "the probe stays"
+        );
     }
 }

@@ -191,23 +191,50 @@ impl GroupModel {
 
 #[derive(Debug, Clone)]
 pub(crate) enum EvKind {
-    Arrival { ops: f64, class: u8 },
-    Completion { node: usize, epoch: u64 },
-    Timeout { req: u64, dispatch: u32 },
-    Redispatch { req: u64 },
-    Fault { node: usize, kind: FaultKind },
-    FaultWindow { node: usize, window: u32 },
-    StallEnd { node: usize },
-    StragglerEnd { node: usize },
-    Repair { node: usize },
+    Arrival {
+        ops: f64,
+        class: u8,
+    },
+    Completion {
+        node: usize,
+        epoch: u64,
+    },
+    Timeout {
+        req: u64,
+        dispatch: u32,
+    },
+    Redispatch {
+        req: u64,
+    },
+    Fault {
+        node: usize,
+        kind: FaultKind,
+    },
+    FaultWindow {
+        node: usize,
+        window: u32,
+    },
+    StallEnd {
+        node: usize,
+    },
+    StragglerEnd {
+        node: usize,
+    },
+    Repair {
+        node: usize,
+    },
     HealthCheck,
     ControlTick,
     DrainDeadline,
     /// Materialize the next window of correlated domain faults.
-    DomainWindow { window: u32 },
+    DomainWindow {
+        window: u32,
+    },
     /// A correlated fault fires (rack crash, PDU loss, partition,
     /// power emergency).
-    DomainFault { event: DomainEvent },
+    DomainFault {
+        event: DomainEvent,
+    },
     /// A power emergency's hold expires.
     EmergencyEnd,
 }
@@ -232,7 +259,9 @@ impl PartialOrd for Ev {
 }
 impl Ord for Ev {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.t.total_cmp(&other.t).then_with(|| self.seq.cmp(&other.seq))
+        self.t
+            .total_cmp(&other.t)
+            .then_with(|| self.seq.cmp(&other.seq))
     }
 }
 
@@ -347,7 +376,11 @@ impl<'a> Controller<'a> {
         source: &mut ArrivalSource,
         rec: &mut R,
     ) -> Result<ServeReport, EnpropError> {
-        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
+        let mut hooks = RunHooks {
+            live: &mut |_| {},
+            checkpoint: None,
+            kill_after_events: None,
+        };
         match Controller::run_full(workload, cluster, plan, None, cfg, source, rec, &mut hooks)? {
             RunOutcome::Completed(r) => Ok(*r),
             // Unreachable: no kill hook was installed.
@@ -442,9 +475,7 @@ impl<'a> Controller<'a> {
                 .frequencies
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    (*a - g.freq).abs().total_cmp(&(*b - g.freq).abs())
-                })
+                .min_by(|(_, a), (_, b)| (*a - g.freq).abs().total_cmp(&(*b - g.freq).abs()))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             if u16::try_from(gi).is_err() {
@@ -585,7 +616,13 @@ impl<'a> Controller<'a> {
         match source.next_arrival() {
             Some(a) => {
                 let t = if a.t_s > self.now { a.t_s } else { self.now };
-                let ev = self.stamp(t, EvKind::Arrival { ops: a.ops, class: a.class });
+                let ev = self.stamp(
+                    t,
+                    EvKind::Arrival {
+                        ops: a.ops,
+                        class: a.class,
+                    },
+                );
                 self.next_arrival = Some(ev);
             }
             None => self.push(self.now + DRAIN_TIMEOUT_S, EvKind::DrainDeadline),
@@ -622,7 +659,9 @@ impl<'a> Controller<'a> {
         // Float-to-int casts saturate, so a far clock overflows the `+ 1`.
         let recurring = ((self.now / cadence) as u64).checked_add(1)?;
         let windows = ((self.now / self.cfg.fault_window_s) as u64).checked_add(1)?;
-        let per_node = (self.nodes.len() as u64).checked_mul(windows)?.checked_mul(80)?;
+        let per_node = (self.nodes.len() as u64)
+            .checked_mul(windows)?
+            .checked_mul(80)?;
         self.tally
             .arrivals
             .checked_mul(300)?
@@ -664,7 +703,10 @@ impl<'a> Controller<'a> {
                 }
             }
             self.events += 1;
-            if self.event_budget().is_none_or(|budget| self.events > budget) {
+            if self
+                .event_budget()
+                .is_none_or(|budget| self.events > budget)
+            {
                 return Err(EnpropError::EventBudgetExceeded {
                     events: self.events,
                     at_s: self.now,
@@ -695,7 +737,10 @@ impl<'a> Controller<'a> {
             if hooks.kill_after_events.is_some_and(|k| self.events >= k) {
                 // A simulated crash: walk away mid-flight. No finish(),
                 // no report — exactly what a real kill leaves behind.
-                return Ok(RunOutcome::Killed { events: self.events, at_s: self.now });
+                return Ok(RunOutcome::Killed {
+                    events: self.events,
+                    at_s: self.now,
+                });
             }
         }
         Ok(RunOutcome::Completed(Box::new(self.finish(
@@ -770,7 +815,11 @@ impl<'a> Controller<'a> {
             in_flight_at_stop: self.inflight.len() as u64,
             horizon_s,
             energy_j,
-            mean_power_w: if horizon_s > 0.0 { energy_j / horizon_s } else { 0.0 },
+            mean_power_w: if horizon_s > 0.0 {
+                energy_j / horizon_s
+            } else {
+                0.0
+            },
             mean_response_s: if self.tally.completions > 0 {
                 self.resp_sum / self.tally.completions as f64
             } else {
@@ -854,7 +903,14 @@ mod tests {
         (w, c, ops)
     }
 
-    fn poisson_source(w: &Workload, c: &ClusterSpec, ops: f64, n: u64, util: f64, seed: u64) -> ArrivalSource {
+    fn poisson_source(
+        w: &Workload,
+        c: &ClusterSpec,
+        ops: f64,
+        n: u64,
+        util: f64,
+        seed: u64,
+    ) -> ArrivalSource {
         let cap = cluster_capacity_ops_s(w, c).unwrap();
         let rate = util * cap / ops;
         ArrivalSource::Synthetic(
@@ -868,8 +924,7 @@ mod tests {
         let cfg = ServeConfig::new(7);
         let plan = FaultPlan::none();
         let mut src = poisson_source(&w, &c, ops, 2000, 0.5, 7);
-        let r =
-            Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
+        let r = Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
         assert_eq!(r.arrivals, 2000);
         assert_eq!(r.completions + r.shed(), 2000);
         assert_eq!(r.in_flight_at_stop, 0);
@@ -932,8 +987,7 @@ mod tests {
         let plan = FaultPlan::none();
         // 3× overload: shed mode (or the inflight cap) must engage.
         let mut src = poisson_source(&w, &c, ops, 4000, 3.0, 5);
-        let r =
-            Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
+        let r = Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
         assert!(r.conservation_ok(), "{}", r.conservation_line());
         assert!(r.shed() > 0, "3x overload must shed");
         assert!(r.completions > 0, "some requests must still complete");
@@ -962,7 +1016,10 @@ mod tests {
         let cfg = ServeConfig::new(13);
         let profile = GroupFaultProfile {
             mtbf: MtbfModel::Exponential { mtbf_s: 15.0 },
-            kinds: vec![(0.6, FaultKind::Crash), (0.4, FaultKind::Stall { duration_s: 3.0 })],
+            kinds: vec![
+                (0.6, FaultKind::Crash),
+                (0.4, FaultKind::Stall { duration_s: 3.0 }),
+            ],
         };
         let plan = FaultPlan::uniform(13, profile, c.groups.len());
         let mut src = poisson_source(&w, &c, ops, 1000, 0.7, 13);
@@ -1003,8 +1060,7 @@ mod tests {
             ],
         };
         let mut src = poisson_source(&w, &c, ops, 1500, 0.5, 21);
-        let r =
-            Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
+        let r = Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
         assert!(r.conservation_ok(), "{}", r.conservation_line());
         assert!(r.crashes >= 4, "all four A9 nodes crash at t=2: {r:?}");
         assert!(r.repairs >= 4);
@@ -1017,8 +1073,7 @@ mod tests {
         let cfg = ServeConfig::new(1);
         let plan = FaultPlan::none();
         let mut src = ArrivalSource::Replay(crate::trace::ReplayCursor::new(Vec::new()));
-        let r =
-            Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
+        let r = Controller::run(&w, &c, &plan, &cfg, &mut src, &mut NoopRecorder).unwrap();
         assert_eq!(r.arrivals, 0);
         assert!(r.conservation_ok());
     }
@@ -1040,10 +1095,22 @@ mod tests {
         let (w, c, ops) = setup();
         let mut src = poisson_source(&w, &c, ops, n, util, cfg.seed);
         let mut rec = MemoryRecorder::new();
-        let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
-        let out =
-            Controller::run_full(&w, &c, plan, Some(topo), cfg, &mut src, &mut rec, &mut hooks)
-                .unwrap();
+        let mut hooks = RunHooks {
+            live: &mut |_| {},
+            checkpoint: None,
+            kill_after_events: None,
+        };
+        let out = Controller::run_full(
+            &w,
+            &c,
+            plan,
+            Some(topo),
+            cfg,
+            &mut src,
+            &mut rec,
+            &mut hooks,
+        )
+        .unwrap();
         match out {
             RunOutcome::Completed(r) => (*r, rec),
             RunOutcome::Killed { .. } => panic!("no kill hook installed"),
@@ -1078,7 +1145,10 @@ mod tests {
                     && matches!(e.kind, enprop_obs::EventKind::SpanBegin)
             })
             .count();
-        assert!(blast >= 4, "the blast lands in one virtual instant: {blast} nodes");
+        assert!(
+            blast >= 4,
+            "the blast lands in one virtual instant: {blast} nodes"
+        );
         assert!(r.repairs >= 4, "downed nodes repair and rejoin: {r:?}");
         assert!(r.completions > 0, "service survives the blast: {r:?}");
         assert!(rec.counters().get("fault.rack_crash").copied().unwrap_or(0) >= 3);
@@ -1127,15 +1197,30 @@ mod tests {
         // DVFS brownout into parking and class shedding, then release.
         topo.cluster = DomainFaultProfile {
             mtbf: MtbfModel::Schedule(vec![1.5]),
-            kinds: vec![(1.0, DomainFaultKind::PowerEmergency { cap_w: 25.0, duration_s: 6.0 })],
+            kinds: vec![(
+                1.0,
+                DomainFaultKind::PowerEmergency {
+                    cap_w: 25.0,
+                    duration_s: 6.0,
+                },
+            )],
         };
         let (r, rec) = run_topo(&cfg, &FaultPlan::none(), &topo, 3000, 0.8);
         assert!(r.conservation_ok(), "{}", r.conservation_line());
         assert!(r.power_emergencies >= 1, "{r:?}");
-        assert!(r.emergency_actions > 0, "the ladder must act under the cap: {r:?}");
+        assert!(
+            r.emergency_actions > 0,
+            "the ladder must act under the cap: {r:?}"
+        );
         assert!(r.dvfs_down > 0, "rung 0 is DVFS brownout: {r:?}");
         assert!(r.completions > 0, "service continues degraded: {r:?}");
-        assert!(rec.counters().get("ctl.emergency.action").copied().unwrap_or(0) > 0);
+        assert!(
+            rec.counters()
+                .get("ctl.emergency.action")
+                .copied()
+                .unwrap_or(0)
+                > 0
+        );
         let ends = rec
             .events()
             .iter()
@@ -1167,8 +1252,14 @@ mod tests {
         let (r, rec) = run_topo(&cfg, &plan, &topo, 3000, 0.6);
         assert!(r.conservation_ok(), "{}", r.conservation_line());
         assert!(r.timeouts > 0, "stalled dispatches must time out: {r:?}");
-        assert!(r.breaker_opens >= 1, "consecutive timeouts must trip the breaker: {r:?}");
-        assert!(r.breaker_closes >= 1, "a successful probe must close it again: {r:?}");
+        assert!(
+            r.breaker_opens >= 1,
+            "consecutive timeouts must trip the breaker: {r:?}"
+        );
+        assert!(
+            r.breaker_closes >= 1,
+            "a successful probe must close it again: {r:?}"
+        );
         let names: Vec<&str> = rec.events().iter().map(|e| e.name).collect();
         assert!(names.contains(&"ctl.breaker.open"));
         assert!(names.contains(&"ctl.breaker.half_open"));
@@ -1181,9 +1272,9 @@ mod tests {
         cfg.max_pending = 4;
         cfg.repair_s = 4.0;
         cfg.slo_p95_s = 1e6; // keep SLO admission shedding out of the way
-        // A full-cluster blast: with no node dispatchable, admitted
-        // arrivals queue up, the tiny pending bound fills, and overflow
-        // is shed as backpressure — distinct from admission shedding.
+                             // A full-cluster blast: with no node dispatchable, admitted
+                             // arrivals queue up, the tiny pending bound fills, and overflow
+                             // is shed as backpressure — distinct from admission shedding.
         let mut topo = quiet_topo(&c, 2);
         topo.rack = DomainFaultProfile {
             mtbf: MtbfModel::Schedule(vec![1.0]),
@@ -1191,7 +1282,10 @@ mod tests {
         };
         let (r, _) = run_topo(&cfg, &FaultPlan::none(), &topo, 1500, 0.8);
         assert!(r.conservation_ok(), "{}", r.conservation_line());
-        assert!(r.shed_backpressure > 0, "a full pending queue must shed: {r:?}");
+        assert!(
+            r.shed_backpressure > 0,
+            "a full pending queue must shed: {r:?}"
+        );
         assert!(r.completions > 0, "{r:?}");
     }
 

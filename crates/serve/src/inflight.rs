@@ -64,7 +64,10 @@ impl Inflight {
             self.base = id;
         }
         let end = self.base + self.slots.len() as u64;
-        assert!(id >= end, "in-flight id {id} is below the next free id {end}");
+        assert!(
+            id >= end,
+            "in-flight id {id} is below the next free id {end}"
+        );
         for _ in end..id {
             self.slots.push_back(None);
         }

@@ -625,7 +625,10 @@ mod tests {
         assert_eq!(r.energy_j(), 100.0);
         assert_eq!(r.j_per_req(), 1.0);
         assert_eq!(r.groups.len(), 2);
-        assert!((r.groups[0].ep() - 1.0).abs() < 1e-12, "busy group proportional");
+        assert!(
+            (r.groups[0].ep() - 1.0).abs() < 1e-12,
+            "busy group proportional"
+        );
         assert_eq!(r.groups[1].ep(), 0.0, "idle-only group");
         assert!(r.p50_s > 0.0 && r.p999_s > 0.0);
     }
@@ -639,7 +642,12 @@ mod tests {
             complete(&mut p, 0.5, 0);
         }
         p.roll_to(1.1, &mut rec, &mut |_| {});
-        assert!(p.burn_alert(), "fast {} slow {}", p.burn_fast(), p.burn_slow());
+        assert!(
+            p.burn_alert(),
+            "fast {} slow {}",
+            p.burn_fast(),
+            p.burn_slow()
+        );
         assert!(p.burn_fast() > 19.0);
         // Two healthy windows: fast burn falls to 0 → clears.
         for _ in 0..50 {
@@ -760,7 +768,11 @@ mod tests {
         let mut closed: Vec<WindowStats> = Vec::new();
         for step in 0..12_u32 {
             for k in 0..=(step % 4) {
-                complete(&mut p, 0.01 * f64::from(step + k + 1), u16::from(k % 2 == 1));
+                complete(
+                    &mut p,
+                    0.01 * f64::from(step + k + 1),
+                    u16::from(k % 2 == 1),
+                );
             }
             let t = f64::from(step) * 0.75 + 0.5;
             p.roll_to(t, &mut NoopRecorder, &mut |_| {});

@@ -111,7 +111,11 @@ impl ServeReport {
             self.completions,
             self.shed(),
             self.in_flight_at_stop,
-            if self.conservation_ok() { "OK" } else { "VIOLATED" }
+            if self.conservation_ok() {
+                "OK"
+            } else {
+                "VIOLATED"
+            }
         )
     }
 

@@ -62,7 +62,16 @@ fn push_u64s(out: &mut String, vals: impl IntoIterator<Item = u64>) {
 /// "smax","buckets"` (the `s` prefix keeps them clear of `series_win`'s
 /// own `count` and `sum`).
 fn push_sketch(out: &mut String, s: &SketchState) {
-    let SketchState { alpha, max_buckets, buckets, low, count, sum, min, max } = s;
+    let SketchState {
+        alpha,
+        max_buckets,
+        buckets,
+        low,
+        count,
+        sum,
+        min,
+        max,
+    } = s;
     let _ = write!(
         out,
         "\"alpha\":{},\"maxb\":{max_buckets},\"lowc\":{low},\"scount\":{count},\"ssum\":{},\"smin\":{},\"smax\":{},\"buckets\":",
@@ -71,7 +80,10 @@ fn push_sketch(out: &mut String, s: &SketchState) {
         bits(*min),
         bits(*max),
     );
-    push_u64s(out, buckets.iter().flat_map(|&(k, n)| [i64::from(k) as u64, n]));
+    push_u64s(
+        out,
+        buckets.iter().flat_map(|&(k, n)| [i64::from(k) as u64, n]),
+    );
 }
 
 fn ev_line(out: &mut String, ev: &Ev) {
@@ -255,7 +267,10 @@ impl Encoder {
         // continue those totals or its trace diverges from the
         // uninterrupted run's.
         for (name, total) in counters {
-            let _ = write!(self.out, "{{\"sec\":\"cnt\",\"name\":\"{name}\",\"total\":{total}");
+            let _ = write!(
+                self.out,
+                "{{\"sec\":\"cnt\",\"name\":\"{name}\",\"total\":{total}"
+            );
             self.end();
         }
         for (gi, g) in groups.iter().enumerate() {
@@ -338,7 +353,16 @@ impl Encoder {
             self.end();
         }
         for (id, r) in inflight.iter() {
-            let Req { arrived, ops, class, attempt, dispatch, loc, exclude, traced } = r;
+            let Req {
+                arrived,
+                ops,
+                class,
+                attempt,
+                dispatch,
+                loc,
+                exclude,
+                traced,
+            } = r;
             let (loc, loc_node) = match loc {
                 Loc::Pending => (0, 0),
                 Loc::Backoff => (1, 0),
@@ -368,7 +392,11 @@ impl Encoder {
         // The heap and the pending arrival in deterministic (t, seq) order,
         // plus the just-popped event — the first thing the resumed loop
         // will process.
-        let mut evs: Vec<&Ev> = heap.iter().map(|Reverse(e)| e).chain(next_arrival).collect();
+        let mut evs: Vec<&Ev> = heap
+            .iter()
+            .map(|Reverse(e)| e)
+            .chain(next_arrival)
+            .collect();
         evs.push(popped);
         evs.sort();
         for ev in evs {
@@ -376,7 +404,13 @@ impl Encoder {
             self.lines += 1;
         }
         match src {
-            SourceState::Synthetic { gap, size, class, t, remaining } => {
+            SourceState::Synthetic {
+                gap,
+                size,
+                class,
+                t,
+                remaining,
+            } => {
                 self.out.push_str("{\"sec\":\"source\",\"kind\":0,\"g\":");
                 push_u64s(&mut self.out, gap.iter().copied());
                 self.out.push_str(",\"s\":");
@@ -409,7 +443,10 @@ impl Encoder {
             bits(ps.burn_fast),
             bits(ps.burn_slow),
         );
-        push_u64s(&mut self.out, ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]));
+        push_u64s(
+            &mut self.out,
+            ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]),
+        );
         self.end();
         for (gi, g) in ps.groups.iter().enumerate() {
             let _ = write!(
@@ -502,11 +539,15 @@ fn boolean(l: &Line<'_>, key: &str) -> Result<bool, LineError> {
 fn tuples<const N: usize>(l: &Line<'_>, key: &str) -> Result<Vec<[u64; N]>, LineError> {
     let flat = l.u64s(key)?;
     if flat.len() % N != 0 {
-        return Err(
-            l.error(format!("{key:?} array length {} is not a multiple of {N}", flat.len()))
-        );
+        return Err(l.error(format!(
+            "{key:?} array length {} is not a multiple of {N}",
+            flat.len()
+        )));
     }
-    Ok(flat.chunks_exact(N).map(|c| std::array::from_fn(|i| c[i])).collect())
+    Ok(flat
+        .chunks_exact(N)
+        .map(|c| std::array::from_fn(|i| c[i]))
+        .collect())
 }
 
 fn sketch_of(l: &Line<'_>) -> Result<SketchState, LineError> {
@@ -535,9 +576,18 @@ fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, Line
     let (a, b) = (l.u64("a")?, l.u64("b")?);
     let node = || below(l, a, nodes, "event node");
     let kind = match l.u64("k")? {
-        0 => EvKind::Arrival { ops: f64::from_bits(a), class: narrow(l, b, "class")? },
-        1 => EvKind::Completion { node: node()?, epoch: b },
-        2 => EvKind::Timeout { req: a, dispatch: narrow(l, b, "dispatch")? },
+        0 => EvKind::Arrival {
+            ops: f64::from_bits(a),
+            class: narrow(l, b, "class")?,
+        },
+        1 => EvKind::Completion {
+            node: node()?,
+            epoch: b,
+        },
+        2 => EvKind::Timeout {
+            req: a,
+            dispatch: narrow(l, b, "dispatch")?,
+        },
         3 => EvKind::Redispatch { req: a },
         4 => {
             let p = l.f64_bits("c")?;
@@ -547,16 +597,24 @@ fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, Line
                 2 => FaultKind::Straggler { slowdown: p },
                 other => return Err(l.error(format!("unknown fault kind {other}"))),
             };
-            EvKind::Fault { node: node()?, kind }
+            EvKind::Fault {
+                node: node()?,
+                kind,
+            }
         }
-        5 => EvKind::FaultWindow { node: node()?, window: narrow(l, b, "window")? },
+        5 => EvKind::FaultWindow {
+            node: node()?,
+            window: narrow(l, b, "window")?,
+        },
         6 => EvKind::StallEnd { node: node()? },
         7 => EvKind::StragglerEnd { node: node()? },
         8 => EvKind::Repair { node: node()? },
         9 => EvKind::HealthCheck,
         10 => EvKind::ControlTick,
         11 => EvKind::DrainDeadline,
-        12 => EvKind::DomainWindow { window: narrow(l, a, "window")? },
+        12 => EvKind::DomainWindow {
+            window: narrow(l, a, "window")?,
+        },
         13 => {
             let (di, p1, p2) = (l.u64("c")?, l.f64_bits("e")?, l.f64_bits("f")?);
             let domain = match b {
@@ -569,15 +627,28 @@ fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, Line
                 0 => DomainFaultKind::RackCrash,
                 1 => DomainFaultKind::PduLoss,
                 2 => DomainFaultKind::NetworkPartition { duration_s: p1 },
-                3 => DomainFaultKind::PowerEmergency { cap_w: p1, duration_s: p2 },
+                3 => DomainFaultKind::PowerEmergency {
+                    cap_w: p1,
+                    duration_s: p2,
+                },
                 other => return Err(l.error(format!("unknown domain fault kind {other}"))),
             };
-            EvKind::DomainFault { event: DomainEvent { at_s: f64::from_bits(a), domain, kind } }
+            EvKind::DomainFault {
+                event: DomainEvent {
+                    at_s: f64::from_bits(a),
+                    domain,
+                    kind,
+                },
+            }
         }
         14 => EvKind::EmergencyEnd,
         other => return Err(l.error(format!("unknown event kind {other}"))),
     };
-    Ok(Ev { t: l.f64_bits("t")?, seq: l.u64("seq")?, kind })
+    Ok(Ev {
+        t: l.f64_bits("t")?,
+        seq: l.u64("seq")?,
+        kind,
+    })
 }
 
 fn rng_state(l: &Line<'_>, key: &str) -> Result<[u64; 4], LineError> {
@@ -636,13 +707,16 @@ fn read<'a>(
     let h = Line::parse(1, lines[0])?;
     let version = h.str("sec")?;
     if version != SNAPSHOT_VERSION {
-        return Err(
-            h.error(format!("version {version:?} is not the supported {SNAPSHOT_VERSION:?}"))
-        );
+        return Err(h.error(format!(
+            "version {version:?} is not the supported {SNAPSHOT_VERSION:?}"
+        )));
     }
     let seed = h.u64("seed")?;
     if seed != fresh.cfg.seed {
-        return Err(h.error(format!("snapshot seed {seed} != configured seed {}", fresh.cfg.seed)));
+        return Err(h.error(format!(
+            "snapshot seed {seed} != configured seed {}",
+            fresh.cfg.seed
+        )));
     }
     let (n_groups, n_nodes) = (h.u64("groups")?, h.u64("nodes")?);
     if n_groups != fresh.groups.len() as u64 || n_nodes != fresh.nodes.len() as u64 {
@@ -665,11 +739,15 @@ fn read<'a>(
     // The livelock guard must be able to count events at this clock.
     fresh.now = now;
     if fresh.event_budget().is_none() {
-        return Err(h.error(format!("\"now\" {now} is past the clock the event budget counts")));
+        return Err(h.error(format!(
+            "\"now\" {now} is past the clock the event budget counts"
+        )));
     }
     // Recurring events must move the clock, or the loop spins at one instant.
     if now + HEALTH_INTERVAL_S == now {
-        return Err(h.error(format!("\"now\" {now} is too large for the health interval to move")));
+        return Err(h.error(format!(
+            "\"now\" {now} is too large for the health interval to move"
+        )));
     }
 
     let n_nodes = fresh.nodes.len();
@@ -707,9 +785,17 @@ fn read<'a>(
                 let ba = l.u64("ba")?;
                 let reopens = int(&l, "bb")?;
                 g.breaker = match l.u64("brk")? {
-                    0 => Breaker::Closed { fails: narrow(&l, ba, "fails")? },
-                    1 => Breaker::Open { until_s: f64::from_bits(ba), reopens },
-                    2 => Breaker::HalfOpen { probe: ba.checked_sub(1), reopens },
+                    0 => Breaker::Closed {
+                        fails: narrow(&l, ba, "fails")?,
+                    },
+                    1 => Breaker::Open {
+                        until_s: f64::from_bits(ba),
+                        reopens,
+                    },
+                    2 => Breaker::HalfOpen {
+                        probe: ba.checked_sub(1),
+                        reopens,
+                    },
                     other => return Err(l.error(format!("unknown breaker state {other}"))),
                 };
                 // With breakers off no timeout is counted, so none leaves Closed.
@@ -755,7 +841,10 @@ fn read<'a>(
                 *current = if boolean(&l, "cur")? {
                     let req = l.u64("cur_req")?;
                     id_refs.push((lineno, req));
-                    Some(Running { req, remaining_ops: l.f64_bits("cur_rem")? })
+                    Some(Running {
+                        req,
+                        remaining_ops: l.f64_bits("cur_rem")?,
+                    })
                 } else {
                     None
                 };
@@ -831,13 +920,16 @@ fn read<'a>(
                 }
                 // The loop never runs time backwards (nor through NaN).
                 if ev.t.is_nan() || ev.t < now {
-                    return Err(
-                        l.error(format!("event time {} is before the snapshot time {now}", ev.t))
-                    );
+                    return Err(l.error(format!(
+                        "event time {} is before the snapshot time {now}",
+                        ev.t
+                    )));
                 }
                 match ev.kind {
                     EvKind::Arrival { .. } if next_arrival.is_some() => {
-                        return Err(l.error("a second pending arrival (the source looks one ahead)"));
+                        return Err(
+                            l.error("a second pending arrival (the source looks one ahead)")
+                        );
                     }
                     EvKind::Arrival { .. } => next_arrival = Some((l, ev)),
                     EvKind::FaultWindow { window, .. } | EvKind::DomainWindow { window }
@@ -861,7 +953,9 @@ fn read<'a>(
                         t: l.f64_bits("t")?,
                         remaining: l.u64("remaining")?,
                     },
-                    1 => SourceState::Replay { next: int(&l, "next")? },
+                    1 => SourceState::Replay {
+                        next: int(&l, "next")?,
+                    },
                     other => return Err(l.error(format!("unknown source kind {other}"))),
                 };
                 cursor = Some((l, state));
@@ -916,7 +1010,9 @@ fn read<'a>(
     // The pending arrival is the last one the source issued. With none
     // pending, the run stops by the drain deadline armed at the last one.
     let last_s = source.last_issued_s();
-    let moved = next_arrival.as_ref().filter(|(_, ev)| ev.t.to_bits() != last_s.to_bits());
+    let moved = next_arrival
+        .as_ref()
+        .filter(|(_, ev)| ev.t.to_bits() != last_s.to_bits());
     if let Some((l, ev)) = moved {
         return Err(l.error(format!(
             "pending arrival at t = {}, but the source issued its last arrival at {last_s}",
@@ -965,7 +1061,10 @@ fn read<'a>(
                 cur_shed: p.u64("cur_shed")?,
                 cur_breaches: p.u64("cur_breaches")?,
                 groups: plane_groups,
-                burn_ring: tuples::<2>(&p, "ring")?.into_iter().map(|[a, b]| (a, b)).collect(),
+                burn_ring: tuples::<2>(&p, "ring")?
+                    .into_iter()
+                    .map(|[a, b]| (a, b))
+                    .collect(),
                 alert: boolean(&p, "alert")?,
                 burn_fast: p.f64_bits("bfast")?,
                 burn_slow: p.f64_bits("bslow")?,
@@ -1020,7 +1119,10 @@ mod tests {
         let l = line("{\"x\":3,\"f\":2,\"xs\":[1,2,3,4],\"odd\":[1,2,3]}");
         assert_eq!(below(&l, 2, 3, "node").unwrap(), 2);
         let err = below(&l, 92, 3, "event node").unwrap_err().to_string();
-        assert!(err.starts_with("line 1: event node 92 out of range"), "{err}");
+        assert!(
+            err.starts_with("line 1: event node 92 out of range"),
+            "{err}"
+        );
         assert_eq!(tuples::<2>(&l, "xs").unwrap(), vec![[1, 2], [3, 4]]);
         assert!(tuples::<2>(&l, "odd").is_err());
         assert!(boolean(&l, "f").is_err());
@@ -1031,23 +1133,80 @@ mod tests {
     #[test]
     fn event_encoding_round_trips_every_kind() {
         let evs = vec![
-            Ev { t: 1.25, seq: 0, kind: EvKind::Arrival { ops: 512.5, class: 1 } },
-            Ev { t: 2.0, seq: 1, kind: EvKind::Completion { node: 3, epoch: 9 } },
-            Ev { t: 2.5, seq: 2, kind: EvKind::Timeout { req: 17, dispatch: 4 } },
-            Ev { t: 3.0, seq: 3, kind: EvKind::Redispatch { req: 17 } },
+            Ev {
+                t: 1.25,
+                seq: 0,
+                kind: EvKind::Arrival {
+                    ops: 512.5,
+                    class: 1,
+                },
+            },
+            Ev {
+                t: 2.0,
+                seq: 1,
+                kind: EvKind::Completion { node: 3, epoch: 9 },
+            },
+            Ev {
+                t: 2.5,
+                seq: 2,
+                kind: EvKind::Timeout {
+                    req: 17,
+                    dispatch: 4,
+                },
+            },
+            Ev {
+                t: 3.0,
+                seq: 3,
+                kind: EvKind::Redispatch { req: 17 },
+            },
             Ev {
                 t: 3.5,
                 seq: 4,
-                kind: EvKind::Fault { node: 1, kind: FaultKind::Stall { duration_s: 0.75 } },
+                kind: EvKind::Fault {
+                    node: 1,
+                    kind: FaultKind::Stall { duration_s: 0.75 },
+                },
             },
-            Ev { t: 4.0, seq: 5, kind: EvKind::FaultWindow { node: 0, window: 2 } },
-            Ev { t: 4.5, seq: 6, kind: EvKind::StallEnd { node: 1 } },
-            Ev { t: 5.0, seq: 7, kind: EvKind::StragglerEnd { node: 2 } },
-            Ev { t: 5.5, seq: 8, kind: EvKind::Repair { node: 3 } },
-            Ev { t: 6.0, seq: 9, kind: EvKind::HealthCheck },
-            Ev { t: 6.5, seq: 10, kind: EvKind::ControlTick },
-            Ev { t: 7.0, seq: 11, kind: EvKind::DrainDeadline },
-            Ev { t: 7.5, seq: 12, kind: EvKind::DomainWindow { window: 5 } },
+            Ev {
+                t: 4.0,
+                seq: 5,
+                kind: EvKind::FaultWindow { node: 0, window: 2 },
+            },
+            Ev {
+                t: 4.5,
+                seq: 6,
+                kind: EvKind::StallEnd { node: 1 },
+            },
+            Ev {
+                t: 5.0,
+                seq: 7,
+                kind: EvKind::StragglerEnd { node: 2 },
+            },
+            Ev {
+                t: 5.5,
+                seq: 8,
+                kind: EvKind::Repair { node: 3 },
+            },
+            Ev {
+                t: 6.0,
+                seq: 9,
+                kind: EvKind::HealthCheck,
+            },
+            Ev {
+                t: 6.5,
+                seq: 10,
+                kind: EvKind::ControlTick,
+            },
+            Ev {
+                t: 7.0,
+                seq: 11,
+                kind: EvKind::DrainDeadline,
+            },
+            Ev {
+                t: 7.5,
+                seq: 12,
+                kind: EvKind::DomainWindow { window: 5 },
+            },
             Ev {
                 t: 8.0,
                 seq: 13,
@@ -1055,11 +1214,18 @@ mod tests {
                     event: DomainEvent {
                         at_s: 0.125,
                         domain: Domain::Pdu(1),
-                        kind: DomainFaultKind::PowerEmergency { cap_w: 90.0, duration_s: 30.0 },
+                        kind: DomainFaultKind::PowerEmergency {
+                            cap_w: 90.0,
+                            duration_s: 30.0,
+                        },
                     },
                 },
             },
-            Ev { t: 8.5, seq: 14, kind: EvKind::EmergencyEnd },
+            Ev {
+                t: 8.5,
+                seq: 14,
+                kind: EvKind::EmergencyEnd,
+            },
         ];
         // 4 nodes, 2 per rack, 1 rack per PDU: racks 0..2, PDUs 0..2.
         let topo = Topology::new(4, 2, 1).unwrap();

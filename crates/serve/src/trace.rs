@@ -146,7 +146,10 @@ impl ReplayCursor {
 
     /// Time of the last arrival emitted, or 0 before the first.
     pub(crate) fn last_issued_s(&self) -> f64 {
-        self.next.checked_sub(1).and_then(|i| self.arrivals.get(i)).map_or(0.0, |a| a.t_s)
+        self.next
+            .checked_sub(1)
+            .and_then(|i| self.arrivals.get(i))
+            .map_or(0.0, |a| a.t_s)
     }
 
     /// Next arrival, or `None` past the end.
@@ -166,7 +169,11 @@ mod tests {
         let arrivals = vec![
             Arrival::new(0.0, 1000.0),
             Arrival::new(0.125, 512.5),
-            Arrival { t_s: 2.25e3, ops: 1.0, class: 1 },
+            Arrival {
+                t_s: 2.25e3,
+                ops: 1.0,
+                class: 1,
+            },
         ];
         let text = format_trace(&arrivals);
         let parsed = parse_trace(&text, 1.0).expect("round trip");
@@ -205,8 +212,11 @@ mod tests {
     /// requests).
     #[test]
     fn malformed_ops_is_a_typed_error_not_a_fallback() {
-        let err = parse_trace("{\"t_s\":0.5,\"ops\":12.0}\n{\"t_s\":1.0,\"ops\":bogus}\n", 7.0)
-            .expect_err("malformed ops must not parse");
+        let err = parse_trace(
+            "{\"t_s\":0.5,\"ops\":12.0}\n{\"t_s\":1.0,\"ops\":bogus}\n",
+            7.0,
+        )
+        .expect_err("malformed ops must not parse");
         assert_eq!(err.exit_code(), 2, "InvalidConfig → exit 2");
         let msg = err.to_string();
         assert!(msg.contains("line 2"), "must carry the line number: {msg}");
@@ -238,10 +248,7 @@ mod tests {
 
     #[test]
     fn cursor_walks_front_to_back_and_seeks() {
-        let mut c = ReplayCursor::new(vec![
-            Arrival::new(0.0, 1.0),
-            Arrival::new(1.0, 2.0),
-        ]);
+        let mut c = ReplayCursor::new(vec![Arrival::new(0.0, 1.0), Arrival::new(1.0, 2.0)]);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
         assert_eq!(c.position(), 0);
@@ -253,7 +260,10 @@ mod tests {
         assert_eq!(c.next_arrival().map(|a| a.t_s), Some(1.0));
         c.seek(2).expect("one-past-the-end is an exhausted cursor");
         assert_eq!(c.next_arrival(), None);
-        assert!(c.seek(3).is_err(), "past-the-end seek is a snapshot/trace mismatch");
+        assert!(
+            c.seek(3).is_err(),
+            "past-the-end seek is a snapshot/trace mismatch"
+        );
     }
 
     #[test]

@@ -43,7 +43,12 @@ fn fault_profile() -> impl Strategy<Value = GroupFaultProfile> {
             let kinds = if wc + ws + wg > 0.0 {
                 vec![
                     (wc, FaultKind::Crash),
-                    (ws, FaultKind::Stall { duration_s: stall_s }),
+                    (
+                        ws,
+                        FaultKind::Stall {
+                            duration_s: stall_s,
+                        },
+                    ),
                     (wg, FaultKind::Straggler { slowdown }),
                 ]
             } else {
@@ -67,9 +72,9 @@ struct Scenario {
 
 fn run_once(s: &Scenario) -> (enprop_serve::ServeReport, MemoryRecorder) {
     let ops = enprop_serve::default_ops_per_request(&s.workload, &s.cluster).unwrap();
-    let rate =
-        s.utilization * enprop_serve::cluster_capacity_ops_s(&s.workload, &s.cluster).unwrap()
-            / ops;
+    let rate = s.utilization
+        * enprop_serve::cluster_capacity_ops_s(&s.workload, &s.cluster).unwrap()
+        / ops;
     let arrivals = SyntheticArrivals::new(
         ArrivalModel::Poisson { rate },
         s.requests,
@@ -80,9 +85,15 @@ fn run_once(s: &Scenario) -> (enprop_serve::ServeReport, MemoryRecorder) {
     .unwrap();
     let mut source = ArrivalSource::Synthetic(arrivals);
     let mut rec = MemoryRecorder::new();
-    let report =
-        Controller::run(&s.workload, &s.cluster, &s.plan, &s.cfg, &mut source, &mut rec)
-            .expect("a valid chaos scenario must terminate cleanly");
+    let report = Controller::run(
+        &s.workload,
+        &s.cluster,
+        &s.plan,
+        &s.cfg,
+        &mut source,
+        &mut rec,
+    )
+    .expect("a valid chaos scenario must terminate cleanly");
     (report, rec)
 }
 

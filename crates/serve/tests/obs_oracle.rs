@@ -58,7 +58,12 @@ fn fault_profile() -> impl Strategy<Value = GroupFaultProfile> {
             mtbf: MtbfModel::Exponential { mtbf_s },
             kinds: vec![
                 (0.5, FaultKind::Crash),
-                (0.3, FaultKind::Stall { duration_s: stall_s }),
+                (
+                    0.3,
+                    FaultKind::Stall {
+                        duration_s: stall_s,
+                    },
+                ),
                 (0.2, FaultKind::Straggler { slowdown }),
             ],
         }
@@ -86,7 +91,11 @@ fn run_chaos(
     let mut rec = OracleRecorder::default();
     let mut windows: Vec<WindowReport> = Vec::new();
     let mut live = |w: &WindowReport| windows.push(w.clone());
-    let mut hooks = RunHooks { live: &mut live, checkpoint: None, kill_after_events: None };
+    let mut hooks = RunHooks {
+        live: &mut live,
+        checkpoint: None,
+        kill_after_events: None,
+    };
     let outcome = Controller::run_full(
         &workload,
         &cluster,

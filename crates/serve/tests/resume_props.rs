@@ -57,21 +57,30 @@ fn scenario(seed: u64, a9: u32, requests: u64, rack_mtbf_s: f64, em_cap_w: f64) 
         seed,
         topology: Topology::new(n_nodes, 2, 2).unwrap(),
         rack: DomainFaultProfile {
-            mtbf: MtbfModel::Exponential { mtbf_s: rack_mtbf_s },
+            mtbf: MtbfModel::Exponential {
+                mtbf_s: rack_mtbf_s,
+            },
             kinds: vec![
                 (1.0, DomainFaultKind::RackCrash),
                 (1.0, DomainFaultKind::NetworkPartition { duration_s: 2.0 }),
             ],
         },
         pdu: DomainFaultProfile {
-            mtbf: MtbfModel::Exponential { mtbf_s: rack_mtbf_s * 2.0 },
+            mtbf: MtbfModel::Exponential {
+                mtbf_s: rack_mtbf_s * 2.0,
+            },
             kinds: vec![(1.0, DomainFaultKind::PduLoss)],
         },
         cluster: DomainFaultProfile {
-            mtbf: MtbfModel::Exponential { mtbf_s: rack_mtbf_s },
+            mtbf: MtbfModel::Exponential {
+                mtbf_s: rack_mtbf_s,
+            },
             kinds: vec![(
                 1.0,
-                DomainFaultKind::PowerEmergency { cap_w: em_cap_w, duration_s: 8.0 },
+                DomainFaultKind::PowerEmergency {
+                    cap_w: em_cap_w,
+                    duration_s: 8.0,
+                },
             )],
         },
     };
@@ -81,18 +90,30 @@ fn scenario(seed: u64, a9: u32, requests: u64, rack_mtbf_s: f64, em_cap_w: f64) 
     cfg.breaker_open_s = 2.0;
     cfg.max_pending = 64; // small: exercise backpressure shedding
     cfg.obs_window_s = 0.25; // frequent window closes → many checkpoints per run
-    Scenario { workload, cluster, plan, topo, cfg, requests }
+    Scenario {
+        workload,
+        cluster,
+        plan,
+        topo,
+        cfg,
+        requests,
+    }
 }
 
 fn source_for(s: &Scenario) -> ArrivalSource {
     let ops = enprop_serve::default_ops_per_request(&s.workload, &s.cluster).unwrap();
-    let rate =
-        0.9 * enprop_serve::cluster_capacity_ops_s(&s.workload, &s.cluster).unwrap() / ops;
+    let rate = 0.9 * enprop_serve::cluster_capacity_ops_s(&s.workload, &s.cluster).unwrap() / ops;
     ArrivalSource::Synthetic(
-        SyntheticArrivals::new(ArrivalModel::Poisson { rate }, s.requests, ops, 0.3, s.cfg.seed)
-            .unwrap()
-            .with_best_effort(0.4)
-            .unwrap(),
+        SyntheticArrivals::new(
+            ArrivalModel::Poisson { rate },
+            s.requests,
+            ops,
+            0.3,
+            s.cfg.seed,
+        )
+        .unwrap()
+        .with_best_effort(0.4)
+        .unwrap(),
     )
 }
 
@@ -123,7 +144,11 @@ fn run(s: &Scenario, kill_after_events: Option<u64>) -> Run {
         &mut hooks,
     )
     .expect("a valid scenario must not error");
-    Run { outcome, rec, checkpoints }
+    Run {
+        outcome,
+        rec,
+        checkpoints,
+    }
 }
 
 /// Resume `snapshot` to the end: the report, the telemetry and the
@@ -133,8 +158,11 @@ fn resume(s: &Scenario, snapshot: &str) -> (ServeReport, MemoryRecorder, Vec<Str
     let mut rec = MemoryRecorder::new();
     let mut checkpoints: Vec<String> = Vec::new();
     let mut sink = |snap: &str| checkpoints.push(snap.to_string());
-    let mut hooks =
-        RunHooks { live: &mut |_| {}, checkpoint: Some(&mut sink), kill_after_events: None };
+    let mut hooks = RunHooks {
+        live: &mut |_| {},
+        checkpoint: Some(&mut sink),
+        kill_after_events: None,
+    };
     let outcome = Controller::resume_full(
         &s.workload,
         &s.cluster,
@@ -249,7 +277,11 @@ fn truncated_snapshot_is_a_typed_error() {
     let cut = &snap[..snap.len() - snap.lines().last().unwrap().len() - 10];
     let mut source = source_for(&s);
     let mut rec = MemoryRecorder::new();
-    let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
+    let mut hooks = RunHooks {
+        live: &mut |_| {},
+        checkpoint: None,
+        kill_after_events: None,
+    };
     let err = Controller::resume_full(
         &s.workload,
         &s.cluster,
@@ -278,7 +310,11 @@ fn wrong_seed_is_rejected() {
     wrong.topo.seed = 7; // isolate the cfg-seed check
     let mut source = source_for(&wrong);
     let mut rec = MemoryRecorder::new();
-    let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events: None };
+    let mut hooks = RunHooks {
+        live: &mut |_| {},
+        checkpoint: None,
+        kill_after_events: None,
+    };
     let err = Controller::resume_full(
         &wrong.workload,
         &wrong.cluster,
@@ -316,9 +352,14 @@ fn counter_totals_survive_resume() {
         for (i, (k, f)) in killed.checkpoints.iter().zip(&full.checkpoints).enumerate() {
             assert_eq!(k, f, "kill@{kill_at}: checkpoint {i} diverged");
         }
-        let Some(snap) = killed.checkpoints.last() else { continue };
+        let Some(snap) = killed.checkpoints.last() else {
+            continue;
+        };
         let (report_r, rec_r, ckpt_r) = resume(&s, snap);
-        assert!(same_report(report_a, &report_r), "kill@{kill_at}: report diverged");
+        assert!(
+            same_report(report_a, &report_r),
+            "kill@{kill_at}: report diverged"
+        );
         assert!(
             ckpt_r[..] == full.checkpoints[killed.checkpoints.len()..],
             "kill@{kill_at}: resumed checkpoints differ from the uninterrupted run's"
@@ -342,7 +383,11 @@ fn try_resume(
     kill_after_events: Option<u64>,
 ) -> Result<RunOutcome, EnpropError> {
     let mut source = source_for(s);
-    let mut hooks = RunHooks { live: &mut |_| {}, checkpoint: None, kill_after_events };
+    let mut hooks = RunHooks {
+        live: &mut |_| {},
+        checkpoint: None,
+        kill_after_events,
+    };
     Controller::resume_full(
         &s.workload,
         &s.cluster,
@@ -373,11 +418,19 @@ fn corrupt_first(
     value: &str,
 ) -> (String, usize) {
     for snap in checkpoints {
-        let Some(i) = snap.lines().position(&pick) else { continue };
+        let Some(i) = snap.lines().position(&pick) else {
+            continue;
+        };
         let text = snap
             .lines()
             .enumerate()
-            .map(|(j, l)| if j == i { set_key(l, key, value) + "\n" } else { format!("{l}\n") })
+            .map(|(j, l)| {
+                if j == i {
+                    set_key(l, key, value) + "\n"
+                } else {
+                    format!("{l}\n")
+                }
+            })
             .collect();
         return (text, i + 1);
     }
@@ -400,7 +453,10 @@ fn dangling_indices_and_ids_are_typed_errors() {
         let err = try_resume(&s, &text, None).expect_err("a dangling reference must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(named), "{msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(named),
+            "{msg}"
+        );
     }
 }
 
@@ -424,7 +480,10 @@ fn corrupt_clock_is_a_typed_error() {
         let err = try_resume(&s, &text, None).expect_err("a corrupt clock must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(key), "{msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(key),
+            "{msg}"
+        );
     }
 }
 
@@ -441,7 +500,10 @@ fn corrupted_snapshots_never_panic() {
     };
     let snap = full.checkpoints.last().expect("at least one checkpoint");
     let bound = Some(2 * report.events);
-    assert!(try_resume(&s, snap, bound).is_ok(), "the pristine checkpoint resumes");
+    assert!(
+        try_resume(&s, snap, bound).is_ok(),
+        "the pristine checkpoint resumes"
+    );
 
     let lines: Vec<&str> = snap.lines().collect();
     let join = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
@@ -502,7 +564,10 @@ fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
         panic!("uninterrupted run must complete");
     };
     let first = full.checkpoints.first().expect("at least one checkpoint");
-    assert!(first == GOLDEN_CHECKPOINT, "the first checkpoint differs from the v3 fixture");
+    assert!(
+        first == GOLDEN_CHECKPOINT,
+        "the first checkpoint differs from the v3 fixture"
+    );
     let (resumed, _, _) = resume(&s, GOLDEN_CHECKPOINT);
     assert!(
         same_report(report, &resumed),
@@ -520,7 +585,10 @@ fn an_older_snapshot_version_is_a_typed_error_on_the_header() {
     let err = try_resume(&s, &v2, None).expect_err("a v2 snapshot must not resume");
     assert_eq!(err.exit_code(), 2, "{err}");
     let msg = err.to_string();
-    assert!(msg.contains("line 1:") && msg.contains("enprop-snapshot-v2"), "{msg}");
+    assert!(
+        msg.contains("line 1:") && msg.contains("enprop-snapshot-v2"),
+        "{msg}"
+    );
 }
 
 /// Every checkpoint of the golden scenario, pinned as one FNV-1a digest
@@ -553,8 +621,7 @@ fn golden_at_clock(t: f64) -> String {
         .map(|l| {
             let edited = if l.starts_with(&format!("{{\"sec\":\"{SNAPSHOT_VERSION}\",")) {
                 set_key(l, "now", &bits)
-            } else if l.starts_with("{\"sec\":\"ev\",") || l.starts_with("{\"sec\":\"source\",")
-            {
+            } else if l.starts_with("{\"sec\":\"ev\",") || l.starts_with("{\"sec\":\"source\",") {
                 set_key(l, "t", &bits)
             } else if l.starts_with("{\"sec\":\"plane\",") {
                 set_key(l, "cur_index", &index)
@@ -575,16 +642,23 @@ fn golden_at_clock(t: f64) -> String {
 #[test]
 fn clocks_the_controller_cannot_reach_are_typed_errors() {
     let s = scenario(7, 2, 200, 10.0, 60.0);
-    let first_window = GOLDEN_CHECKPOINT.lines().position(|l| l.contains("\"k\":5,")).unwrap();
+    let first_window = GOLDEN_CHECKPOINT
+        .lines()
+        .position(|l| l.contains("\"k\":5,"))
+        .unwrap();
     for (t, lineno, named) in [
         (1e20, 1, "event budget"),
         (1e300, 1, "event budget"),
         (1e12, first_window + 1, "window 1 event"),
     ] {
-        let err = try_resume(&s, &golden_at_clock(t), None).expect_err("a far clock must not resume");
+        let err =
+            try_resume(&s, &golden_at_clock(t), None).expect_err("a far clock must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(named), "{t}: {msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(named),
+            "{t}: {msg}"
+        );
     }
 }
 
@@ -611,8 +685,10 @@ fn the_last_fault_window_ends_the_window_stream() {
 
 /// `text` without the lines `drop` picks, its trailer recounted.
 fn without_lines(text: &str, drop: impl Fn(&str) -> bool) -> String {
-    let body: Vec<&str> =
-        text.lines().filter(|l| !l.starts_with("{\"sec\":\"end\",") && !drop(l)).collect();
+    let body: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with("{\"sec\":\"end\",") && !drop(l))
+        .collect();
     let mut out: String = body.iter().map(|l| format!("{l}\n")).collect();
     out.push_str(&format!("{{\"sec\":\"end\",\"lines\":{}}}\n", body.len()));
     out
@@ -634,7 +710,13 @@ fn event_times_the_source_cursor_rules_out_are_typed_errors() {
     let far = 1e12f64.to_bits().to_string();
     let far_arrival: String = GOLDEN_CHECKPOINT
         .lines()
-        .map(|l| if is_arrival(l) { set_key(l, "t", &far) + "\n" } else { format!("{l}\n") })
+        .map(|l| {
+            if is_arrival(l) {
+                set_key(l, "t", &far) + "\n"
+            } else {
+                format!("{l}\n")
+            }
+        })
         .collect();
     let windows = |l: &str| l.contains("\"k\":5,") || l.contains("\"k\":12,");
     let spinning = without_lines(&golden_at_clock(2f64.powi(53)), windows);
@@ -645,14 +727,21 @@ fn event_times_the_source_cursor_rules_out_are_typed_errors() {
         let err = try_resume(&s, &text, Some(100_000)).expect_err("the run must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(named), "{msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(named),
+            "{msg}"
+        );
     }
 }
 
 /// The number of the golden fixture's first `sec` line.
 fn golden_line(sec: &str) -> usize {
     let head = format!("{{\"sec\":\"{sec}\",");
-    GOLDEN_CHECKPOINT.lines().position(|l| l.starts_with(&head)).unwrap() + 1
+    GOLDEN_CHECKPOINT
+        .lines()
+        .position(|l| l.starts_with(&head))
+        .unwrap()
+        + 1
 }
 
 /// Each line of the golden fixture passed through `edit`, which gets the
@@ -674,10 +763,16 @@ fn edit_golden(edit: impl Fn(&str, &str) -> String) -> String {
 #[test]
 fn a_clock_past_the_drain_deadline_is_a_typed_error() {
     let s = scenario(7, 2, 200, 10.0, 60.0);
-    let source = GOLDEN_CHECKPOINT.lines().nth(golden_line("source") - 1).unwrap();
+    let source = GOLDEN_CHECKPOINT
+        .lines()
+        .nth(golden_line("source") - 1)
+        .unwrap();
     let source = Line::parse(1, source).unwrap();
     let t = source.f64_bits("t").unwrap() + 121.0;
-    let (bits, index) = (t.to_bits().to_string(), ((t / 0.25).floor() as u64).to_string());
+    let (bits, index) = (
+        t.to_bits().to_string(),
+        ((t / 0.25).floor() as u64).to_string(),
+    );
     let remaining = (source.u64("remaining").unwrap() + 1).to_string();
     let text = edit_golden(|sec, l| match sec {
         SNAPSHOT_VERSION => set_key(l, "now", &bits),
@@ -694,7 +789,10 @@ fn a_clock_past_the_drain_deadline_is_a_typed_error() {
     let err = try_resume(&s, &text, Some(100_000)).expect_err("a clock past the deadline");
     assert_eq!(err.exit_code(), 2, "{err}");
     let msg = err.to_string();
-    assert!(msg.contains("line 1:") && msg.contains("drain deadline"), "{msg}");
+    assert!(
+        msg.contains("line 1:") && msg.contains("drain deadline"),
+        "{msg}"
+    );
 }
 
 /// With breakers off no timeout counts against a group, so no breaker
@@ -706,17 +804,36 @@ fn breaker_and_cursor_states_the_run_cannot_reach_are_typed_errors() {
     let mut off = scenario(7, 2, 200, 10.0, 60.0);
     off.cfg.breaker_failures = 0;
     let with = |sec: &str, key: &str, value: &str| {
-        edit_golden(|s, l| if s == sec { set_key(l, key, value) } else { l.to_string() })
+        edit_golden(|s, l| {
+            if s == sec {
+                set_key(l, key, value)
+            } else {
+                l.to_string()
+            }
+        })
     };
     let nan = f64::NAN.to_bits().to_string();
     for (s, text, lineno, named) in [
-        (&off, with("group", "brk", "1"), golden_line("group"), "breakers are off"),
-        (&on, with("source", "t", &nan), golden_line("source"), "cursor time"),
+        (
+            &off,
+            with("group", "brk", "1"),
+            golden_line("group"),
+            "breakers are off",
+        ),
+        (
+            &on,
+            with("source", "t", &nan),
+            golden_line("source"),
+            "cursor time",
+        ),
     ] {
         let err = try_resume(s, &text, Some(100_000)).expect_err("an unreachable state");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(named), "{msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(named),
+            "{msg}"
+        );
     }
 }
 
@@ -742,7 +859,10 @@ fn derived_keys_that_disagree_with_their_state_are_typed_errors() {
         let err = try_resume(&s, &text, Some(100_000)).expect_err("a flipped key must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(key), "{msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(key),
+            "{msg}"
+        );
     }
 }
 
@@ -762,17 +882,30 @@ fn far_request_ids_are_typed_errors() {
     let far = (1u64 << 40).to_string();
     for (edit, lineno, named) in [
         (reqs[0], reqs[1] + 1, "does not ascend"),
-        (reqs[reqs.len() - 1], reqs[reqs.len() - 1] + 1, "not below next_req_id"),
+        (
+            reqs[reqs.len() - 1],
+            reqs[reqs.len() - 1] + 1,
+            "not below next_req_id",
+        ),
     ] {
         let text: String = GOLDEN_CHECKPOINT
             .lines()
             .enumerate()
-            .map(|(i, l)| if i == edit { set_key(l, "id", &far) + "\n" } else { format!("{l}\n") })
+            .map(|(i, l)| {
+                if i == edit {
+                    set_key(l, "id", &far) + "\n"
+                } else {
+                    format!("{l}\n")
+                }
+            })
             .collect();
         let err = try_resume(&s, &text, None).expect_err("a far request id must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {lineno}:")) && msg.contains(named), "{msg}");
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(named),
+            "{msg}"
+        );
     }
 }
 
@@ -782,12 +915,18 @@ fn far_request_ids_are_typed_errors() {
 /// pending arrival.
 #[test]
 fn mismatched_arrival_flags_are_typed_errors() {
-    let source_line = GOLDEN_CHECKPOINT.lines().position(|l| l.contains("\"sec\":\"source\"")).unwrap();
+    let source_line = GOLDEN_CHECKPOINT
+        .lines()
+        .position(|l| l.contains("\"sec\":\"source\""))
+        .unwrap();
     for requests in [199, 201, 20] {
         let s = scenario(7, 2, requests, 10.0, 60.0);
         let err = try_resume(&s, GOLDEN_CHECKPOINT, None).expect_err("other flags must not resume");
         assert_eq!(err.exit_code(), 2, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains(&format!("line {}:", source_line + 1)), "{requests}: {msg}");
+        assert!(
+            msg.contains(&format!("line {}:", source_line + 1)),
+            "{requests}: {msg}"
+        );
     }
 }

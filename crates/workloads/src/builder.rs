@@ -113,10 +113,7 @@ impl WorkloadBuilder {
             );
             let fit = fit_demand(&spec, &targets, shape);
             if fit.io_rate > 0.0 {
-                assert!(
-                    io_rate == 0.0,
-                    "at most one node type may bind λ_I/O"
-                );
+                assert!(io_rate == 0.0, "at most one node type may bind λ_I/O");
                 io_rate = fit.io_rate;
             }
             profiles.push(NodeProfile {
@@ -193,8 +190,18 @@ mod tests {
     #[should_panic(expected = "duplicate node type")]
     fn duplicate_node_types_rejected() {
         let _ = WorkloadBuilder::new("dup", "ops")
-            .node_measured(NodeSpec::cortex_a9(), 1.0e6, 2.4, Shape::Compute { mem_ratio: 0.1 })
-            .node_measured(NodeSpec::cortex_a9(), 2.0e6, 2.5, Shape::Compute { mem_ratio: 0.1 })
+            .node_measured(
+                NodeSpec::cortex_a9(),
+                1.0e6,
+                2.4,
+                Shape::Compute { mem_ratio: 0.1 },
+            )
+            .node_measured(
+                NodeSpec::cortex_a9(),
+                2.0e6,
+                2.5,
+                Shape::Compute { mem_ratio: 0.1 },
+            )
             .build();
     }
 

@@ -100,7 +100,10 @@ mod tests {
         let k10 = NodeSpec::opteron_k10();
         let a9_traffic = p.dram_bytes_per_op(&a9);
         let k10_traffic = p.dram_bytes_per_op(&k10);
-        assert!(a9_traffic > 2.0 * k10_traffic, "{a9_traffic} vs {k10_traffic}");
+        assert!(
+            a9_traffic > 2.0 * k10_traffic,
+            "{a9_traffic} vs {k10_traffic}"
+        );
         // Miss rates: A9 1 − 1/8 = 0.875; K10 1 − 6/8 = 0.25.
         assert!((p.miss_rate(a9.l2_total as f64) - 0.875).abs() < 1e-9);
         assert!((p.miss_rate(k10.l3_total as f64) - 0.25).abs() < 1e-9);

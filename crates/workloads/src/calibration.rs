@@ -62,33 +62,69 @@ pub struct PaperRow {
 pub const PAPER_ROWS: [PaperRow; 6] = [
     PaperRow {
         name: "EP",
-        a9: NodeTargets { dpr_pct: 25.97, ppr: 6_048_057.0 },
-        k10: NodeTargets { dpr_pct: 34.57, ppr: 1_414_922.0 },
+        a9: NodeTargets {
+            dpr_pct: 25.97,
+            ppr: 6_048_057.0,
+        },
+        k10: NodeTargets {
+            dpr_pct: 34.57,
+            ppr: 1_414_922.0,
+        },
     },
     PaperRow {
         name: "memcached",
-        a9: NodeTargets { dpr_pct: 16.78, ppr: 5_224_004.0 },
-        k10: NodeTargets { dpr_pct: 11.05, ppr: 268_067.0 },
+        a9: NodeTargets {
+            dpr_pct: 16.78,
+            ppr: 5_224_004.0,
+        },
+        k10: NodeTargets {
+            dpr_pct: 11.05,
+            ppr: 268_067.0,
+        },
     },
     PaperRow {
         name: "x264",
-        a9: NodeTargets { dpr_pct: 35.54, ppr: 0.7 },
-        k10: NodeTargets { dpr_pct: 38.41, ppr: 1.0 },
+        a9: NodeTargets {
+            dpr_pct: 35.54,
+            ppr: 0.7,
+        },
+        k10: NodeTargets {
+            dpr_pct: 38.41,
+            ppr: 1.0,
+        },
     },
     PaperRow {
         name: "blackscholes",
-        a9: NodeTargets { dpr_pct: 32.11, ppr: 11_413.0 },
-        k10: NodeTargets { dpr_pct: 37.30, ppr: 2_902.0 },
+        a9: NodeTargets {
+            dpr_pct: 32.11,
+            ppr: 11_413.0,
+        },
+        k10: NodeTargets {
+            dpr_pct: 37.30,
+            ppr: 2_902.0,
+        },
     },
     PaperRow {
         name: "Julius",
-        a9: NodeTargets { dpr_pct: 30.48, ppr: 69_654.0 },
-        k10: NodeTargets { dpr_pct: 38.10, ppr: 21_390.0 },
+        a9: NodeTargets {
+            dpr_pct: 30.48,
+            ppr: 69_654.0,
+        },
+        k10: NodeTargets {
+            dpr_pct: 38.10,
+            ppr: 21_390.0,
+        },
     },
     PaperRow {
         name: "RSA-2048",
-        a9: NodeTargets { dpr_pct: 35.62, ppr: 968.0 },
-        k10: NodeTargets { dpr_pct: 41.19, ppr: 1_091.0 },
+        a9: NodeTargets {
+            dpr_pct: 35.62,
+            ppr: 968.0,
+        },
+        k10: NodeTargets {
+            dpr_pct: 41.19,
+            ppr: 1_091.0,
+        },
     },
 ];
 
@@ -271,7 +307,14 @@ mod tests {
 
     #[test]
     fn all_six_rows_present() {
-        for name in ["EP", "memcached", "x264", "blackscholes", "Julius", "RSA-2048"] {
+        for name in [
+            "EP",
+            "memcached",
+            "x264",
+            "blackscholes",
+            "Julius",
+            "RSA-2048",
+        ] {
             assert!(paper_row(name).is_some(), "{name} missing");
         }
         assert!(paper_row("nginx").is_none());
@@ -311,7 +354,11 @@ mod tests {
         let fit = fit_demand(
             &a9,
             &row.a9,
-            Shape::IoBytes { cpu_frac: 0.25, mem_frac: 0.2, request_bytes: 1024.0 },
+            Shape::IoBytes {
+                cpu_frac: 0.25,
+                mem_frac: 0.2,
+                request_bytes: 1024.0,
+            },
         );
         let m = SingleNodeModel::new(&a9, &fit.demand, fit.io_rate);
         let want = row.a9.peak_throughput(1.8);
@@ -321,7 +368,11 @@ mod tests {
         let fit = fit_demand(
             &k10,
             &row.k10,
-            Shape::IoRequests { cpu_frac: 0.2, mem_frac: 0.1, request_bytes: 1024.0 },
+            Shape::IoRequests {
+                cpu_frac: 0.2,
+                mem_frac: 0.1,
+                request_bytes: 1024.0,
+            },
         );
         assert!(fit.io_rate > 0.0, "λ must bind for the K10");
         let m = SingleNodeModel::new(&k10, &fit.demand, fit.io_rate);
@@ -349,7 +400,11 @@ mod tests {
         let _ = fit_demand(
             &spec,
             &row.k10,
-            Shape::IoRequests { cpu_frac: 0.01, mem_frac: 0.0, request_bytes: 1.0e9 },
+            Shape::IoRequests {
+                cpu_frac: 0.01,
+                mem_frac: 0.0,
+                request_bytes: 1.0e9,
+            },
         );
     }
 }

@@ -55,8 +55,16 @@ fn recipes() -> Vec<Recipe> {
             domain: "Web Server",
             unit: "bytes",
             ops_per_job: 1.0e7,
-            a9_shape: Shape::IoBytes { cpu_frac: 0.25, mem_frac: 0.20, request_bytes: 1024.0 },
-            k10_shape: Shape::IoRequests { cpu_frac: 0.20, mem_frac: 0.10, request_bytes: 1024.0 },
+            a9_shape: Shape::IoBytes {
+                cpu_frac: 0.25,
+                mem_frac: 0.20,
+                request_bytes: 1024.0,
+            },
+            k10_shape: Shape::IoRequests {
+                cpu_frac: 0.20,
+                mem_frac: 0.10,
+                request_bytes: 1024.0,
+            },
             frictions: Frictions {
                 io_efficiency: 0.90,
                 sched_imbalance: 0.02,
@@ -162,8 +170,16 @@ fn build(recipe: Recipe) -> Workload {
         ops_per_job: recipe.ops_per_job,
         io_rate,
         profiles: vec![
-            NodeProfile { spec: a9, demand: a9_fit.demand, frictions: recipe.frictions },
-            NodeProfile { spec: k10, demand: k10_fit.demand, frictions: recipe.frictions },
+            NodeProfile {
+                spec: a9,
+                demand: a9_fit.demand,
+                frictions: recipe.frictions,
+            },
+            NodeProfile {
+                spec: k10,
+                demand: k10_fit.demand,
+                frictions: recipe.frictions,
+            },
         ],
     }
 }
@@ -206,7 +222,14 @@ mod tests {
         let names: Vec<&str> = all().iter().map(|w| w.name).collect();
         assert_eq!(
             names,
-            ["EP", "memcached", "x264", "blackscholes", "Julius", "RSA-2048"]
+            [
+                "EP",
+                "memcached",
+                "x264",
+                "blackscholes",
+                "Julius",
+                "RSA-2048"
+            ]
         );
     }
 
@@ -226,13 +249,20 @@ mod tests {
     fn every_workload_reproduces_table6_ppr() {
         for w in all() {
             let row = paper_row(w.name).unwrap();
-            for (profile, targets) in
-                [(w.try_profile("A9").unwrap(), &row.a9), (w.try_profile("K10").unwrap(), &row.k10)]
-            {
+            for (profile, targets) in [
+                (w.try_profile("A9").unwrap(), &row.a9),
+                (w.try_profile("K10").unwrap(), &row.k10),
+            ] {
                 let m = SingleNodeModel::new(&profile.spec, &profile.demand, w.io_rate);
                 let ppr = m.ppr(profile.spec.cores, profile.spec.fmax());
                 let err = (ppr - targets.ppr).abs() / targets.ppr;
-                assert!(err < 1e-6, "{} on {}: PPR {ppr} vs {}", w.name, profile.spec.name, targets.ppr);
+                assert!(
+                    err < 1e-6,
+                    "{} on {}: PPR {ppr} vs {}",
+                    w.name,
+                    profile.spec.name,
+                    targets.ppr
+                );
             }
         }
     }
@@ -241,9 +271,10 @@ mod tests {
     fn every_workload_reproduces_table7_ipr() {
         for w in all() {
             let row = paper_row(w.name).unwrap();
-            for (profile, targets) in
-                [(w.try_profile("A9").unwrap(), &row.a9), (w.try_profile("K10").unwrap(), &row.k10)]
-            {
+            for (profile, targets) in [
+                (w.try_profile("A9").unwrap(), &row.a9),
+                (w.try_profile("K10").unwrap(), &row.k10),
+            ] {
                 let m = SingleNodeModel::new(&profile.spec, &profile.demand, w.io_rate);
                 let p_busy = m.busy_power(profile.spec.cores, profile.spec.fmax());
                 let ipr = profile.spec.power.sys_idle_w / p_busy;
@@ -343,8 +374,11 @@ pub fn extended(name: &str) -> Option<Workload> {
     let row = paper_row(workload.name)?;
     let recipe = recipes().into_iter().find(|r| r.name == workload.name)?;
 
-    let synth = |idle_w: f64, base: &crate::calibration::NodeTargets, base_idle: f64,
-                 thru_scale: f64, dpr_bonus: f64| {
+    let synth = |idle_w: f64,
+                 base: &crate::calibration::NodeTargets,
+                 base_idle: f64,
+                 thru_scale: f64,
+                 dpr_bonus: f64| {
         let dpr_pct = (base.dpr_pct + dpr_bonus).min(95.0);
         let thru = base.peak_throughput(base_idle) * thru_scale;
         let peak = idle_w / (1.0 - dpr_pct / 100.0);
@@ -357,11 +391,14 @@ pub fn extended(name: &str) -> Option<Workload> {
     // For the extended nodes, I/O-bound shapes become compute-bound (see
     // doc comment); other shapes carry over from the base recipe.
     let adapt = |shape: Shape| match shape {
-        Shape::IoBytes { cpu_frac, mem_frac, .. } | Shape::IoRequests { cpu_frac, mem_frac, .. } => {
-            Shape::Compute {
-                mem_ratio: (mem_frac / cpu_frac.max(0.05)).min(1.0),
-            }
+        Shape::IoBytes {
+            cpu_frac, mem_frac, ..
         }
+        | Shape::IoRequests {
+            cpu_frac, mem_frac, ..
+        } => Shape::Compute {
+            mem_ratio: (mem_frac / cpu_frac.max(0.05)).min(1.0),
+        },
         other => other,
     };
 
@@ -409,8 +446,11 @@ pub fn dalek(name: &str) -> Option<Workload> {
     let row = paper_row(workload.name)?;
     let recipe = recipes().into_iter().find(|r| r.name == workload.name)?;
 
-    let synth = |idle_w: f64, base: &crate::calibration::NodeTargets, base_idle: f64,
-                 thru_scale: f64, dpr_bonus: f64| {
+    let synth = |idle_w: f64,
+                 base: &crate::calibration::NodeTargets,
+                 base_idle: f64,
+                 thru_scale: f64,
+                 dpr_bonus: f64| {
         let dpr_pct = (base.dpr_pct + dpr_bonus).min(95.0);
         let thru = base.peak_throughput(base_idle) * thru_scale;
         let peak = idle_w / (1.0 - dpr_pct / 100.0);
@@ -420,11 +460,14 @@ pub fn dalek(name: &str) -> Option<Workload> {
         }
     };
     let adapt = |shape: Shape| match shape {
-        Shape::IoBytes { cpu_frac, mem_frac, .. } | Shape::IoRequests { cpu_frac, mem_frac, .. } => {
-            Shape::Compute {
-                mem_ratio: (mem_frac / cpu_frac.max(0.05)).min(1.0),
-            }
+        Shape::IoBytes {
+            cpu_frac, mem_frac, ..
         }
+        | Shape::IoRequests {
+            cpu_frac, mem_frac, ..
+        } => Shape::Compute {
+            mem_ratio: (mem_frac / cpu_frac.max(0.05)).min(1.0),
+        },
         other => other,
     };
 
@@ -456,10 +499,21 @@ mod dalek_tests {
 
     #[test]
     fn dalek_catalog_has_six_profiles() {
-        for name in ["EP", "memcached", "x264", "blackscholes", "Julius", "RSA-2048"] {
+        for name in [
+            "EP",
+            "memcached",
+            "x264",
+            "blackscholes",
+            "Julius",
+            "RSA-2048",
+        ] {
             let w = dalek(name).unwrap();
             let nodes: Vec<&str> = w.profiles.iter().map(|p| p.spec.name).collect();
-            assert_eq!(nodes, ["A9", "K10", "A15", "XeonE5", "Pi4", "OPi5"], "{name}");
+            assert_eq!(
+                nodes,
+                ["A9", "K10", "A15", "XeonE5", "Pi4", "OPi5"],
+                "{name}"
+            );
         }
     }
 
@@ -495,7 +549,14 @@ mod extended_tests {
 
     #[test]
     fn extended_catalog_has_four_profiles() {
-        for name in ["EP", "memcached", "x264", "blackscholes", "Julius", "RSA-2048"] {
+        for name in [
+            "EP",
+            "memcached",
+            "x264",
+            "blackscholes",
+            "Julius",
+            "RSA-2048",
+        ] {
             let w = extended(name).unwrap();
             let nodes: Vec<&str> = w.profiles.iter().map(|p| p.spec.name).collect();
             assert_eq!(nodes, ["A9", "K10", "A15", "XeonE5"], "{name}");

@@ -28,7 +28,11 @@ impl HostMeasurement {
         HostMeasurement {
             ops,
             seconds,
-            ops_per_sec: if seconds > 0.0 { ops as f64 / seconds } else { f64::INFINITY },
+            ops_per_sec: if seconds > 0.0 {
+                ops as f64 / seconds
+            } else {
+                f64::INFINITY
+            },
         }
     }
 

@@ -115,7 +115,10 @@ mod tests {
         // C − P = S − K·e^{−rT}, for any parameters.
         for o in portfolio(200, 42) {
             let call = price(&Option { is_call: true, ..o });
-            let put = price(&Option { is_call: false, ..o });
+            let put = price(&Option {
+                is_call: false,
+                ..o
+            });
             let parity = o.spot - o.strike * (-o.rate * o.expiry).exp();
             assert!(
                 (call - put - parity).abs() < 1e-6,
@@ -146,8 +149,15 @@ mod tests {
     fn prices_respect_no_arbitrage_bounds() {
         for o in portfolio(500, 7) {
             let c = price(&Option { is_call: true, ..o });
-            assert!(c >= 0.0 && c <= o.spot + 1e-9, "call {c} vs spot {}", o.spot);
-            let p = price(&Option { is_call: false, ..o });
+            assert!(
+                c >= 0.0 && c <= o.spot + 1e-9,
+                "call {c} vs spot {}",
+                o.spot
+            );
+            let p = price(&Option {
+                is_call: false,
+                ..o
+            });
             assert!(p >= 0.0 && p <= o.strike + 1e-9);
         }
     }

@@ -188,7 +188,10 @@ mod tests {
         let r = run_sequential(500_000, 271_828_183);
         let accepted: u64 = r.annuli.iter().sum();
         let rate = accepted as f64 / r.pairs as f64;
-        assert!((rate - std::f64::consts::FRAC_PI_4).abs() < 0.01, "rate {rate}");
+        assert!(
+            (rate - std::f64::consts::FRAC_PI_4).abs() < 0.01,
+            "rate {rate}"
+        );
     }
 
     #[test]
@@ -236,7 +239,11 @@ impl NpbClass {
     /// Run the class with the NPB reference seed.
     pub fn run(&self, parallel: bool) -> EpResult {
         if parallel {
-            run_parallel(self.pairs(), 271_828_183, rayon::current_num_threads() as u64 * 4)
+            run_parallel(
+                self.pairs(),
+                271_828_183,
+                rayon::current_num_threads() as u64 * 4,
+            )
         } else {
             run_sequential(self.pairs(), 271_828_183)
         }

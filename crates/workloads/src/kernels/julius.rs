@@ -118,7 +118,11 @@ impl Hmm {
                 } else {
                     f64::NEG_INFINITY
                 };
-                let (best, from) = if stay >= advance { (stay, s) } else { (advance, s - 1) };
+                let (best, from) = if stay >= advance {
+                    (stay, s)
+                } else {
+                    (advance, s - 1)
+                };
                 next[s] = best + frame_scores[s];
                 bp[s] = from;
             }
@@ -151,7 +155,9 @@ pub fn kernel(samples: u64, seed: u64) -> KernelStats {
         .map(|t| {
             let target = (t * hmm.states.len() / frames_n).min(hmm.states.len() - 1);
             let gmm = &hmm.states[target];
-            (0..dim).map(|d| gmm.means[d] + 0.1 * (t as f64).sin()).collect()
+            (0..dim)
+                .map(|d| gmm.means[d] + 0.1 * (t as f64).sin())
+                .collect()
         })
         .collect();
     let (ll, path) = hmm.viterbi(&frames);
@@ -199,11 +205,7 @@ mod tests {
         assert!(path.windows(2).all(|w| w[1] >= w[0] && w[1] <= w[0] + 1));
         assert_eq!(*path.last().unwrap(), 3);
         // It should spend the bulk of its time in the planted states.
-        let matches = path
-            .iter()
-            .enumerate()
-            .filter(|(t, &s)| s == t / 5)
-            .count();
+        let matches = path.iter().enumerate().filter(|(t, &s)| s == t / 5).count();
         assert!(matches >= 14, "path {path:?}");
     }
 

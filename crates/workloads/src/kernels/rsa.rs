@@ -217,7 +217,10 @@ impl MontgomeryCtx {
     /// # Panics
     /// Panics when `n` is even or zero.
     pub fn new(n: &BigUint) -> Self {
-        assert!(!n.is_zero() && n.bit(0), "Montgomery requires an odd modulus");
+        assert!(
+            !n.is_zero() && n.bit(0),
+            "Montgomery requires an odd modulus"
+        );
         let k = n.limbs.len();
         // Newton iteration for n⁻¹ mod 2⁶⁴ (doubles correct bits each step).
         let n0 = n.limbs[0];
@@ -359,7 +362,12 @@ mod tests {
 
     #[test]
     fn sub_matches_u128() {
-        let pairs = [(0u128, 0u128), (1, 1), (u64::MAX as u128, 1), (1 << 100, 12345)];
+        let pairs = [
+            (0u128, 0u128),
+            (1, 1),
+            (u64::MAX as u128, 1),
+            (1 << 100, 12345),
+        ];
         for (a, b) in pairs {
             assert_eq!(as_u128(&big(a + b).sub(&big(b))), a);
         }
@@ -367,7 +375,12 @@ mod tests {
 
     #[test]
     fn mul_matches_u128() {
-        let pairs = [(0u128, 7u128), (123, 456), (u64::MAX as u128, u64::MAX as u128), (1 << 63, 1 << 40)];
+        let pairs = [
+            (0u128, 7u128),
+            (123, 456),
+            (u64::MAX as u128, u64::MAX as u128),
+            (1 << 63, 1 << 40),
+        ];
         for (a, b) in pairs {
             assert_eq!(as_u128(&big(a).mul(&big(b))), a * b);
         }
@@ -460,7 +473,11 @@ mod montgomery_tests {
 
     #[test]
     fn mont_modpow_matches_schoolbook_small() {
-        for (b, e, m) in [(5u128, 117u64, 19u128), (7, 65537, 1_000_003), (123456789, 1000, 2_147_483_647)] {
+        for (b, e, m) in [
+            (5u128, 117u64, 19u128),
+            (7, 65537, 1_000_003),
+            (123456789, 1000, 2_147_483_647),
+        ] {
             let n = big(m);
             let ctx = MontgomeryCtx::new(&n);
             let got = ctx.modpow(&big(b), &BigUint::from_u64(e));

@@ -79,10 +79,7 @@ pub struct MotionVector {
 fn block_sad(cur: &Frame, reference: &Frame, bx: usize, by: usize, dx: isize, dy: isize) -> u32 {
     let rx = bx as isize + dx;
     let ry = by as isize + dy;
-    if rx < 0
-        || ry < 0
-        || rx + 16 > reference.width as isize
-        || ry + 16 > reference.height as isize
+    if rx < 0 || ry < 0 || rx + 16 > reference.width as isize || ry + 16 > reference.height as isize
     {
         return u32::MAX;
     }
@@ -129,7 +126,10 @@ pub fn motion_estimate(
         best
     };
     if parallel {
-        (0..blocks_x * blocks_y).into_par_iter().map(search).collect()
+        (0..blocks_x * blocks_y)
+            .into_par_iter()
+            .map(search)
+            .collect()
     } else {
         (0..blocks_x * blocks_y).map(search).collect()
     }
@@ -137,7 +137,13 @@ pub fn motion_estimate(
 
 /// Encode a synthetic GOP: run motion estimation for `frames` consecutive
 /// frames (each gently shifted), reporting frames as ops.
-pub fn kernel(width: usize, height: usize, frames: usize, range: i8, parallel: bool) -> KernelStats {
+pub fn kernel(
+    width: usize,
+    height: usize,
+    frames: usize,
+    range: i8,
+    parallel: bool,
+) -> KernelStats {
     let base = Frame::synthetic(width, height, 99);
     let mut reference = base.clone();
     let mut checksum = 0.0;

@@ -36,9 +36,9 @@ pub mod cache;
 pub mod calibration;
 pub mod catalog;
 pub mod characterize;
+mod demand;
 pub mod kernels;
 pub mod loadgen;
-mod demand;
 mod model;
 
 pub use demand::{NodeProfile, OpDemand, OperatingPoint, Workload};

@@ -97,7 +97,9 @@ impl MemslapGen {
             self.rng.gen_range(0..self.keys)
         } else {
             let u: f64 = self.rng.gen();
-            self.popularity_cdf.partition_point(|&c| c < u).min(self.keys - 1)
+            self.popularity_cdf
+                .partition_point(|&c| c < u)
+                .min(self.keys - 1)
         }
     }
 

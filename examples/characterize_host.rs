@@ -60,7 +60,10 @@ fn main() {
     let reference = kernels::x264::Frame::synthetic(128, 64, 9);
     let current = reference.shifted(3, -2);
     let mv = kernels::x264::motion_estimate(&current, &reference, 6, true)[9];
-    println!("  x264: recovered motion vector ({}, {}) for a (3, -2) shift", mv.dx, mv.dy);
+    println!(
+        "  x264: recovered motion vector ({}, {}) for a (3, -2) shift",
+        mv.dx, mv.dy
+    );
 
     let ep = kernels::ep::run_sequential(100_000, 271_828_183);
     let accept: u64 = ep.annuli.iter().sum();

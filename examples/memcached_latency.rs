@@ -18,7 +18,11 @@ fn main() {
     let slo_p95 = 0.250; // seconds
     let load = 0.7;
 
-    println!("memcached tier sizing: p95 SLO {:.0} ms at {:.0}% load\n", slo_p95 * 1e3, load * 100.0);
+    println!(
+        "memcached tier sizing: p95 SLO {:.0} ms at {:.0}% load\n",
+        slo_p95 * 1e3,
+        load * 100.0
+    );
     println!(
         "{:>16} {:>12} {:>12} {:>14} {:>14} {:>8}",
         "mix", "T_job [ms]", "busy [W]", "p95 model [ms]", "p95 sim [ms]", "SLO"

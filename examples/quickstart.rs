@@ -25,7 +25,10 @@ fn main() {
 
     // 4. Energy-proportionality metrics (paper Table 3).
     let m = model.metrics();
-    println!("\nproportionality    : DPR {:.1}%  IPR {:.2}  EPM {:.2}", m.dpr, m.ipr, m.epm);
+    println!(
+        "\nproportionality    : DPR {:.1}%  IPR {:.2}  EPM {:.2}",
+        m.dpr, m.ipr, m.epm
+    );
 
     // 5. Tail latency under the M/D/1 dispatcher model (paper §II-B).
     for u in [0.3, 0.5, 0.8] {

@@ -54,8 +54,8 @@ pub mod prelude {
         best_ppr_config, normalized_power_samples, single_node_row, table4, ClusterModel,
     };
     pub use enprop_explore::{
-        budget_mixes, count_configurations, enumerate_configurations, evaluate_space,
-        pareto_front, sublinear_report, sweet_spot, TypeSpace,
+        budget_mixes, count_configurations, enumerate_configurations, evaluate_space, pareto_front,
+        sublinear_report, sweet_spot, TypeSpace,
     };
     pub use enprop_metrics::{
         classify_against, GridSpec, LinearCurve, Linearity, PowerCurve, PprCurve,

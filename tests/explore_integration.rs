@@ -28,9 +28,15 @@ fn frontier_shape() {
         assert!(pair[0].job_time <= pair[1].job_time);
         assert!(pair[0].job_energy >= pair[1].job_energy);
     }
-    let min_time = evald.iter().map(|e| e.job_time).fold(f64::INFINITY, f64::min);
+    let min_time = evald
+        .iter()
+        .map(|e| e.job_time)
+        .fold(f64::INFINITY, f64::min);
     assert!((front[0].job_time - min_time).abs() < 1e-15 + 1e-12 * min_time);
-    let min_energy = evald.iter().map(|e| e.job_energy).fold(f64::INFINITY, f64::min);
+    let min_energy = evald
+        .iter()
+        .map(|e| e.job_energy)
+        .fold(f64::INFINITY, f64::min);
     assert!((front.last().unwrap().job_energy - min_energy).abs() < 1e-9 * min_energy);
 }
 
@@ -81,9 +87,12 @@ fn budget_monotonicity() {
 fn energy_floor_uses_dvfs_or_fewer_resources() {
     let evald = evaluated(4, 2, "x264");
     let cheapest = sweet_spot(&evald, f64::INFINITY).unwrap();
-    let all_max = cheapest.cluster.groups.iter().filter(|g| g.count > 0).all(|g| {
-        g.freq == g.spec.fmax() && g.cores == g.spec.cores && g.count > 0
-    });
+    let all_max = cheapest
+        .cluster
+        .groups
+        .iter()
+        .filter(|g| g.count > 0)
+        .all(|g| g.freq == g.spec.fmax() && g.cores == g.spec.cores && g.count > 0);
     let minimal_hw = cheapest.cluster.node_count();
     assert!(
         !all_max || minimal_hw < 6,
@@ -97,7 +106,9 @@ fn energy_floor_uses_dvfs_or_fewer_resources() {
 /// (one series of Figs. 11–12).
 fn response_time_series(w: &Workload, config: &ClusterSpec, us: &[f64]) -> Vec<(f64, f64)> {
     let model = ClusterModel::new(w.clone(), config.clone());
-    us.iter().map(|&u| (u, model.p95_response_time(u))).collect()
+    us.iter()
+        .map(|&u| (u, model.p95_response_time(u)))
+        .collect()
 }
 
 /// The response-time series pairs each utilization with the core model's
@@ -227,7 +238,9 @@ fn dynamic_envelope_scales_the_wall_further() {
     let grid = GridSpec::new(100);
     let envelope = DynamicEnvelope::shed_brawny_ladder(&w, 32, 12);
     let dynamic_epm = energy_proportionality_metric(&envelope.power_curve(grid), grid);
-    let static_epm = ClusterModel::new(w, ClusterSpec::a9_k10(32, 12)).metrics().epm;
+    let static_epm = ClusterModel::new(w, ClusterSpec::a9_k10(32, 12))
+        .metrics()
+        .epm;
     assert!(
         dynamic_epm > static_epm + 0.15,
         "dynamic {dynamic_epm} vs static {static_epm}"

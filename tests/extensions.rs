@@ -23,7 +23,10 @@ fn sleep_vs_heterogeneity_tradeoff() {
     let hetero_epm = hetero.metrics().epm;
 
     // Sleep gives the better curve...
-    assert!(sleep_epm > hetero_epm + 0.2, "sleep {sleep_epm} vs hetero {hetero_epm}");
+    assert!(
+        sleep_epm > hetero_epm + 0.2,
+        "sleep {sleep_epm} vs hetero {hetero_epm}"
+    );
     // ...but under spiky traffic its p95 collapses while the
     // heterogeneous mix is unaffected (it never waits for wakeups).
     let sleep_p95 = sleepers.p95_response_time(0.3, 0.5);
@@ -68,14 +71,24 @@ fn batching_and_pooling_bracket_the_plain_dispatcher() {
 #[test]
 fn custom_workload_end_to_end() {
     use enprop::clustersim::validate;
+    use enprop::nodesim::NodeSpec;
     use enprop::workloads::builder::WorkloadBuilder;
     use enprop::workloads::calibration::Shape;
-    use enprop::nodesim::NodeSpec;
 
     let w = WorkloadBuilder::new("user-service", "requests")
         .ops_per_job(2.0e5)
-        .node_measured(NodeSpec::cortex_a9(), 8.0e5, 2.2, Shape::Compute { mem_ratio: 0.25 })
-        .node_measured(NodeSpec::opteron_k10(), 5.0e6, 58.0, Shape::Compute { mem_ratio: 0.25 })
+        .node_measured(
+            NodeSpec::cortex_a9(),
+            8.0e5,
+            2.2,
+            Shape::Compute { mem_ratio: 0.25 },
+        )
+        .node_measured(
+            NodeSpec::opteron_k10(),
+            5.0e6,
+            58.0,
+            Shape::Compute { mem_ratio: 0.25 },
+        )
         .build();
 
     let model = ClusterModel::new(w.clone(), ClusterSpec::a9_k10(8, 2));
@@ -110,7 +123,10 @@ fn thermal_throttling_from_facade() {
         spec.cores,
         spec.fmax(),
         &Frictions::default(),
-        &ThermalModel { tdp_w: base.avg_power_w * 0.85, headroom_s: 1.0 },
+        &ThermalModel {
+            tdp_w: base.avg_power_w * 0.85,
+            headroom_s: 1.0,
+        },
         0,
     );
     assert!(settled < spec.fmax());

@@ -96,7 +96,10 @@ fn peak_throughput_within_friction_gap() {
     let mean = sim.sample_jobs(5, 3);
     let sim_rate = mean.ops / mean.duration;
     let ratio = sim_rate / model.peak_throughput();
-    assert!(ratio < 1.0, "simulation cannot beat the friction-free model");
+    assert!(
+        ratio < 1.0,
+        "simulation cannot beat the friction-free model"
+    );
     assert!(ratio > 0.90, "friction gap too large: {ratio}");
 }
 
@@ -126,7 +129,5 @@ fn frictionless_node_energy_matches_model_components() {
     assert!((run.energy.total() - me).abs() < 0.01 * me);
     // Component-level agreement.
     assert!((run.energy.idle - model_energy.idle).abs() < 0.01 * model_energy.idle);
-    assert!(
-        (run.energy.cpu_act - model_energy.cpu_act).abs() < 0.02 * model_energy.cpu_act
-    );
+    assert!((run.energy.cpu_act - model_energy.cpu_act).abs() < 0.02 * model_energy.cpu_act);
 }

@@ -23,14 +23,29 @@ fn tables_7_and_8_reproduce_within_rounding() {
         let m_a9 = ClusterModel::single_node(w.clone(), "A9").metrics();
         let m_k10 = ClusterModel::single_node(w.clone(), "K10").metrics();
         let m_mix = ClusterModel::new(w, ClusterSpec::a9_k10(64, 8)).metrics();
-        assert!((m_a9.dpr - a9).abs() < 0.02, "{name} A9: {} vs {a9}", m_a9.dpr);
-        assert!((m_k10.dpr - k10).abs() < 0.02, "{name} K10: {} vs {k10}", m_k10.dpr);
+        assert!(
+            (m_a9.dpr - a9).abs() < 0.02,
+            "{name} A9: {} vs {a9}",
+            m_a9.dpr
+        );
+        assert!(
+            (m_k10.dpr - k10).abs() < 0.02,
+            "{name} K10: {} vs {k10}",
+            m_k10.dpr
+        );
         // Cluster mixes combine the single-node powers; the paper's printed
         // values carry rounding from its own intermediate precision.
-        assert!((m_mix.dpr - mix).abs() < 0.35, "{name} mix: {} vs {mix}", m_mix.dpr);
+        assert!(
+            (m_mix.dpr - mix).abs() < 0.35,
+            "{name} mix: {} vs {mix}",
+            m_mix.dpr
+        );
         // Heterogeneous DPR lies between the homogeneous extremes.
         let (lo, hi) = (a9.min(k10), a9.max(k10));
-        assert!(m_mix.dpr > lo && m_mix.dpr < hi, "{name}: mix outside envelope");
+        assert!(
+            m_mix.dpr > lo && m_mix.dpr < hi,
+            "{name}: mix outside envelope"
+        );
     }
 }
 
@@ -98,8 +113,16 @@ fn fig9_crossover_ladder() {
 fn table4_regenerates() {
     for row in table4(3, 11) {
         let (t, e) = row.paper_errors;
-        assert!(row.report.time_error_pct <= 2.0 * t + 2.0, "{}", row.program);
-        assert!(row.report.energy_error_pct <= 2.0 * e + 3.0, "{}", row.program);
+        assert!(
+            row.report.time_error_pct <= 2.0 * t + 2.0,
+            "{}",
+            row.program
+        );
+        assert!(
+            row.report.energy_error_pct <= 2.0 * e + 3.0,
+            "{}",
+            row.program
+        );
     }
 }
 

@@ -24,10 +24,12 @@ fn responses(u: f64, ops_jitter: f64) -> (Vec<f64>, Vec<f64>) {
     let cluster = ClusterSpec::a9_k10(1, 0);
     let g = &cluster.groups[0];
     let profile = w.try_profile(g.spec.name).unwrap();
-    let rate = SingleNodeModel::new(&profile.spec, &profile.demand, w.io_rate)
-        .throughput(g.cores, g.freq);
+    let rate =
+        SingleNodeModel::new(&profile.spec, &profile.demand, w.io_rate).throughput(g.cores, g.freq);
     let ops = enprop_serve::default_ops_per_request(&w, &cluster).unwrap();
-    let model = ArrivalModel::Poisson { rate: u * rate / ops };
+    let model = ArrivalModel::Poisson {
+        rate: u * rate / ops,
+    };
     let arrivals = || SyntheticArrivals::new(model, REQUESTS, ops, ops_jitter, SEED).unwrap();
 
     let mut cfg = ServeConfig::new(SEED);
@@ -38,8 +40,15 @@ fn responses(u: f64, ops_jitter: f64) -> (Vec<f64>, Vec<f64>) {
     cfg.traced_requests = u64::MAX;
     let mut source = ArrivalSource::Synthetic(arrivals());
     let mut rec = MemoryRecorder::new();
-    let report =
-        Controller::run(&w, &cluster, &FaultPlan::none(), &cfg, &mut source, &mut rec).unwrap();
+    let report = Controller::run(
+        &w,
+        &cluster,
+        &FaultPlan::none(),
+        &cfg,
+        &mut source,
+        &mut rec,
+    )
+    .unwrap();
     assert_eq!(report.completions, REQUESTS, "u = {u}: {report:?}");
     assert_eq!(report.retries + report.shed(), 0, "u = {u}: {report:?}");
 
@@ -67,7 +76,10 @@ fn one_node_serves_as_the_lindley_recursion() {
     for (u, ops_jitter) in [(0.5, 0.0), (0.9, 0.0), (0.99, 0.0), (0.9, 0.2)] {
         let (served, lindley) = responses(u, ops_jitter);
         assert_eq!(served.len(), lindley.len());
-        let off = served.iter().zip(&lindley).position(|(s, l)| s.to_bits() != l.to_bits());
+        let off = served
+            .iter()
+            .zip(&lindley)
+            .position(|(s, l)| s.to_bits() != l.to_bits());
         if let Some(k) = off {
             panic!(
                 "u = {u}, jitter {ops_jitter}: request {k} served in {} s, the recursion gives {} s",
