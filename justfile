@@ -1,13 +1,15 @@
 # Developer task runner. `just verify` is the gate every PR must pass;
 # `./scripts/verify.sh` is the no-just fallback.
 
-# Build, test and lint the whole workspace and the benchmark package
-# (warnings are errors), build the library docs with rustdoc warnings as
-# errors (`--lib`: the enprop library and binary share a doc file name),
-# run the benchmark package's own tests: every workload at tiny size
-# with its output checks, including the golden digests; and fail when the
-# dead-API scan lists a library function outside its kept set.
+# Check the workspace's formatting (`cargo fmt --check`), then build, test
+# and lint the whole workspace and the benchmark package (warnings are
+# errors), build the library docs with rustdoc warnings as errors
+# (`--lib`: the enprop library and binary share a doc file name), run the
+# benchmark package's own tests: every workload at tiny size with its
+# output checks, including the golden digests; and fail when the dead-API
+# scan lists a library function outside its kept set.
 verify: && obs-smoke perf-smoke serve-smoke resume-smoke obs-query-smoke lint-budget
+    cargo fmt --all --check
     cargo build --release --workspace --offline
     cargo test -q --workspace --offline
     cargo test --offline -q --manifest-path benchmark/Cargo.toml

@@ -4,6 +4,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --check (the workspace; benchmark/ is its own package)"
+cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 echo "==> cargo test"
