@@ -444,7 +444,7 @@ impl<'a> Controller<'a> {
         c.event_loop(source, rec, hooks)
     }
 
-    fn new(
+    pub(crate) fn new(
         workload: &Workload,
         cluster: &ClusterSpec,
         plan: &'a FaultPlan,
@@ -589,7 +589,7 @@ impl<'a> Controller<'a> {
 
     /// The next event in `(t, seq)` order: the pending arrival when it
     /// orders before the heap's top, else the top.
-    fn next_event(&mut self) -> Option<Ev> {
+    pub(crate) fn next_event(&mut self) -> Option<Ev> {
         let arrival_first = match (&self.next_arrival, self.heap.peek()) {
             (Some(a), Some(Reverse(top))) => a < top,
             (arrival, _) => arrival.is_some(),

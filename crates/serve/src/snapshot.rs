@@ -200,7 +200,7 @@ impl Encoder {
         c: &Controller<'_>,
         popped: &Ev,
         src: &SourceState,
-        counters: &[(&'static str, u64)],
+        counters: &[(&str, u64)],
     ) -> &str {
         let Controller {
             cfg,
@@ -1112,6 +1112,113 @@ mod tests {
 
     fn line(text: &str) -> Line<'_> {
         Line::parse(1, text.trim_end()).expect("a line the writer emits parses")
+    }
+
+    /// Every checkpoint of a faulted run (rack crashes, power emergencies,
+    /// best-effort traffic, a 3-window ring that evicts between
+    /// checkpoints), restored and encoded again with the restored
+    /// controller's first event, is the checkpoint byte for byte: the
+    /// reader and the writer agree on every key.
+    #[test]
+    fn every_checkpoint_restores_and_encodes_to_itself() {
+        use crate::arrivals::{ArrivalModel, SyntheticArrivals};
+        use crate::config::ServeConfig;
+        use crate::controller::{cluster_capacity_ops_s, default_ops_per_request, RunHooks};
+        use enprop_clustersim::ClusterSpec;
+        use enprop_faults::{
+            DomainFaultProfile, FaultPlan, GroupFaultProfile, MtbfModel, TopologyFaultPlan,
+        };
+        use enprop_obs::MemoryRecorder;
+
+        let workload = enprop_workloads::catalog::by_name("EP").unwrap();
+        let cluster = ClusterSpec::a9_k10(3, 1);
+        let kinds = vec![
+            (1.0, FaultKind::Crash),
+            (1.0, FaultKind::Stall { duration_s: 1.0 }),
+            (1.0, FaultKind::Straggler { slowdown: 3.0 }),
+        ];
+        let profile = GroupFaultProfile {
+            mtbf: MtbfModel::Exponential { mtbf_s: 8.0 },
+            kinds,
+        };
+        let plan = FaultPlan::uniform(5, profile, cluster.groups.len());
+        let domain = |kinds| DomainFaultProfile {
+            mtbf: MtbfModel::Exponential { mtbf_s: 3.0 },
+            kinds,
+        };
+        let topo = TopologyFaultPlan {
+            seed: 5,
+            topology: Topology::new(4, 2, 1).unwrap(),
+            rack: domain(vec![
+                (1.0, DomainFaultKind::RackCrash),
+                (1.0, DomainFaultKind::NetworkPartition { duration_s: 0.5 }),
+            ]),
+            pdu: domain(vec![(1.0, DomainFaultKind::PduLoss)]),
+            cluster: domain(vec![(
+                1.0,
+                DomainFaultKind::PowerEmergency {
+                    cap_w: 40.0,
+                    duration_s: 2.0,
+                },
+            )]),
+        };
+        let mut cfg = ServeConfig::new(5);
+        cfg.repair_s = 1.0;
+        cfg.breaker_failures = 3;
+        cfg.breaker_open_s = 0.5;
+        cfg.max_pending = 64;
+        cfg.obs_window_s = 0.25;
+        cfg.obs_max_windows = 3;
+        let ops = default_ops_per_request(&workload, &cluster).unwrap();
+        let rate = 0.9 * cluster_capacity_ops_s(&workload, &cluster).unwrap() / ops;
+        let source = || {
+            let model = ArrivalModel::Poisson { rate };
+            let s = SyntheticArrivals::new(model, 500, ops, 0.3, 5).unwrap();
+            ArrivalSource::Synthetic(s.with_best_effort(0.4).unwrap())
+        };
+
+        let mut checkpoints: Vec<String> = Vec::new();
+        let mut sink = |text: &str| checkpoints.push(text.to_string());
+        let mut hooks = RunHooks {
+            live: &mut |_| {},
+            checkpoint: Some(&mut sink),
+            kill_after_events: None,
+        };
+        let mut rec = MemoryRecorder::new();
+        let run = Controller::run_full(
+            &workload,
+            &cluster,
+            &plan,
+            Some(&topo),
+            &cfg,
+            &mut source(),
+            &mut rec,
+            &mut hooks,
+        );
+        let crate::controller::RunOutcome::Completed(report) = run.unwrap() else {
+            panic!("no kill hook installed")
+        };
+        // The scenario reaches what it is for: domain faults, the ladder,
+        // breakers, and more windows than the ring holds.
+        assert!(report.rack_crashes > 0 && report.pdu_losses > 0 && report.partitions > 0);
+        assert!(report.emergency_actions > 0 && report.breaker_opens > 0);
+        assert!(
+            checkpoints.len() > 2 * cfg.obs_max_windows,
+            "{}",
+            checkpoints.len()
+        );
+        for (i, text) in checkpoints.iter().enumerate() {
+            let fresh = Controller::new(&workload, &cluster, &plan, Some(&topo), &cfg).unwrap();
+            let mut src = source();
+            let (mut c, counters) = restore(fresh, text, &mut src).unwrap();
+            let first = c.next_event().unwrap();
+            let counters: Vec<(&str, u64)> =
+                counters.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+            let again = Encoder::default()
+                .encode(&c, &first, &src.state(), &counters)
+                .to_string();
+            assert!(again == *text, "checkpoint {i} does not encode to itself");
+        }
     }
 
     #[test]
