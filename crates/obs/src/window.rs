@@ -6,8 +6,8 @@
 //! 10⁸-request days.
 //!
 //! Conservation contract: the retained windows' counts plus
-//! [`WindowedSeries::evicted_count`] equal the number of `observe` calls,
-//! and the sums likewise — windowing never loses events, it only forgets
+//! [`WindowedSeries::evicted_count`] equal the number of
+//! [`WindowedSeries::observe_current_keyed`] calls, and the sums likewise — windowing never loses events, it only forgets
 //! their fine structure once a window is evicted from the ring. The chaos
 //! property tests pin this against the serving controller's unwindowed
 //! counters.
@@ -36,15 +36,6 @@ impl WindowStats {
             count: 0,
             sum: 0.0,
             sketch: QuantileSketch::new(alpha),
-        }
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
         }
     }
 }
@@ -95,46 +86,13 @@ impl WindowedSeries {
         (t / self.window_s).floor() as u64
     }
 
-    /// Record `v` at virtual time `t`. Observations must not move
-    /// backwards past the retained ring; anything older than the oldest
-    /// retained window folds into the evicted accumulators (so totals
-    /// still conserve).
-    pub fn observe(&mut self, t: f64, v: f64) {
-        let idx = self.index_of(t);
-        match self.ring.back() {
-            None => self.ring.push_back(WindowStats::new(idx, self.alpha)),
-            Some(last) if idx > last.index => {
-                self.ring.push_back(WindowStats::new(idx, self.alpha));
-                self.evict();
-            }
-            Some(last) if idx == last.index => {}
-            _ => {
-                // Out-of-order into a retained (or evicted) older window.
-                if let Some(w) = self.ring.iter_mut().find(|w| w.index == idx) {
-                    w.count += 1;
-                    w.sum += v;
-                    w.sketch.observe(v);
-                } else {
-                    self.evicted_count += 1;
-                    self.evicted_sum += v;
-                }
-                return;
-            }
-        }
-        let Some(w) = self.ring.back_mut() else {
-            return;
-        };
-        w.count += 1;
-        w.sum += v;
-        w.sketch.observe(v);
-    }
-
-    /// [`observe`](Self::observe) into the *current* (most recent)
-    /// window with a sketch key precomputed by an equal-`alpha` sketch —
-    /// the serving plane's hot path: the plane rolls windows before every
-    /// event, so completions always land in the current window, and the
-    /// caller has already keyed the value for its own sketches. Falls
-    /// back to window 0 when nothing has been observed or advanced yet.
+    /// Record `v` in the *current* (most recent) window, with a sketch key
+    /// precomputed by an equal-`alpha` sketch. The caller places the
+    /// window with [`advance_to`](Self::advance_to): the serving plane
+    /// rolls windows before every event, so completions always land in
+    /// the current window, and it has already keyed the value for its own
+    /// sketches. Falls back to window 0 when nothing has been observed or
+    /// advanced yet.
     pub fn observe_current_keyed(&mut self, v: f64, key: Option<i32>) {
         if self.ring.back().is_none() {
             self.ring.push_back(WindowStats::new(0, self.alpha));
@@ -259,13 +217,20 @@ mod tests {
         s.evicted_sum + s.ring.iter().map(|w| w.sum).sum::<f64>()
     }
 
+    /// `v` observed at virtual time `t`, as the serving plane does it:
+    /// advance to `t`, then observe into the current window.
+    fn observe_at(s: &mut WindowedSeries, t: f64, v: f64) {
+        s.advance_to(t);
+        s.observe_current_keyed(v, QuantileSketch::new(s.alpha).key_for(v));
+    }
+
     #[test]
     fn tumbling_windows_partition_by_time() {
         let mut s = WindowedSeries::new(1.0, 0.01, 8);
-        s.observe(0.1, 1.0);
-        s.observe(0.9, 2.0);
-        s.observe(1.5, 3.0);
-        s.observe(3.2, 4.0);
+        observe_at(&mut s, 0.1, 1.0);
+        observe_at(&mut s, 0.9, 2.0);
+        observe_at(&mut s, 1.5, 3.0);
+        observe_at(&mut s, 3.2, 4.0);
         let idx: Vec<u64> = s.windows().map(|w| w.index).collect();
         assert_eq!(idx, [0, 1, 3]);
         let counts: Vec<u64> = s.windows().map(|w| w.count).collect();
@@ -278,7 +243,7 @@ mod tests {
     fn eviction_conserves_totals() {
         let mut s = WindowedSeries::new(1.0, 0.01, 4);
         for i in 0..100 {
-            s.observe(f64::from(i), 1.0);
+            observe_at(&mut s, f64::from(i), 1.0);
         }
         assert_eq!(s.ring.len(), 4);
         assert_eq!(total_count(&s), 100);
@@ -288,31 +253,9 @@ mod tests {
     #[test]
     fn advance_creates_empty_windows() {
         let mut s = WindowedSeries::new(2.0, 0.01, 8);
-        s.observe(0.5, 1.0);
+        observe_at(&mut s, 0.5, 1.0);
         s.advance_to(9.0);
         assert_eq!(s.ring.back().map(|w| (w.index, w.count)), Some((4, 0)));
         assert_eq!(total_count(&s), 1);
-    }
-
-    #[test]
-    fn out_of_order_within_ring_lands_in_its_window() {
-        let mut s = WindowedSeries::new(1.0, 0.01, 8);
-        s.observe(0.5, 1.0);
-        s.observe(2.5, 2.0);
-        s.observe(0.7, 3.0); // back into retained window 0
-        let w0 = s.windows().next().unwrap();
-        assert_eq!(w0.count, 2);
-        assert_eq!(total_count(&s), 3);
-    }
-
-    #[test]
-    fn out_of_order_past_the_ring_still_conserves() {
-        let mut s = WindowedSeries::new(1.0, 0.01, 2);
-        for i in 0..10 {
-            s.observe(f64::from(i), 1.0);
-        }
-        s.observe(0.5, 7.0); // long-evicted window
-        assert_eq!(total_count(&s), 11);
-        assert_eq!(total_sum(&s), 17.0);
     }
 }

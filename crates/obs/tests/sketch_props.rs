@@ -11,8 +11,8 @@
 //!   and associative on the aggregate view (count and every quantile),
 //! - **windowing conservation**: [`WindowedSeries`] never loses an event —
 //!   the retained windows' counts and sums plus the evicted ones equal the
-//!   observed stream under arbitrary interleavings of out-of-order
-//!   observes, idle advances and evictions.
+//!   observed stream under arbitrary interleavings of observes at
+//!   out-of-order times, idle advances and evictions.
 
 use enprop_obs::{QuantileSketch, WindowedSeries};
 use enprop_queueing::exact_quantile;
@@ -174,10 +174,12 @@ proptest! {
         }
     }
 
-    /// Windowing conservation under chaos: arbitrary (time, value) streams
-    /// — including out-of-order observes into retained and long-evicted
-    /// windows — interleaved with idle `advance_to` calls, on tiny rings
-    /// that force constant eviction, never lose an event or a joule.
+    /// Windowing conservation under chaos: arbitrary (time, value) streams,
+    /// each value observed the way the serving plane does it (advance to
+    /// its time, then observe into the current window, so a value whose
+    /// time is out of order lands in the newest window), interleaved with
+    /// idle `advance_to` calls, on tiny rings that force constant
+    /// eviction, never lose an event or a joule.
     #[test]
     fn windowed_series_conserves_totals_under_chaos(
         window_s in 0.1f64..5.0,
@@ -186,9 +188,11 @@ proptest! {
         advances in pvec(0.0f64..400.0, 1..24),
     ) {
         let mut s = WindowedSeries::new(window_s, 0.01, max_windows);
+        let keyer = QuantileSketch::new(0.01);
         let mut expect_sum = 0.0f64;
         for (i, &(t, v)) in events.iter().enumerate() {
-            s.observe(t, v);
+            s.advance_to(t);
+            s.observe_current_keyed(v, keyer.key_for(v));
             expect_sum += v;
             if i % 7 == 0 {
                 s.advance_to(advances[i % advances.len()]);

@@ -281,11 +281,6 @@ impl ObsPlane {
         }
     }
 
-    /// The window length, virtual seconds.
-    pub fn window_s(&self) -> f64 {
-        self.window_s
-    }
-
     /// The windowed response-time series (for conservation checks).
     pub fn response_series(&self) -> &WindowedSeries {
         &self.resp
@@ -299,11 +294,6 @@ impl ObsPlane {
     /// Fast-window burn rate as of the last window close.
     pub fn burn_fast(&self) -> f64 {
         self.burn_fast
-    }
-
-    /// Slow-window burn rate as of the last window close.
-    pub fn burn_slow(&self) -> f64 {
-        self.burn_slow
     }
 
     /// Snapshot every mutable field but the response series for a
@@ -646,7 +636,7 @@ mod tests {
             p.burn_alert(),
             "fast {} slow {}",
             p.burn_fast(),
-            p.burn_slow()
+            p.burn_slow
         );
         assert!(p.burn_fast() > 19.0);
         // Two healthy windows: fast burn falls to 0 → clears.
