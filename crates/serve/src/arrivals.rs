@@ -119,23 +119,26 @@ impl ArrivalModel {
 ///
 /// Inter-arrival gaps come from one keyed RNG stream, request sizes from a
 /// second, so changing the size jitter never perturbs the arrival times.
+/// The snapshot walks the cursor fields in place (DESIGN.md §16).
 #[derive(Debug)]
 pub struct SyntheticArrivals {
-    model: ArrivalModel,
-    gap_rng: FaultRng,
-    size_rng: FaultRng,
+    pub(crate) model: ArrivalModel,
+    pub(crate) gap_rng: FaultRng,
+    pub(crate) size_rng: FaultRng,
     /// Dedicated class stream: drawing (or not drawing) request classes
     /// never perturbs gaps or sizes.
-    class_rng: FaultRng,
-    t: f64,
+    pub(crate) class_rng: FaultRng,
+    /// Virtual time of the last emitted arrival.
+    pub(crate) t: f64,
     /// The configured stream length.
-    requests: u64,
-    remaining: u64,
-    ops_per_request: f64,
-    ops_jitter: f64,
+    pub(crate) requests: u64,
+    /// Arrivals still to emit.
+    pub(crate) remaining: u64,
+    pub(crate) ops_per_request: f64,
+    pub(crate) ops_jitter: f64,
     /// Probability an arrival is best-effort (class 1); 0 = all
     /// latency-critical, the default.
-    best_effort: f64,
+    pub(crate) best_effort: f64,
 }
 
 impl SyntheticArrivals {
@@ -223,42 +226,6 @@ impl SyntheticArrivals {
             class,
         })
     }
-
-    /// Capture the generator's cursor — RNG states plus the time/count
-    /// position — for the serve snapshot format.
-    pub fn state(&self) -> SourceState {
-        SourceState::Synthetic {
-            gap: self.gap_rng.state(),
-            size: self.size_rng.state(),
-            class: self.class_rng.state(),
-            t: self.t,
-            remaining: self.remaining,
-        }
-    }
-}
-
-/// Checkpoint cursor of an [`ArrivalSource`]: everything needed to resume
-/// the stream exactly where a snapshot left it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SourceState {
-    /// A [`SyntheticArrivals`] cursor: the three RNG states plus position.
-    Synthetic {
-        /// Gap-stream xoshiro state.
-        gap: [u64; 4],
-        /// Size-stream xoshiro state.
-        size: [u64; 4],
-        /// Class-stream xoshiro state.
-        class: [u64; 4],
-        /// Virtual time of the last emitted arrival.
-        t: f64,
-        /// Arrivals still to emit.
-        remaining: u64,
-    },
-    /// A [`ReplayCursor`] position.
-    Replay {
-        /// Index of the next trace arrival to emit.
-        next: usize,
-    },
 }
 
 /// What feeds the controller: a live generator or a recorded trace.
@@ -276,70 +243,6 @@ impl ArrivalSource {
         match self {
             ArrivalSource::Synthetic(s) => s.next_arrival(),
             ArrivalSource::Replay(r) => r.next_arrival(),
-        }
-    }
-
-    /// Capture the stream cursor for checkpointing.
-    pub fn state(&self) -> SourceState {
-        match self {
-            ArrivalSource::Synthetic(s) => s.state(),
-            ArrivalSource::Replay(r) => SourceState::Replay { next: r.position() },
-        }
-    }
-
-    /// Time of the last arrival the source issued, or 0 before the first
-    /// (the clock the controller starts at).
-    pub(crate) fn last_issued_s(&self) -> f64 {
-        match self {
-            ArrivalSource::Synthetic(s) => s.t,
-            ArrivalSource::Replay(r) => r.last_issued_s(),
-        }
-    }
-
-    /// Seat a cursor captured by [`ArrivalSource::state`] on a freshly
-    /// constructed source of the *same kind and parameters*, and return
-    /// how many arrivals the source has issued at that cursor. A kind
-    /// mismatch, or a cursor past the configured stream, is the error.
-    pub(crate) fn seat(&mut self, state: SourceState) -> Result<u64, String> {
-        match (self, state) {
-            (
-                ArrivalSource::Synthetic(s),
-                SourceState::Synthetic {
-                    gap,
-                    size,
-                    class,
-                    t,
-                    remaining,
-                },
-            ) => {
-                if remaining > s.requests {
-                    return Err(format!(
-                        "synthetic cursor has {remaining} arrivals left, but the run generates {}",
-                        s.requests
-                    ));
-                }
-                if !(t.is_finite() && t >= 0.0) {
-                    return Err(format!(
-                        "synthetic cursor time {t} is not a finite time >= 0"
-                    ));
-                }
-                s.gap_rng = FaultRng::from_state(gap);
-                s.size_rng = FaultRng::from_state(size);
-                s.class_rng = FaultRng::from_state(class);
-                s.t = t;
-                s.remaining = remaining;
-                Ok(s.requests - remaining)
-            }
-            (ArrivalSource::Replay(r), SourceState::Replay { next }) => {
-                r.seek(next)?;
-                Ok(next as u64)
-            }
-            (ArrivalSource::Synthetic(_), SourceState::Replay { .. }) => Err(
-                "source cursor is a replay cursor, but the run uses a synthetic generator".into(),
-            ),
-            (ArrivalSource::Replay(_), SourceState::Synthetic { .. }) => {
-                Err("source cursor is a synthetic generator, but the run replays a trace".into())
-            }
         }
     }
 }
@@ -414,39 +317,6 @@ mod tests {
         let a = drain(SyntheticArrivals::new(m, 50, 1.0, 0.0, 1).unwrap());
         let b = drain(SyntheticArrivals::new(m, 50, 1.0, 0.0, 2).unwrap());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn seating_checks_the_cursor_and_counts_what_it_issued() {
-        let m = ArrivalModel::Poisson { rate: 10.0 };
-        let source = || SyntheticArrivals::new(m, 5, 1.0, 0.0, 1).map(ArrivalSource::Synthetic);
-        let mut src = source().unwrap();
-        src.next_arrival();
-        let t = src.next_arrival().unwrap().t_s;
-        let state = src.state();
-        let mut fresh = source().unwrap();
-        assert_eq!(fresh.seat(state), Ok(2));
-        assert_eq!(fresh.last_issued_s(), t);
-        let SourceState::Synthetic {
-            gap,
-            size,
-            class,
-            remaining,
-            ..
-        } = state
-        else {
-            unreachable!("a synthetic source")
-        };
-        for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let at = SourceState::Synthetic {
-                gap,
-                size,
-                class,
-                t: bad,
-                remaining,
-            };
-            assert!(fresh.seat(at).is_err(), "cursor time {bad}");
-        }
     }
 
     #[test]

@@ -99,9 +99,10 @@ pub(crate) enum Admin {
 }
 
 /// Where a request currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Loc {
     /// Waiting at the dispatcher (no eligible node yet).
+    #[default]
     Pending,
     /// Waiting out a retry backoff.
     Backoff,
@@ -109,7 +110,7 @@ pub(crate) enum Loc {
     OnNode(usize),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Req {
     pub(crate) arrived: f64,
     pub(crate) ops: f64,
@@ -699,7 +700,7 @@ impl<'a> Controller<'a> {
             if self.now >= self.plane_next_close_s {
                 self.close_windows(rec, &mut *hooks.live);
                 if let Some(cp) = hooks.checkpoint.as_mut() {
-                    cp(encoder.encode(self, &ev, &source.state(), &rec.counter_snapshot()));
+                    cp(encoder.encode(self, &ev, source, &rec.counter_snapshot()));
                 }
             }
             self.events += 1;

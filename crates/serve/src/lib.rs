@@ -49,7 +49,7 @@ pub mod report;
 pub mod snapshot;
 pub mod trace;
 
-pub use arrivals::{Arrival, ArrivalModel, ArrivalSource, SourceState, SyntheticArrivals};
+pub use arrivals::{Arrival, ArrivalModel, ArrivalSource, SyntheticArrivals};
 pub use chaos::{
     chaos_sweep, spans_balanced, sweep_domain_plan, sweep_plan, ChaosOutcome, PlanOutcome,
 };
@@ -57,7 +57,7 @@ pub use config::ServeConfig;
 pub use controller::{
     cluster_capacity_ops_s, default_ops_per_request, Controller, RunHooks, RunOutcome,
 };
-pub use plane::{GroupWindow, ObsPlane, PlaneGroupState, PlaneState, WindowReport};
+pub use plane::{GroupWindow, ObsPlane, PlaneGroupState, WindowReport};
 pub use report::ServeReport;
 pub use snapshot::SNAPSHOT_VERSION;
 pub use trace::{format_trace, parse_trace, ReplayCursor};

@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 
-use enprop_obs::{Recorder, SeriesState, Track, WindowedSeries};
+use enprop_obs::{Recorder, Track, WindowedSeries};
 
 /// Error budget fraction for a p95 objective: 5 % of requests may breach.
 pub const P95_ERROR_BUDGET: f64 = 0.05;
@@ -188,64 +188,36 @@ impl PlaneGroupState {
     }
 }
 
-/// Checkpoint form of the [`ObsPlane`]: everything that mutates after
-/// construction except the response series, which the snapshot writer
-/// reads in place through [`ObsPlane::response_series`] and the reader
-/// hands to [`ObsPlane::restore`] beside this state. Static geometry
-/// (window length, burn windows, thresholds) is *not* here — the resume
-/// path rebuilds the plane from the same [`crate::ServeConfig`] and then
-/// replays this state onto it, so a snapshot restored against a different
-/// config fails loudly on the group-count check instead of silently
-/// mixing geometries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlaneState {
-    /// Next window index to close.
-    pub cur_index: u64,
-    /// Arrivals in the open window.
-    pub cur_arrivals: u64,
-    /// Sheds in the open window.
-    pub cur_shed: u64,
-    /// SLO breaches in the open window.
-    pub cur_breaches: u64,
-    /// Per-group open-window accumulators, ascending group index.
-    pub groups: Vec<PlaneGroupState>,
-    /// (completions, breaches) per closed window, oldest first.
-    pub burn_ring: Vec<(u64, u64)>,
-    /// Is the burn alert currently firing?
-    pub alert: bool,
-    /// Fast burn rate as of the last close.
-    pub burn_fast: f64,
-    /// Slow burn rate as of the last close.
-    pub burn_slow: f64,
-}
-
-/// The serving controller's streaming observability plane.
+/// The serving controller's streaming observability plane. The snapshot
+/// walks its fields in place (DESIGN.md §16): the static geometry is
+/// rebuilt from the same [`crate::ServeConfig`], everything else is
+/// checkpointed.
 #[derive(Debug)]
 pub struct ObsPlane {
-    window_s: f64,
-    slo_p95_s: f64,
+    pub(crate) window_s: f64,
+    pub(crate) slo_p95_s: f64,
 
     /// Response times of completions, windowed on completion time.
-    resp: WindowedSeries,
+    pub(crate) resp: WindowedSeries,
 
     /// Next window to close (everything below is closed and emitted).
-    cur_index: u64,
+    pub(crate) cur_index: u64,
     /// End of the current window, virtual seconds (cached for
     /// [`ObsPlane::next_close_s`]).
-    cur_end_s: f64,
-    cur_arrivals: u64,
-    cur_shed: u64,
+    pub(crate) cur_end_s: f64,
+    pub(crate) cur_arrivals: u64,
+    pub(crate) cur_shed: u64,
     /// Completions in the current window breaching the p95 objective.
-    cur_breaches: u64,
+    pub(crate) cur_breaches: u64,
     /// One accumulator per node group (flat, hot-path indexed).
-    cur_groups: Vec<PlaneGroupState>,
+    pub(crate) cur_groups: Vec<PlaneGroupState>,
 
     /// (completions, breaches) of the last [`BURN_SLOW_WINDOWS`] closed
     /// windows.
-    burn_ring: VecDeque<(u64, u64)>,
-    alert: bool,
-    burn_fast: f64,
-    burn_slow: f64,
+    pub(crate) burn_ring: VecDeque<(u64, u64)>,
+    pub(crate) alert: bool,
+    pub(crate) burn_fast: f64,
+    pub(crate) burn_slow: f64,
 }
 
 impl ObsPlane {
@@ -281,11 +253,6 @@ impl ObsPlane {
         }
     }
 
-    /// The windowed response-time series (for conservation checks).
-    pub fn response_series(&self) -> &WindowedSeries {
-        &self.resp
-    }
-
     /// Is the multi-window burn alert currently firing?
     pub fn burn_alert(&self) -> bool {
         self.alert
@@ -294,67 +261,6 @@ impl ObsPlane {
     /// Fast-window burn rate as of the last window close.
     pub fn burn_fast(&self) -> f64 {
         self.burn_fast
-    }
-
-    /// Snapshot every mutable field but the response series for a
-    /// checkpoint (DESIGN.md §16).
-    pub fn state(&self) -> PlaneState {
-        PlaneState {
-            cur_index: self.cur_index,
-            cur_arrivals: self.cur_arrivals,
-            cur_shed: self.cur_shed,
-            cur_breaches: self.cur_breaches,
-            groups: self.cur_groups.clone(),
-            burn_ring: self.burn_ring.iter().copied().collect(),
-            alert: self.alert,
-            burn_fast: self.burn_fast,
-            burn_slow: self.burn_slow,
-        }
-    }
-
-    /// Restore a checkpointed [`PlaneState`] and response series onto a
-    /// freshly-constructed plane. The plane must have been built from the
-    /// same config the snapshot was taken under; a group-count or
-    /// window-length mismatch, or a series whose windows do not ascend
-    /// strictly up to `cur_index`, is an error saying which, not a panic.
-    /// The snapshot reader reports it against the snapshot's `plane` line.
-    pub fn restore(&mut self, s: &PlaneState, resp: SeriesState) -> Result<(), String> {
-        if s.groups.len() != self.cur_groups.len() {
-            return Err(format!(
-                "obs plane has {} groups, controller has {} — wrong cluster spec?",
-                s.groups.len(),
-                self.cur_groups.len()
-            ));
-        }
-        // A different window length would re-index every window (and a
-        // tiny one would make the next roll close windows without end).
-        if resp.window_s != self.window_s {
-            return Err(format!(
-                "obs series has {} s windows, the plane has {} s — wrong obs_window_s?",
-                resp.window_s, self.window_s
-            ));
-        }
-        // One window per index, none past the open one: the checkpoint
-        // encoder keys closed windows by index.
-        let ascending = resp.windows.windows(2).all(|p| p[0].index < p[1].index);
-        if !ascending || resp.windows.last().is_some_and(|w| w.index > s.cur_index) {
-            return Err(format!(
-                "obs series windows must ascend strictly up to cur_index {}",
-                s.cur_index
-            ));
-        }
-        self.resp = WindowedSeries::from_state(resp);
-        self.cur_index = s.cur_index;
-        self.cur_end_s = (s.cur_index as f64 + 1.0) * self.window_s;
-        self.cur_arrivals = s.cur_arrivals;
-        self.cur_shed = s.cur_shed;
-        self.cur_breaches = s.cur_breaches;
-        self.cur_groups.copy_from_slice(&s.groups);
-        self.burn_ring = s.burn_ring.iter().copied().collect();
-        self.alert = s.alert;
-        self.burn_fast = s.burn_fast;
-        self.burn_slow = s.burn_slow;
-        Ok(())
     }
 
     /// Record an arrival in the current window.
@@ -550,7 +456,7 @@ impl ObsPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enprop_obs::{MemoryRecorder, NoopRecorder, WindowState, WindowStats};
+    use enprop_obs::{MemoryRecorder, NoopRecorder, WindowStats};
 
     fn plane() -> ObsPlane {
         // 1 s windows, α = 1 %, 4 groups, 0.1 s SLO. The burn constants
@@ -564,28 +470,6 @@ mod tests {
     fn complete(p: &mut ObsPlane, resp_s: f64, group: u16) {
         let key = enprop_obs::QuantileSketch::new(0.01).key_for(resp_s);
         p.on_completion(resp_s, group, key);
-    }
-
-    /// The plane's response series in checkpoint form, as the snapshot
-    /// reader rebuilds it.
-    fn series_state(p: &ObsPlane) -> SeriesState {
-        let s = p.response_series();
-        SeriesState {
-            window_s: s.window_s(),
-            alpha: s.alpha(),
-            max_windows: s.max_windows(),
-            windows: s
-                .windows()
-                .map(|w| WindowState {
-                    index: w.index,
-                    count: w.count,
-                    sum: w.sum,
-                    sketch: w.sketch.state(),
-                })
-                .collect(),
-            evicted_count: s.evicted_count(),
-            evicted_sum: s.evicted_sum(),
-        }
     }
 
     #[test]
@@ -682,73 +566,6 @@ mod tests {
         }
     }
 
-    /// A plane checkpointed mid-window and restored onto a fresh plane
-    /// must close its remaining windows identically to the original —
-    /// same reports, same burn transitions.
-    #[test]
-    fn state_roundtrip_preserves_future_window_closes() {
-        let mut a = plane();
-        for _ in 0..30 {
-            complete(&mut a, 0.5, 0); // all breach the 0.1 s SLO
-        }
-        a.busy_energy(0, 40.0, 30.0);
-        a.idle_energy(1, 5.0);
-        a.on_arrival();
-        a.on_shed();
-        a.roll_to(1.2, &mut NoopRecorder, &mut |_| {});
-        // Mid-window-1 activity, then checkpoint.
-        complete(&mut a, 0.02, 1);
-        a.busy_energy(1, 3.0, 3.0);
-        let (snap, series) = (a.state(), series_state(&a));
-
-        let mut b = plane();
-        b.restore(&snap, series.clone()).expect("restore");
-        assert_eq!(b.state(), snap, "state → restore → state is identity");
-        assert_eq!(series_state(&b), series);
-
-        let (mut ra, mut rb) = (Vec::new(), Vec::new());
-        let mut rec_a = MemoryRecorder::new();
-        let mut rec_b = MemoryRecorder::new();
-        for p in [(&mut a, &mut ra, &mut rec_a), (&mut b, &mut rb, &mut rec_b)] {
-            let (plane, out, rec) = p;
-            complete(plane, 0.03, 0);
-            plane.roll_to(3.0, rec, &mut |r| out.push(r.clone()));
-        }
-        // Debug text: drained-window quantiles are NaN, which Vec equality
-        // would reject even when bit-for-bit identical runs produced them.
-        assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
-        assert_eq!(rec_a.events(), rec_b.events());
-        assert_eq!(a.burn_alert(), b.burn_alert());
-    }
-
-    #[test]
-    fn restore_rejects_group_count_mismatch() {
-        let p = plane();
-        let mut wrong = ObsPlane::new(1.0, 0.01, 64, 2, 0.1);
-        assert!(wrong.restore(&p.state(), series_state(&p)).is_err());
-    }
-
-    /// The series ring must ascend strictly and end at or before the open
-    /// window: a duplicated, reordered or future window is refused.
-    #[test]
-    fn restore_rejects_windows_out_of_order() {
-        let mut a = plane();
-        complete(&mut a, 0.05, 0);
-        a.roll_to(2.5, &mut NoopRecorder, &mut |_| {});
-        let (snap, good) = (a.state(), series_state(&a));
-        assert!(plane().restore(&snap, good.clone()).is_ok());
-        let mut dup = good.clone();
-        dup.windows.insert(0, dup.windows[0].clone());
-        let mut swapped = good.clone();
-        swapped.windows.swap(0, 1);
-        let mut future = good;
-        future.windows.last_mut().unwrap().index = snap.cur_index + 1;
-        for bad in [dup, swapped, future] {
-            let err = plane().restore(&snap, bad).unwrap_err();
-            assert!(err.contains("ascend strictly"), "{err}");
-        }
-    }
-
     /// The checkpoint encoder's contract: once a roll has closed a window,
     /// the window never changes while the ring retains it — later
     /// completions and rolls touch only the newest window.
@@ -766,13 +583,13 @@ mod tests {
             }
             let t = f64::from(step) * 0.75 + 0.5;
             p.roll_to(t, &mut NoopRecorder, &mut |_| {});
-            for w in p.response_series().windows() {
+            for w in p.resp.windows() {
                 if let Some(before) = closed.iter().find(|c| c.index == w.index) {
                     assert_eq!(before, w, "closed window {} changed", w.index);
                 }
             }
             let newly_closed: Vec<WindowStats> = p
-                .response_series()
+                .resp
                 .windows()
                 .filter(|w| w.index < p.cur_index && closed.iter().all(|c| c.index != w.index))
                 .cloned()

@@ -11,6 +11,10 @@
 //! silently-wrong run. Lines read back through the workspace's one
 //! flat-line reader, [`enprop_obs::Line`].
 //!
+//! Each section has one walk that both directions run: it names each key
+//! once, in write order, beside the field it holds. A check in a walk runs
+//! in both directions, and every state a live controller reaches passes it.
+//!
 //! Every `f64` travels as its IEEE-754 bit pattern (`to_bits`, printed as
 //! a decimal `u64`): resume identity is *bit*-for-bit, and text floats
 //! would round. Static assertions of that identity live in
@@ -18,50 +22,394 @@
 //! last checkpoint reports joule-for-joule what the uninterrupted run
 //! reports.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::fmt::Write as _;
+use std::collections::VecDeque;
 
-use enprop_faults::{Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind, Topology};
+use enprop_faults::{
+    Domain, DomainEvent, DomainFaultKind, EnpropError, FaultKind, FaultRng, Topology,
+};
 use enprop_obs::{
     Line, LineError, QuantileSketch, SeriesState, SketchState, WindowState, WindowStats,
     WindowedSeries,
 };
 
-use crate::arrivals::{ArrivalSource, SourceState};
+use crate::arrivals::{ArrivalSource, SyntheticArrivals};
 use crate::controller::{
     window_start_s, Admin, Breaker, Controller, Ev, EvKind, GroupModel, Loc, Node, Req, Running,
     DRAIN_TIMEOUT_S, HEALTH_INTERVAL_S,
 };
-use crate::inflight::Inflight;
-use crate::plane::{ObsPlane, PlaneGroupState, PlaneState};
-use crate::report::ServeReport;
+use crate::plane::{ObsPlane, PlaneGroupState};
+use crate::trace::ReplayCursor;
 
 /// Version tag of the snapshot format; bumped on any incompatible change.
 pub const SNAPSHOT_VERSION: &str = "enprop-snapshot-v3";
 
-// ---- serialization ---------------------------------------------------------
+/// The largest finite float: `0.0..=MAX` is "finite and >= 0".
+const MAX: f64 = f64::MAX;
 
-fn bits(v: f64) -> u64 {
-    v.to_bits()
+type Walked = Result<(), LineError>;
+
+// ---- the walk --------------------------------------------------------------
+
+/// One direction of a section walk: the [`Encoder`] writes each field it
+/// is handed, a [`Reader`] reads it back.
+trait Walk {
+    /// The integer `*v` under the key `prefix` then `key`.
+    fn word(&mut self, prefix: &str, key: &str, v: &mut u64) -> Walked;
+    /// The container `*v` as one flat array of integers.
+    fn flat<T: Flat>(&mut self, key: &str, v: &mut T) -> Walked;
+    fn str(&mut self, key: &str, v: &mut Cow<'_, str>) -> Walked;
+    /// An error about the current line.
+    fn error(&self, msg: String) -> LineError;
+
+    fn u64(&mut self, key: &str, v: &mut u64) -> Walked {
+        self.word("", key, v)
+    }
+
+    /// `*v` as its IEEE-754 bit pattern.
+    fn f64(&mut self, key: &str, v: &mut f64) -> Walked {
+        let mut bits = v.to_bits();
+        self.u64(key, &mut bits)?;
+        *v = f64::from_bits(bits);
+        Ok(())
+    }
+
+    /// A float the controller only holds finite and in `lo..=hi`.
+    fn within(&mut self, key: &str, v: &mut f64, lo: f64, hi: f64) -> Walked {
+        self.f64(key, v)?;
+        if (lo..=hi).contains(v) {
+            return Ok(());
+        }
+        Err(self.error(format!("{key:?} {v} is outside {lo:e}..={hi:e}")))
+    }
+
+    /// `want`, a value other state fixes; the reader checks it.
+    fn expect(&mut self, key: &str, want: u64) -> Walked {
+        let mut v = want;
+        self.u64(key, &mut v)?;
+        if v == want {
+            return Ok(());
+        }
+        Err(self.error(format!("{key:?} is {v}, but {want} is expected")))
+    }
+
+    /// `v` narrowed to `T`, or an error naming `what`.
+    fn narrow<T: TryFrom<u64>>(&self, v: u64, what: &str) -> Result<T, LineError> {
+        T::try_from(v).map_err(|_| self.error(format!("{what} out of range: {v}")))
+    }
+
+    /// An integer narrower than `u64`.
+    fn int<T: Copy + TryFrom<u64> + TryInto<u64>>(&mut self, key: &str, v: &mut T) -> Walked {
+        let mut x = (*v).try_into().unwrap_or(u64::MAX);
+        self.u64(key, &mut x)?;
+        *v = self.narrow(x, key)?;
+        Ok(())
+    }
+
+    /// `v` as an index into `len` items, or an error naming `what`.
+    fn below(&self, v: u64, len: usize, what: &str) -> Result<usize, LineError> {
+        let i = usize::try_from(v).ok().filter(|&i| i < len);
+        i.ok_or_else(|| self.error(format!("{what} {v} out of range (0..{len})")))
+    }
+
+    /// A 0/1 flag.
+    fn flag(&mut self, key: &str, v: &mut bool) -> Walked {
+        let mut x = u64::from(*v);
+        self.u64(key, &mut x)?;
+        *v = self.below(x, 2, key)? == 1;
+        Ok(())
+    }
 }
 
-fn push_u64s(out: &mut String, vals: impl IntoIterator<Item = u64>) {
-    out.push('[');
-    for (i, v) in vals.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
+/// A container walked as one flat array of integers.
+trait Flat: Sized {
+    fn words(&self) -> impl Iterator<Item = u64> + '_;
+    /// The container the words spell, or `None` when they spell none.
+    fn from_words(words: Vec<u64>) -> Option<Self>;
+}
+
+/// Request ids.
+impl Flat for VecDeque<u64> {
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().copied()
     }
-    out.push(']');
+    fn from_words(words: Vec<u64>) -> Option<Self> {
+        Some(words.into())
+    }
+}
+
+/// The burn ring's `(completions, breaches)` pairs.
+impl Flat for VecDeque<(u64, u64)> {
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().flat_map(|&(a, b)| [a, b])
+    }
+    fn from_words(words: Vec<u64>) -> Option<Self> {
+        let pairs = words.chunks_exact(2).map(|p| (p[0], p[1]));
+        words.len().is_multiple_of(2).then(|| pairs.collect())
+    }
+}
+
+/// Sketch `(key, count)` buckets, each key as its two's-complement word.
+impl Flat for Vec<(i32, u64)> {
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().flat_map(|&(k, n)| [i64::from(k) as u64, n])
+    }
+    fn from_words(words: Vec<u64>) -> Option<Self> {
+        let bucket = |p: &[u64]| Some((i32::try_from(p[0] as i64).ok()?, p[1]));
+        let buckets: Option<Self> = words.chunks_exact(2).map(bucket).collect();
+        buckets.filter(|_| words.len().is_multiple_of(2))
+    }
+}
+
+/// An xoshiro state.
+impl Flat for [u64; 4] {
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().copied()
+    }
+    fn from_words(words: Vec<u64>) -> Option<Self> {
+        words.try_into().ok()
+    }
+}
+
+// ---- the sections, one walk each -------------------------------------------
+
+/// The header after its version tag. The clock starts at 0 and only moves
+/// forward through finite times.
+fn header<W: Walk>(w: &mut W, c: &mut Controller<'_>) -> Walked {
+    w.expect("seed", c.cfg.seed)?;
+    w.expect("groups", c.groups.len() as u64)?;
+    w.expect("nodes", c.nodes.len() as u64)?;
+    w.within("now", &mut c.now, 0.0, MAX)?;
+    w.u64("seq", &mut c.seq)?;
+    w.u64("events", &mut c.events)?;
+    w.expect("has_plane", u64::from(c.plane.is_some()))
+}
+
+/// The `ctl` line: the controller's own scalars and its counters.
+/// [`Controller`] is destructured here once, with no `..`: a new field
+/// fails to compile here. A field bound as `_` names the section that
+/// walks it, or why none does. `pending_arrival`: an arrival waits beside
+/// the heap, or was just popped from it.
+fn ctl<W: Walk>(w: &mut W, c: &mut Controller<'_>, pending_arrival: bool) -> Walked {
+    let Controller {
+        cfg: _,  // static input: the resume is handed the same config
+        plan: _, // static input, likewise
+        topo: _, // static input, likewise
+        groups: _,
+        nodes: _,
+        heap: _,         // the `ev` lines
+        next_arrival: _, // an `ev` line
+        seq: _,          // the header
+        now: _,          // the header
+        events: _,       // the header
+        inflight: _,     // the `req` lines
+        pending: _,      // the `pending` line
+        shed_mode,
+        shed_entries,
+        cooldown,
+        tick_sketch: _, // a `sketch` line
+        window_arrival_ops,
+        run_sketch: _, // a `sketch` line
+        resp_sum,
+        plane: _,              // the `plane`, `plane_group`, `series` and `series_win` lines
+        plane_next_close_s: _, // derived: re-read from the restored plane
+        emergency_cap_w,
+        emergency_until_s,
+        emergency_level,
+        shed_class_floor,
+        tally,
+    } = c;
+    // Keys that repeat other state: every arrival took the next request
+    // id; the source ran dry, and the drain deadline was armed, exactly
+    // when no arrival is pending.
+    let mut next_req_id = tally.arrivals;
+    w.u64("next_req_id", &mut next_req_id)?;
+    w.expect("arrivals_done", u64::from(!pending_arrival))?;
+    w.expect("drain_armed", u64::from(!pending_arrival))?;
+    w.flag("shed_mode", shed_mode)?;
+    w.u64("shed_entries", shed_entries)?;
+    w.int("cooldown", cooldown)?;
+    w.within("window_arrival_ops", window_arrival_ops, 0.0, MAX)?;
+    w.within("resp_sum", resp_sum, 0.0, MAX)?;
+    w.f64("em_cap", emergency_cap_w)?;
+    w.f64("em_until", emergency_until_s)?;
+    w.int("em_level", emergency_level)?;
+    w.int("class_floor", shed_class_floor)?;
+    for (name, n) in tally.counters_mut() {
+        w.word("n_", name, n)?;
+    }
+    let n = tally.arrivals;
+    if n != next_req_id {
+        let msg = format!("{n} arrivals counted, but next_req_id is {next_req_id}");
+        return Err(w.error(msg));
+    }
+    Ok(())
+}
+
+/// A `cnt` line: one recorder counter's running total, kept by the sink,
+/// which a resumed run must continue or its trace diverges.
+fn cnt<W: Walk>(w: &mut W, name: &mut Cow<'_, str>, total: &mut u64) -> Walked {
+    w.str("name", name)?;
+    w.u64("total", total)
+}
+
+/// A `group` line: group `i`'s DVFS level and circuit breaker.
+fn group<W: Walk>(w: &mut W, groups: &mut [GroupModel], i: usize, breakers: bool) -> Walked {
+    w.expect("i", i as u64)?;
+    let GroupModel {
+        rate_at,        // static: rebuilt from the workload and cluster
+        busy_w_at: _,   // static, likewise
+        idle_w: _,      // static, likewise
+        peak_busy_w: _, // derived from busy_w_at
+        freq_idx,
+        breaker,
+    } = &mut groups[i];
+    let mut freq = *freq_idx as u64;
+    w.u64("freq", &mut freq)?;
+    *freq_idx = w.below(freq, rate_at.len(), "freq")?;
+    let (mut brk, mut ba, mut bb) = match *breaker {
+        Breaker::Closed { fails } => (0, u64::from(fails), 0),
+        Breaker::Open { until_s, reopens } => (1, until_s.to_bits(), u64::from(reopens)),
+        Breaker::HalfOpen { probe, reopens } => (2, probe.map_or(0, |p| p + 1), u64::from(reopens)),
+    };
+    w.u64("brk", &mut brk)?;
+    w.u64("ba", &mut ba)?;
+    w.u64("bb", &mut bb)?;
+    let reopens = w.narrow(bb, "reopens")?;
+    let (until_s, probe) = (f64::from_bits(ba), ba.checked_sub(1));
+    *breaker = match brk {
+        0 => Breaker::Closed {
+            fails: w.narrow(ba, "fails")?,
+        },
+        1 => Breaker::Open { until_s, reopens },
+        2 => Breaker::HalfOpen { probe, reopens },
+        other => return Err(w.error(format!("unknown breaker state {other}"))),
+    };
+    // With breakers off no timeout is counted, so none leaves Closed.
+    if !breakers && *breaker != (Breaker::Closed { fails: 0 }) {
+        return Err(w.error("breakers are off, but this one left Closed".into()));
+    }
+    Ok(())
+}
+
+/// A `node` line. Every checkpoint follows `close_windows`, which
+/// integrates each node up to `now` and hands its window joules to the
+/// plane.
+fn node<W: Walk>(w: &mut W, nodes: &mut [Node], i: usize, now: f64) -> Walked {
+    w.expect("i", i as u64)?;
+    let Node {
+        group: _,    // static: fixed by the cluster spec
+        in_group: _, // static, likewise
+        admin,
+        crashed,
+        unpowered,
+        stalled_until,
+        slowdown,
+        slow_until,
+        queue,
+        queued_ops,
+        current,
+        epoch,
+        acct_t,
+        energy_j,
+        win_busy_j,
+        win_ideal_j,
+        win_idle_j,
+    } = &mut nodes[i];
+    let admins = [
+        Admin::Active,
+        Admin::Draining,
+        Admin::Deactivated,
+        Admin::Down,
+    ];
+    let mut code = admins.iter().position(|a| a == admin).unwrap_or(0) as u64;
+    w.u64("admin", &mut code)?;
+    *admin = admins[w.below(code, admins.len(), "admin state")?];
+    w.flag("crashed", crashed)?;
+    w.flag("unpowered", unpowered)?;
+    w.f64("stalled_until", stalled_until)?;
+    w.within("slowdown", slowdown, 1.0, MAX)?;
+    w.f64("slow_until", slow_until)?;
+    w.within("queued_ops", queued_ops, 0.0, MAX)?;
+    w.u64("epoch", epoch)?;
+    w.within("acct_t", acct_t, 0.0, now)?;
+    w.within("energy", energy_j, 0.0, MAX)?;
+    for (key, joules) in [("wb", win_busy_j), ("wi", win_ideal_j), ("wd", win_idle_j)] {
+        w.within(key, joules, 0.0, 0.0)?;
+    }
+    // A Down node's `node.down` span is open.
+    w.expect("down_span", u64::from(*admin == Admin::Down))?;
+    w.flat("queue", queue)?;
+    let (mut cur, mut req, mut rem) = match current {
+        None => (false, 0, 0.0),
+        Some(Running { req, remaining_ops }) => (true, *req, *remaining_ops),
+    };
+    w.flag("cur", &mut cur)?;
+    w.u64("cur_req", &mut req)?;
+    w.within("cur_rem", &mut rem, 0.0, MAX)?;
+    *current = cur.then_some(Running {
+        req,
+        remaining_ops: rem,
+    });
+    Ok(())
+}
+
+/// A `req` line: in-flight request `id`, which arrived by `now`.
+fn req<W: Walk>(w: &mut W, id: &mut u64, r: &mut Req, nodes: usize, now: f64) -> Walked {
+    w.u64("id", id)?;
+    let Req {
+        arrived,
+        ops,
+        class,
+        attempt,
+        dispatch,
+        loc,
+        exclude,
+        traced,
+    } = r;
+    w.within("arrived", arrived, 0.0, now)?;
+    w.within("ops", ops, 0.0, MAX)?;
+    w.int("class", class)?;
+    w.int("attempt", attempt)?;
+    w.int("dispatch", dispatch)?;
+    let (mut tag, mut on) = match *loc {
+        Loc::Pending => (0, 0),
+        Loc::Backoff => (1, 0),
+        Loc::OnNode(i) => (2, i as u64),
+    };
+    w.u64("loc", &mut tag)?;
+    w.u64("loc_node", &mut on)?;
+    *loc = match tag {
+        0 => Loc::Pending,
+        1 => Loc::Backoff,
+        2 => Loc::OnNode(w.below(on, nodes, "loc_node")?),
+        other => return Err(w.error(format!("unknown req loc {other}"))),
+    };
+    let mut avoid = exclude.map_or(0, |e| e as u64 + 1);
+    w.u64("exclude", &mut avoid)?;
+    *exclude = avoid
+        .checked_sub(1)
+        .map(|e| w.below(e, nodes, "exclude"))
+        .transpose()?;
+    w.flag("traced", traced)
+}
+
+/// The `pending` line: the bounded backpressure queue, in order.
+fn pending<W: Walk>(w: &mut W, ids: &mut VecDeque<u64>) -> Walked {
+    w.flat("ids", ids)
+}
+
+/// A `sketch` line: the tick (`which` 0) or the run (1) quantile sketch.
+fn sketch_line<W: Walk>(w: &mut W, which: usize, s: &mut SketchState) -> Walked {
+    w.expect("which", which as u64)?;
+    sketch(w, s)
 }
 
 /// The quantile-sketch fields, one key set shared by the `sketch` and
-/// `series_win` sections: `"alpha","maxb","lowc","scount","ssum","smin",
-/// "smax","buckets"` (the `s` prefix keeps them clear of `series_win`'s
-/// own `count` and `sum`).
-fn push_sketch(out: &mut String, s: &SketchState) {
+/// `series_win` sections (the `s` prefix keeps `scount` and `ssum` clear
+/// of `series_win`'s own `count` and `sum`).
+fn sketch<W: Walk>(w: &mut W, s: &mut SketchState) -> Walked {
     let SketchState {
         alpha,
         max_buckets,
@@ -72,43 +420,147 @@ fn push_sketch(out: &mut String, s: &SketchState) {
         min,
         max,
     } = s;
-    let _ = write!(
-        out,
-        "\"alpha\":{},\"maxb\":{max_buckets},\"lowc\":{low},\"scount\":{count},\"ssum\":{},\"smin\":{},\"smax\":{},\"buckets\":",
-        bits(*alpha),
-        bits(*sum),
-        bits(*min),
-        bits(*max),
-    );
-    push_u64s(
-        out,
-        buckets.iter().flat_map(|&(k, n)| [i64::from(k) as u64, n]),
-    );
+    w.f64("alpha", alpha)?;
+    w.int("maxb", max_buckets)?;
+    w.u64("lowc", low)?;
+    w.u64("scount", count)?;
+    w.f64("ssum", sum)?;
+    w.f64("smin", min)?;
+    w.f64("smax", max)?;
+    w.flat("buckets", buckets)
 }
 
-fn ev_line(out: &mut String, ev: &Ev) {
-    // Generic six-operand encoding: (k, a..f) with unused operands 0.
-    let (k, a, b, c, d, e, f) = match ev.kind {
-        EvKind::Arrival { ops, class } => (0, bits(ops), u64::from(class), 0, 0, 0, 0),
-        EvKind::Completion { node, epoch } => (1, node as u64, epoch, 0, 0, 0, 0),
-        EvKind::Timeout { req, dispatch } => (2, req, u64::from(dispatch), 0, 0, 0, 0),
-        EvKind::Redispatch { req } => (3, req, 0, 0, 0, 0, 0),
+/// The `plane` line. Every checkpoint follows the roll to `now`, which
+/// leaves the open window at `now`'s window index.
+fn plane<W: Walk>(w: &mut W, p: &mut ObsPlane, now: f64) -> Walked {
+    let ObsPlane {
+        window_s,     // static: from the config
+        slo_p95_s: _, // static, likewise
+        resp,         // the `series` and `series_win` lines
+        cur_index,
+        cur_end_s, // derived from cur_index
+        cur_arrivals,
+        cur_shed,
+        cur_breaches,
+        cur_groups: _, // the `plane_group` lines
+        burn_ring,
+        alert,
+        burn_fast,
+        burn_slow,
+    } = p;
+    w.u64("cur_index", cur_index)?;
+    if *cur_index != resp.index_of(now) {
+        let msg = format!("cur_index {cur_index} is not the window index of now");
+        return Err(w.error(msg));
+    }
+    *cur_end_s = (*cur_index as f64 + 1.0) * *window_s;
+    w.u64("cur_arrivals", cur_arrivals)?;
+    w.u64("cur_shed", cur_shed)?;
+    w.u64("cur_breaches", cur_breaches)?;
+    w.flag("alert", alert)?;
+    w.within("bfast", burn_fast, 0.0, MAX)?;
+    w.within("bslow", burn_slow, 0.0, MAX)?;
+    w.flat("ring", burn_ring)
+}
+
+/// A `plane_group` line: group `i`'s accumulators in the open window.
+fn plane_group<W: Walk>(w: &mut W, groups: &mut [PlaneGroupState], i: usize) -> Walked {
+    w.expect("i", i as u64)?;
+    let PlaneGroupState {
+        energy_j,
+        ideal_j,
+        completions,
+    } = &mut groups[i];
+    w.within("energy", energy_j, 0.0, MAX)?;
+    w.within("ideal", ideal_j, 0.0, MAX)?;
+    w.u64("completions", completions)
+}
+
+/// `r`'s checkpoint form without its windows (the `series_win` lines).
+fn geometry(r: &WindowedSeries) -> SeriesState {
+    SeriesState {
+        window_s: r.window_s(),
+        alpha: r.alpha(),
+        max_windows: r.max_windows(),
+        windows: Vec::new(),
+        evicted_count: r.evicted_count(),
+        evicted_sum: r.evicted_sum(),
+    }
+}
+
+/// The `series` line. Its window length must be the plane's: another would
+/// re-index every window, and a tiny one would roll without end.
+fn series<W: Walk>(w: &mut W, s: &mut SeriesState, plane_window_s: f64) -> Walked {
+    let SeriesState {
+        window_s,
+        alpha,
+        max_windows,
+        windows: _, // the `series_win` lines
+        evicted_count,
+        evicted_sum,
+    } = s;
+    w.within("window_s", window_s, plane_window_s, plane_window_s)?;
+    w.f64("alpha", alpha)?;
+    w.int("max_windows", max_windows)?;
+    w.u64("evicted_count", evicted_count)?;
+    w.within("evicted_sum", evicted_sum, 0.0, MAX)
+}
+
+/// A `series_win` line: one retained window of the response series.
+fn window<W: Walk>(w: &mut W, s: &mut WindowState) -> Walked {
+    let WindowState {
+        index,
+        count,
+        sum,
+        sketch: sk,
+    } = s;
+    w.u64("index", index)?;
+    w.u64("count", count)?;
+    w.within("sum", sum, 0.0, MAX)?;
+    sketch(w, sk)
+}
+
+/// An `ev` line: one event as `(t, seq)` and a six-operand encoding of its
+/// kind, `(k, a..f)` with unused operands 0.
+fn event<W: Walk>(w: &mut W, ev: &mut Ev, nodes: usize, topo: Option<&Topology>) -> Walked {
+    let Ev { t, seq, kind } = ev;
+    w.f64("t", t)?;
+    w.u64("seq", seq)?;
+    let mut ops = operands(kind);
+    for (key, v) in ["k", "a", "b", "c", "d", "e", "f"]
+        .into_iter()
+        .zip(&mut ops)
+    {
+        w.u64(key, v)?;
+    }
+    *kind = kind_of(w, ops, nodes, topo)?;
+    Ok(())
+}
+
+/// `kind` as the operands `[k, a, b, c, d, e, f]`.
+fn operands(kind: &EvKind) -> [u64; 7] {
+    let bits = f64::to_bits;
+    match *kind {
+        EvKind::Arrival { ops, class } => [0, bits(ops), u64::from(class), 0, 0, 0, 0],
+        EvKind::Completion { node, epoch } => [1, node as u64, epoch, 0, 0, 0, 0],
+        EvKind::Timeout { req, dispatch } => [2, req, u64::from(dispatch), 0, 0, 0, 0],
+        EvKind::Redispatch { req } => [3, req, 0, 0, 0, 0, 0],
         EvKind::Fault { node, kind } => {
             let (fk, p) = match kind {
                 FaultKind::Crash => (0, 0.0),
                 FaultKind::Stall { duration_s } => (1, duration_s),
                 FaultKind::Straggler { slowdown } => (2, slowdown),
             };
-            (4, node as u64, fk, bits(p), 0, 0, 0)
+            [4, node as u64, fk, bits(p), 0, 0, 0]
         }
-        EvKind::FaultWindow { node, window } => (5, node as u64, u64::from(window), 0, 0, 0, 0),
-        EvKind::StallEnd { node } => (6, node as u64, 0, 0, 0, 0, 0),
-        EvKind::StragglerEnd { node } => (7, node as u64, 0, 0, 0, 0, 0),
-        EvKind::Repair { node } => (8, node as u64, 0, 0, 0, 0, 0),
-        EvKind::HealthCheck => (9, 0, 0, 0, 0, 0, 0),
-        EvKind::ControlTick => (10, 0, 0, 0, 0, 0, 0),
-        EvKind::DrainDeadline => (11, 0, 0, 0, 0, 0, 0),
-        EvKind::DomainWindow { window } => (12, u64::from(window), 0, 0, 0, 0, 0),
+        EvKind::FaultWindow { node, window } => [5, node as u64, u64::from(window), 0, 0, 0, 0],
+        EvKind::StallEnd { node } => [6, node as u64, 0, 0, 0, 0, 0],
+        EvKind::StragglerEnd { node } => [7, node as u64, 0, 0, 0, 0, 0],
+        EvKind::Repair { node } => [8, node as u64, 0, 0, 0, 0, 0],
+        EvKind::HealthCheck => [9, 0, 0, 0, 0, 0, 0],
+        EvKind::ControlTick => [10, 0, 0, 0, 0, 0, 0],
+        EvKind::DrainDeadline => [11, 0, 0, 0, 0, 0, 0],
+        EvKind::DomainWindow { window } => [12, u64::from(window), 0, 0, 0, 0, 0],
         EvKind::DomainFault { event } => {
             let (dom, di) = match event.domain {
                 Domain::Rack(r) => (0, r as u64),
@@ -121,464 +573,31 @@ fn ev_line(out: &mut String, ev: &Ev) {
                 DomainFaultKind::NetworkPartition { duration_s } => (2, duration_s, 0.0),
                 DomainFaultKind::PowerEmergency { cap_w, duration_s } => (3, cap_w, duration_s),
             };
-            (13, bits(event.at_s), dom, di, dk, bits(p1), bits(p2))
+            [13, bits(event.at_s), dom, di, dk, bits(p1), bits(p2)]
         }
-        EvKind::EmergencyEnd => (14, 0, 0, 0, 0, 0, 0),
+        EvKind::EmergencyEnd => [14, 0, 0, 0, 0, 0, 0],
+    }
+}
+
+/// The kind [`operands`] encodes. Indices are checked against `nodes` and
+/// `topo` (no topology: no rack or PDU is valid), and floats against what
+/// the plans and sources schedule: finite, >= 0, a slowdown >= 1.
+fn kind_of<W: Walk>(
+    w: &W,
+    [k, a, b, c, d, e, f]: [u64; 7],
+    nodes: usize,
+    topo: Option<&Topology>,
+) -> Result<EvKind, LineError> {
+    let node = || w.below(a, nodes, "event node");
+    let float = |v: u64, lo: f64| {
+        let x = f64::from_bits(v);
+        let what = || w.error(format!("event operand {x} is outside {lo:e}..={MAX:e}"));
+        (lo..=MAX).contains(&x).then_some(x).ok_or_else(what)
     };
-    let _ = writeln!(
-        out,
-        "{{\"sec\":\"ev\",\"t\":{},\"seq\":{},\"k\":{k},\"a\":{a},\"b\":{b},\"c\":{c},\"d\":{d},\"e\":{e},\"f\":{f}}}",
-        bits(ev.t),
-        ev.seq,
-    );
-}
-
-/// One window's `series_win` line, newline included.
-fn window_line(out: &mut String, w: &WindowStats) {
-    let _ = write!(
-        out,
-        "{{\"sec\":\"series_win\",\"index\":{},\"count\":{},\"sum\":{},",
-        w.index,
-        w.count,
-        bits(w.sum),
-    );
-    push_sketch(out, &w.sketch.state());
-    out.push_str("}\n");
-}
-
-/// [`window_line`] into a fresh string: the debug self-check's reference.
-fn window_text(w: &WindowStats) -> String {
-    let mut text = String::new();
-    window_line(&mut text, w);
-    text
-}
-
-/// The checkpoint encoder: it writes a [`Controller`] (plus the just-popped
-/// event and the arrival source's cursor) as the versioned JSONL snapshot
-/// text. The event loop owns one for the whole run and calls it at closed
-/// obs-window boundaries, after the plane roll; it is not part of the
-/// controller or of the snapshot.
-///
-/// A closed obs window never changes again: the plane observes only into
-/// its newest window. So a window's `series_win` line is encoded once, by
-/// the first checkpoint after the window closed, and reused by every later
-/// checkpoint until the ring evicts the window. An empty encoder is the
-/// cold path and encodes every line; a resumed run starts with one. Debug
-/// builds check every reused line against a fresh encoding.
-#[derive(Debug, Default)]
-pub(crate) struct Encoder {
-    /// The snapshot text, reused across checkpoints.
-    out: String,
-    /// Lines written to `out` so far, for the trailer.
-    lines: u64,
-    /// `(window index, series_win line)` of the retained windows below the
-    /// plane's `cur_index` at the last checkpoint, ascending, each line at
-    /// its exact length.
-    closed: VecDeque<(u64, Box<str>)>,
-}
-
-impl Encoder {
-    /// End the current line: its closing brace, the newline, and one more
-    /// line for the trailer to count.
-    fn end(&mut self) {
-        self.out.push_str("}\n");
-        self.lines += 1;
-    }
-
-    /// The snapshot of `c` with `popped` and `src`; `counters` are the
-    /// recorder's running totals.
-    ///
-    /// The state structs are destructured exhaustively, with no `..`: a
-    /// state field added without snapshot coverage fails to compile here.
-    /// Fields bound as `_` are static inputs the resume rebuilds, or
-    /// derived values. The `ctl` keys `next_req_id`, `arrivals_done` and
-    /// `drain_armed` and the `node` key `down_span` are derived too: from
-    /// the arrival count, from whether an arrival is pending, and from
-    /// the node's admin state. Restore checks each against its source.
-    pub(crate) fn encode(
-        &mut self,
-        c: &Controller<'_>,
-        popped: &Ev,
-        src: &SourceState,
-        counters: &[(&str, u64)],
-    ) -> &str {
-        let Controller {
-            cfg,
-            plan: _, // static input: the resume is handed the same plan
-            topo: _, // static input, likewise
-            groups,
-            nodes,
-            heap,
-            next_arrival,
-            seq,
-            now,
-            events,
-            inflight,
-            pending,
-            shed_mode,
-            shed_entries,
-            cooldown,
-            tick_sketch,
-            window_arrival_ops,
-            run_sketch,
-            resp_sum,
-            plane,
-            plane_next_close_s: _, // derived: re-read from the restored plane
-            emergency_cap_w,
-            emergency_until_s,
-            emergency_level,
-            shed_class_floor,
-            tally,
-        } = c;
-        self.out.clear();
-        self.lines = 0;
-        let has_plane = u8::from(plane.is_some());
-        let _ = write!(
-            self.out,
-            "{{\"sec\":\"{SNAPSHOT_VERSION}\",\"seed\":{},\"groups\":{},\"nodes\":{},\"now\":{},\"seq\":{seq},\"events\":{events},\"has_plane\":{has_plane}",
-            cfg.seed,
-            groups.len(),
-            nodes.len(),
-            bits(*now),
-        );
-        self.end();
-        // Every arrival took the next request id, and the drain deadline
-        // is armed exactly when the source ran dry: when no arrival is
-        // pending, beside the heap or just popped from it.
-        let next_req_id = tally.arrivals;
-        let pending_arrival =
-            next_arrival.is_some() || matches!(popped.kind, EvKind::Arrival { .. });
-        let arrivals_done = u8::from(!pending_arrival);
-        let _ = write!(
-            self.out,
-            "{{\"sec\":\"ctl\",\"next_req_id\":{next_req_id},\"arrivals_done\":{arrivals_done},\"drain_armed\":{arrivals_done},\"shed_mode\":{},\"shed_entries\":{shed_entries},\"cooldown\":{cooldown},\"window_arrival_ops\":{},\"resp_sum\":{},\"em_cap\":{},\"em_until\":{},\"em_level\":{emergency_level},\"class_floor\":{shed_class_floor}",
-            u8::from(*shed_mode),
-            bits(*window_arrival_ops),
-            bits(*resp_sum),
-            bits(*emergency_cap_w),
-            bits(*emergency_until_s),
-        );
-        for (name, n) in tally.counters() {
-            let _ = write!(self.out, ",\"n_{name}\":{n}");
-        }
-        self.end();
-        // Recorder-side running totals: `Recorder::counter` events carry a
-        // cumulative total kept by the *sink*, so a resumed run must
-        // continue those totals or its trace diverges from the
-        // uninterrupted run's.
-        for (name, total) in counters {
-            let _ = write!(
-                self.out,
-                "{{\"sec\":\"cnt\",\"name\":\"{name}\",\"total\":{total}"
-            );
-            self.end();
-        }
-        for (gi, g) in groups.iter().enumerate() {
-            let GroupModel {
-                rate_at: _,     // static: rebuilt from the workload and cluster
-                busy_w_at: _,   // static, likewise
-                idle_w: _,      // static, likewise
-                peak_busy_w: _, // derived from busy_w_at
-                freq_idx,
-                breaker,
-            } = g;
-            let (brk, ba, bb) = match *breaker {
-                Breaker::Closed { fails } => (0, u64::from(fails), 0),
-                Breaker::Open { until_s, reopens } => (1, bits(until_s), u64::from(reopens)),
-                Breaker::HalfOpen { probe, reopens } => {
-                    (2, probe.map_or(0, |p| p + 1), u64::from(reopens))
-                }
-            };
-            let _ = write!(
-                self.out,
-                "{{\"sec\":\"group\",\"i\":{gi},\"freq\":{freq_idx},\"brk\":{brk},\"ba\":{ba},\"bb\":{bb}",
-            );
-            self.end();
-        }
-        for (i, n) in nodes.iter().enumerate() {
-            let Node {
-                group: _,    // static: fixed by the cluster spec
-                in_group: _, // static, likewise
-                admin,
-                crashed,
-                unpowered,
-                stalled_until,
-                slowdown,
-                slow_until,
-                queue,
-                queued_ops,
-                current,
-                epoch,
-                acct_t,
-                energy_j,
-                win_busy_j,
-                win_ideal_j,
-                win_idle_j,
-            } = n;
-            // A Down node's `node.down` span is open.
-            let down_span = u8::from(*admin == Admin::Down);
-            let admin = match admin {
-                Admin::Active => 0,
-                Admin::Draining => 1,
-                Admin::Deactivated => 2,
-                Admin::Down => 3,
-            };
-            let _ = write!(
-                self.out,
-                "{{\"sec\":\"node\",\"i\":{i},\"admin\":{admin},\"crashed\":{},\"unpowered\":{},\"stalled_until\":{},\"slowdown\":{},\"slow_until\":{},\"queued_ops\":{},\"epoch\":{epoch},\"acct_t\":{},\"energy\":{},\"wb\":{},\"wi\":{},\"wd\":{},\"down_span\":{},\"queue\":",
-                u8::from(*crashed),
-                u8::from(*unpowered),
-                bits(*stalled_until),
-                bits(*slowdown),
-                bits(*slow_until),
-                bits(*queued_ops),
-                bits(*acct_t),
-                bits(*energy_j),
-                bits(*win_busy_j),
-                bits(*win_ideal_j),
-                bits(*win_idle_j),
-                down_span,
-            );
-            push_u64s(&mut self.out, queue.iter().copied());
-            match current {
-                None => self.out.push_str(",\"cur\":0,\"cur_req\":0,\"cur_rem\":0"),
-                Some(Running { req, remaining_ops }) => {
-                    let _ = write!(
-                        self.out,
-                        ",\"cur\":1,\"cur_req\":{req},\"cur_rem\":{}",
-                        bits(*remaining_ops),
-                    );
-                }
-            }
-            self.end();
-        }
-        for (id, r) in inflight.iter() {
-            let Req {
-                arrived,
-                ops,
-                class,
-                attempt,
-                dispatch,
-                loc,
-                exclude,
-                traced,
-            } = r;
-            let (loc, loc_node) = match loc {
-                Loc::Pending => (0, 0),
-                Loc::Backoff => (1, 0),
-                Loc::OnNode(i) => (2, *i as u64),
-            };
-            let _ = write!(
-                self.out,
-                "{{\"sec\":\"req\",\"id\":{id},\"arrived\":{},\"ops\":{},\"class\":{class},\"attempt\":{attempt},\"dispatch\":{dispatch},\"loc\":{loc},\"loc_node\":{loc_node},\"exclude\":{},\"traced\":{}",
-                bits(*arrived),
-                bits(*ops),
-                exclude.map_or(0, |e| e as u64 + 1),
-                u8::from(*traced),
-            );
-            self.end();
-        }
-        self.out.push_str("{\"sec\":\"pending\",\"ids\":");
-        push_u64s(&mut self.out, pending.iter().copied());
-        self.end();
-        for (which, sketch) in [tick_sketch, run_sketch].into_iter().enumerate() {
-            let _ = write!(self.out, "{{\"sec\":\"sketch\",\"which\":{which},");
-            push_sketch(&mut self.out, &sketch.state());
-            self.end();
-        }
-        if let Some(plane) = plane {
-            self.plane(plane);
-        }
-        // The heap and the pending arrival in deterministic (t, seq) order,
-        // plus the just-popped event — the first thing the resumed loop
-        // will process.
-        let mut evs: Vec<&Ev> = heap
-            .iter()
-            .map(|Reverse(e)| e)
-            .chain(next_arrival)
-            .collect();
-        evs.push(popped);
-        evs.sort();
-        for ev in evs {
-            ev_line(&mut self.out, ev);
-            self.lines += 1;
-        }
-        match src {
-            SourceState::Synthetic {
-                gap,
-                size,
-                class,
-                t,
-                remaining,
-            } => {
-                self.out.push_str("{\"sec\":\"source\",\"kind\":0,\"g\":");
-                push_u64s(&mut self.out, gap.iter().copied());
-                self.out.push_str(",\"s\":");
-                push_u64s(&mut self.out, size.iter().copied());
-                self.out.push_str(",\"c\":");
-                push_u64s(&mut self.out, class.iter().copied());
-                let _ = write!(self.out, ",\"t\":{},\"remaining\":{remaining}", bits(*t));
-            }
-            SourceState::Replay { next } => {
-                let _ = write!(self.out, "{{\"sec\":\"source\",\"kind\":1,\"next\":{next}");
-            }
-        }
-        self.end();
-        let _ = writeln!(self.out, "{{\"sec\":\"end\",\"lines\":{}}}", self.lines);
-        &self.out
-    }
-
-    /// The `plane`, `plane_group`, `series` and `series_win` sections. The
-    /// windows are read in place, not copied.
-    fn plane(&mut self, plane: &ObsPlane) {
-        let ps = plane.state();
-        let _ = write!(
-            self.out,
-            "{{\"sec\":\"plane\",\"cur_index\":{},\"cur_arrivals\":{},\"cur_shed\":{},\"cur_breaches\":{},\"alert\":{},\"bfast\":{},\"bslow\":{},\"ring\":",
-            ps.cur_index,
-            ps.cur_arrivals,
-            ps.cur_shed,
-            ps.cur_breaches,
-            u8::from(ps.alert),
-            bits(ps.burn_fast),
-            bits(ps.burn_slow),
-        );
-        push_u64s(
-            &mut self.out,
-            ps.burn_ring.iter().flat_map(|&(a, b)| [a, b]),
-        );
-        self.end();
-        for (gi, g) in ps.groups.iter().enumerate() {
-            let _ = write!(
-                self.out,
-                "{{\"sec\":\"plane_group\",\"i\":{gi},\"energy\":{},\"ideal\":{},\"completions\":{}",
-                bits(g.energy_j),
-                bits(g.ideal_j),
-                g.completions,
-            );
-            self.end();
-        }
-        let series = plane.response_series();
-        let _ = write!(
-            self.out,
-            "{{\"sec\":\"series\",\"window_s\":{},\"alpha\":{},\"max_windows\":{},\"evicted_count\":{},\"evicted_sum\":{}",
-            bits(series.window_s()),
-            bits(series.alpha()),
-            series.max_windows(),
-            series.evicted_count(),
-            bits(series.evicted_sum()),
-        );
-        self.end();
-        self.series_windows(series, ps.cur_index);
-    }
-
-    /// One `series_win` line per retained window, oldest first: the open
-    /// window (index `cur_index`) encoded fresh, closed ones from the cache.
-    /// Restore guarantees the indices ascend strictly, so a window's index
-    /// names it for as long as the ring retains it.
-    fn series_windows(&mut self, series: &WindowedSeries, cur_index: u64) {
-        // Windows the ring evicted since the last checkpoint leave the
-        // cache too; what remains lines up with the ring's oldest windows.
-        let oldest = series.windows().next().map_or(u64::MAX, |w| w.index);
-        while self.closed.front().is_some_and(|&(i, _)| i < oldest) {
-            self.closed.pop_front();
-        }
-        for (pos, w) in series.windows().enumerate() {
-            if w.index >= cur_index {
-                window_line(&mut self.out, w);
-            } else if let Some((_, line)) = self.closed.get(pos).filter(|(i, _)| *i == w.index) {
-                debug_assert_eq!(
-                    **line,
-                    window_text(w),
-                    "obs window {} changed after a checkpoint encoded it",
-                    w.index
-                );
-                self.out.push_str(line);
-            } else {
-                // Closed since the last checkpoint: encode it once.
-                let start = self.out.len();
-                window_line(&mut self.out, w);
-                self.closed.truncate(pos);
-                self.closed.push_back((w.index, self.out[start..].into()));
-            }
-            self.lines += 1;
-        }
-    }
-}
-
-// ---- parsing ---------------------------------------------------------------
-
-/// `v` narrowed to `T`, or an error naming `what`.
-fn narrow<T: TryFrom<u64>>(l: &Line<'_>, v: u64, what: &str) -> Result<T, LineError> {
-    T::try_from(v).map_err(|_| l.error(format!("{what} out of range: {v}")))
-}
-
-/// `key`'s unsigned value narrowed to `T`.
-fn int<T: TryFrom<u64>>(l: &Line<'_>, key: &str) -> Result<T, LineError> {
-    narrow(l, l.u64(key)?, key)
-}
-
-/// `v` as an index into a collection of `len` items.
-fn below(l: &Line<'_>, v: u64, len: usize, what: &str) -> Result<usize, LineError> {
-    usize::try_from(v)
-        .ok()
-        .filter(|&i| i < len)
-        .ok_or_else(|| l.error(format!("{what} {v} out of range (0..{len})")))
-}
-
-/// A 0/1 flag.
-fn boolean(l: &Line<'_>, key: &str) -> Result<bool, LineError> {
-    match l.u64(key)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        v => Err(l.error(format!("{key:?} must be 0 or 1, got {v}"))),
-    }
-}
-
-/// `key`'s flat array read as `N`-tuples.
-fn tuples<const N: usize>(l: &Line<'_>, key: &str) -> Result<Vec<[u64; N]>, LineError> {
-    let flat = l.u64s(key)?;
-    if flat.len() % N != 0 {
-        return Err(l.error(format!(
-            "{key:?} array length {} is not a multiple of {N}",
-            flat.len()
-        )));
-    }
-    Ok(flat
-        .chunks_exact(N)
-        .map(|c| std::array::from_fn(|i| c[i]))
-        .collect())
-}
-
-fn sketch_of(l: &Line<'_>) -> Result<SketchState, LineError> {
-    let buckets = tuples::<2>(l, "buckets")?
-        .into_iter()
-        .map(|[k, n]| {
-            let k = i32::try_from(k as i64).map_err(|_| l.error("bucket key out of i32 range"))?;
-            Ok((k, n))
-        })
-        .collect::<Result<Vec<_>, LineError>>()?;
-    Ok(SketchState {
-        alpha: l.f64_bits("alpha")?,
-        max_buckets: int(l, "maxb")?,
-        buckets,
-        low: l.u64("lowc")?,
-        count: l.u64("scount")?,
-        sum: l.f64_bits("ssum")?,
-        min: l.f64_bits("smin")?,
-        max: l.f64_bits("smax")?,
-    })
-}
-
-/// One `ev` line, its node indices checked against `nodes` and its
-/// rack/PDU indices against `topo` (no topology: none is valid).
-fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, LineError> {
-    let (a, b) = (l.u64("a")?, l.u64("b")?);
-    let node = || below(l, a, nodes, "event node");
-    let kind = match l.u64("k")? {
+    Ok(match k {
         0 => EvKind::Arrival {
-            ops: f64::from_bits(a),
-            class: narrow(l, b, "class")?,
+            ops: float(a, 0.0)?,
+            class: w.narrow(b, "class")?,
         },
         1 => EvKind::Completion {
             node: node()?,
@@ -586,16 +605,19 @@ fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, Line
         },
         2 => EvKind::Timeout {
             req: a,
-            dispatch: narrow(l, b, "dispatch")?,
+            dispatch: w.narrow(b, "dispatch")?,
         },
         3 => EvKind::Redispatch { req: a },
         4 => {
-            let p = l.f64_bits("c")?;
             let kind = match b {
                 0 => FaultKind::Crash,
-                1 => FaultKind::Stall { duration_s: p },
-                2 => FaultKind::Straggler { slowdown: p },
-                other => return Err(l.error(format!("unknown fault kind {other}"))),
+                1 => FaultKind::Stall {
+                    duration_s: float(c, 0.0)?,
+                },
+                2 => FaultKind::Straggler {
+                    slowdown: float(c, 1.0)?,
+                },
+                other => return Err(w.error(format!("unknown fault kind {other}"))),
             };
             EvKind::Fault {
                 node: node()?,
@@ -604,7 +626,7 @@ fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, Line
         }
         5 => EvKind::FaultWindow {
             node: node()?,
-            window: narrow(l, b, "window")?,
+            window: w.narrow(b, "window")?,
         },
         6 => EvKind::StallEnd { node: node()? },
         7 => EvKind::StragglerEnd { node: node()? },
@@ -613,60 +635,428 @@ fn ev_of(l: &Line<'_>, nodes: usize, topo: Option<&Topology>) -> Result<Ev, Line
         10 => EvKind::ControlTick,
         11 => EvKind::DrainDeadline,
         12 => EvKind::DomainWindow {
-            window: narrow(l, a, "window")?,
+            window: w.narrow(a, "window")?,
         },
         13 => {
-            let (di, p1, p2) = (l.u64("c")?, l.f64_bits("e")?, l.f64_bits("f")?);
             let domain = match b {
-                0 => Domain::Rack(below(l, di, topo.map_or(0, Topology::racks), "rack")?),
-                1 => Domain::Pdu(below(l, di, topo.map_or(0, Topology::pdus), "pdu")?),
+                0 => Domain::Rack(w.below(c, topo.map_or(0, Topology::racks), "rack")?),
+                1 => Domain::Pdu(w.below(c, topo.map_or(0, Topology::pdus), "pdu")?),
                 2 => Domain::Cluster,
-                other => return Err(l.error(format!("unknown domain tag {other}"))),
+                other => return Err(w.error(format!("unknown domain tag {other}"))),
             };
-            let kind = match l.u64("d")? {
+            let kind = match d {
                 0 => DomainFaultKind::RackCrash,
                 1 => DomainFaultKind::PduLoss,
-                2 => DomainFaultKind::NetworkPartition { duration_s: p1 },
-                3 => DomainFaultKind::PowerEmergency {
-                    cap_w: p1,
-                    duration_s: p2,
+                2 => DomainFaultKind::NetworkPartition {
+                    duration_s: float(e, 0.0)?,
                 },
-                other => return Err(l.error(format!("unknown domain fault kind {other}"))),
+                3 => {
+                    let (cap_w, duration_s) = (float(e, 0.0)?, float(f, 0.0)?);
+                    DomainFaultKind::PowerEmergency { cap_w, duration_s }
+                }
+                other => return Err(w.error(format!("unknown domain fault kind {other}"))),
             };
-            EvKind::DomainFault {
-                event: DomainEvent {
-                    at_s: f64::from_bits(a),
-                    domain,
-                    kind,
-                },
-            }
+            let event = DomainEvent {
+                at_s: float(a, 0.0)?,
+                domain,
+                kind,
+            };
+            EvKind::DomainFault { event }
         }
         14 => EvKind::EmergencyEnd,
-        other => return Err(l.error(format!("unknown event kind {other}"))),
-    };
-    Ok(Ev {
-        t: l.f64_bits("t")?,
-        seq: l.u64("seq")?,
-        kind,
+        other => return Err(w.error(format!("unknown event kind {other}"))),
     })
 }
 
-fn rng_state(l: &Line<'_>, key: &str) -> Result<[u64; 4], LineError> {
-    <[u64; 4]>::try_from(l.u64s(key)?)
-        .map_err(|_| l.error(format!("{key:?} must have exactly 4 words")))
+/// The `source` line: the cursor of the configured source (`kind` 0
+/// synthetic, 1 replay). Returns how many arrivals it has issued, and when
+/// it issued the last (0 before the first: the clock the run starts at).
+fn source<W: Walk>(w: &mut W, src: &mut ArrivalSource) -> Result<(u64, f64), LineError> {
+    w.expect("kind", u64::from(matches!(src, ArrivalSource::Replay(_))))?;
+    let s = match src {
+        ArrivalSource::Synthetic(s) => s,
+        ArrivalSource::Replay(ReplayCursor { arrivals, next }) => {
+            w.int("next", next)?;
+            if *next > arrivals.len() {
+                let n = arrivals.len();
+                return Err(w.error(format!("replay cursor at {next} of {n} arrivals")));
+            }
+            let last = next.checked_sub(1).map_or(0.0, |i| arrivals[i].t_s);
+            return Ok((*next as u64, last));
+        }
+    };
+    let SyntheticArrivals {
+        model: _, // static: the configured arrival flags
+        gap_rng,
+        size_rng,
+        class_rng,
+        t,
+        requests,
+        remaining,
+        ops_per_request: _, // static, likewise
+        ops_jitter: _,      // static, likewise
+        best_effort: _,     // static, likewise
+    } = s;
+    for (key, rng) in [("g", gap_rng), ("s", size_rng), ("c", class_rng)] {
+        let mut state = rng.state();
+        w.flat(key, &mut state)?;
+        *rng = FaultRng::from_state(state);
+    }
+    w.f64("t", t)?;
+    if !(t.is_finite() && *t >= 0.0) {
+        let msg = format!("synthetic cursor time {t} is not a finite time >= 0");
+        return Err(w.error(msg));
+    }
+    w.u64("remaining", remaining)?;
+    if *remaining > *requests {
+        let msg = format!("synthetic cursor has {remaining} arrivals left of {requests}");
+        return Err(w.error(msg));
+    }
+    Ok((*requests - *remaining, *t))
 }
 
-// ---- restore ---------------------------------------------------------------
+/// The trailer: how many lines come before it.
+fn trailer<W: Walk>(w: &mut W, lines: &mut usize) -> Walked {
+    w.int("lines", lines)
+}
 
-/// Restore `text` (produced by [`Encoder::encode`]) from `fresh`, a new
-/// controller built from the same workload / cluster / plans / config, and
-/// seat `source`, built from the same arrival flags, at the snapshotted
-/// cursor. Returns the restored controller and the checkpointed recorder
-/// counter totals (for the caller to preload). Any mismatch — truncation,
-/// version skew, a different seed, cluster shape or arrival stream, an
-/// index or request id that points nowhere, a clock the controller could
-/// not have reached — is a typed configuration error naming the line,
-/// never a panic later in the run.
+// ---- writing ---------------------------------------------------------------
+
+/// `v` in decimal, digit by digit: a `write!` per field measured slower on
+/// the checkpoint path.
+fn push_u64(out: &mut String, v: u64) {
+    if v >= 10 {
+        push_u64(out, v / 10);
+    }
+    out.push(char::from(b'0' + (v % 10) as u8));
+}
+
+/// The checkpoint encoder, the writing direction of the walk. The event
+/// loop owns one for the whole run and calls it after each plane roll.
+///
+/// A closed obs window never changes again: the plane observes only into
+/// its newest window. So a window's `series_win` line is encoded once, by
+/// the first checkpoint after the window closed, and reused by every later
+/// checkpoint until the ring evicts the window. An empty encoder encodes
+/// every line; a resumed run starts with one. Debug builds check every
+/// reused line against a fresh encoding.
+#[derive(Debug, Default)]
+pub(crate) struct Encoder {
+    /// The snapshot text, reused across checkpoints.
+    out: String,
+    /// Lines written to `out` so far, for the trailer.
+    lines: usize,
+    /// `(window index, series_win line)` of the retained windows below the
+    /// plane's `cur_index` at the last checkpoint, ascending, each line at
+    /// its exact length.
+    closed: VecDeque<(u64, Box<str>)>,
+}
+
+impl Walk for Encoder {
+    fn word(&mut self, prefix: &str, key: &str, v: &mut u64) -> Walked {
+        self.key(prefix, key);
+        push_u64(&mut self.out, *v);
+        Ok(())
+    }
+
+    fn flat<T: Flat>(&mut self, key: &str, v: &mut T) -> Walked {
+        self.key("", key);
+        self.out.push('[');
+        for (i, word) in v.words().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            push_u64(&mut self.out, word);
+        }
+        self.out.push(']');
+        Ok(())
+    }
+
+    fn str(&mut self, key: &str, v: &mut Cow<'_, str>) -> Walked {
+        self.key("", key);
+        self.out.push('"');
+        self.out.push_str(v);
+        self.out.push('"');
+        Ok(())
+    }
+
+    fn error(&self, msg: String) -> LineError {
+        LineError::new(self.lines + 1, msg)
+    }
+}
+
+impl Encoder {
+    /// `,"<prefix><key>":`.
+    fn key(&mut self, prefix: &str, key: &str) {
+        self.out.push_str(",\"");
+        self.out.push_str(prefix);
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    /// One `sec` line with the fields `walk` hands over.
+    fn line(&mut self, sec: &str, walk: impl FnOnce(&mut Self) -> Walked) -> Walked {
+        self.out.push_str("{\"sec\":\"");
+        self.out.push_str(sec);
+        self.out.push('"');
+        walk(self)?;
+        self.out.push_str("}\n");
+        self.lines += 1;
+        Ok(())
+    }
+
+    /// The snapshot of `c` with `popped` and `src`'s cursor; `counters`
+    /// are the recorder's running totals.
+    pub(crate) fn encode(
+        &mut self,
+        c: &mut Controller<'_>,
+        popped: &Ev,
+        src: &mut ArrivalSource,
+        counters: &[(&str, u64)],
+    ) -> &str {
+        self.out.clear();
+        self.lines = 0;
+        let walked = self.sections(c, popped, src, counters).and_then(|()| {
+            let mut lines = self.lines;
+            self.line("end", |w| trailer(w, &mut lines))
+        });
+        // A live controller passes every check of the walk. Were one to
+        // fail, the text would stop short of its trailer and restore as a
+        // torn write.
+        debug_assert!(walked.is_ok(), "a checkpoint failed a check: {walked:?}");
+        &self.out
+    }
+
+    /// Every line but the trailer, in write order.
+    fn sections(
+        &mut self,
+        c: &mut Controller<'_>,
+        popped: &Ev,
+        src: &mut ArrivalSource,
+        counters: &[(&str, u64)],
+    ) -> Walked {
+        let pending_arrival =
+            c.next_arrival.is_some() || matches!(popped.kind, EvKind::Arrival { .. });
+        self.line(SNAPSHOT_VERSION, |w| header(w, c))?;
+        self.line("ctl", |w| ctl(w, c, pending_arrival))?;
+        for &(name, mut total) in counters {
+            self.line("cnt", |w| cnt(w, &mut Cow::Borrowed(name), &mut total))?;
+        }
+        let breakers = c.cfg.breaker_failures > 0;
+        for i in 0..c.groups.len() {
+            self.line("group", |w| group(w, &mut c.groups, i, breakers))?;
+        }
+        let (now, n_nodes) = (c.now, c.nodes.len());
+        for i in 0..n_nodes {
+            self.line("node", |w| node(w, &mut c.nodes, i, now))?;
+        }
+        for (mut id, r) in c.inflight.iter() {
+            let mut r = r.clone();
+            self.line("req", |w| req(w, &mut id, &mut r, n_nodes, now))?;
+        }
+        self.line("pending", |w| pending(w, &mut c.pending))?;
+        for (which, s) in [&c.tick_sketch, &c.run_sketch].into_iter().enumerate() {
+            let mut s = s.state();
+            self.line("sketch", |w| sketch_line(w, which, &mut s))?;
+        }
+        if let Some(p) = &mut c.plane {
+            self.plane_lines(p, now)?;
+        }
+        // The heap and the pending arrival in deterministic (t, seq) order,
+        // plus the just-popped event — the first thing the resumed loop
+        // will process.
+        let events = c.heap.iter().map(|Reverse(e)| e).chain(&c.next_arrival);
+        let mut evs: Vec<Ev> = events.chain([popped]).cloned().collect();
+        evs.sort();
+        let topo = c.topo.map(|t| &t.topology);
+        for mut ev in evs {
+            self.line("ev", |w| event(w, &mut ev, n_nodes, topo))?;
+        }
+        self.line("source", |w| source(w, src).map(|_issued| ()))
+    }
+
+    /// The `plane`, `plane_group`, `series` and `series_win` lines. The
+    /// windows are read in place, not copied.
+    fn plane_lines(&mut self, p: &mut ObsPlane, now: f64) -> Walked {
+        self.line("plane", |w| plane(w, p, now))?;
+        for i in 0..p.cur_groups.len() {
+            self.line("plane_group", |w| plane_group(w, &mut p.cur_groups, i))?;
+        }
+        let mut s = geometry(&p.resp);
+        self.line("series", |w| series(w, &mut s, p.window_s))?;
+        self.series_windows(&p.resp, p.cur_index)
+    }
+
+    /// One `series_win` line per retained window, oldest first: the open
+    /// window (index `cur_index`) encoded fresh, closed ones from the cache.
+    /// Restore guarantees the indices ascend strictly, so a window's index
+    /// names it for as long as the ring retains it.
+    fn series_windows(&mut self, series: &WindowedSeries, cur_index: u64) -> Walked {
+        // Windows the ring evicted since the last checkpoint leave the
+        // cache too; what remains lines up with the ring's oldest windows.
+        let oldest = series.windows().next().map_or(u64::MAX, |w| w.index);
+        while self.closed.front().is_some_and(|&(i, _)| i < oldest) {
+            self.closed.pop_front();
+        }
+        for (pos, w) in series.windows().enumerate() {
+            if w.index >= cur_index {
+                self.window_line(w)?;
+            } else if let Some((_, line)) = self.closed.get(pos).filter(|(i, _)| *i == w.index) {
+                debug_assert_eq!(
+                    **line,
+                    window_text(w),
+                    "obs window {} changed after a checkpoint encoded it",
+                    w.index
+                );
+                self.out.push_str(line);
+                self.lines += 1;
+            } else {
+                // Closed since the last checkpoint: encode it once.
+                let start = self.out.len();
+                self.window_line(w)?;
+                self.closed.truncate(pos);
+                self.closed.push_back((w.index, self.out[start..].into()));
+            }
+        }
+        Ok(())
+    }
+
+    /// A window's `series_win` line.
+    fn window_line(&mut self, w: &WindowStats) -> Walked {
+        let sketch = w.sketch.state();
+        let mut s = WindowState {
+            index: w.index,
+            count: w.count,
+            sum: w.sum,
+            sketch,
+        };
+        self.line("series_win", |e| window(e, &mut s))
+    }
+}
+
+/// A window's `series_win` line from a fresh encoder: the debug
+/// self-check's reference.
+fn window_text(w: &WindowStats) -> String {
+    let mut e = Encoder::default();
+    let _ = e.window_line(w);
+    e.out
+}
+
+// ---- reading ---------------------------------------------------------------
+
+/// The reading direction of the walk: one parsed line and its number.
+struct Reader<'a>(Line<'a>, usize);
+
+impl Walk for Reader<'_> {
+    fn word(&mut self, prefix: &str, key: &str, v: &mut u64) -> Walked {
+        *v = self.0.u64(&[prefix, key].concat())?;
+        Ok(())
+    }
+
+    fn f64(&mut self, key: &str, v: &mut f64) -> Walked {
+        *v = self.0.f64_bits(key)?;
+        Ok(())
+    }
+
+    fn flat<T: Flat>(&mut self, key: &str, v: &mut T) -> Walked {
+        let words = self.0.u64s(key)?;
+        let n = words.len();
+        let bad = || self.error(format!("{key:?} holds {n} words that fit no value"));
+        *v = T::from_words(words).ok_or_else(bad)?;
+        Ok(())
+    }
+
+    fn str(&mut self, key: &str, v: &mut Cow<'_, str>) -> Walked {
+        *v = Cow::Owned(self.0.str(key)?.into_owned());
+        Ok(())
+    }
+
+    fn error(&self, msg: String) -> LineError {
+        self.0.error(msg)
+    }
+}
+
+/// The lines before the trailer, taken in the order the encoder writes
+/// them: a missing, extra or misplaced line is an error naming it.
+struct Body<'a> {
+    lines: VecDeque<(Cow<'a, str>, Reader<'a>)>,
+    /// The trailer's line number.
+    end: usize,
+}
+
+impl<'a> Body<'a> {
+    /// `lines`, numbered from 1, each parsed; the trailer is line `end`.
+    fn parse(lines: &[&'a str], end: usize) -> Result<Self, LineError> {
+        let mut body = Body {
+            lines: VecDeque::new(),
+            end,
+        };
+        for (i, text) in lines.iter().enumerate() {
+            let line = Line::parse(i + 1, text)?;
+            body.lines
+                .push_back((line.str("sec")?, Reader(line, i + 1)));
+        }
+        Ok(body)
+    }
+
+    /// The next line if it is a `sec` line.
+    fn next_if(&mut self, sec: &str) -> Option<Reader<'a>> {
+        if self.lines.front()?.0 != sec {
+            return None;
+        }
+        self.lines.pop_front().map(|(_, l)| l)
+    }
+
+    /// The next line, which must be a `sec` line.
+    fn next(&mut self, sec: &str) -> Result<Reader<'a>, LineError> {
+        if let Some(l) = self.next_if(sec) {
+            return Ok(l);
+        }
+        Err(match self.lines.front() {
+            Some((found, l)) => l.error(format!("a {found:?} line where a {sec:?} line belongs")),
+            None => LineError::new(self.end, format!("no {sec:?} line before the trailer")),
+        })
+    }
+}
+
+/// The obs plane's lines: `plane`, one `plane_group` per group, `series`
+/// and the retained windows' `series_win` lines.
+fn read_plane(body: &mut Body<'_>, p: &mut ObsPlane, now: f64) -> Walked {
+    plane(&mut body.next("plane")?, p, now)?;
+    for i in 0..p.cur_groups.len() {
+        plane_group(&mut body.next("plane_group")?, &mut p.cur_groups, i)?;
+    }
+    let mut s = geometry(&p.resp);
+    series(&mut body.next("series")?, &mut s, p.window_s)?;
+    while let Some(mut l) = body.next_if("series_win") {
+        let sketch = QuantileSketch::default().state();
+        let mut w = WindowState {
+            index: 0,
+            count: 0,
+            sum: 0.0,
+            sketch,
+        };
+        window(&mut l, &mut w)?;
+        // One window per index, none past the open one: the checkpoint
+        // encoder keys closed windows by index.
+        let last = s.windows.last().map(|w| w.index);
+        if last.is_some_and(|last| w.index <= last) || w.index > p.cur_index {
+            let msg = "obs series windows must ascend strictly up to cur_index";
+            return Err(l.error(format!("{msg} {}", p.cur_index)));
+        }
+        s.windows.push(w);
+    }
+    p.resp = WindowedSeries::from_state(s);
+    Ok(())
+}
+
+/// Restore `text` onto `fresh`, a controller built from the same inputs,
+/// and seat `source` at the snapshotted cursor. Returns the controller and
+/// the recorder's counter totals. Any mismatch — truncation, version skew,
+/// another seed, cluster shape or arrival stream, an index or request id
+/// that points nowhere, a clock or a float the controller could not have
+/// reached — is a typed configuration error naming the line, never a
+/// panic later in the run.
 pub(crate) fn restore<'a>(
     fresh: Controller<'a>,
     text: &str,
@@ -675,443 +1065,196 @@ pub(crate) fn restore<'a>(
     read(fresh, text, source).map_err(|e| EnpropError::invalid_config(format!("snapshot {e}")))
 }
 
-/// [`restore`] with line-level errors. The controller comes back from one
-/// struct literal with no `..`: a field added to [`Controller`] without a
-/// snapshot source fails to compile here, as it does in [`Encoder::encode`].
+/// [`restore`] with line-level errors. The walks restore `c` in place in
+/// line order, except the `ctl` line, walked last: its derived keys repeat
+/// the `ev` lines.
 fn read<'a>(
-    mut fresh: Controller<'a>,
+    mut c: Controller<'a>,
     text: &str,
-    source: &mut ArrivalSource,
+    src: &mut ArrivalSource,
 ) -> Result<(Controller<'a>, Vec<(String, u64)>), LineError> {
     let lines: Vec<&str> = text.lines().collect();
     let total = lines.len();
     // Crash-consistency gate first: the file must end with a complete,
     // newline-terminated trailer that counts every preceding line, or it
     // was cut mid-write.
-    let counted = lines
-        .last()
-        .filter(|_| text.ends_with('\n'))
-        .and_then(|last| Line::parse(total, last).ok())
-        .filter(|t| t.str("sec").is_ok_and(|s| s == "end"))
-        .and_then(|t| t.u64("lines").ok());
-    let body = total.saturating_sub(1);
-    if counted != Some(body as u64) {
+    let before = total.saturating_sub(1);
+    let last = lines.last().filter(|_| text.ends_with('\n'));
+    let line = last.and_then(|l| Line::parse(total, l).ok());
+    let line = line.filter(|t| t.str("sec").is_ok_and(|s| s == "end"));
+    let counted = line.and_then(|line| {
+        let mut n = 0;
+        let read = trailer(&mut Reader(line, total), &mut n);
+        read.ok().map(|()| n)
+    });
+    if counted != Some(before) {
+        let msg = format!("no \"end\" trailer counting the {before} lines before it");
         return Err(LineError::new(
             total.max(1),
-            format!(
-                "no \"end\" trailer counting the {body} lines before it — truncated mid-write?"
-            ),
+            msg + " — truncated mid-write?",
         ));
     }
-    // Header: version + shape checks.
-    let h = Line::parse(1, lines[0])?;
-    let version = h.str("sec")?;
-    if version != SNAPSHOT_VERSION {
-        return Err(h.error(format!(
-            "version {version:?} is not the supported {SNAPSHOT_VERSION:?}"
-        )));
+    let mut body = Body::parse(&lines[..before], total)?;
+    let mut h = body.next(SNAPSHOT_VERSION)?;
+    header(&mut h, &mut c)?;
+    let now = c.now;
+    // The livelock guard must be able to count events at this clock, and
+    // recurring events must move it, or the loop spins at one instant.
+    if c.event_budget().is_none() {
+        let msg = format!("\"now\" {now} is past the clock the event budget counts");
+        return Err(h.error(msg));
     }
-    let seed = h.u64("seed")?;
-    if seed != fresh.cfg.seed {
-        return Err(h.error(format!(
-            "snapshot seed {seed} != configured seed {}",
-            fresh.cfg.seed
-        )));
+    if now + HEALTH_INTERVAL_S == now {
+        let msg = format!("\"now\" {now} is too large for the health interval to move");
+        return Err(h.error(msg));
     }
-    let (n_groups, n_nodes) = (h.u64("groups")?, h.u64("nodes")?);
-    if n_groups != fresh.groups.len() as u64 || n_nodes != fresh.nodes.len() as u64 {
-        return Err(h.error(format!(
-            "cluster shape {n_groups}g/{n_nodes}n != configured {}g/{}n",
-            fresh.groups.len(),
-            fresh.nodes.len()
-        )));
+    let mut ctl_line = body.next("ctl")?;
+    let mut counters: Vec<(String, u64)> = Vec::new();
+    while let Some(mut l) = body.next_if("cnt") {
+        let (mut name, mut n) = (Cow::Borrowed(""), 0);
+        cnt(&mut l, &mut name, &mut n)?;
+        counters.push((name.into_owned(), n));
     }
-    if boolean(&h, "has_plane")? != fresh.plane.is_some() {
-        return Err(
-            h.error("snapshot and config disagree on whether the obs plane is on (obs_window_s)")
+    let breakers = c.cfg.breaker_failures > 0;
+    for i in 0..c.groups.len() {
+        group(&mut body.next("group")?, &mut c.groups, i, breakers)?;
+    }
+    // Request ids named by node queues/slots and the pending queue, with
+    // their line numbers: checked against the `req` lines at the end.
+    let mut id_refs: Vec<(usize, u64)> = Vec::new();
+    let n_nodes = c.nodes.len();
+    for i in 0..n_nodes {
+        let mut l = body.next("node")?;
+        node(&mut l, &mut c.nodes, i, now)?;
+        let n = &c.nodes[i];
+        let running = n.current.as_ref().map(|r| r.req);
+        id_refs.extend(
+            running
+                .into_iter()
+                .chain(n.queue.iter().copied())
+                .map(|id| (l.1, id)),
         );
     }
-    let (now, seq) = (h.f64_bits("now")?, h.u64("seq")?);
-    // The clock starts at 0 and only moves forward through finite times.
-    if !(now.is_finite() && now >= 0.0) {
-        return Err(h.error(format!("\"now\" {now} is not a finite time >= 0")));
-    }
-    // The livelock guard must be able to count events at this clock.
-    fresh.now = now;
-    if fresh.event_budget().is_none() {
-        return Err(h.error(format!(
-            "\"now\" {now} is past the clock the event budget counts"
-        )));
-    }
-    // Recurring events must move the clock, or the loop spins at one instant.
-    if now + HEALTH_INTERVAL_S == now {
-        return Err(h.error(format!(
-            "\"now\" {now} is too large for the health interval to move"
-        )));
-    }
-
-    let n_nodes = fresh.nodes.len();
-    let topo = fresh.topo.map(|t| &t.topology);
-    let window_s = fresh.cfg.fault_window_s;
-    let mut cursor: Option<(Line<'_>, SourceState)> = None;
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    let mut heap = BinaryHeap::new();
-    let mut next_arrival: Option<(Line<'_>, Ev)> = None;
     // `(line, id, request)`, ascending by id; the ring is sized from these
     // ids only once they are checked against the arrival source.
     let mut reqs: Vec<(usize, u64, Req)> = Vec::new();
-    let mut pending: Option<VecDeque<u64>> = None;
-    let mut sketches: [Option<QuantileSketch>; 2] = [None, None];
-    // The `ctl`, `plane` and `series` lines are read once every section
-    // is in.
-    let mut ctl: Option<Line<'_>> = None;
-    let (mut plane_line, mut series_line): (Option<Line<'_>>, Option<Line<'_>>) = (None, None);
-    let mut plane_groups: Vec<PlaneGroupState> = Vec::new();
-    let mut series_wins: Vec<WindowState> = Vec::new();
-    // Request ids named by node queues/slots and the pending queue, with
-    // their line numbers: checked against the `req` section at the end.
-    let mut id_refs: Vec<(usize, u64)> = Vec::new();
-
-    for (idx, text) in lines.iter().enumerate().take(total - 1).skip(1) {
-        let lineno = idx + 1;
-        let l = Line::parse(lineno, text)?;
-        match &*l.str("sec")? {
-            "ctl" => ctl = Some(l),
-            "cnt" => counters.push((l.str("name")?.into_owned(), l.u64("total")?)),
-            "group" => {
-                let gi = below(&l, l.u64("i")?, fresh.groups.len(), "group index")?;
-                let g = &mut fresh.groups[gi];
-                g.freq_idx = below(&l, l.u64("freq")?, g.rate_at.len(), "freq_idx")?;
-                let ba = l.u64("ba")?;
-                let reopens = int(&l, "bb")?;
-                g.breaker = match l.u64("brk")? {
-                    0 => Breaker::Closed {
-                        fails: narrow(&l, ba, "fails")?,
-                    },
-                    1 => Breaker::Open {
-                        until_s: f64::from_bits(ba),
-                        reopens,
-                    },
-                    2 => Breaker::HalfOpen {
-                        probe: ba.checked_sub(1),
-                        reopens,
-                    },
-                    other => return Err(l.error(format!("unknown breaker state {other}"))),
-                };
-                // With breakers off no timeout is counted, so none leaves Closed.
-                if fresh.cfg.breaker_failures == 0 && g.breaker != (Breaker::Closed { fails: 0 }) {
-                    return Err(l.error("breakers are off, but this one left Closed"));
-                }
+    while let Some(mut l) = body.next_if("req") {
+        let (mut id, mut r) = (0, Req::default());
+        req(&mut l, &mut id, &mut r, n_nodes, now)?;
+        if let Some(&(_, last, _)) = reqs.last().filter(|&&(_, last, _)| id <= last) {
+            return Err(l.error(format!("request id {id} does not ascend past {last}")));
+        }
+        reqs.push((l.1, id, r));
+    }
+    let mut l = body.next("pending")?;
+    pending(&mut l, &mut c.pending)?;
+    id_refs.extend(c.pending.iter().map(|&id| (l.1, id)));
+    let sketches = [&mut c.tick_sketch, &mut c.run_sketch];
+    for (which, sketch) in sketches.into_iter().enumerate() {
+        let mut s = sketch.state();
+        sketch_line(&mut body.next("sketch")?, which, &mut s)?;
+        *sketch = QuantileSketch::from_state(s);
+    }
+    if let Some(p) = &mut c.plane {
+        read_plane(&mut body, p, now)?;
+    }
+    let (topo, window_s) = (c.topo.map(|t| &t.topology), c.cfg.fault_window_s);
+    let mut next_arrival: Option<(usize, Ev)> = None;
+    while let Some(mut l) = body.next_if("ev") {
+        let (t, seq, kind) = (now, 0, EvKind::HealthCheck);
+        let mut ev = Ev { t, seq, kind };
+        event(&mut l, &mut ev, n_nodes, topo)?;
+        // Events are stamped below the header's seq cursor, and the loop
+        // never runs time backwards (nor through NaN).
+        let (t, seq, cursor) = (ev.t, ev.seq, c.seq);
+        if seq >= cursor || t.is_nan() || t < now {
+            let msg = format!("event (t = {t}, seq {seq}) is not after now {now}, seq {cursor}");
+            return Err(l.error(msg));
+        }
+        match ev.kind {
+            EvKind::Arrival { .. } if next_arrival.is_some() => {
+                return Err(l.error("a second pending arrival (the source looks one ahead)".into()));
             }
-            "node" => {
-                let i = below(&l, l.u64("i")?, n_nodes, "node index")?;
-                let Node {
-                    group: _,    // static: fixed by the cluster spec
-                    in_group: _, // static, likewise
-                    admin,
-                    crashed,
-                    unpowered,
-                    stalled_until,
-                    slowdown,
-                    slow_until,
-                    queue,
-                    queued_ops,
-                    current,
-                    epoch,
-                    acct_t,
-                    energy_j,
-                    win_busy_j,
-                    win_ideal_j,
-                    win_idle_j,
-                } = &mut fresh.nodes[i];
-                *admin = match l.u64("admin")? {
-                    0 => Admin::Active,
-                    1 => Admin::Draining,
-                    2 => Admin::Deactivated,
-                    3 => Admin::Down,
-                    other => return Err(l.error(format!("unknown admin state {other}"))),
-                };
-                *crashed = boolean(&l, "crashed")?;
-                *unpowered = boolean(&l, "unpowered")?;
-                *stalled_until = l.f64_bits("stalled_until")?;
-                *slowdown = l.f64_bits("slowdown")?;
-                *slow_until = l.f64_bits("slow_until")?;
-                *queue = VecDeque::from(l.u64s("queue")?);
-                *queued_ops = l.f64_bits("queued_ops")?;
-                *current = if boolean(&l, "cur")? {
-                    let req = l.u64("cur_req")?;
-                    id_refs.push((lineno, req));
-                    Some(Running {
-                        req,
-                        remaining_ops: l.f64_bits("cur_rem")?,
-                    })
-                } else {
-                    None
-                };
-                *epoch = l.u64("epoch")?;
-                *acct_t = l.f64_bits("acct_t")?;
-                *energy_j = l.f64_bits("energy")?;
-                *win_busy_j = l.f64_bits("wb")?;
-                *win_ideal_j = l.f64_bits("wi")?;
-                *win_idle_j = l.f64_bits("wd")?;
-                if boolean(&l, "down_span")? != (*admin == Admin::Down) {
-                    let msg = format!("\"down_span\" disagrees with admin state {admin:?}");
-                    return Err(l.error(msg));
-                }
-                id_refs.extend(queue.iter().map(|&id| (lineno, id)));
+            EvKind::Arrival { .. } => next_arrival = Some((l.1, ev)),
+            EvKind::FaultWindow { window, .. } | EvKind::DomainWindow { window }
+                if t.to_bits() != window_start_s(window, window_s).to_bits() =>
+            {
+                let at = window_start_s(window, window_s);
+                let msg = format!("window {window} event at t = {t}, but the controller");
+                return Err(l.error(format!("{msg} schedules it at {at}")));
             }
-            "req" => {
-                let id = l.u64("id")?;
-                let loc = match l.u64("loc")? {
-                    0 => Loc::Pending,
-                    1 => Loc::Backoff,
-                    2 => Loc::OnNode(below(&l, l.u64("loc_node")?, n_nodes, "loc_node")?),
-                    other => return Err(l.error(format!("unknown req loc {other}"))),
-                };
-                let exclude = match l.u64("exclude")? {
-                    0 => None,
-                    e => Some(below(&l, e - 1, n_nodes, "exclude")?),
-                };
-                if let Some(&(_, last, _)) = reqs.last().filter(|&&(_, last, _)| id <= last) {
-                    return Err(l.error(format!("request id {id} does not ascend past {last}")));
-                }
-                let req = Req {
-                    arrived: l.f64_bits("arrived")?,
-                    ops: l.f64_bits("ops")?,
-                    class: int(&l, "class")?,
-                    attempt: int(&l, "attempt")?,
-                    dispatch: int(&l, "dispatch")?,
-                    loc,
-                    exclude,
-                    traced: boolean(&l, "traced")?,
-                };
-                reqs.push((lineno, id, req));
-            }
-            "pending" => {
-                let ids = VecDeque::from(l.u64s("ids")?);
-                id_refs.extend(ids.iter().map(|&id| (lineno, id)));
-                pending = Some(ids);
-            }
-            "sketch" => {
-                let slot = below(&l, l.u64("which")?, 2, "sketch slot")?;
-                sketches[slot] = Some(QuantileSketch::from_state(sketch_of(&l)?));
-            }
-            "plane" => plane_line = Some(l),
-            "plane_group" => {
-                plane_groups.push(PlaneGroupState {
-                    energy_j: l.f64_bits("energy")?,
-                    ideal_j: l.f64_bits("ideal")?,
-                    completions: l.u64("completions")?,
-                });
-            }
-            "series" => series_line = Some(l),
-            "series_win" => {
-                series_wins.push(WindowState {
-                    index: l.u64("index")?,
-                    count: l.u64("count")?,
-                    sum: l.f64_bits("sum")?,
-                    sketch: sketch_of(&l)?,
-                });
-            }
-            "ev" => {
-                let ev = ev_of(&l, n_nodes, topo)?;
-                if ev.seq >= seq {
-                    return Err(l.error(format!("event seq {} >= header seq cursor {seq}", ev.seq)));
-                }
-                // The loop never runs time backwards (nor through NaN).
-                if ev.t.is_nan() || ev.t < now {
-                    return Err(l.error(format!(
-                        "event time {} is before the snapshot time {now}",
-                        ev.t
-                    )));
-                }
-                match ev.kind {
-                    EvKind::Arrival { .. } if next_arrival.is_some() => {
-                        return Err(
-                            l.error("a second pending arrival (the source looks one ahead)")
-                        );
-                    }
-                    EvKind::Arrival { .. } => next_arrival = Some((l, ev)),
-                    EvKind::FaultWindow { window, .. } | EvKind::DomainWindow { window }
-                        if ev.t.to_bits() != window_start_s(window, window_s).to_bits() =>
-                    {
-                        return Err(l.error(format!(
-                            "window {window} event at t = {}, but the controller schedules it at {}",
-                            ev.t,
-                            window_start_s(window, window_s)
-                        )));
-                    }
-                    _ => heap.push(Reverse(ev)),
-                }
-            }
-            "source" => {
-                let state = match l.u64("kind")? {
-                    0 => SourceState::Synthetic {
-                        gap: rng_state(&l, "g")?,
-                        size: rng_state(&l, "s")?,
-                        class: rng_state(&l, "c")?,
-                        t: l.f64_bits("t")?,
-                        remaining: l.u64("remaining")?,
-                    },
-                    1 => SourceState::Replay {
-                        next: int(&l, "next")?,
-                    },
-                    other => return Err(l.error(format!("unknown source kind {other}"))),
-                };
-                cursor = Some((l, state));
-            }
-            other => return Err(l.error(format!("unknown section {other:?}"))),
+            _ => c.heap.push(Reverse(ev)),
         }
     }
-
-    // Whole-snapshot checks name the trailer line: that is where an
-    // absence becomes certain.
-    let missing = |sec: &str| LineError::new(total, format!("no {sec:?} section"));
-    let ctl = ctl.ok_or_else(|| missing("ctl"))?;
-    let mut tally = ServeReport::default();
-    for (name, n) in tally.counters_mut() {
-        *n = ctl.u64(&format!("n_{name}"))?;
+    let mut source_line = body.next("source")?;
+    let (issued, last) = source(&mut source_line, src)?;
+    if let Some((found, l)) = body.lines.front() {
+        return Err(l.error(format!("a {found:?} line after the \"source\" line")));
     }
+
+    ctl(&mut ctl_line, &mut c, next_arrival.is_some())?;
     // Each processed arrival took the next request id, and each arrival
     // pulled from the source is processed or pending (in the look-ahead
     // slot until the stream runs dry). So the source's issued count bounds
     // every request id, and through it the ring's size.
-    let next_req_id = ctl.u64("next_req_id")?;
-    if let Some(&(lineno, id, _)) = reqs.last().filter(|&&(_, id, _)| id >= next_req_id) {
+    let next_req_id = c.tally.arrivals;
+    if let Some(&(no, id, _)) = reqs.last().filter(|&&(_, id, _)| id >= next_req_id) {
         let msg = format!("request id {id} is not below next_req_id {next_req_id}");
-        return Err(LineError::new(lineno, msg));
+        return Err(LineError::new(no, msg));
     }
-    if tally.arrivals != next_req_id {
-        return Err(ctl.error(format!(
-            "{} arrivals counted, but next_req_id is {next_req_id}",
-            tally.arrivals
-        )));
-    }
-    // The source ran dry, and the drain deadline was armed, exactly when
-    // no arrival is pending.
-    for key in ["arrivals_done", "drain_armed"] {
-        let done = boolean(&ctl, key)?;
-        if done == next_arrival.is_some() {
-            return Err(ctl.error(format!(
-                "{key} is {done}, but {} arrival is pending",
-                if done { "an" } else { "no" }
-            )));
-        }
-    }
-    let (src, state) = cursor.ok_or_else(|| missing("source"))?;
-    let issued = source.seat(state).map_err(|msg| src.error(msg))?;
-    let looking_ahead = u64::from(next_arrival.is_some());
-    if next_req_id.checked_add(looking_ahead) != Some(issued) {
-        return Err(src.error(format!(
+    let pending = u64::from(next_arrival.is_some());
+    if next_req_id.checked_add(pending) != Some(issued) {
+        return Err(source_line.error(format!(
             "the source has issued {issued} arrivals, but the snapshot holds {next_req_id} \
-             processed and {looking_ahead} pending — different arrival flags?"
+             processed and {pending} pending — different arrival flags?"
         )));
     }
     // The pending arrival is the last one the source issued. With none
     // pending, the run stops by the drain deadline armed at the last one.
-    let last_s = source.last_issued_s();
-    let moved = next_arrival
-        .as_ref()
-        .filter(|(_, ev)| ev.t.to_bits() != last_s.to_bits());
-    if let Some((l, ev)) = moved {
-        return Err(l.error(format!(
-            "pending arrival at t = {}, but the source issued its last arrival at {last_s}",
-            ev.t
-        )));
+    if let Some((no, ev)) = next_arrival.as_ref().filter(|(_, ev)| ev.t != last) {
+        let t = ev.t;
+        let msg = format!("pending arrival at t = {t}, but the source's last was at {last}");
+        return Err(LineError::new(*no, msg));
     }
-    if now > last_s + DRAIN_TIMEOUT_S {
-        let msg = format!("\"now\" {now} is past the drain deadline after the arrival at {last_s}");
+    if now > last + DRAIN_TIMEOUT_S {
+        let msg = format!("\"now\" {now} is past the drain deadline after the arrival at {last}");
         return Err(h.error(msg));
     }
-    let mut inflight = Inflight::default();
-    for (_, id, req) in reqs {
-        inflight.insert(id, req);
+    for (_, id, r) in reqs {
+        c.inflight.insert(id, r);
     }
-    if let Some(&(lineno, id)) = id_refs.iter().find(|&&(_, id)| !inflight.contains_key(id)) {
-        return Err(LineError::new(
-            lineno,
-            format!("request id {id} is not in the \"req\" section"),
-        ));
+    let dangling = id_refs
+        .iter()
+        .find(|&&(_, id)| !c.inflight.contains_key(id));
+    if let Some(&(no, id)) = dangling {
+        let msg = format!("request id {id} is not in the \"req\" section");
+        return Err(LineError::new(no, msg));
     }
-    let [tick_sketch, run_sketch] = sketches;
-    let plane = match fresh.plane {
-        Some(mut plane) => {
-            let p = plane_line.ok_or_else(|| missing("plane"))?;
-            let s = series_line.ok_or_else(|| missing("series"))?;
-            let series = SeriesState {
-                window_s: s.f64_bits("window_s")?,
-                alpha: s.f64_bits("alpha")?,
-                max_windows: int(&s, "max_windows")?,
-                windows: series_wins,
-                evicted_count: s.u64("evicted_count")?,
-                evicted_sum: s.f64_bits("evicted_sum")?,
-            };
-            // Every checkpoint follows the roll to `now`, which leaves the
-            // plane's open window at `now`'s window index.
-            let cur_index = p.u64("cur_index")?;
-            let want = plane.response_series().index_of(now);
-            if cur_index != want {
-                return Err(p.error(format!(
-                    "cur_index {cur_index} is not the window index {want} of the snapshot time"
-                )));
-            }
-            let state = PlaneState {
-                cur_index,
-                cur_arrivals: p.u64("cur_arrivals")?,
-                cur_shed: p.u64("cur_shed")?,
-                cur_breaches: p.u64("cur_breaches")?,
-                groups: plane_groups,
-                burn_ring: tuples::<2>(&p, "ring")?
-                    .into_iter()
-                    .map(|[a, b]| (a, b))
-                    .collect(),
-                alert: boolean(&p, "alert")?,
-                burn_fast: p.f64_bits("bfast")?,
-                burn_slow: p.f64_bits("bslow")?,
-            };
-            plane.restore(&state, series).map_err(|msg| p.error(msg))?;
-            Some(plane)
-        }
-        None => None,
-    };
-    let plane_next_close_s = plane.as_ref().map_or(f64::INFINITY, ObsPlane::next_close_s);
-    let c = Controller {
-        cfg: fresh.cfg,
-        plan: fresh.plan,
-        topo: fresh.topo,
-        groups: fresh.groups,
-        nodes: fresh.nodes,
-        heap,
-        next_arrival: next_arrival.map(|(_, ev)| ev),
-        seq,
-        now,
-        events: h.u64("events")?,
-        inflight,
-        pending: pending.ok_or_else(|| missing("pending"))?,
-        shed_mode: boolean(&ctl, "shed_mode")?,
-        shed_entries: ctl.u64("shed_entries")?,
-        cooldown: int(&ctl, "cooldown")?,
-        tick_sketch: tick_sketch.ok_or_else(|| missing("sketch"))?,
-        window_arrival_ops: ctl.f64_bits("window_arrival_ops")?,
-        run_sketch: run_sketch.ok_or_else(|| missing("sketch"))?,
-        resp_sum: ctl.f64_bits("resp_sum")?,
-        plane,
-        plane_next_close_s,
-        emergency_cap_w: ctl.f64_bits("em_cap")?,
-        emergency_until_s: ctl.f64_bits("em_until")?,
-        emergency_level: int(&ctl, "em_level")?,
-        shed_class_floor: int(&ctl, "class_floor")?,
-        tally,
-    };
+    c.next_arrival = next_arrival.map(|(_, ev)| ev);
+    c.plane_next_close_s = c
+        .plane
+        .as_ref()
+        .map_or(f64::INFINITY, ObsPlane::next_close_s);
     Ok((c, counters))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::{Arrival, ArrivalModel};
+    use enprop_obs::NoopRecorder;
 
-    fn line(text: &str) -> Line<'_> {
-        Line::parse(1, text.trim_end()).expect("a line the writer emits parses")
+    fn reader(text: &str) -> Reader<'_> {
+        let line = Line::parse(1, text.trim_end()).expect("a line the writer emits parses");
+        Reader(line, 1)
+    }
+
+    /// One line of section `sec` with the fields `walk` hands over.
+    fn encoded(sec: &str, walk: impl FnOnce(&mut Encoder) -> Walked) -> String {
+        let mut e = Encoder::default();
+        e.line(sec, walk)
+            .expect("a walk over a valid value writes it");
+        e.out
     }
 
     /// Every checkpoint of a faulted run (rack crashes, power emergencies,
@@ -1215,26 +1358,31 @@ mod tests {
             let counters: Vec<(&str, u64)> =
                 counters.iter().map(|(n, t)| (n.as_str(), *t)).collect();
             let again = Encoder::default()
-                .encode(&c, &first, &src.state(), &counters)
+                .encode(&mut c, &first, &mut src, &counters)
                 .to_string();
             assert!(again == *text, "checkpoint {i} does not encode to itself");
         }
     }
 
     #[test]
-    fn helpers_check_ranges_and_shapes() {
-        let l = line("{\"x\":3,\"f\":2,\"xs\":[1,2,3,4],\"odd\":[1,2,3]}");
-        assert_eq!(below(&l, 2, 3, "node").unwrap(), 2);
-        let err = below(&l, 92, 3, "event node").unwrap_err().to_string();
+    fn the_reader_checks_ranges_and_shapes() {
+        let mut l = reader("{\"x\":3,\"f\":2,\"xs\":[1,2,3,4],\"odd\":[1,2,3]}");
+        assert_eq!(l.below(2, 3, "node").unwrap(), 2);
+        let err = l.below(92, 3, "event node").unwrap_err().to_string();
         assert!(
             err.starts_with("line 1: event node 92 out of range"),
             "{err}"
         );
-        assert_eq!(tuples::<2>(&l, "xs").unwrap(), vec![[1, 2], [3, 4]]);
-        assert!(tuples::<2>(&l, "odd").is_err());
-        assert!(boolean(&l, "f").is_err());
-        assert_eq!(int::<u8>(&l, "x").unwrap(), 3);
-        assert!(narrow::<u8>(&l, 256, "class").is_err());
+        let mut ring = VecDeque::<(u64, u64)>::new();
+        l.flat("xs", &mut ring).unwrap();
+        assert_eq!(ring, [(1, 2), (3, 4)]);
+        assert!(l.flat("odd", &mut ring).is_err());
+        assert!(l.flag("f", &mut false).is_err());
+        let mut x = 0_u8;
+        l.int("x", &mut x).unwrap();
+        assert_eq!(x, 3);
+        assert!(l.narrow::<u8>(256, "class").is_err());
+        assert!(l.expect("x", 3).is_ok() && l.expect("x", 2).is_err());
     }
 
     #[test]
@@ -1337,17 +1485,20 @@ mod tests {
         // 4 nodes, 2 per rack, 1 rack per PDU: racks 0..2, PDUs 0..2.
         let topo = Topology::new(4, 2, 1).unwrap();
         for ev in &evs {
-            let mut text = String::new();
-            ev_line(&mut text, ev);
-            let back = ev_of(&line(&text), 4, Some(&topo)).expect("round trip");
+            let text = encoded("ev", |w| event(w, &mut ev.clone(), 4, Some(&topo)));
+            let mut back = Ev {
+                t: 0.0,
+                seq: 0,
+                kind: EvKind::HealthCheck,
+            };
+            event(&mut reader(&text), &mut back, 4, Some(&topo)).expect("round trip");
             assert_eq!(back.t.to_bits(), ev.t.to_bits());
             assert_eq!(back.seq, ev.seq);
             // EvKind carries no PartialEq; compare through the encoding.
-            let mut again = String::new();
-            ev_line(&mut again, &back);
-            assert_eq!(again, text);
+            assert_eq!(encoded("ev", |w| event(w, &mut back, 4, Some(&topo))), text);
             // One node fewer, or no topology, and an index points nowhere.
-            let shrunk = ev_of(&line(&text), 3, Topology::new(2, 2, 1).ok().as_ref());
+            let topo = Topology::new(2, 2, 1).ok();
+            let shrunk = event(&mut reader(&text), &mut back, 3, topo.as_ref());
             let names_node_3 = matches!(ev.kind, EvKind::Completion { .. } | EvKind::Repair { .. });
             if names_node_3 || matches!(ev.kind, EvKind::DomainFault { .. }) {
                 assert!(shrunk.is_err(), "{text}");
@@ -1356,7 +1507,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_state_round_trips_negative_bucket_keys() {
+    fn sketch_fields_round_trip_negative_bucket_keys() {
         let s = SketchState {
             alpha: 0.01,
             max_buckets: 64,
@@ -1367,12 +1518,139 @@ mod tests {
             min: 0.001,
             max: 2.0,
         };
-        let mut text = String::from("{");
-        push_sketch(&mut text, &s);
-        text.push('}');
-        let back = sketch_of(&line(&text)).expect("round trip");
-        assert_eq!(back.buckets, s.buckets);
-        assert_eq!(back.count, s.count);
-        assert_eq!(back.sum.to_bits(), s.sum.to_bits());
+        let text = encoded("sketch", |w| sketch(w, &mut s.clone()));
+        let mut back = QuantileSketch::default().state();
+        sketch(&mut reader(&text), &mut back).expect("round trip");
+        assert_eq!(back, s);
+    }
+
+    /// 1 s windows, α = 1 %, `groups` groups, 0.1 s SLO.
+    fn plane_of(groups: usize) -> ObsPlane {
+        ObsPlane::new(1.0, 0.01, 64, groups, 0.1)
+    }
+
+    /// Complete a request in the plane's current window, keying the
+    /// response the way the controller does.
+    fn complete(p: &mut ObsPlane, resp_s: f64, group: u16) {
+        p.on_completion(resp_s, group, QuantileSketch::new(0.01).key_for(resp_s));
+    }
+
+    /// `p`'s lines at clock `now`, and `lines` read back onto `p`.
+    fn plane_text(p: &mut ObsPlane, now: f64) -> String {
+        let mut e = Encoder::default();
+        e.plane_lines(p, now).expect("a live plane's lines");
+        e.out
+    }
+
+    fn read_plane_text(lines: &[&str], p: &mut ObsPlane, now: f64) -> Walked {
+        read_plane(&mut Body::parse(lines, lines.len() + 1)?, p, now)
+    }
+
+    /// A plane checkpointed mid-window and read back onto a fresh plane
+    /// writes the same lines and closes its remaining windows as the
+    /// original does: the same reports, the same burn transitions. A plane
+    /// with another group count does not take the lines.
+    #[test]
+    fn plane_lines_restore_a_plane_that_closes_windows_alike() {
+        let mut a = plane_of(4);
+        for _ in 0..30 {
+            complete(&mut a, 0.5, 0); // all breach the 0.1 s SLO
+        }
+        a.busy_energy(0, 40.0, 30.0);
+        a.idle_energy(1, 5.0);
+        a.on_arrival();
+        a.on_shed();
+        a.roll_to(1.2, &mut NoopRecorder, &mut |_| {});
+        // Mid-window-1 activity, then checkpoint.
+        complete(&mut a, 0.02, 1);
+        a.busy_energy(1, 3.0, 3.0);
+        let text = plane_text(&mut a, 1.2);
+        let lines: Vec<&str> = text.lines().collect();
+        let mut b = plane_of(4);
+        read_plane_text(&lines, &mut b, 1.2).expect("restore");
+        assert_eq!(
+            plane_text(&mut b, 1.2),
+            text,
+            "lines → plane → lines is identity"
+        );
+        assert!(read_plane_text(&lines, &mut plane_of(2), 1.2).is_err());
+
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        let mut rec_a = enprop_obs::MemoryRecorder::new();
+        let mut rec_b = enprop_obs::MemoryRecorder::new();
+        for (plane, out, rec) in [(&mut a, &mut ra, &mut rec_a), (&mut b, &mut rb, &mut rec_b)] {
+            complete(plane, 0.03, 0);
+            plane.roll_to(3.0, rec, &mut |r| out.push(r.clone()));
+        }
+        // Debug text: drained-window quantiles are NaN, which Vec equality
+        // would reject even when bit-for-bit identical runs produced them.
+        assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+        assert_eq!(rec_a.events(), rec_b.events());
+        assert_eq!(a.burn_alert(), b.burn_alert());
+    }
+
+    /// The series ring must ascend strictly and end at or before the open
+    /// window: a duplicated, reordered or future window is refused.
+    #[test]
+    fn series_windows_must_ascend_to_the_open_window() {
+        let mut a = plane_of(4);
+        complete(&mut a, 0.05, 0);
+        a.roll_to(2.5, &mut NoopRecorder, &mut |_| {});
+        let text = plane_text(&mut a, 2.5);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(read_plane_text(&lines, &mut plane_of(4), 2.5).is_ok());
+        let first = lines.iter().position(|l| l.contains("series_win")).unwrap();
+        let mut dup = lines.clone();
+        dup.insert(first, lines[first]);
+        let mut swapped = lines.clone();
+        swapped.swap(first, first + 1);
+        let last = lines[lines.len() - 1].replace("\"index\":2,", "\"index\":3,");
+        let mut future = lines.clone();
+        *future.last_mut().unwrap() = &last;
+        for bad in [dup, swapped, future] {
+            let err = read_plane_text(&bad, &mut plane_of(4), 2.5)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("ascend strictly"), "{err}");
+        }
+    }
+
+    /// A synthetic cursor seats on a fresh source of the same flags and
+    /// counts what it issued. A cursor time that is not a time, a cursor
+    /// past the stream, a replay cursor past its trace and a cursor of the
+    /// other kind are refused.
+    #[test]
+    fn source_lines_seat_the_cursor_and_count_what_it_issued() {
+        let m = ArrivalModel::Poisson { rate: 10.0 };
+        let fresh = || ArrivalSource::Synthetic(SyntheticArrivals::new(m, 5, 1.0, 0.0, 1).unwrap());
+        let seat = |text: &str, src: &mut ArrivalSource| source(&mut reader(text), src);
+        let mut src = fresh();
+        src.next_arrival();
+        let t = src.next_arrival().unwrap().t_s;
+        let text = encoded("source", |w| source(w, &mut src).map(|_| ()));
+        let mut back = fresh();
+        assert_eq!(seat(&text, &mut back), Ok((2, t)));
+        let at = |v: f64| format!("\"t\":{}", v.to_bits());
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let edited = text.replace(&at(t), &at(bad));
+            assert!(seat(&edited, &mut fresh()).is_err(), "cursor time {bad}");
+        }
+        let past_the_stream = text.replace("\"remaining\":3", "\"remaining\":6");
+        assert!(seat(&past_the_stream, &mut fresh()).is_err());
+        let trace = vec![Arrival::new(0.5, 1.0)];
+        let mut replay = ArrivalSource::Replay(ReplayCursor::new(trace));
+        for (next, issued) in [(0, Ok((0, 0.0))), (1, Ok((1, 0.5)))] {
+            let text = format!("{{\"sec\":\"source\",\"kind\":1,\"next\":{next}}}");
+            assert_eq!(seat(&text, &mut replay), issued);
+            assert!(
+                seat(&text, &mut fresh()).is_err(),
+                "a replay cursor on a generator"
+            );
+        }
+        assert!(seat("{\"sec\":\"source\",\"kind\":1,\"next\":2}", &mut replay).is_err());
+        assert!(
+            seat(&text, &mut replay).is_err(),
+            "a generator cursor on a trace"
+        );
     }
 }

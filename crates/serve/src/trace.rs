@@ -104,8 +104,9 @@ pub fn parse_trace(text: &str, default_ops: f64) -> Result<Vec<Arrival>, EnpropE
 /// A parsed trace being replayed front to back.
 #[derive(Debug)]
 pub struct ReplayCursor {
-    arrivals: Vec<Arrival>,
-    next: usize,
+    pub(crate) arrivals: Vec<Arrival>,
+    /// Index of the next arrival to emit: the checkpoint cursor.
+    pub(crate) next: usize,
 }
 
 impl ReplayCursor {
@@ -123,33 +124,6 @@ impl ReplayCursor {
     /// True when the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
-    }
-
-    /// Index of the next arrival to emit — the checkpoint cursor.
-    pub fn position(&self) -> usize {
-        self.next
-    }
-
-    /// Move the cursor to `position` (resume path). One past the end is
-    /// legal — an exhausted cursor; beyond that the snapshot and trace
-    /// disagree and the resume must fail loudly.
-    pub(crate) fn seek(&mut self, position: usize) -> Result<(), String> {
-        if position > self.arrivals.len() {
-            return Err(format!(
-                "replay cursor at {position}, but the trace has only {} arrivals — wrong trace file?",
-                self.arrivals.len()
-            ));
-        }
-        self.next = position;
-        Ok(())
-    }
-
-    /// Time of the last arrival emitted, or 0 before the first.
-    pub(crate) fn last_issued_s(&self) -> f64 {
-        self.next
-            .checked_sub(1)
-            .and_then(|i| self.arrivals.get(i))
-            .map_or(0.0, |a| a.t_s)
     }
 
     /// Next arrival, or `None` past the end.
@@ -247,35 +221,16 @@ mod tests {
     }
 
     #[test]
-    fn cursor_walks_front_to_back_and_seeks() {
+    fn cursor_walks_front_to_back() {
         let mut c = ReplayCursor::new(vec![Arrival::new(0.0, 1.0), Arrival::new(1.0, 2.0)]);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
-        assert_eq!(c.position(), 0);
+        assert_eq!(c.next, 0);
         assert_eq!(c.next_arrival().map(|a| a.t_s), Some(0.0));
-        assert_eq!(c.position(), 1);
+        assert_eq!(c.next, 1);
         assert_eq!(c.next_arrival().map(|a| a.t_s), Some(1.0));
         assert_eq!(c.next_arrival(), None);
-        c.seek(1).expect("in-range seek");
+        c.next = 1;
         assert_eq!(c.next_arrival().map(|a| a.t_s), Some(1.0));
-        c.seek(2).expect("one-past-the-end is an exhausted cursor");
-        assert_eq!(c.next_arrival(), None);
-        assert!(
-            c.seek(3).is_err(),
-            "past-the-end seek is a snapshot/trace mismatch"
-        );
-    }
-
-    #[test]
-    fn last_issued_time_follows_the_cursor() {
-        let mut c = ReplayCursor::new(vec![Arrival::new(0.5, 1.0), Arrival::new(1.5, 2.0)]);
-        assert_eq!(c.last_issued_s(), 0.0, "none issued: the start clock");
-        c.next_arrival();
-        assert_eq!(c.last_issued_s(), 0.5);
-        c.next_arrival();
-        c.next_arrival();
-        assert_eq!(c.last_issued_s(), 1.5, "an exhausted cursor keeps the last");
-        c.seek(1).expect("in-range seek");
-        assert_eq!(c.last_issued_s(), 0.5);
     }
 }
