@@ -930,3 +930,49 @@ fn mismatched_arrival_flags_are_typed_errors() {
         );
     }
 }
+
+/// Regression: restore took any float a snapshot held. A node `slowdown`
+/// of -1 or -inf on a node running a request panicked the resumed run
+/// ("time went backwards"), and NaN or ±inf in a node's `energy` or
+/// `acct_t`, a request's `arrived` or the `ctl` line's `resp_sum` resumed
+/// to exit 0 with a NaN or infinite energy or mean response. Each is now
+/// an exit-2 error naming the line and the key, as are an accounting time
+/// past the clock and window joules a checkpoint cannot hold: every
+/// checkpoint follows the window close.
+#[test]
+fn floats_the_controller_cannot_hold_are_typed_errors() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let running = |l: &str| l.starts_with("{\"sec\":\"node\",") && l.contains("\"cur\":1,");
+    let node = |l: &str| l.starts_with("{\"sec\":\"node\",");
+    let req = |l: &str| l.starts_with("{\"sec\":\"req\",");
+    let ctl = |l: &str| l.starts_with("{\"sec\":\"ctl\",");
+    let header = GOLDEN_CHECKPOINT.lines().next().unwrap();
+    let past_now = Line::parse(1, header).unwrap().f64_bits("now").unwrap() + 1.0;
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let mut cases: Vec<(&dyn Fn(&str) -> bool, &str, f64)> =
+        vec![(&running, "slowdown", -1.0), (&running, "slowdown", -inf)];
+    for bad in [nan, inf, -inf] {
+        cases.push((&node, "energy", bad));
+        cases.push((&node, "acct_t", bad));
+        cases.push((&req, "arrived", bad));
+        cases.push((&ctl, "resp_sum", bad));
+    }
+    cases.push((&node, "acct_t", past_now));
+    cases.push((&node, "wb", 1.0));
+    for (pick, key, value) in cases {
+        let lineno = GOLDEN_CHECKPOINT.lines().position(pick).unwrap() + 1;
+        let bits = value.to_bits().to_string();
+        let text: String = GOLDEN_CHECKPOINT
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i + 1 == lineno { set_key(l, key, &bits) } else { l.to_string() } + "\n")
+            .collect();
+        let err = try_resume(&s, &text, Some(100_000)).expect_err("a float the run cannot hold");
+        assert_eq!(err.exit_code(), 2, "{key} = {value}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("line {lineno}:")) && msg.contains(key),
+            "{key} = {value}: {msg}"
+        );
+    }
+}
