@@ -388,10 +388,8 @@ fn req<W: Walk>(w: &mut W, id: &mut u64, r: &mut Req, nodes: usize, now: f64) ->
     };
     let mut avoid = exclude.map_or(0, |e| e as u64 + 1);
     w.u64("exclude", &mut avoid)?;
-    *exclude = avoid
-        .checked_sub(1)
-        .map(|e| w.below(e, nodes, "exclude"))
-        .transpose()?;
+    let avoid = avoid.checked_sub(1).map(|e| w.below(e, nodes, "exclude"));
+    *exclude = avoid.transpose()?;
     w.flag("traced", traced)
 }
 
@@ -1507,7 +1505,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_fields_round_trip_negative_bucket_keys() {
+    fn sketch_state_round_trips_negative_bucket_keys() {
         let s = SketchState {
             alpha: 0.01,
             max_buckets: 64,
