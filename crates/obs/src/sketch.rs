@@ -47,7 +47,7 @@ pub const DEFAULT_MAX_BUCKETS: usize = 4096;
 /// form the serve snapshot format serializes. Excludes the transient
 /// search `hint` (behavior-neutral) and the derived `ln_gamma`.
 /// Round-trip contract: `QuantileSketch::from_state(s.state()) == s`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SketchState {
     /// Relative accuracy α.
     pub alpha: f64,

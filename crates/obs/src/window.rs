@@ -7,10 +7,10 @@
 //!
 //! Conservation contract: the retained windows' counts plus
 //! [`WindowedSeries::evicted_count`] equal the number of
-//! [`WindowedSeries::observe_current_keyed`] calls, and the sums likewise — windowing never loses events, it only forgets
-//! their fine structure once a window is evicted from the ring. The chaos
-//! property tests pin this against the serving controller's unwindowed
-//! counters.
+//! [`WindowedSeries::observe_current_keyed`] calls, and the sums likewise
+//! — windowing never loses events, it only forgets their fine structure
+//! once a window is evicted from the ring. The chaos property tests pin
+//! this against the serving controller's unwindowed counters.
 
 use std::collections::VecDeque;
 
@@ -174,7 +174,7 @@ impl WindowedSeries {
 }
 
 /// Checkpoint form of one retained window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowState {
     /// Window index.
     pub index: u64,
