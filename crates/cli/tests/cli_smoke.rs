@@ -510,7 +510,7 @@ fn chaos_replay_outputs_are_pinned() {
     let _ = std::fs::remove_file(&ckpt);
     assert_eq!(fnv1a(&stdout), 0x5f1f_692a_eb7c_1f7b, "{stdout}");
     assert_eq!(fnv1a(&events), 0x6725_f9b7_3b15_7972);
-    assert_eq!(fnv1a(&snapshot), 0x07ba_e756_7561_4775);
+    assert_eq!(fnv1a(&snapshot), 0x6856_9eff_3d65_ee1b);
 }
 
 /// Serving through PDU losses that take whole node groups dark, pinned in

@@ -46,7 +46,6 @@ mod metrics;
 mod profile;
 mod recorder;
 mod sketch;
-mod window;
 
 pub use event::{EventKind, PowerSample, TraceEvent, Track};
 pub use export::{chrome_trace, jsonl, parse_jsonl, ParsedEvent, ParsedKind};
@@ -58,4 +57,3 @@ pub use profile::{
 };
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, SwitchRecorder};
 pub use sketch::{QuantileSketch, SketchState, DEFAULT_MAX_BUCKETS, DEFAULT_SKETCH_ALPHA};
-pub use window::{SeriesState, WindowState, WindowStats, WindowedSeries};

@@ -8,13 +8,9 @@
 //!   and hence of `enprop_queueing::exact_quantile`, which interpolates
 //!   between them — on uniform, exponential and heavy-tailed samples,
 //! - **merge algebra**: merging sketches of equal geometry is commutative
-//!   and associative on the aggregate view (count and every quantile),
-//! - **windowing conservation**: [`WindowedSeries`] never loses an event —
-//!   the retained windows' counts and sums plus the evicted ones equal the
-//!   observed stream under arbitrary interleavings of observes at
-//!   out-of-order times, idle advances and evictions.
+//!   and associative on the aggregate view (count and every quantile).
 
-use enprop_obs::{QuantileSketch, WindowedSeries};
+use enprop_obs::QuantileSketch;
 use enprop_queueing::exact_quantile;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -172,41 +168,5 @@ proptest! {
         for &q in &QS {
             prop_assert_eq!(m.quantile(q), single.quantile(q), "q={}", q);
         }
-    }
-
-    /// Windowing conservation under chaos: arbitrary (time, value) streams,
-    /// each value observed the way the serving plane does it (advance to
-    /// its time, then observe into the current window, so a value whose
-    /// time is out of order lands in the newest window), interleaved with
-    /// idle `advance_to` calls, on tiny rings that force constant
-    /// eviction, never lose an event or a joule.
-    #[test]
-    fn windowed_series_conserves_totals_under_chaos(
-        window_s in 0.1f64..5.0,
-        max_windows in 1usize..16,
-        events in pvec((0.0f64..200.0, 0.01f64..100.0), 1..400),
-        advances in pvec(0.0f64..400.0, 1..24),
-    ) {
-        let mut s = WindowedSeries::new(window_s, 0.01, max_windows);
-        let keyer = QuantileSketch::new(0.01);
-        let mut expect_sum = 0.0f64;
-        for (i, &(t, v)) in events.iter().enumerate() {
-            s.advance_to(t);
-            s.observe_current_keyed(v, keyer.key_for(v));
-            expect_sum += v;
-            if i % 7 == 0 {
-                s.advance_to(advances[i % advances.len()]);
-            }
-        }
-        let total_count = s.evicted_count() + s.windows().map(|w| w.count).sum::<u64>();
-        prop_assert_eq!(total_count, events.len() as u64);
-        let total = s.evicted_sum() + s.windows().map(|w| w.sum).sum::<f64>();
-        // Summation order differs between the windowed books and the
-        // straight-line accumulator; allow rounding-level slack only.
-        prop_assert!(
-            (total - expect_sum).abs() <= 1e-9 * expect_sum.abs().max(1.0),
-            "total_sum {} vs observed {}", total, expect_sum
-        );
-        prop_assert!(s.windows().count() <= max_windows);
     }
 }

@@ -50,8 +50,6 @@ pub struct ServeConfig {
     pub obs_window_s: f64,
     /// Relative accuracy of the plane's quantile sketches.
     pub obs_alpha: f64,
-    /// Windows the plane retains (memory is O(windows × sketch buckets)).
-    pub obs_max_windows: usize,
     /// Bound on the dispatcher's pending queue (requests admitted but
     /// waiting for a dispatchable node). Arrivals beyond it are shed as
     /// backpressure instead of growing the queue without bound.
@@ -81,7 +79,6 @@ impl ServeConfig {
             slo_p999_s: None,
             obs_window_s: 1.0,
             obs_alpha: 0.01,
-            obs_max_windows: 128,
             max_pending: 4096,
             breaker_failures: 8,
             breaker_open_s: 10.0,
@@ -142,12 +139,6 @@ impl ServeConfig {
             return Err(EnpropError::invalid_parameter(
                 "obs_alpha",
                 format!("must be in (0, 0.5), got {}", self.obs_alpha),
-            ));
-        }
-        if self.obs_max_windows == 0 {
-            return Err(EnpropError::invalid_parameter(
-                "obs_max_windows",
-                "must be ≥ 1",
             ));
         }
         if self.max_pending == 0 {

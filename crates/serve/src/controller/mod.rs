@@ -554,15 +554,8 @@ impl<'a> Controller<'a> {
             window_arrival_ops: 0.0,
             run_sketch: QuantileSketch::new(cfg.obs_alpha),
             resp_sum: 0.0,
-            plane: (cfg.obs_window_s > 0.0).then(|| {
-                ObsPlane::new(
-                    cfg.obs_window_s,
-                    cfg.obs_alpha,
-                    cfg.obs_max_windows,
-                    n_groups,
-                    cfg.slo_p95_s,
-                )
-            }),
+            plane: (cfg.obs_window_s > 0.0)
+                .then(|| ObsPlane::new(cfg.obs_window_s, cfg.obs_alpha, n_groups, cfg.slo_p95_s)),
             plane_next_close_s: if cfg.obs_window_s > 0.0 {
                 cfg.obs_window_s
             } else {

@@ -7,8 +7,8 @@
 //! time** and, at each window close, emits one [`WindowReport`] — the row
 //! `enprop obs report` and `--live-report` print — plus `win.*` gauges on
 //! [`Track::Controller`] and per-group `win.group.*` gauges on
-//! [`Track::Group`]. Memory is O(windows × sketch buckets): nothing in
-//! here grows with the request count.
+//! [`Track::Group`]. Memory is O(sketch buckets): the plane keeps only
+//! the open window, and nothing in here grows with the request count.
 //!
 //! # Burn-rate monitor
 //!
@@ -34,7 +34,7 @@
 
 use std::collections::VecDeque;
 
-use enprop_obs::{Recorder, Track, WindowedSeries};
+use enprop_obs::{QuantileSketch, Recorder, Track};
 
 /// Error budget fraction for a p95 objective: 5 % of requests may breach.
 pub const P95_ERROR_BUDGET: f64 = 0.05;
@@ -197,8 +197,8 @@ pub struct ObsPlane {
     pub(crate) window_s: f64,
     pub(crate) slo_p95_s: f64,
 
-    /// Response times of completions, windowed on completion time.
-    pub(crate) resp: WindowedSeries,
+    /// Response times of the open window's completions.
+    pub(crate) resp: QuantileSketch,
 
     /// Next window to close (everything below is closed and emitted).
     pub(crate) cur_index: u64,
@@ -221,16 +221,10 @@ pub struct ObsPlane {
 }
 
 impl ObsPlane {
-    /// A plane with tumbling windows of `window_s` virtual seconds,
-    /// sketches at `alpha`, retaining `max_windows` windows, tracking
-    /// `n_groups` node groups and judging the `slo_p95_s` objective.
-    pub fn new(
-        window_s: f64,
-        alpha: f64,
-        max_windows: usize,
-        n_groups: usize,
-        slo_p95_s: f64,
-    ) -> Self {
+    /// A plane with tumbling windows of `window_s` virtual seconds, a
+    /// response sketch at `alpha`, tracking `n_groups` node groups and
+    /// judging the `slo_p95_s` objective.
+    pub fn new(window_s: f64, alpha: f64, n_groups: usize, slo_p95_s: f64) -> Self {
         let window_s = if window_s.is_finite() && window_s > 0.0 {
             window_s
         } else {
@@ -239,7 +233,7 @@ impl ObsPlane {
         ObsPlane {
             window_s,
             slo_p95_s,
-            resp: WindowedSeries::new(window_s, alpha, max_windows.max(1)),
+            resp: QuantileSketch::new(alpha),
             cur_index: 0,
             cur_end_s: window_s,
             cur_arrivals: 0,
@@ -277,10 +271,10 @@ impl ObsPlane {
     /// key, precomputed once by the controller with
     /// [`QuantileSketch::key_for`](enprop_obs::QuantileSketch::key_for)
     /// on an equal-`alpha` sketch — the plane rolls windows before every
-    /// event, so the completion always lands in the current window and
-    /// no index arithmetic or logarithm is needed here.
+    /// event, so the completion always lands in the open window and no
+    /// index arithmetic or logarithm is needed here.
     pub fn on_completion(&mut self, resp_s: f64, group: u16, key: Option<i32>) {
-        self.resp.observe_current_keyed(resp_s, key);
+        self.resp.observe_keyed(resp_s, key);
         if resp_s > self.slo_p95_s {
             self.cur_breaches += 1;
         }
@@ -305,6 +299,14 @@ impl ObsPlane {
         }
     }
 
+    /// Window index for virtual time `t`: `floor(t / window_s)`.
+    pub(crate) fn index_of(&self, t: f64) -> u64 {
+        if !t.is_finite() || t <= 0.0 {
+            return 0;
+        }
+        (t / self.window_s).floor() as u64
+    }
+
     /// Virtual end time of the current window — the next time at which
     /// [`ObsPlane::roll_to`] would close a window. The controller caches
     /// this so its per-event roll guard is one float compare.
@@ -321,7 +323,7 @@ impl ObsPlane {
         rec: &mut R,
         live: &mut dyn FnMut(&WindowReport),
     ) {
-        let target = self.resp.index_of(t);
+        let target = self.index_of(t);
         while self.cur_index < target {
             self.close_window(rec, live);
         }
@@ -350,16 +352,10 @@ impl ObsPlane {
         let index = self.cur_index;
         let end_s = (index as f64 + 1.0) * self.window_s;
 
-        // Latency stats for this window from the windowed series.
-        let win = self.resp.windows().find(|w| w.index == index);
-        let completions = win.map_or(0, |w| w.count);
-        let (p50, p99, p999) = win.map_or((f64::NAN, f64::NAN, f64::NAN), |w| {
-            (
-                w.sketch.quantile(0.50).unwrap_or(f64::NAN),
-                w.sketch.quantile(0.99).unwrap_or(f64::NAN),
-                w.sketch.quantile(0.999).unwrap_or(f64::NAN),
-            )
-        });
+        // Latency stats for this window from its response sketch.
+        let completions = self.resp.count();
+        let quantile = |q| self.resp.quantile(q).unwrap_or(f64::NAN);
+        let (p50, p99, p999) = (quantile(0.50), quantile(0.99), quantile(0.999));
 
         // Burn monitor: push this window, recompute, fire transitions.
         self.burn_ring.push_back((completions, self.cur_breaches));
@@ -446,23 +442,20 @@ impl ObsPlane {
         self.cur_shed = 0;
         self.cur_breaches = 0;
         self.cur_groups.fill(PlaneGroupState::default());
-        // Keep the response ring's current window aligned so empty
-        // windows read rate 0 instead of reusing stale stats.
-        self.resp
-            .advance_to(self.cur_index as f64 * self.window_s + self.window_s * 0.5);
+        self.resp = QuantileSketch::new(self.resp.alpha());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enprop_obs::{MemoryRecorder, NoopRecorder, WindowStats};
+    use enprop_obs::{MemoryRecorder, NoopRecorder};
 
     fn plane() -> ObsPlane {
         // 1 s windows, α = 1 %, 4 groups, 0.1 s SLO. The burn constants
         // judge fast 1 / slow 12 windows, alert > 2, exit < 1: with one
         // closed window the slow view equals the fast one.
-        ObsPlane::new(1.0, 0.01, 64, 4, 0.1)
+        ObsPlane::new(1.0, 0.01, 4, 0.1)
     }
 
     /// Complete a request in the plane's current window, keying the
@@ -564,39 +557,6 @@ mod tests {
             assert_eq!(r.power_w.to_bits(), 0, "a dark window draws +0 W, not -0");
             assert!(r.p99_s.is_nan());
         }
-    }
-
-    /// The checkpoint encoder's contract: once a roll has closed a window,
-    /// the window never changes while the ring retains it — later
-    /// completions and rolls touch only the newest window.
-    #[test]
-    fn closed_windows_never_change() {
-        let mut p = ObsPlane::new(1.0, 0.01, 5, 2, 0.1);
-        let mut closed: Vec<WindowStats> = Vec::new();
-        for step in 0..12_u32 {
-            for k in 0..=(step % 4) {
-                complete(
-                    &mut p,
-                    0.01 * f64::from(step + k + 1),
-                    u16::from(k % 2 == 1),
-                );
-            }
-            let t = f64::from(step) * 0.75 + 0.5;
-            p.roll_to(t, &mut NoopRecorder, &mut |_| {});
-            for w in p.resp.windows() {
-                if let Some(before) = closed.iter().find(|c| c.index == w.index) {
-                    assert_eq!(before, w, "closed window {} changed", w.index);
-                }
-            }
-            let newly_closed: Vec<WindowStats> = p
-                .resp
-                .windows()
-                .filter(|w| w.index < p.cur_index && closed.iter().all(|c| c.index != w.index))
-                .cloned()
-                .collect();
-            closed.extend(newly_closed);
-        }
-        assert!(p.cur_index > 6, "the ring evicted windows along the way");
     }
 
     #[test]

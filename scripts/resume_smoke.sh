@@ -7,13 +7,11 @@
 # identical, the resumed run's raw telemetry stream must equal the tail
 # of the uninterrupted run's stream line for line (the resume invariant:
 # event-for-event, joule-for-joule), and a resumed run's final checkpoint
-# must equal the uninterrupted run's byte for byte (the resumed run's
-# checkpoint encoder starts empty and rebuilds its cache of closed-window
-# lines from the restored ring; the uninterrupted run's has been reusing
-# lines since its first checkpoint). Every run writes a trace, so every
-# checkpoint carries the recorder's counter totals. Appends the resume
-# wall time to BENCH_serve_replay.json so regressions show up in the
-# history.
+# must equal the uninterrupted run's byte for byte (a restore that drops
+# or alters any state a checkpoint holds shows up there). Every run
+# writes a trace, so every checkpoint carries the recorder's counter
+# totals. Appends the resume wall time to BENCH_serve_replay.json so
+# regressions show up in the history.
 #
 # $ENPROP overrides the binary under test (default: the release build).
 set -eu
@@ -36,7 +34,7 @@ flags="--requests 2000 --utilization 0.7 --mtbf 40 --rack-mtbf 25 \
     --kill-after-events "$kill_at" --trace-out "$tmp/killed.jsonl" > "$tmp/killed.txt"
 grep -q "run killed" "$tmp/killed.txt"
 test -f "$tmp/ckpt.jsonl"
-grep -q "enprop-snapshot-v3" "$tmp/ckpt.jsonl"
+grep -q "enprop-snapshot-v4" "$tmp/ckpt.jsonl"
 
 start_ns=$(date +%s%N)
 # shellcheck disable=SC2086
