@@ -1,4 +1,5 @@
-//! `just obs-smoke` perf leg: the observability-plane overhead gate.
+//! The obs query smoke's perf leg in `scripts/verify.sh`: the
+//! observability-plane overhead gate.
 //!
 //! Runs the same synthetic serving workload twice — once with the plane
 //! disabled (`obs_window_s = 0`, the pre-plane fast path) and once with

@@ -1,4 +1,4 @@
-//! `just perf-smoke`: a fast perf regression gate for the evaluation
+//! The perf smoke in `scripts/verify.sh`: a fast perf regression gate for the evaluation
 //! pipeline. Runs a reduced configuration-space sweep (EP over ≤ 8 A9 +
 //! ≤ 6 K10) four ways — sequential/uncached, sequential+memoized,
 //! pooled/uncached and pooled+memoized — best-of-3 each, asserts the memo

@@ -1,4 +1,4 @@
-//! `just serve-smoke` perf leg: a throughput gate for the online serving
+//! The serve smoke's perf leg in `scripts/verify.sh`: a throughput gate for the online serving
 //! controller. Runs a large synthetic serving workload (with an active
 //! mixed fault plan) best-of-3, appends the timing to
 //! `BENCH_serve_replay.json` (JSONL, same record shape as

@@ -39,28 +39,22 @@ pub struct ServeOpts {
     pub period_s: f64,
     /// Request size override, operations.
     pub ops_per_request: Option<f64>,
-    /// p95 response-time objective, seconds.
-    pub slo_p95_s: f64,
-    /// Cluster power cap, watts (absent = uncapped).
-    pub power_cap_w: Option<f64>,
+    /// The controller config `serve`, `replay` and `chaos` share:
+    /// `ServeConfig::new(--seed)` with the `--slo-p95`, `--slo-p999`,
+    /// `--power-cap`, `--repair` and `--max-inflight` flags, and
+    /// `--live-report`'s window length, parsed into it.
+    pub cfg: ServeConfig,
     /// Per-node MTBF, seconds (absent = no fault injection).
     pub mtbf_s: Option<f64>,
     /// Stall length, seconds (adds a stall fault kind).
     pub stall_s: Option<f64>,
     /// Straggler slowdown factor (adds a straggler fault kind).
     pub slowdown: Option<f64>,
-    /// Repair time for detected-down nodes, seconds.
-    pub repair_s: f64,
-    /// Admission-control bound on in-flight requests.
-    pub max_inflight: usize,
     /// Write the generated arrival stream to this JSONL file (replayable
     /// with `enprop replay --trace FILE`).
     pub emit_arrivals: Option<PathBuf>,
     /// Chaos sweep width (plans swept by `enprop chaos`).
     pub plans: u32,
-    /// Optional p999 response-time objective, seconds (an additional SLO
-    /// constraint in the control loop).
-    pub slo_p999_s: Option<f64>,
     /// Print one observability-plane window row per this many virtual
     /// seconds as the run progresses (sets the plane's window length).
     pub live_report_s: Option<f64>,
@@ -93,8 +87,9 @@ pub struct ServeOpts {
     pub domains: bool,
 }
 
-impl Default for ServeOpts {
-    fn default() -> Self {
+impl ServeOpts {
+    /// The serving defaults, with the controller seeded by `seed`.
+    pub fn new(seed: u64) -> Self {
         ServeOpts {
             requests: 10_000,
             utilization: 0.6,
@@ -102,16 +97,12 @@ impl Default for ServeOpts {
             arrival: "poisson".into(),
             period_s: 60.0,
             ops_per_request: None,
-            slo_p95_s: 0.25,
-            power_cap_w: None,
+            cfg: ServeConfig::new(seed),
             mtbf_s: None,
             stall_s: None,
             slowdown: None,
-            repair_s: 30.0,
-            max_inflight: 10_000,
             emit_arrivals: None,
             plans: 8,
-            slo_p999_s: None,
             live_report_s: None,
             checkpoint_out: None,
             resume_from: None,
@@ -132,20 +123,6 @@ impl Default for ServeOpts {
 fn serving_workload(opts: &Opts) -> Result<enprop_workloads::Workload, EnpropError> {
     let name = opts.workload.clone().unwrap_or_else(|| "memcached".into());
     catalog::try_by_name(&name)
-}
-
-/// Build the controller config shared by `serve` and `replay`.
-fn serve_config(opts: &Opts, so: &ServeOpts) -> ServeConfig {
-    let mut cfg = ServeConfig::new(opts.seed);
-    cfg.slo_p95_s = so.slo_p95_s;
-    cfg.power_cap_w = so.power_cap_w.unwrap_or(f64::INFINITY);
-    cfg.repair_s = so.repair_s;
-    cfg.max_inflight = so.max_inflight;
-    cfg.slo_p999_s = so.slo_p999_s;
-    if let Some(w) = so.live_report_s {
-        cfg.obs_window_s = w;
-    }
-    cfg
 }
 
 /// The `--live-report` sink: a header once, then one fixed-width row per
@@ -279,7 +256,6 @@ fn run_serving(
     cluster: &ClusterSpec,
     plan: &FaultPlan,
     topo: Option<&TopologyFaultPlan>,
-    cfg: &ServeConfig,
     source: &mut ArrivalSource,
     mode: &str,
     ctx: &mut ObsCtx,
@@ -313,7 +289,7 @@ fn run_serving(
             cluster,
             plan,
             topo,
-            cfg,
+            &so.cfg,
             source,
             &mut ctx.rec,
             &snapshot,
@@ -325,7 +301,7 @@ fn run_serving(
             cluster,
             plan,
             topo,
-            cfg,
+            &so.cfg,
             source,
             &mut ctx.rec,
             &mut hooks,
@@ -412,7 +388,6 @@ pub fn serve_cmd(
 
     let plan = serve_plan(opts, so, cluster.groups.len());
     let topo = serve_topology(opts, so, cluster.node_count() as usize)?;
-    let cfg = serve_config(opts, so);
     let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
     run_serving(
         opts,
@@ -421,7 +396,6 @@ pub fn serve_cmd(
         &cluster,
         &plan,
         topo.as_ref(),
-        &cfg,
         &mut source,
         "serve",
         ctx,
@@ -456,7 +430,6 @@ pub fn replay_cmd(
 
     let plan = serve_plan(opts, so, cluster.groups.len());
     let topo = serve_topology(opts, so, cluster.node_count() as usize)?;
-    let cfg = serve_config(opts, so);
     let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
     run_serving(
         opts,
@@ -465,7 +438,6 @@ pub fn replay_cmd(
         &cluster,
         &plan,
         topo.as_ref(),
-        &cfg,
         &mut source,
         "replay",
         ctx,
@@ -477,11 +449,10 @@ pub fn replay_cmd(
 pub fn chaos_cmd(opts: &Opts, so: &ServeOpts, a9: u32, k10: u32) -> Result<(), EnpropError> {
     let workload = serving_workload(opts)?;
     let cluster = ClusterSpec::a9_k10(a9, k10);
-    let cfg = serve_config(opts, so);
     let out = chaos_sweep(
         &workload,
         &cluster,
-        &cfg,
+        &so.cfg,
         so.plans,
         so.requests,
         so.utilization,

@@ -349,12 +349,11 @@ fn run() -> Result<(), EnpropError> {
             let mut so = serve_cmd::ServeOpts {
                 rate: parse_num(&args, "--rate")?,
                 ops_per_request: parse_num(&args, "--ops-per-request")?,
-                power_cap_w: parse_num(&args, "--power-cap")?,
                 mtbf_s: parse_num(&args, "--mtbf")?,
                 stall_s: parse_num(&args, "--stall")?,
                 slowdown: parse_num(&args, "--slowdown")?,
                 emit_arrivals: parse_flag(&args, "--emit-arrivals").map(PathBuf::from),
-                ..serve_cmd::ServeOpts::default()
+                ..serve_cmd::ServeOpts::new(opts.seed)
             };
             if let Some(n) = parse_num(&args, "--requests")? {
                 so.requests = n;
@@ -369,10 +368,16 @@ fn run() -> Result<(), EnpropError> {
                 so.period_s = p;
             }
             if let Some(s) = parse_num(&args, "--slo-p95")? {
-                so.slo_p95_s = s;
+                so.cfg.slo_p95_s = s;
             }
-            so.slo_p999_s = parse_num(&args, "--slo-p999")?;
+            so.cfg.slo_p999_s = parse_num(&args, "--slo-p999")?;
+            if let Some(w) = parse_num(&args, "--power-cap")? {
+                so.cfg.power_cap_w = w;
+            }
             so.live_report_s = parse_num(&args, "--live-report")?;
+            if let Some(w) = so.live_report_s {
+                so.cfg.obs_window_s = w;
+            }
             so.checkpoint_out = parse_flag(&args, "--checkpoint-out").map(PathBuf::from);
             so.resume_from = parse_flag(&args, "--resume-from").map(PathBuf::from);
             so.kill_after_events = parse_num(&args, "--kill-after-events")?;
@@ -389,10 +394,10 @@ fn run() -> Result<(), EnpropError> {
             }
             so.domains = args.iter().any(|a| a == "--domains");
             if let Some(r) = parse_num(&args, "--repair")? {
-                so.repair_s = r;
+                so.cfg.repair_s = r;
             }
             if let Some(m) = parse_num(&args, "--max-inflight")? {
-                so.max_inflight = m;
+                so.cfg.max_inflight = m;
             }
             if let Some(p) = parse_num(&args, "--plans")? {
                 so.plans = p;

@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn faulted_pool_inflates_service_times() {
-        use enprop_faults::{GroupFaultProfile, MtbfModel};
+        use enprop_faults::{FaultKind, GroupFaultProfile, MtbfModel};
         let w = catalog::by_name("EP").unwrap();
         let c = ClusterSpec::a9_k10(8, 4);
         let sim = ClusterSim::new(&w, &c);
@@ -196,9 +196,12 @@ mod tests {
         assert_eq!(clean.mean_service(), run_job_mean);
         let plan = FaultPlan::uniform(
             1,
-            GroupFaultProfile::crashes(MtbfModel::Exponential {
-                mtbf_s: job.duration * 4.0,
-            }),
+            GroupFaultProfile {
+                mtbf: MtbfModel::Exponential {
+                    mtbf_s: job.duration * 4.0,
+                },
+                kinds: vec![(1.0, FaultKind::Crash)],
+            },
             2,
         );
         let policy = RetryPolicy {

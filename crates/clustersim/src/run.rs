@@ -836,7 +836,10 @@ mod fault_plan_tests {
         let slow = FaultPlan {
             seed: 0,
             groups: vec![
-                GroupFaultProfile::none(),
+                GroupFaultProfile {
+                    mtbf: MtbfModel::Disabled,
+                    kinds: Vec::new(),
+                },
                 GroupFaultProfile {
                     mtbf: MtbfModel::Schedule(vec![0.0]),
                     kinds: vec![(1.0, FaultKind::Straggler { slowdown: 2.0 })],
@@ -999,7 +1002,10 @@ mod fault_plan_tests {
         let sim = ClusterSim::new(&w, &c);
         let bad_plan = FaultPlan::uniform(
             0,
-            GroupFaultProfile::crashes(MtbfModel::Exponential { mtbf_s: -1.0 }),
+            GroupFaultProfile {
+                mtbf: MtbfModel::Exponential { mtbf_s: -1.0 },
+                kinds: vec![(1.0, FaultKind::Crash)],
+            },
             2,
         );
         assert!(matches!(

@@ -64,7 +64,14 @@ proptest! {
         let plain = sim.run_job(seed);
         for plan in [
             FaultPlan::none(),
-            FaultPlan::uniform(seed, GroupFaultProfile::none(), c.groups.len()),
+            FaultPlan::uniform(
+                seed,
+                GroupFaultProfile {
+                    mtbf: MtbfModel::Disabled,
+                    kinds: Vec::new(),
+                },
+                c.groups.len(),
+            ),
         ] {
             let f = sim.run_job_under_plan(&plan, &RetryPolicy::standard(), seed).unwrap();
             prop_assert_eq!(f.run.duration.to_bits(), plain.duration.to_bits());

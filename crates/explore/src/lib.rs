@@ -43,7 +43,7 @@ mod sweet;
 pub use budget::{budget_mixes, PAPER_BUDGET_W};
 pub use cache::{CacheStats, EvalCache};
 pub use dynamic::DynamicEnvelope;
-pub use pareto::{knee_point, pareto_front, pareto_indices, Frontier, FrontierPoint};
+pub use pareto::{knee_point, pareto_front, Frontier, FrontierPoint};
 pub use search::{local_search, SearchResult};
 pub use sleep::{SleepManagedCluster, SleepPolicy};
 pub use space::{

@@ -4,56 +4,16 @@
 
 use crate::space::EvaluatedConfig;
 
-/// Indices of the Pareto-minimal items under the two keys produced by
-/// `key` (both minimized). O(n log n).
-///
-/// Ties: an item equal to a kept item in both keys is kept too (the
-/// frontier is a set of non-dominated points, and equal points do not
-/// dominate each other).
-/// ```
-/// use enprop_explore::pareto_indices;
-/// let pts = [(1.0, 5.0), (2.0, 3.0), (3.0, 4.0)];
-/// // (3.0, 4.0) is dominated by (2.0, 3.0).
-/// assert_eq!(pareto_indices(&pts, |p| *p), vec![0, 1]);
-/// ```
-pub fn pareto_indices<T, F>(items: &[T], key: F) -> Vec<usize>
-where
-    F: Fn(&T) -> (f64, f64),
-{
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    // Sort by first key ascending, second key ascending.
-    order.sort_by(|&a, &b| {
-        let (ta, ea) = key(&items[a]);
-        let (tb, eb) = key(&items[b]);
-        ta.total_cmp(&tb).then(ea.total_cmp(&eb))
-    });
-    let mut front = Vec::new();
-    let mut best_second = f64::INFINITY;
-    let mut last_kept: Option<(f64, f64)> = None;
-    for i in order {
-        let (t, e) = key(&items[i]);
-        if e < best_second {
-            best_second = e;
-            front.push(i);
-            last_kept = Some((t, e));
-        } else if let Some((lt, le)) = last_kept {
-            // keep exact duplicates of the last kept point
-            if t == lt && e == le {
-                front.push(i);
-            }
-        }
-    }
-    front
-}
-
 /// The energy-deadline Pareto frontier of an evaluated configuration
-/// space: minimal (job time, job energy). Returned sorted by time
-/// ascending.
+/// space: minimal (job time, job energy), found in one in-order pass
+/// over a [`Frontier`]. Returned sorted by time ascending; configurations
+/// equal in both keys are all kept, in index order.
 pub fn pareto_front(evald: &[EvaluatedConfig]) -> Vec<&EvaluatedConfig> {
-    pareto_indices(evald, |e| (e.job_time, e.job_energy))
-        .into_iter()
-        .map(|i| &evald[i])
-        .collect()
+    let mut front = Frontier::new();
+    for e in evald {
+        let _ = front.insert(e.job_time, e.job_energy, e);
+    }
+    front.into_points().into_iter().map(|p| p.payload).collect()
 }
 
 /// One kept point of a [`Frontier`]: its two minimized keys plus a
@@ -69,17 +29,17 @@ pub struct FrontierPoint<P> {
     pub payload: P,
 }
 
-/// An incremental Pareto staircase over two minimized keys — the
-/// O(n log n) twin of the [`pareto_indices`] oracle, and the data
-/// structure behind the streaming evaluator's dominance pruning.
+/// An incremental Pareto staircase over two minimized keys: the one
+/// frontier algorithm, behind both [`pareto_front`] and the streaming
+/// evaluator's dominance pruning.
 ///
 /// **Invariant**: points are sorted by `t` ascending; across *distinct*
 /// `t` values `e` is strictly decreasing; points exactly equal in both
-/// keys are all kept, adjacent, in insertion order. This mirrors the
-/// oracle's tie rule (equal points do not dominate each other), so a
-/// staircase fed every item of a slice keeps exactly the index set
-/// [`pareto_indices`] reports — pinned by the streaming proptests'
-/// cross-check.
+/// keys are all kept, adjacent, in insertion order (equal points do not
+/// dominate each other). So a staircase fed every item of a slice in
+/// order holds the sequence a stable sort-then-sweep returns, duplicates
+/// in index order — pinned against that sort-sweep oracle by the
+/// streaming proptests.
 ///
 /// Every query is a binary search: because `e` decreases as `t`
 /// increases, the last point with `t' ≤ t` carries the *minimum* energy
@@ -135,7 +95,7 @@ impl<P> Frontier<P> {
 
     /// Whether `(t, e)` is dominated by a kept point (strictly better in
     /// one key, no worse in the other). Points exactly equal to a kept
-    /// point are *not* dominated — the oracle keeps them.
+    /// point are *not* dominated — the frontier keeps them.
     pub fn dominated(&self, t: f64, e: f64) -> bool {
         let ub = self.upper_bound(t);
         if ub == 0 {
@@ -184,31 +144,38 @@ impl<P> Frontier<P> {
 mod tests {
     use super::*;
 
+    /// The indices a staircase fed `pts` in order keeps, in its order.
+    fn kept(pts: &[(f64, f64)]) -> Vec<usize> {
+        let mut f = Frontier::new();
+        for (i, &(t, e)) in pts.iter().enumerate() {
+            let _ = f.insert(t, e, i);
+        }
+        f.into_points().into_iter().map(|p| p.payload).collect()
+    }
+
     #[test]
     fn dominated_points_are_dropped() {
         let pts = [(1.0, 5.0), (2.0, 3.0), (3.0, 4.0), (4.0, 1.0)];
-        let idx = pareto_indices(&pts, |p| *p);
         // (3.0, 4.0) is dominated by (2.0, 3.0).
-        assert_eq!(idx, vec![0, 1, 3]);
+        assert_eq!(kept(&pts), vec![0, 1, 3]);
     }
 
     #[test]
     fn frontier_of_a_chain_is_everything() {
         let pts = [(1.0, 4.0), (2.0, 3.0), (3.0, 2.0), (4.0, 1.0)];
-        assert_eq!(pareto_indices(&pts, |p| *p).len(), 4);
+        assert_eq!(kept(&pts).len(), 4);
     }
 
     #[test]
     fn single_point_is_its_own_frontier() {
-        let pts = [(1.0, 1.0)];
-        assert_eq!(pareto_indices(&pts, |p| *p), vec![0]);
+        assert_eq!(kept(&[(1.0, 1.0)]), vec![0]);
     }
 
     #[test]
     fn duplicates_are_both_kept() {
-        let pts = [(1.0, 2.0), (1.0, 2.0), (2.0, 1.0)];
-        let idx = pareto_indices(&pts, |p| *p);
-        assert_eq!(idx.len(), 3);
+        let pts = [(2.0, 1.0), (1.0, 2.0), (1.0, 2.0)];
+        // Sorted by time; the duplicates in index order.
+        assert_eq!(kept(&pts), vec![1, 2, 0]);
     }
 
     fn xorshift_points(n: usize, mut s: u64, grid: u64) -> Vec<(f64, f64)> {
@@ -237,7 +204,7 @@ mod tests {
         // Strictly inside the staircase.
         assert!(f.dominated(5.0, 2.0));
         assert!(f.dominated(2.0, 4.0));
-        // Equal points are not dominated (the oracle keeps them)...
+        // Equal points are not dominated (the frontier keeps them)...
         assert!(!f.dominated(2.0, 3.0));
         // ...but strictly-one-key-worse points are.
         assert!(f.dominated(2.5, 3.0));
@@ -270,8 +237,7 @@ mod tests {
     #[test]
     fn merged_shards_equal_the_whole_regardless_of_split() {
         let pts = xorshift_points(300, 0xDEAD_BEEF, 25);
-        let whole: std::collections::BTreeSet<usize> =
-            pareto_indices(&pts, |p| *p).into_iter().collect();
+        let whole: std::collections::BTreeSet<usize> = kept(&pts).into_iter().collect();
         for shards in [2usize, 3, 7] {
             let mut frontiers: Vec<Frontier<usize>> =
                 (0..shards).map(|_| Frontier::new()).collect();
@@ -307,7 +273,7 @@ mod tests {
             let b = (s >> 40) as f64;
             pts.push((a, b));
         }
-        let idx = pareto_indices(&pts, |p| *p);
+        let idx = kept(&pts);
         for &i in &idx {
             for (j, q) in pts.iter().enumerate() {
                 if i == j {

@@ -433,7 +433,7 @@ pub fn stream_pareto_front(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::{pareto_front, pareto_indices};
+    use crate::pareto::pareto_front;
     use crate::space::{configurations, evaluate_space, EvalOptions};
     use enprop_workloads::catalog;
 
@@ -446,12 +446,12 @@ mod tests {
             .max_configs
             .map_or(usize::MAX, |m| usize::try_from(m).unwrap());
         let evald = evaluate_space(workload, configurations(types).take(cap));
-        let oracle_idx = pareto_indices(&evald, |e| (e.job_time, e.job_energy));
         let oracle = pareto_front(&evald);
         let (got, stats) = stream_pareto_front(workload, types, opts);
         assert_eq!(got.len(), oracle.len(), "frontier size");
-        for ((p, o), oi) in got.iter().zip(&oracle).zip(&oracle_idx) {
-            assert_eq!(p.index, *oi as u64, "frontier index");
+        for (p, o) in got.iter().zip(&oracle) {
+            let at = usize::try_from(p.index).unwrap();
+            assert!(std::ptr::eq(&evald[at], *o), "frontier index");
             assert_eq!(p.eval.job_time.to_bits(), o.job_time.to_bits());
             assert_eq!(p.eval.job_energy.to_bits(), o.job_energy.to_bits());
             assert_eq!(p.eval.busy_power_w.to_bits(), o.busy_power_w.to_bits());

@@ -9,39 +9,56 @@
 //! worker shards together is order-independent.
 
 use enprop_explore::{
-    configurations, evaluate_space_with, pareto_indices, stream_pareto_front, EvalOptions,
+    configurations, evaluate_space_with, pareto_front, stream_pareto_front, EvalOptions,
     EvaluatedConfig, Frontier, StreamOptions, TypeSpace,
 };
 use enprop_workloads::{catalog, Workload};
 use proptest::prelude::*;
 
-/// [`pareto_indices`] computed through the incremental [`Frontier`]
-/// staircase the streaming path prunes with: the same index set in the
-/// same order, which the `staircase_twin_matches_the_quadratic_oracle`
-/// property pins.
-fn pareto_indices_staircase<T, F>(items: &[T], key: F) -> Vec<usize>
+/// Indices of the Pareto-minimal items under the two keys produced by
+/// `key` (both minimized), by sorting then sweeping: the oracle that
+/// `pareto_front`'s one-pass staircase must match element for element,
+/// in order. O(n log n).
+///
+/// Ties: an item equal to a kept item in both keys is kept too (equal
+/// points do not dominate each other), and the stable sort leaves such
+/// duplicates in index order.
+fn pareto_indices<T, F>(items: &[T], key: F) -> Vec<usize>
 where
     F: Fn(&T) -> (f64, f64),
 {
-    let mut frontier = Frontier::new();
-    for (i, item) in items.iter().enumerate() {
-        let (t, e) = key(item);
-        let _ = frontier.insert(t, e, i);
-    }
-    let mut out: Vec<(f64, f64, usize)> = frontier
-        .into_points()
-        .into_iter()
-        .map(|p| (p.t, p.e, p.payload))
-        .collect();
-    // The oracle emits duplicates in original-index order (stable sort);
-    // the staircase keeps them in insertion order, which for a single
-    // in-order pass is the same — the sort makes it explicit.
-    out.sort_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.total_cmp(&b.1))
-            .then(a.2.cmp(&b.2))
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ta, ea) = key(&items[a]);
+        let (tb, eb) = key(&items[b]);
+        ta.total_cmp(&tb).then(ea.total_cmp(&eb))
     });
-    out.into_iter().map(|(_, _, i)| i).collect()
+    let mut front = Vec::new();
+    let mut best_second = f64::INFINITY;
+    let mut last_kept: Option<(f64, f64)> = None;
+    for i in order {
+        let (t, e) = key(&items[i]);
+        if e < best_second {
+            best_second = e;
+            front.push(i);
+            last_kept = Some((t, e));
+        } else if let Some((lt, le)) = last_kept {
+            // keep exact duplicates of the last kept point
+            if t == lt && e == le {
+                front.push(i);
+            }
+        }
+    }
+    front
+}
+
+/// `pareto_front(evald)` as indices into `evald`, in the order it
+/// returns them: nothing sorts between it and the oracle.
+fn front_indices(evald: &[EvaluatedConfig]) -> Vec<usize> {
+    pareto_front(evald)
+        .into_iter()
+        .map(|f| evald.iter().position(|e| std::ptr::eq(e, f)).unwrap())
+        .collect()
 }
 
 /// Deterministic pseudo-random (t, e) points; a coarse value grid forces
@@ -135,6 +152,7 @@ fn assert_stream_equals_materialized(
         },
     );
     let oracle = pareto_indices(&evald, |e| (e.job_time, e.job_energy));
+    prop_assert_eq!(&front_indices(&evald), &oracle);
     let (pruned, evaluated) = reference_walk(&w, &evald, stats.threads, stats.chunk_len);
 
     prop_assert_eq!(stats.evaluated as u64 + stats.pruned, total);
@@ -214,15 +232,29 @@ proptest! {
     }
 
     #[test]
-    fn staircase_twin_matches_the_quadratic_oracle(
+    fn pareto_front_matches_the_sort_sweep_oracle(
         seed in 1u64..u64::MAX,
         n in 0usize..150,
         grid in 1u64..40,
     ) {
-        let pts = xorshift_points(seed, n, grid);
-        let fast = pareto_indices_staircase(&pts, |&(t, e)| (t, e));
-        let slow = pareto_indices(&pts, |&(t, e)| (t, e));
-        prop_assert_eq!(fast, slow);
+        // One evaluated configuration, copied under each point's keys.
+        let w = catalog::by_name("EP").unwrap();
+        let one = configurations(&[TypeSpace::k10(1)]).take(1);
+        let opts = EvalOptions {
+            threads: Some(1),
+            cache: false,
+        };
+        let template = evaluate_space_with(&w, one, opts).0.remove(0);
+        let evald: Vec<EvaluatedConfig> = xorshift_points(seed, n, grid)
+            .into_iter()
+            .map(|(job_time, job_energy)| EvaluatedConfig {
+                job_time,
+                job_energy,
+                ..template.clone()
+            })
+            .collect();
+        let oracle = pareto_indices(&evald, |e| (e.job_time, e.job_energy));
+        prop_assert_eq!(front_indices(&evald), oracle);
     }
 
     #[test]

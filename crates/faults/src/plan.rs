@@ -159,22 +159,6 @@ pub struct GroupFaultProfile {
 }
 
 impl GroupFaultProfile {
-    /// A group that never faults.
-    pub fn none() -> Self {
-        GroupFaultProfile {
-            mtbf: MtbfModel::Disabled,
-            kinds: Vec::new(),
-        }
-    }
-
-    /// Crash-only faults with the given MTBF model.
-    pub fn crashes(mtbf: MtbfModel) -> Self {
-        GroupFaultProfile {
-            mtbf,
-            kinds: vec![(1.0, FaultKind::Crash)],
-        }
-    }
-
     /// Validate MTBF parameters, kind weights, and kind parameters.
     pub fn validate(&self) -> Result<(), EnpropError> {
         self.mtbf.validate()?;
@@ -352,12 +336,16 @@ mod tests {
         );
     }
 
+    /// Crash-only faults with the given MTBF model.
+    fn crashes(mtbf: MtbfModel) -> GroupFaultProfile {
+        GroupFaultProfile {
+            mtbf,
+            kinds: vec![(1.0, FaultKind::Crash)],
+        }
+    }
+
     fn crash_plan(mtbf_s: f64) -> FaultPlan {
-        FaultPlan::uniform(
-            1,
-            GroupFaultProfile::crashes(MtbfModel::Exponential { mtbf_s }),
-            2,
-        )
+        FaultPlan::uniform(1, crashes(MtbfModel::Exponential { mtbf_s }), 2)
     }
 
     #[test]
@@ -366,7 +354,11 @@ mod tests {
         assert!(plan.is_inert());
         assert!(plan.events_for_node(3, 0, 0, 0, 1e9).is_empty());
 
-        let disabled = FaultPlan::uniform(9, GroupFaultProfile::none(), 4);
+        let never = GroupFaultProfile {
+            mtbf: MtbfModel::Disabled,
+            kinds: Vec::new(),
+        };
+        let disabled = FaultPlan::uniform(9, never, 4);
         assert!(disabled.is_inert());
         assert!(disabled.events_for_node(3, 0, 2, 1, 1e9).is_empty());
     }
@@ -408,7 +400,7 @@ mod tests {
     fn weibull_shape_one_matches_exponential_mean() {
         let w = FaultPlan::uniform(
             3,
-            GroupFaultProfile::crashes(MtbfModel::Weibull {
+            crashes(MtbfModel::Weibull {
                 scale_s: 100.0,
                 shape: 1.0,
             }),

@@ -40,7 +40,6 @@
 
 mod event;
 mod export;
-mod hist;
 mod line;
 mod metrics;
 mod profile;
@@ -49,7 +48,6 @@ mod sketch;
 
 pub use event::{EventKind, PowerSample, TraceEvent, Track};
 pub use export::{chrome_trace, jsonl, parse_jsonl, ParsedEvent, ParsedKind};
-pub use hist::Histogram;
 pub use line::{Line, LineError};
 pub use metrics::{MetricsSnapshot, SpanStats, METRICS_SCHEMA};
 pub use profile::{

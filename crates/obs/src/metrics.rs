@@ -2,8 +2,8 @@
 //! summaries and serialize as JSON or CSV.
 
 use crate::event::{EventKind, TraceEvent, Track};
-use crate::hist::Histogram;
 use crate::recorder::MemoryRecorder;
+use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -34,12 +34,13 @@ struct GaugeStats {
 }
 
 /// An aggregate view over everything a [`MemoryRecorder`] captured:
-/// counters, histograms, span durations, gauge ranges and power-sample
-/// means, each keyed by event name (deterministic `BTreeMap` order).
+/// counters, observed-sample sketches (exported as `histograms`), span
+/// durations, gauge ranges and power-sample means, each keyed by event
+/// name (deterministic `BTreeMap` order).
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    hists: BTreeMap<&'static str, QuantileSketch>,
     spans: BTreeMap<&'static str, SpanStats>,
     gauges: BTreeMap<&'static str, GaugeStats>,
     /// Per-track power: (sample count, sum of total watts).

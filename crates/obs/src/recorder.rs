@@ -2,7 +2,7 @@
 //! in-memory (collects everything), and a runtime on/off enum.
 
 use crate::event::{EventKind, PowerSample, TraceEvent, Track};
-use crate::hist::Histogram;
+use crate::sketch::QuantileSketch;
 use std::collections::BTreeMap;
 
 /// A telemetry sink. Simulator hot loops are generic over `R: Recorder`
@@ -44,7 +44,8 @@ pub trait Recorder {
     /// Record a per-component power sample.
     fn power(&mut self, t_s: f64, track: Track, sample: PowerSample);
 
-    /// Record one histogram observation (aggregate only, no trace event).
+    /// Record one observation into `name`'s quantile sketch (aggregate
+    /// only, no trace event).
     fn observe(&mut self, name: &'static str, value: f64);
 
     /// Aggregate counter totals, for sinks that keep them. Checkpointing
@@ -89,13 +90,13 @@ impl Recorder for NoopRecorder {
 }
 
 /// An in-memory sink: an append-only event stream plus aggregate counters
-/// and histograms. All maps are `BTreeMap`s so iteration (and therefore
+/// and one quantile sketch per observed name. All maps are `BTreeMap`s so iteration (and therefore
 /// every exporter) is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryRecorder {
     events: Vec<TraceEvent>,
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    hists: BTreeMap<&'static str, QuantileSketch>,
 }
 
 impl MemoryRecorder {
@@ -114,8 +115,8 @@ impl MemoryRecorder {
         &self.counters
     }
 
-    /// Aggregate histograms.
-    pub fn histograms(&self) -> &BTreeMap<&'static str, Histogram> {
+    /// The observed names' sketches (α = [`crate::DEFAULT_SKETCH_ALPHA`]).
+    pub fn histograms(&self) -> &BTreeMap<&'static str, QuantileSketch> {
         &self.hists
     }
 

@@ -25,8 +25,7 @@
 //! ```
 //!
 //! Zero, negative and non-finite observations land in a dedicated
-//! low-side count (reported as the exact minimum side), mirroring the
-//! [`crate::Histogram`] underflow convention.
+//! low-side count (reported as the exact minimum side).
 //!
 //! # Determinism
 //!
@@ -413,6 +412,7 @@ mod tests {
         }
         assert_eq!(s.count(), 4);
         assert_eq!(s.sum(), 7.5);
+        assert_eq!(s.mean(), 1.875);
         assert_eq!(s.min(), Some(0.5));
         assert_eq!(s.max(), Some(4.0));
     }

@@ -8,9 +8,11 @@
 //!   and hence of `enprop_queueing::exact_quantile`, which interpolates
 //!   between them — on uniform, exponential and heavy-tailed samples,
 //! - **merge algebra**: merging sketches of equal geometry is commutative
-//!   and associative on the aggregate view (count and every quantile).
+//!   and associative on the aggregate view (count and every quantile),
+//! - **recorded metrics**: a name observed through a [`MemoryRecorder`]
+//!   exports a `p95` within the same bound, at the default α.
 
-use enprop_obs::QuantileSketch;
+use enprop_obs::{MemoryRecorder, MetricsSnapshot, QuantileSketch, Recorder, DEFAULT_SKETCH_ALPHA};
 use enprop_queueing::exact_quantile;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -46,41 +48,55 @@ fn sketch_of(xs: &[f64], alpha: f64) -> QuantileSketch {
 }
 
 /// Assert the documented contract on one sample set: for each probed `q`,
-/// with `x_lo ≤ x_hi` the order statistics bracketing the type-7
+/// the sketch's quantile meets [`check_estimate`].
+fn check_bound(xs: &[f64], alpha: f64) -> Result<(), TestCaseError> {
+    let s = sketch_of(xs, alpha);
+    for &q in &QS {
+        check_estimate(xs, q, s.quantile(q).unwrap(), alpha)?;
+    }
+    Ok(())
+}
+
+/// Assert that `est` meets the documented contract for the `q`-quantile
+/// of `xs`: with `x_lo ≤ x_hi` the order statistics bracketing the type-7
 /// `q`-quantile,
 ///
 /// ```text
-/// (1 − α) · x_lo  ≤  quantile(q)  ≤  (1 + α) · x_hi
+/// (1 − α) · x_lo  ≤  est  ≤  (1 + α) · x_hi
 /// ```
 ///
-/// and `exact_quantile` itself lies in `[x_lo, x_hi]` — so the sketch is
+/// and `exact_quantile` itself lies in `[x_lo, x_hi]` — so the estimate is
 /// within the documented bound of the exact estimator too.
-fn check_bound(xs: &[f64], alpha: f64) -> Result<(), TestCaseError> {
-    let s = sketch_of(xs, alpha);
+fn check_estimate(xs: &[f64], q: f64, est: f64, alpha: f64) -> Result<(), TestCaseError> {
     let mut sorted = xs.to_vec();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
-    for &q in &QS {
-        // enprop-lint: allow(float-int-cast) -- q ∈ [0,1] so the rank is an exact in-range index in [0, n-1]
-        let rank = (q * (n - 1) as f64).floor() as usize;
-        let x_lo = sorted[rank];
-        let x_hi = sorted[(rank + 1).min(n - 1)];
-        let est = s.quantile(q).unwrap();
-        let exact = exact_quantile(xs, q).unwrap();
-        prop_assert!(
-            x_lo <= exact && exact <= x_hi,
-            "exact_quantile left its bracket: q={q} exact={exact} bracket=[{x_lo}, {x_hi}]"
-        );
-        // A hair of float slack on top of the documented α bound: the
-        // bucket midpoint arithmetic (ln/exp round-trips) is not exact.
-        let lo = (1.0 - alpha) * x_lo * (1.0 - 1e-9);
-        let hi = (1.0 + alpha) * x_hi * (1.0 + 1e-9);
-        prop_assert!(
-            lo <= est && est <= hi,
-            "q={q}: sketch {est} outside [{lo}, {hi}] (exact {exact}, n={n}, alpha={alpha})"
-        );
-    }
+    // enprop-lint: allow(float-int-cast) -- q ∈ [0,1] so the rank is an exact in-range index in [0, n-1]
+    let rank = (q * (n - 1) as f64).floor() as usize;
+    let x_lo = sorted[rank];
+    let x_hi = sorted[(rank + 1).min(n - 1)];
+    let exact = exact_quantile(xs, q).unwrap();
+    prop_assert!(
+        x_lo <= exact && exact <= x_hi,
+        "exact_quantile left its bracket: q={q} exact={exact} bracket=[{x_lo}, {x_hi}]"
+    );
+    // A hair of float slack on top of the documented α bound: the
+    // bucket midpoint arithmetic (ln/exp round-trips) is not exact.
+    let lo = (1.0 - alpha) * x_lo * (1.0 - 1e-9);
+    let hi = (1.0 + alpha) * x_hi * (1.0 + 1e-9);
+    prop_assert!(
+        lo <= est && est <= hi,
+        "q={q}: estimate {est} outside [{lo}, {hi}] (exact {exact}, n={n}, alpha={alpha})"
+    );
     Ok(())
+}
+
+/// The `stat` number of `name`'s entry in a metrics JSON document.
+fn json_stat(json: &str, name: &str, stat: &str) -> f64 {
+    let entry = &json[json.find(&format!("\"{name}\":{{")).unwrap()..];
+    let at = entry.find(&format!("\"{stat}\":")).unwrap() + stat.len() + 3;
+    let end = at + entry[at..].find([',', '}']).unwrap();
+    entry[at..end].parse().unwrap()
 }
 
 proptest! {
@@ -168,5 +184,23 @@ proptest! {
         for &q in &QS {
             prop_assert_eq!(m.quantile(q), single.quantile(q), "q={}", q);
         }
+    }
+
+    /// A recorded name's metrics `p95` is its sketch's: within α of
+    /// `exact_quantile` over the same samples. Queue waits have an atom at
+    /// zero, so about half the draws are 0 (the sketch's low side).
+    #[test]
+    fn recorded_p95_meets_the_bound(
+        xs in pvec(-10.0f64..10.0, 32..400)
+            .prop_map(|xs| xs.into_iter().map(|v| v.max(0.0)).collect::<Vec<f64>>()),
+    ) {
+        let mut rec = MemoryRecorder::new();
+        for &v in &xs {
+            rec.observe("queue.wait_s", v);
+        }
+        let json = MetricsSnapshot::from_recorder(&rec).to_json();
+        let p95 = json_stat(&json, "queue.wait_s", "p95");
+        check_estimate(&xs, 0.95, p95, DEFAULT_SKETCH_ALPHA)?;
+        prop_assert_eq!(json_stat(&json, "queue.wait_s", "count"), xs.len() as f64);
     }
 }

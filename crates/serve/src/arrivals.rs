@@ -22,14 +22,6 @@ pub struct Arrival {
     pub class: u8,
 }
 
-impl Arrival {
-    /// A latency-critical (class-0) arrival — the common case and the
-    /// implied class of traces that predate the `class` column.
-    pub fn new(t_s: f64, ops: f64) -> Self {
-        Arrival { t_s, ops, class: 0 }
-    }
-}
-
 /// The arrival-rate process of a synthetic open-loop load generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {

@@ -48,8 +48,6 @@ pub struct ServeConfig {
     /// the plane entirely (no windowed gauges, burn monitor, or window
     /// energy; the shed policy falls back to its raw p95 threshold).
     pub obs_window_s: f64,
-    /// Relative accuracy of the plane's quantile sketches.
-    pub obs_alpha: f64,
     /// Bound on the dispatcher's pending queue (requests admitted but
     /// waiting for a dispatchable node). Arrivals beyond it are shed as
     /// backpressure instead of growing the queue without bound.
@@ -78,7 +76,6 @@ impl ServeConfig {
             traced_requests: 512,
             slo_p999_s: None,
             obs_window_s: 1.0,
-            obs_alpha: 0.01,
             max_pending: 4096,
             breaker_failures: 8,
             breaker_open_s: 10.0,
@@ -133,12 +130,6 @@ impl ServeConfig {
                     "must be finite and ≥ 0 (0 = plane off), got {}",
                     self.obs_window_s
                 ),
-            ));
-        }
-        if !self.obs_alpha.is_finite() || self.obs_alpha <= 0.0 || self.obs_alpha >= 0.5 {
-            return Err(EnpropError::invalid_parameter(
-                "obs_alpha",
-                format!("must be in (0, 0.5), got {}", self.obs_alpha),
             ));
         }
         if self.max_pending == 0 {
@@ -197,10 +188,6 @@ mod tests {
         c.obs_window_s = 0.0; // plane off is legal
         assert!(c.validate().is_ok());
         c.obs_window_s = -1.0;
-        assert!(c.validate().is_err());
-
-        let mut c = ServeConfig::new(1);
-        c.obs_alpha = 0.5;
         assert!(c.validate().is_err());
 
         let mut c = ServeConfig::new(1);

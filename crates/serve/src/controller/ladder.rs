@@ -316,7 +316,7 @@ impl<'a> Controller<'a> {
             self.pending.len() as f64,
         );
         self.decide(power, p95, p999, rec);
-        self.tick_sketch = QuantileSketch::new(self.cfg.obs_alpha);
+        self.tick_sketch = QuantileSketch::default();
         self.window_arrival_ops = 0.0;
         self.cooldown = self.cooldown.saturating_sub(1);
         self.flush_pending();

@@ -550,12 +550,12 @@ impl<'a> Controller<'a> {
             shed_mode: false,
             shed_entries: 0,
             cooldown: 0,
-            tick_sketch: QuantileSketch::new(cfg.obs_alpha),
+            tick_sketch: QuantileSketch::default(),
             window_arrival_ops: 0.0,
-            run_sketch: QuantileSketch::new(cfg.obs_alpha),
+            run_sketch: QuantileSketch::default(),
             resp_sum: 0.0,
             plane: (cfg.obs_window_s > 0.0)
-                .then(|| ObsPlane::new(cfg.obs_window_s, cfg.obs_alpha, n_groups, cfg.slo_p95_s)),
+                .then(|| ObsPlane::new(cfg.obs_window_s, n_groups, cfg.slo_p95_s)),
             plane_next_close_s: if cfg.obs_window_s > 0.0 {
                 cfg.obs_window_s
             } else {
@@ -958,7 +958,10 @@ mod tests {
         let (w, c, ops) = setup();
         let mut cfg = ServeConfig::new(3);
         cfg.repair_s = 5.0;
-        let profile = GroupFaultProfile::crashes(MtbfModel::Exponential { mtbf_s: 20.0 });
+        let profile = GroupFaultProfile {
+            mtbf: MtbfModel::Exponential { mtbf_s: 20.0 },
+            kinds: vec![(1.0, FaultKind::Crash)],
+        };
         let plan = FaultPlan::uniform(3, profile, c.groups.len());
         let mut src = poisson_source(&w, &c, ops, 3000, 0.5, 3);
         let mut rec = MemoryRecorder::new();
@@ -1050,7 +1053,10 @@ mod tests {
                     mtbf: MtbfModel::Schedule(vec![2.0]),
                     kinds: vec![(1.0, FaultKind::Crash)],
                 },
-                GroupFaultProfile::none(),
+                GroupFaultProfile {
+                    mtbf: MtbfModel::Disabled,
+                    kinds: Vec::new(),
+                },
             ],
         };
         let mut src = poisson_source(&w, &c, ops, 1500, 0.5, 21);
@@ -1239,7 +1245,10 @@ mod tests {
                     mtbf: MtbfModel::Schedule(vec![1.0]),
                     kinds: vec![(1.0, FaultKind::Stall { duration_s: 4.0 })],
                 },
-                GroupFaultProfile::none(),
+                GroupFaultProfile {
+                    mtbf: MtbfModel::Disabled,
+                    kinds: Vec::new(),
+                },
             ],
         };
         let topo = quiet_topo(&c, 2);

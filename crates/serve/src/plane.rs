@@ -222,9 +222,9 @@ pub struct ObsPlane {
 
 impl ObsPlane {
     /// A plane with tumbling windows of `window_s` virtual seconds, a
-    /// response sketch at `alpha`, tracking `n_groups` node groups and
-    /// judging the `slo_p95_s` objective.
-    pub fn new(window_s: f64, alpha: f64, n_groups: usize, slo_p95_s: f64) -> Self {
+    /// response sketch at the default α, tracking `n_groups` node groups
+    /// and judging the `slo_p95_s` objective.
+    pub fn new(window_s: f64, n_groups: usize, slo_p95_s: f64) -> Self {
         let window_s = if window_s.is_finite() && window_s > 0.0 {
             window_s
         } else {
@@ -233,7 +233,7 @@ impl ObsPlane {
         ObsPlane {
             window_s,
             slo_p95_s,
-            resp: QuantileSketch::new(alpha),
+            resp: QuantileSketch::default(),
             cur_index: 0,
             cur_end_s: window_s,
             cur_arrivals: 0,
@@ -442,7 +442,7 @@ impl ObsPlane {
         self.cur_shed = 0;
         self.cur_breaches = 0;
         self.cur_groups.fill(PlaneGroupState::default());
-        self.resp = QuantileSketch::new(self.resp.alpha());
+        self.resp = QuantileSketch::default();
     }
 }
 
@@ -452,10 +452,10 @@ mod tests {
     use enprop_obs::{MemoryRecorder, NoopRecorder};
 
     fn plane() -> ObsPlane {
-        // 1 s windows, α = 1 %, 4 groups, 0.1 s SLO. The burn constants
+        // 1 s windows, 4 groups, 0.1 s SLO. The burn constants
         // judge fast 1 / slow 12 windows, alert > 2, exit < 1: with one
         // closed window the slow view equals the fast one.
-        ObsPlane::new(1.0, 0.01, 4, 0.1)
+        ObsPlane::new(1.0, 4, 0.1)
     }
 
     /// Complete a request in the plane's current window, keying the

@@ -377,7 +377,9 @@ fn pending<W: Walk>(w: &mut W, ids: &mut VecDeque<u64>) -> Walked {
 }
 
 /// A `sketch` line: the tick (`which` 0), the run (1) or the obs plane's
-/// open-window (2) quantile sketch.
+/// open-window (2) quantile sketch. The controller builds every sketch
+/// with one geometry, so `alpha` and `maxb` must equal `s`'s: on restore,
+/// the fresh controller's sketch.
 fn sketch_line<W: Walk>(w: &mut W, which: usize, s: &mut SketchState) -> Walked {
     w.expect("which", which as u64)?;
     let SketchState {
@@ -390,8 +392,8 @@ fn sketch_line<W: Walk>(w: &mut W, which: usize, s: &mut SketchState) -> Walked 
         min,
         max,
     } = s;
-    w.f64("alpha", alpha)?;
-    w.int("maxb", max_buckets)?;
+    w.expect("alpha", alpha.to_bits())?;
+    w.expect("maxb", *max_buckets as u64)?;
     w.u64("lowc", low)?;
     w.u64("scount", count)?;
     w.f64("ssum", sum)?;
@@ -1356,14 +1358,14 @@ mod tests {
             max: 2.0,
         };
         let text = encoded("sketch", |w| sketch_line(w, 2, &mut s.clone()));
-        let mut back = QuantileSketch::default().state();
+        let mut back = QuantileSketch::with_max_buckets(0.01, 64).state();
         sketch_line(&mut reader(&text), 2, &mut back).expect("round trip");
         assert_eq!(back, s);
     }
 
-    /// 1 s windows, α = 1 %, `groups` groups, 0.1 s SLO.
+    /// 1 s windows, `groups` groups, 0.1 s SLO.
     fn plane_of(groups: usize) -> ObsPlane {
-        ObsPlane::new(1.0, 0.01, groups, 0.1)
+        ObsPlane::new(1.0, groups, 0.1)
     }
 
     /// Complete a request in the plane's current window, keying the
@@ -1448,7 +1450,11 @@ mod tests {
         }
         let past_the_stream = text.replace("\"remaining\":3", "\"remaining\":6");
         assert!(seat(&past_the_stream, &mut fresh()).is_err());
-        let trace = vec![Arrival::new(0.5, 1.0)];
+        let trace = vec![Arrival {
+            t_s: 0.5,
+            ops: 1.0,
+            class: 0,
+        }];
         let mut replay = ArrivalSource::Replay(ReplayCursor::new(trace));
         for (next, issued) in [(0, Ok((0, 0.0))), (1, Ok((1, 0.5)))] {
             let text = format!("{{\"sec\":\"source\",\"kind\":1,\"next\":{next}}}");

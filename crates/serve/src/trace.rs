@@ -138,11 +138,16 @@ impl ReplayCursor {
 mod tests {
     use super::*;
 
+    /// A latency-critical (class-0) arrival.
+    fn arrival(t_s: f64, ops: f64) -> Arrival {
+        Arrival { t_s, ops, class: 0 }
+    }
+
     #[test]
     fn round_trips_bit_identically() {
         let arrivals = vec![
-            Arrival::new(0.0, 1000.0),
-            Arrival::new(0.125, 512.5),
+            arrival(0.0, 1000.0),
+            arrival(0.125, 512.5),
             Arrival {
                 t_s: 2.25e3,
                 ops: 1.0,
@@ -159,7 +164,7 @@ mod tests {
     #[test]
     fn missing_ops_falls_back_to_default() {
         let parsed = parse_trace("{\"t_s\":1.5}\n", 42.0).expect("parse");
-        assert_eq!(parsed, vec![Arrival::new(1.5, 42.0)]);
+        assert_eq!(parsed, vec![arrival(1.5, 42.0)]);
     }
 
     #[test]
@@ -167,7 +172,7 @@ mod tests {
         let text = "\n  {\"t_s\": 1.0, \"ops\": 2.0}  \n\n{\"t_s\":3.0,\"ops\":4.0}\n";
         let parsed = parse_trace(text, 1.0).expect("parse");
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0], Arrival::new(1.0, 2.0));
+        assert_eq!(parsed[0], arrival(1.0, 2.0));
     }
 
     #[test]
@@ -222,7 +227,7 @@ mod tests {
 
     #[test]
     fn cursor_walks_front_to_back() {
-        let mut c = ReplayCursor::new(vec![Arrival::new(0.0, 1.0), Arrival::new(1.0, 2.0)]);
+        let mut c = ReplayCursor::new(vec![arrival(0.0, 1.0), arrival(1.0, 2.0)]);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
         assert_eq!(c.next, 0);

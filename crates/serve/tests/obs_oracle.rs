@@ -18,7 +18,7 @@
 
 use enprop_clustersim::ClusterSpec;
 use enprop_faults::{FaultKind, FaultPlan, GroupFaultProfile, MtbfModel};
-use enprop_obs::{PowerSample, Recorder, Track};
+use enprop_obs::{PowerSample, Recorder, Track, DEFAULT_SKETCH_ALPHA};
 use enprop_queueing::exact_quantile;
 use enprop_serve::{
     ArrivalModel, ArrivalSource, Controller, RunHooks, RunOutcome, ServeConfig, ServeReport,
@@ -162,7 +162,7 @@ proptest! {
         prop_assume!(responses.len() >= 2);
         prop_assert_eq!(responses.len() as u64, report.completions);
 
-        let alpha = ServeConfig::new(seed).obs_alpha;
+        let alpha = DEFAULT_SKETCH_ALPHA;
         let mut sorted = responses.clone();
         sorted.sort_by(f64::total_cmp);
         for (q, reported) in [

@@ -947,3 +947,36 @@ fn floats_the_controller_cannot_hold_are_typed_errors() {
         );
     }
 }
+
+/// Regression: restore took any sketch geometry a snapshot held. An
+/// `alpha` of 0.2, or a `maxb` of 0 or 1, on a `sketch` line resumed to
+/// exit 0 and moved the reported quantiles. The controller builds every
+/// sketch with one geometry, so each is now an exit-2 error naming the
+/// line and the key, on all three sketch lines.
+#[test]
+fn sketch_geometry_other_than_the_controllers_is_a_typed_error() {
+    let s = scenario(7, 2, 200, 10.0, 60.0);
+    let alpha = 0.2f64.to_bits().to_string();
+    for which in 0..3 {
+        let head = format!("{{\"sec\":\"sketch\",\"which\":{which},");
+        let lineno = GOLDEN_CHECKPOINT
+            .lines()
+            .position(|l| l.starts_with(&head))
+            .unwrap()
+            + 1;
+        for (key, value) in [("alpha", alpha.as_str()), ("maxb", "0"), ("maxb", "1")] {
+            let text: String = GOLDEN_CHECKPOINT
+                .lines()
+                .enumerate()
+                .map(|(i, l)| if i + 1 == lineno { set_key(l, key, value) } else { l.to_string() } + "\n")
+                .collect();
+            let err = try_resume(&s, &text, Some(100_000)).expect_err("another sketch geometry");
+            assert_eq!(err.exit_code(), 2, "{which} {key} = {value}: {err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("line {lineno}:")) && msg.contains(key),
+                "{which} {key} = {value}: {msg}"
+            );
+        }
+    }
+}

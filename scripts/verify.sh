@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Full verification gate: build, test, lint (warnings are errors).
-# Mirrors `just verify` for hosts without just.
+# `just verify` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 
