@@ -226,6 +226,23 @@ pub fn space_cmd(opts: &Opts, so: &SpaceOpts, ctx: &mut super::ObsCtx) -> Result
     Ok(())
 }
 
+/// The configuration `sweet` or `search` picked, under `label`: its
+/// groups one per line, then its job time and energy.
+fn print_pick(label: &str, e: &EvaluatedConfig) {
+    println!("  {label:<13} : {}", e.cluster.label());
+    for g in e.cluster.groups.iter().filter(|g| g.count > 0) {
+        println!(
+            "    {} x{}: {} cores @ {:.2} GHz",
+            g.spec.name,
+            g.count,
+            g.cores,
+            g.freq / 1e9
+        );
+    }
+    println!("  job time      : {} s", fmt_sig(e.job_time));
+    println!("  job energy    : {} J", fmt_sig(e.job_energy));
+}
+
 /// Sweet-spot query: minimum-energy configuration under a deadline.
 pub fn sweet_cmd(opts: &Opts, a9_max: u32, k10_max: u32, deadline: f64, ctx: &mut super::ObsCtx) {
     let name = opts.workload.clone().unwrap_or_else(|| "EP".into());
@@ -237,18 +254,7 @@ pub fn sweet_cmd(opts: &Opts, a9_max: u32, k10_max: u32, deadline: f64, ctx: &mu
     println!("Sweet spot for {name} with deadline {deadline} s:\n");
     match sweet_spot(&evals, deadline) {
         Some(best) => {
-            println!("  configuration : {}", best.cluster.label());
-            for g in best.cluster.groups.iter().filter(|g| g.count > 0) {
-                println!(
-                    "    {} x{}: {} cores @ {:.2} GHz",
-                    g.spec.name,
-                    g.count,
-                    g.cores,
-                    g.freq / 1e9
-                );
-            }
-            println!("  job time      : {} s", fmt_sig(best.job_time));
-            println!("  job energy    : {} J", fmt_sig(best.job_energy));
+            print_pick("configuration", best);
             println!("  nameplate     : {} W", fmt_sig(best.nameplate_w));
         }
         None => println!("  no configuration meets the deadline"),
@@ -309,20 +315,7 @@ pub fn search_cmd(opts: &Opts, a9_max: u32, k10_max: u32, deadline: f64) {
         "Heuristic search: {name}, deadline {deadline} s over a {space}-configuration space\n"
     );
     match result.best {
-        Some(best) => {
-            println!("  found         : {}", best.cluster.label());
-            for g in best.cluster.groups.iter().filter(|g| g.count > 0) {
-                println!(
-                    "    {} x{}: {} cores @ {:.2} GHz",
-                    g.spec.name,
-                    g.count,
-                    g.cores,
-                    g.freq / 1e9
-                );
-            }
-            println!("  job time      : {} s", fmt_sig(best.job_time));
-            println!("  job energy    : {} J", fmt_sig(best.job_energy));
-        }
+        Some(best) => print_pick("found", &best),
         None => println!("  no feasible configuration found"),
     }
     println!(

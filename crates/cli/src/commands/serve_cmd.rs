@@ -14,7 +14,7 @@ use enprop_serve::{
     Arrival, ArrivalModel, ArrivalSource, Controller, ReplayCursor, RunHooks, RunOutcome,
     ServeConfig, ServeReport, SyntheticArrivals, WindowReport,
 };
-use enprop_workloads::catalog;
+use enprop_workloads::{catalog, Workload};
 use std::path::{Path, PathBuf};
 
 /// How long a `--emergency-mtbf` power emergency holds its cap. A fixed
@@ -120,7 +120,7 @@ impl ServeOpts {
 }
 
 /// The serving workload default: the paper's latency-sensitive service.
-fn serving_workload(opts: &Opts) -> Result<enprop_workloads::Workload, EnpropError> {
+fn serving_workload(opts: &Opts) -> Result<Workload, EnpropError> {
     let name = opts.workload.clone().unwrap_or_else(|| "memcached".into());
     catalog::try_by_name(&name)
 }
@@ -245,21 +245,30 @@ fn write_checkpoint(path: &Path, snapshot: &str) -> Result<(), EnpropError> {
     })
 }
 
-/// Shared tail of `serve` and `replay`: wire the hooks (live report,
-/// checkpoint sink, kill switch), run or resume the controller, and print
-/// the report — or the crash notice when `--kill-after-events` fired.
-#[allow(clippy::too_many_arguments)]
+/// The serving run `serve` and `replay` share: set up the workload,
+/// cluster and request size, take the arrivals `arrivals` builds for
+/// them, build the fault plans, wire the hooks (live report, checkpoint
+/// sink, kill switch), run or resume the controller, and print the report
+/// — or the crash notice when `--kill-after-events` fired.
 fn run_serving(
     opts: &Opts,
     so: &ServeOpts,
-    workload: &enprop_workloads::Workload,
-    cluster: &ClusterSpec,
-    plan: &FaultPlan,
-    topo: Option<&TopologyFaultPlan>,
-    source: &mut ArrivalSource,
+    a9: u32,
+    k10: u32,
     mode: &str,
     ctx: &mut ObsCtx,
+    arrivals: impl FnOnce(&Workload, &ClusterSpec, f64) -> Result<Vec<Arrival>, EnpropError>,
 ) -> Result<(), EnpropError> {
+    let workload = serving_workload(opts)?;
+    let cluster = ClusterSpec::a9_k10(a9, k10);
+    let ops = match so.ops_per_request {
+        Some(o) => o,
+        None => default_ops_per_request(&workload, &cluster)?,
+    };
+    let arrivals = arrivals(&workload, &cluster, ops)?;
+    let plan = serve_plan(opts, so, cluster.groups.len());
+    let topo = serve_topology(opts, so, cluster.node_count() as usize)?;
+    let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
     let mut live = live_sink(so.live_report_s.is_some());
     // The checkpoint sink cannot return an error through the hook, so it
     // parks the first failure here and the run surfaces it on exit.
@@ -285,24 +294,24 @@ fn run_serving(
             EnpropError::invalid_config(format!("cannot read {}: {e}", snap_path.display()))
         })?;
         Controller::resume_full(
-            workload,
-            cluster,
-            plan,
-            topo,
+            &workload,
+            &cluster,
+            &plan,
+            topo.as_ref(),
             &so.cfg,
-            source,
+            &mut source,
             &mut ctx.rec,
             &snapshot,
             &mut hooks,
         )?
     } else {
         Controller::run_full(
-            workload,
-            cluster,
-            plan,
-            topo,
+            &workload,
+            &cluster,
+            &plan,
+            topo.as_ref(),
             &so.cfg,
-            source,
+            &mut source,
             &mut ctx.rec,
             &mut hooks,
         )?
@@ -312,7 +321,7 @@ fn run_serving(
     }
     match outcome {
         RunOutcome::Completed(report) => {
-            print_report(opts, workload.name, cluster, mode, &report);
+            print_report(opts, workload.name, &cluster, mode, &report);
         }
         RunOutcome::Killed { events, at_s } => {
             println!(
@@ -339,67 +348,49 @@ pub fn serve_cmd(
     k10: u32,
     ctx: &mut ObsCtx,
 ) -> Result<(), EnpropError> {
-    let workload = serving_workload(opts)?;
-    let cluster = ClusterSpec::a9_k10(a9, k10);
-    let ops = match so.ops_per_request {
-        Some(o) => o,
-        None => default_ops_per_request(&workload, &cluster)?,
-    };
-    let rate = match so.rate {
-        Some(r) => r,
-        None => so.utilization * cluster_capacity_ops_s(&workload, &cluster)? / ops,
-    };
-    let model = match so.arrival.as_str() {
-        "poisson" => ArrivalModel::Poisson { rate },
-        "diurnal" => ArrivalModel::Diurnal {
-            // The requested rate is the cycle mean; the sinusoid swings
-            // symmetrically to half / one-and-a-half of it.
-            base_rate: rate * 0.5,
-            peak_rate: rate * 1.5,
-            period_s: so.period_s,
-        },
-        other => {
-            return Err(EnpropError::invalid_parameter(
-                "--arrival",
-                format!("expected poisson or diurnal, got {other}"),
+    run_serving(opts, so, a9, k10, "serve", ctx, |workload, cluster, ops| {
+        let rate = match so.rate {
+            Some(r) => r,
+            None => so.utilization * cluster_capacity_ops_s(workload, cluster)? / ops,
+        };
+        let model = match so.arrival.as_str() {
+            "poisson" => ArrivalModel::Poisson { rate },
+            "diurnal" => ArrivalModel::Diurnal {
+                // The requested rate is the cycle mean; the sinusoid swings
+                // symmetrically to half / one-and-a-half of it.
+                base_rate: rate * 0.5,
+                peak_rate: rate * 1.5,
+                period_s: so.period_s,
+            },
+            other => {
+                return Err(EnpropError::invalid_parameter(
+                    "--arrival",
+                    format!("expected poisson or diurnal, got {other}"),
+                ));
+            }
+        };
+        // Materialize the stream so `--emit-arrivals` and the run see the
+        // exact same timeline.
+        let mut generator = SyntheticArrivals::new(model, so.requests, ops, 0.2, opts.seed)?;
+        if let Some(frac) = so.best_effort {
+            generator = generator.with_best_effort(frac)?;
+        }
+        let mut arrivals: Vec<Arrival> = Vec::with_capacity(so.requests as usize);
+        while let Some(a) = generator.next_arrival() {
+            arrivals.push(a);
+        }
+        if let Some(path) = &so.emit_arrivals {
+            std::fs::write(path, format_trace(&arrivals)).map_err(|e| {
+                EnpropError::invalid_config(format!("cannot write {}: {e}", path.display()))
+            })?;
+            crate::diag::info(format!(
+                "wrote {} arrivals to {}",
+                arrivals.len(),
+                path.display()
             ));
         }
-    };
-    // Materialize the stream so `--emit-arrivals` and the run see the
-    // exact same timeline.
-    let mut generator = SyntheticArrivals::new(model, so.requests, ops, 0.2, opts.seed)?;
-    if let Some(frac) = so.best_effort {
-        generator = generator.with_best_effort(frac)?;
-    }
-    let mut arrivals: Vec<Arrival> = Vec::with_capacity(so.requests as usize);
-    while let Some(a) = generator.next_arrival() {
-        arrivals.push(a);
-    }
-    if let Some(path) = &so.emit_arrivals {
-        std::fs::write(path, format_trace(&arrivals)).map_err(|e| {
-            EnpropError::invalid_config(format!("cannot write {}: {e}", path.display()))
-        })?;
-        crate::diag::info(format!(
-            "wrote {} arrivals to {}",
-            arrivals.len(),
-            path.display()
-        ));
-    }
-
-    let plan = serve_plan(opts, so, cluster.groups.len());
-    let topo = serve_topology(opts, so, cluster.node_count() as usize)?;
-    let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
-    run_serving(
-        opts,
-        so,
-        &workload,
-        &cluster,
-        &plan,
-        topo.as_ref(),
-        &mut source,
-        "serve",
-        ctx,
-    )
+        Ok(arrivals)
+    })
 }
 
 /// `enprop replay`: run the controller over a recorded JSONL arrival
@@ -412,36 +403,18 @@ pub fn replay_cmd(
     k10: u32,
     ctx: &mut ObsCtx,
 ) -> Result<(), EnpropError> {
-    let workload = serving_workload(opts)?;
-    let cluster = ClusterSpec::a9_k10(a9, k10);
-    let default_ops = match so.ops_per_request {
-        Some(o) => o,
-        None => default_ops_per_request(&workload, &cluster)?,
-    };
-    let text = std::fs::read_to_string(trace_path).map_err(|e| {
-        EnpropError::invalid_config(format!("cannot read {}: {e}", trace_path.display()))
-    })?;
-    let arrivals = parse_trace(&text, default_ops)?;
-    crate::diag::info(format!(
-        "replaying {} arrivals from {}",
-        arrivals.len(),
-        trace_path.display()
-    ));
-
-    let plan = serve_plan(opts, so, cluster.groups.len());
-    let topo = serve_topology(opts, so, cluster.node_count() as usize)?;
-    let mut source = ArrivalSource::Replay(ReplayCursor::new(arrivals));
-    run_serving(
-        opts,
-        so,
-        &workload,
-        &cluster,
-        &plan,
-        topo.as_ref(),
-        &mut source,
-        "replay",
-        ctx,
-    )
+    run_serving(opts, so, a9, k10, "replay", ctx, |_, _, default_ops| {
+        let text = std::fs::read_to_string(trace_path).map_err(|e| {
+            EnpropError::invalid_config(format!("cannot read {}: {e}", trace_path.display()))
+        })?;
+        let arrivals = parse_trace(&text, default_ops)?;
+        crate::diag::info(format!(
+            "replaying {} arrivals from {}",
+            arrivals.len(),
+            trace_path.display()
+        ));
+        Ok(arrivals)
+    })
 }
 
 /// `enprop chaos`: sweep randomized fault plans and verify the robustness

@@ -160,6 +160,30 @@ fn parse_num<T: std::str::FromStr>(
     })
 }
 
+/// [`parse_num`] for a flag whose value must be finite and positive.
+fn parse_positive(args: &[String], name: &'static str) -> Result<Option<f64>, EnpropError> {
+    match parse_num::<f64>(args, name)? {
+        Some(v) if !(v.is_finite() && v > 0.0) => Err(EnpropError::invalid_parameter(
+            name,
+            format!("must be finite and > 0, got {v}"),
+        )),
+        v => Ok(v),
+    }
+}
+
+/// The power trace's `--utilization`: the busy fraction of one
+/// observation interval, in [0, 1].
+fn trace_utilization(args: &[String]) -> Result<f64, EnpropError> {
+    let u: f64 = parse_num(args, "--utilization")?.unwrap_or(0.6);
+    if !(0.0..=1.0).contains(&u) {
+        return Err(EnpropError::invalid_parameter(
+            "--utilization",
+            format!("must be in [0, 1], got {u}"),
+        ));
+    }
+    Ok(u)
+}
+
 /// [`parse_num`] for flags a command cannot run without.
 fn require_num<T: std::str::FromStr>(
     args: &[String],
@@ -200,6 +224,12 @@ fn run() -> Result<(), EnpropError> {
     };
     if let Some(n) = parse_num(&args, "--samples")? {
         opts.samples = n;
+    }
+    if opts.samples == 0 {
+        return Err(EnpropError::invalid_parameter(
+            "--samples",
+            "must be at least 1, got 0",
+        ));
     }
     if let Some(n) = parse_num(&args, "--seed")? {
         opts.seed = n;
@@ -268,10 +298,7 @@ fn run() -> Result<(), EnpropError> {
         "strategies" => strategies::strategies_cmd(&opts),
         "export" => explore_cmds::export_cmd(&opts, a9, k10, &mut ctx),
         // `trace` is the hidden legacy spelling of `obs power`.
-        "trace" => {
-            let u: f64 = parse_num(&args, "--utilization")?.unwrap_or(0.6);
-            explore_cmds::trace_cmd(&opts, u, &mut ctx);
-        }
+        "trace" => explore_cmds::trace_cmd(&opts, trace_utilization(&args)?, &mut ctx),
         "obs" => {
             let sub = args.get(1).cloned().unwrap_or_default();
             match sub.as_str() {
@@ -306,10 +333,7 @@ fn run() -> Result<(), EnpropError> {
                             })?;
                     obs_cmd::report_cmd(&opts, &trace)?;
                 }
-                "power" => {
-                    let u: f64 = parse_num(&args, "--utilization")?.unwrap_or(0.6);
-                    explore_cmds::trace_cmd(&opts, u, &mut ctx);
-                }
+                "power" => explore_cmds::trace_cmd(&opts, trace_utilization(&args)?, &mut ctx),
                 other => {
                     return Err(EnpropError::invalid_parameter(
                         "obs",
@@ -348,7 +372,7 @@ fn run() -> Result<(), EnpropError> {
         "serve" | "replay" | "chaos" => {
             let mut so = serve_cmd::ServeOpts {
                 rate: parse_num(&args, "--rate")?,
-                ops_per_request: parse_num(&args, "--ops-per-request")?,
+                ops_per_request: parse_positive(&args, "--ops-per-request")?,
                 mtbf_s: parse_num(&args, "--mtbf")?,
                 stall_s: parse_num(&args, "--stall")?,
                 slowdown: parse_num(&args, "--slowdown")?,
@@ -374,7 +398,7 @@ fn run() -> Result<(), EnpropError> {
             if let Some(w) = parse_num(&args, "--power-cap")? {
                 so.cfg.power_cap_w = w;
             }
-            so.live_report_s = parse_num(&args, "--live-report")?;
+            so.live_report_s = parse_positive(&args, "--live-report")?;
             if let Some(w) = so.live_report_s {
                 so.cfg.obs_window_s = w;
             }

@@ -299,9 +299,18 @@ fn faults_stdout_is_pinned_through_the_dispatcher_section() {
 
 #[test]
 fn faults_rejects_an_unstable_utilization_before_any_output() {
-    for args in [
-        &["faults", "--utilization", "1.5"][..],
-        &["faults", "--utilization", "1.5", "--csv"],
+    // Each row: a command line whose value used to reach an assert, a
+    // derived-value error or a silently disabled feature, and the flag
+    // its error must name.
+    for (args, flag) in [
+        (&["faults", "--utilization", "1.5"][..], "utilization"),
+        (&["faults", "--utilization", "1.5", "--csv"], "utilization"),
+        (&["table4", "--samples", "0"], "--samples"),
+        (&["all", "--samples", "0"], "--samples"),
+        (&["obs", "power", "--utilization", "1.5"], "--utilization"),
+        (&["trace", "--utilization", "-0.5"], "--utilization"),
+        (&["serve", "--ops-per-request", "0"], "--ops-per-request"),
+        (&["serve", "--live-report", "0"], "--live-report"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_enprop"))
             .args(args)
@@ -311,7 +320,7 @@ fn faults_rejects_an_unstable_utilization_before_any_output() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?}:\n{stdout}");
-        assert!(stderr.contains("utilization"), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
 }
 

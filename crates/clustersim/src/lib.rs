@@ -39,7 +39,5 @@ pub use enprop_faults::{
     EnpropError, FaultEvent, FaultKind, FaultPlan, GroupFaultProfile, MtbfModel, RetryPolicy,
 };
 pub use run::{ClusterJobRun, ClusterSim, FaultRecord, FaultedJobRun, Observation, PowerTrace};
-pub use split::{try_rate_matched_split, try_rate_matched_split_surviving, WorkSplit};
-pub use validate::{
-    try_model_prediction, try_validate, validate, ModelPrediction, ValidationReport,
-};
+pub use split::{try_rate_matched_split, try_rate_matched_split_surviving, GroupShare, WorkSplit};
+pub use validate::{try_validate, validate, ValidationReport};

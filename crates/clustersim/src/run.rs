@@ -105,7 +105,7 @@ impl<'a> ClusterSim<'a> {
                 .try_profile(g.spec.name)
                 .expect("profiles validated at construction");
             let sim = NodeSim::new(profile.spec.clone());
-            let node_ops = self.split.ops_frac[gi] * ops;
+            let node_ops = self.split.groups[gi].ops_frac * ops;
             let work = self.workload.node_work(profile, node_ops);
             for ni in 0..g.count {
                 let node_seed = seed
@@ -638,7 +638,7 @@ impl ClusterSim<'_> {
                         } else {
                             1.0
                         };
-                        let share_ops = self.split.ops_frac[r.group] * ops;
+                        let share_ops = self.split.groups[r.group].ops_frac * ops;
                         lost_ops += share_ops * (1.0 - frac);
                         outcomes.push(NodeOutcome {
                             busy_end: t,

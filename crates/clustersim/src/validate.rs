@@ -4,43 +4,9 @@
 
 use crate::cluster::ClusterSpec;
 use crate::run::ClusterSim;
-use crate::split::try_rate_matched_split;
 use enprop_faults::EnpropError;
 use enprop_obs::{NoopRecorder, Recorder};
-use enprop_workloads::{SingleNodeModel, Workload};
-
-/// Analytic (friction-free) prediction for one job on a cluster — the
-/// Table 2 model: `T_P = max_i T_i` (equal by rate matching) and
-/// `E_P = Σ_i E_i · n_i`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelPrediction {
-    /// Predicted job time, seconds.
-    pub time: f64,
-    /// Predicted job energy, joules.
-    pub energy: f64,
-}
-
-/// Evaluate the analytic model for one job of `workload` on `cluster`,
-/// reporting a typed error for an empty cluster or a missing profile.
-pub fn try_model_prediction(
-    workload: &Workload,
-    cluster: &ClusterSpec,
-) -> Result<ModelPrediction, EnpropError> {
-    let split = try_rate_matched_split(workload, cluster)?;
-    let ops = workload.ops_per_job;
-    let time = split.service_time(ops);
-    let mut energy = 0.0;
-    for (gi, g) in cluster.groups.iter().enumerate() {
-        if g.count == 0 {
-            continue;
-        }
-        let profile = workload.try_profile(g.spec.name)?;
-        let model = SingleNodeModel::new(&profile.spec, &profile.demand, workload.io_rate);
-        let node_ops = split.ops_frac[gi] * ops;
-        energy += g.count as f64 * model.energy(node_ops, g.cores, g.freq).total();
-    }
-    Ok(ModelPrediction { time, energy })
-}
+use enprop_workloads::Workload;
 
 /// Table-4 style validation row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,9 +27,10 @@ pub struct ValidationReport {
 
 /// Validate the model against `samples` simulated jobs on `cluster`,
 /// reporting a typed error for an empty cluster or a missing profile. The
-/// sampled jobs land on `rec` back-to-back from sim-time zero with
-/// per-node spans and power samples; the report is bit-identical for any
-/// `R`.
+/// model columns are the Table-2 composition over the simulator's own
+/// rate-matched split, the split `ClusterModel` composes too. The sampled
+/// jobs land on `rec` back-to-back from sim-time zero with per-node spans
+/// and power samples; the report is bit-identical for any `R`.
 pub fn try_validate<R: Recorder>(
     workload: &Workload,
     cluster: &ClusterSpec,
@@ -71,15 +38,18 @@ pub fn try_validate<R: Recorder>(
     seed: u64,
     rec: &mut R,
 ) -> Result<ValidationReport, EnpropError> {
-    let predicted = try_model_prediction(workload, cluster)?;
-    let sim = ClusterSim::try_new(workload, cluster)?.sample_jobs_obs(samples, seed, 0.0, rec);
+    let sim = ClusterSim::try_new(workload, cluster)?;
+    let ops = workload.ops_per_job;
+    let model_time = sim.split().job_time(ops);
+    let model_energy = sim.split().job_energy(ops);
+    let run = sim.sample_jobs_obs(samples, seed, 0.0, rec);
     Ok(ValidationReport {
-        model_time: predicted.time,
-        sim_time: sim.duration,
-        model_energy: predicted.energy,
-        sim_energy: sim.energy,
-        time_error_pct: 100.0 * (predicted.time - sim.duration).abs() / sim.duration,
-        energy_error_pct: 100.0 * (predicted.energy - sim.energy).abs() / sim.energy,
+        model_time,
+        sim_time: run.duration,
+        model_energy,
+        sim_energy: run.energy,
+        time_error_pct: 100.0 * (model_time - run.duration).abs() / run.duration,
+        energy_error_pct: 100.0 * (model_energy - run.energy).abs() / run.energy,
     })
 }
 
@@ -175,20 +145,6 @@ mod tests {
                 r.sim_time
             );
         }
-    }
-
-    #[test]
-    fn prediction_composes_over_groups() {
-        let w = catalog::by_name("EP").unwrap();
-        let a = try_model_prediction(&w, &ClusterSpec::a9_k10(4, 0)).unwrap();
-        let b = try_model_prediction(&w, &ClusterSpec::a9_k10(0, 2)).unwrap();
-        let ab = try_model_prediction(&w, &ClusterSpec::a9_k10(4, 2)).unwrap();
-        // The mixed cluster is faster than either homogeneous half.
-        assert!(ab.time < a.time && ab.time < b.time);
-        // Its rate is the sum of the halves' rates.
-        let rate = w.ops_per_job / ab.time;
-        let want = w.ops_per_job / a.time + w.ops_per_job / b.time;
-        assert!((rate - want).abs() / want < 1e-9);
     }
 }
 

@@ -97,23 +97,23 @@ proptest! {
         prop_assume!(alive[0] + alive[1] > 0);
         let s = try_rate_matched_split_surviving(&w, &c, &alive).unwrap();
         let total: f64 = s
-            .ops_frac
+            .groups
             .iter()
             .zip(&alive)
-            .map(|(share, &n)| share * n as f64)
+            .map(|(share, &n)| share.ops_frac * n as f64)
             .sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "shares sum to {}", total);
         // Dead groups carry no share; the aggregate rate is additive.
-        for (share, &n) in s.ops_frac.iter().zip(&alive) {
+        for (share, &n) in s.groups.iter().zip(&alive) {
             if n == 0 {
-                prop_assert_eq!(*share, 0.0);
+                prop_assert_eq!(share.ops_frac, 0.0);
             }
         }
         let want: f64 = s
-            .node_rate
+            .groups
             .iter()
             .zip(&alive)
-            .map(|(r, &n)| r * n as f64)
+            .map(|(share, &n)| share.point.rate_ops_s * n as f64)
             .sum();
         prop_assert!((s.cluster_rate - want).abs() < 1e-9 * want.max(1.0));
     }

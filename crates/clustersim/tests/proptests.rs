@@ -2,7 +2,7 @@
 
 //! Property-based tests for the cluster simulator and work splitting.
 
-use enprop_clustersim::{try_model_prediction, try_rate_matched_split, ClusterSim, ClusterSpec};
+use enprop_clustersim::{try_rate_matched_split, ClusterSim, ClusterSpec};
 use enprop_workloads::catalog;
 use proptest::prelude::*;
 
@@ -29,18 +29,18 @@ proptest! {
         let c = ClusterSpec::a9_k10(a9, k10);
         let s = try_rate_matched_split(&w, &c).unwrap();
         let total: f64 = s
-            .ops_frac
+            .groups
             .iter()
             .zip(&c.groups)
-            .map(|(share, g)| share * g.count as f64)
+            .map(|(share, g)| share.ops_frac * g.count as f64)
             .sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
         // Cluster rate is additive over groups.
         let want: f64 = s
-            .node_rate
+            .groups
             .iter()
             .zip(&c.groups)
-            .map(|(r, g)| r * g.count as f64)
+            .map(|(share, g)| share.point.rate_ops_s * g.count as f64)
             .sum();
         prop_assert!((s.cluster_rate - want).abs() < 1e-9 * want);
     }
@@ -51,12 +51,13 @@ proptest! {
     fn sim_brackets_model(name in workload_name(), seed in 0u64..32) {
         let w = catalog::by_name(name).unwrap();
         let c = ClusterSpec::a9_k10(4, 2);
-        let pred = try_model_prediction(&w, &c).unwrap();
-        let run = ClusterSim::new(&w, &c).run_job(seed);
-        prop_assert!(run.duration >= pred.time * 0.999,
-            "sim faster than model: {} vs {}", run.duration, pred.time);
-        prop_assert!(run.duration <= pred.time * 1.25,
-            "friction gap too large: {} vs {}", run.duration, pred.time);
+        let sim = ClusterSim::new(&w, &c);
+        let model_time = sim.split().job_time(w.ops_per_job);
+        let run = sim.run_job(seed);
+        prop_assert!(run.duration >= model_time * 0.999,
+            "sim faster than model: {} vs {}", run.duration, model_time);
+        prop_assert!(run.duration <= model_time * 1.25,
+            "friction gap too large: {} vs {}", run.duration, model_time);
     }
 
     /// Observation energy decomposes: more utilization at the same period

@@ -82,37 +82,16 @@ impl ClusterModel {
     }
 
     /// Modeled service time of one job (`T_P = max_i T_i`, all equal under
-    /// rate matching), seconds.
+    /// rate matching), seconds — [`WorkSplit::job_time`].
     pub fn job_time(&self) -> f64 {
-        self.split.service_time(self.workload.ops_per_job)
+        self.split.job_time(self.workload.ops_per_job)
     }
 
-    /// Modeled energy of one job (`E_P = Σ_i E_i · n_i`), joules.
-    ///
-    /// Computed in per-op form — `n_i · (ops_i · E_i(1 op))` — which is
-    /// valid because every time term of
-    /// [`SingleNodeModel`](enprop_workloads::SingleNodeModel) is linear
-    /// through the origin in ops. The per-op factor comes from the shared
-    /// [`Workload::try_operating_point`] accessor, the same call
-    /// `enprop-explore`'s `EvalCache` memoizes and its streamed evaluator
-    /// fills its point tables from — so all three paths compose the same
-    /// floating-point values by construction (bit-identity is covered by
-    /// explore's cache-consistency and streaming proptests).
+    /// Modeled energy of one job (`E_P = Σ_i E_i · n_i`), joules —
+    /// [`WorkSplit::job_energy`], composed from the operating points the
+    /// split stored when it was built.
     pub fn job_energy(&self) -> f64 {
-        let ops = self.workload.ops_per_job;
-        let mut energy = 0.0;
-        for (gi, g) in self.cluster.groups.iter().enumerate() {
-            if g.count == 0 {
-                continue;
-            }
-            let point = self
-                .workload
-                .try_operating_point(g.spec.name, g.cores, g.freq)
-                .expect("profiles validated at construction");
-            let node_ops = self.split.ops_frac[gi] * ops;
-            energy += g.count as f64 * (node_ops * point.j_per_op);
-        }
-        energy
+        self.split.job_energy(self.workload.ops_per_job)
     }
 
     /// Cluster power while executing (all nodes busy), watts:
@@ -168,7 +147,8 @@ impl ClusterModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enprop_clustersim::try_model_prediction;
+    use enprop_clustersim::try_validate;
+    use enprop_obs::NoopRecorder;
     use enprop_workloads::catalog;
 
     fn ep() -> Workload {
@@ -203,13 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn model_agrees_with_clustersim_prediction() {
-        let w = ep();
-        let cluster = ClusterSpec::a9_k10(8, 4);
-        let model = ClusterModel::new(w.clone(), cluster.clone());
-        let pred = try_model_prediction(&w, &cluster).unwrap();
-        assert!((model.job_time() - pred.time).abs() < 1e-12 * pred.time);
-        assert!((model.job_energy() - pred.energy).abs() < 1e-9 * pred.energy);
+    fn table4_model_columns_are_the_cluster_model_bit_for_bit() {
+        for w in catalog::all() {
+            for (a9, k10) in [(4, 2), (1, 1), (8, 4), (2, 6), (32, 12), (4, 0), (0, 2)] {
+                let cluster = ClusterSpec::a9_k10(a9, k10);
+                let model = ClusterModel::new(w.clone(), cluster.clone());
+                let r = try_validate(&w, &cluster, 1, 7, &mut NoopRecorder).unwrap();
+                let at = format!("{} on {a9}:{k10}", w.name);
+                assert_eq!(r.model_time.to_bits(), model.job_time().to_bits(), "{at}");
+                assert_eq!(
+                    r.model_energy.to_bits(),
+                    model.job_energy().to_bits(),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

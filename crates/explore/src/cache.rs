@@ -1,39 +1,21 @@
-//! Memoized model evaluation: the [`EvalCache`].
+//! The operating-point memo: the [`EvalCache`].
 //!
 //! Every configuration in the space reuses the same handful of per-type
 //! operating points — a `(node type, cores, freq)` tuple has at most
 //! `Σ_i c_max,i · |F_i|` distinct values (38 for the paper's A9+K10
 //! space) while the space itself has tens of thousands of configurations.
-//! The uncached path rebuilds a [`SingleNodeModel`] and re-derives the
-//! node rate and per-op energy for every group of every configuration;
-//! the cache computes each operating point once and composes cluster
-//! results from the stored values in O(groups).
+//! The uncached path rebuilds a [`SingleNodeModel`](enprop_workloads::SingleNodeModel)
+//! and re-derives the node rate and per-op energy for every group of
+//! every configuration; the cache computes each operating point once.
 //!
-//! ## Bit-identity contract
-//!
-//! [`EvalCache::evaluate`] reproduces the **exact floating-point
-//! operation sequence** of the uncached path
-//! ([`evaluate_config`](crate::evaluate_config) with no cache, i.e.
-//! `ClusterModel` over `try_rate_matched_split`):
-//!
-//! * node rate: `SingleNodeModel::throughput(cores, freq)`, summed into
-//!   the cluster rate in group order as `count as f64 * rate`;
-//! * per-node share: `node_rate[i] / cluster_rate`;
-//! * job time: `ops / cluster_rate`;
-//! * job energy: `Σ count as f64 * ((share * ops) * energy_per_op)` where
-//!   `energy_per_op = SingleNodeModel::energy(1.0, cores, freq).total()`
-//!   — valid because every time term of the model is linear through the
-//!   origin in ops, and matching `ClusterModel::job_energy`'s per-op
-//!   form;
-//! * busy power: `job_energy / job_time`.
-//!
-//! Cached and uncached results are therefore equal with `==`, not just
-//! within a tolerance (asserted by the tests below and by the
-//! space-level proptests). If `ClusterModel` or the split change their
-//! arithmetic, this module must change in lockstep.
+//! The cache stores points and composes nothing. `evaluate_config` with a
+//! cache hands [`EvalCache::point`] to `WorkSplit::try_new` as its lookup,
+//! one lookup per non-empty group, and the split composes the job time
+//! and energy exactly as it does for `ClusterModel`. A memoized point is
+//! the value [`Workload::try_operating_point`] returns, so cached and
+//! uncached results are equal with `==`, not just within a tolerance
+//! (asserted by the tests below and by the space-level proptests).
 
-use crate::space::EvaluatedConfig;
-use enprop_clustersim::ClusterSpec;
 use enprop_workloads::{OperatingPoint, Workload};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -112,9 +94,10 @@ impl EvalCache {
     /// atomicity makes each key miss exactly once, keeping
     /// [`CacheStats`] deterministic under any thread interleaving.
     ///
-    /// `pub(crate)` so the streamed evaluator ([`crate::stream`]) fills
-    /// its per-type operating-point tables through the same memo — one
-    /// model fill per distinct `(workload, type, cores, freq)` row.
+    /// `pub(crate)`: `evaluate_config` builds its split from it, and the
+    /// streamed evaluator ([`crate::stream`]) fills its per-type
+    /// operating-point tables through the same memo — one model fill per
+    /// distinct `(workload, type, cores, freq)` row.
     pub(crate) fn point(
         &self,
         workload: &Workload,
@@ -144,60 +127,13 @@ impl EvalCache {
         inner.map.insert(key, p);
         p
     }
-
-    /// Evaluate one configuration from cached operating points —
-    /// bit-identical to the uncached `ClusterModel` path (see the module
-    /// doc for the mirrored operation sequence).
-    ///
-    /// # Panics
-    /// Panics when the cluster has no capacity or a node type lacks a
-    /// calibrated profile, mirroring `ClusterModel::new`.
-    pub fn evaluate(&self, workload: &Workload, cluster: ClusterSpec) -> EvaluatedConfig {
-        // Mirrors try_rate_matched_split_surviving with every node alive.
-        let mut node_rate_ops_s = Vec::with_capacity(cluster.groups.len());
-        let mut cluster_rate_ops_s = 0.0;
-        for g in &cluster.groups {
-            if g.count == 0 {
-                node_rate_ops_s.push(0.0);
-                continue;
-            }
-            let p = self.point(workload, g.spec.name, g.cores, g.freq);
-            node_rate_ops_s.push(p.rate_ops_s);
-            cluster_rate_ops_s += g.count as f64 * p.rate_ops_s;
-        }
-        assert!(
-            cluster_rate_ops_s > 0.0,
-            "workload {} has no capacity on an empty cluster",
-            workload.name
-        );
-        let ops = workload.ops_per_job;
-        let job_time_s = ops / cluster_rate_ops_s;
-        // Mirrors ClusterModel::job_energy's per-op composition.
-        let mut job_energy_j = 0.0;
-        for (gi, g) in cluster.groups.iter().enumerate() {
-            if g.count == 0 {
-                continue;
-            }
-            let p = self.point(workload, g.spec.name, g.cores, g.freq);
-            let node_ops = (node_rate_ops_s[gi] / cluster_rate_ops_s) * ops;
-            job_energy_j += g.count as f64 * (node_ops * p.j_per_op);
-        }
-        let busy_power_w = job_energy_j / job_time_s;
-        EvaluatedConfig {
-            job_time: job_time_s,
-            job_energy: job_energy_j,
-            busy_power_w,
-            idle_power_w: cluster.idle_w(),
-            nameplate_w: cluster.nameplate_w(),
-            cluster,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::{configurations, evaluate_config, TypeSpace};
+    use enprop_clustersim::ClusterSpec;
     use enprop_workloads::catalog;
 
     #[test]
@@ -208,7 +144,7 @@ mod tests {
             let types = [TypeSpace::a9(3), TypeSpace::k10(2)];
             for cluster in configurations(&types) {
                 let plain = evaluate_config(&w, cluster.clone(), None);
-                let cached = cache.evaluate(&w, cluster);
+                let cached = evaluate_config(&w, cluster, Some(&cache));
                 assert_eq!(plain.job_time.to_bits(), cached.job_time.to_bits());
                 assert_eq!(plain.job_energy.to_bits(), cached.job_energy.to_bits());
                 assert_eq!(plain.busy_power_w.to_bits(), cached.busy_power_w.to_bits());
@@ -224,7 +160,7 @@ mod tests {
         let cache = EvalCache::new(&w);
         let types = [TypeSpace::a9(3), TypeSpace::k10(2)];
         for cluster in configurations(&types) {
-            let _ = cache.evaluate(&w, cluster);
+            let _ = evaluate_config(&w, cluster, Some(&cache));
         }
         let stats = cache.stats();
         // A9: 4 cores × 5 freqs; K10: 6 cores × 3 freqs → ≤ 38 points.
@@ -238,14 +174,15 @@ mod tests {
         let w = catalog::by_name("EP").unwrap();
         let cache = EvalCache::new(&w);
         let types = [TypeSpace::a9(2), TypeSpace::k10(1)];
-        // Two lookups (rate + energy) per non-empty group per config; the
-        // streaming iterator is deterministic, so two passes see the same
+        // One lookup per non-empty group per config: the split stores the
+        // point it looked up and composes both sums from it. The streaming
+        // iterator is deterministic, so two passes see the same
         // configurations without materializing the space.
         let lookups: u64 = configurations(&types)
-            .map(|c| 2 * c.groups.iter().filter(|g| g.count > 0).count() as u64)
+            .map(|c| c.groups.iter().filter(|g| g.count > 0).count() as u64)
             .sum();
         for cluster in configurations(&types) {
-            let _ = cache.evaluate(&w, cluster);
+            let _ = evaluate_config(&w, cluster, Some(&cache));
         }
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, lookups);
@@ -256,6 +193,6 @@ mod tests {
     fn empty_cluster_panics_like_the_model() {
         let w = catalog::by_name("EP").unwrap();
         let cache = EvalCache::new(&w);
-        let _ = cache.evaluate(&w, ClusterSpec { groups: Vec::new() });
+        let _ = evaluate_config(&w, ClusterSpec { groups: Vec::new() }, Some(&cache));
     }
 }

@@ -12,7 +12,7 @@
 //! contracts, and DESIGN.md §12 for the whole story).
 
 use crate::cache::{CacheStats, EvalCache};
-use enprop_clustersim::{ClusterSpec, NodeGroup, SwitchOverhead};
+use enprop_clustersim::{ClusterSpec, NodeGroup, SwitchOverhead, WorkSplit};
 use enprop_core::ClusterModel;
 use enprop_nodesim::NodeSpec;
 use enprop_workloads::Workload;
@@ -263,30 +263,50 @@ pub struct EvaluatedConfig {
     pub nameplate_w: f64,
 }
 
+impl EvaluatedConfig {
+    /// Evaluate `cluster` from its modeled job time and energy: the one
+    /// place busy (`E/T`), idle and nameplate watts are derived.
+    pub fn new(cluster: ClusterSpec, job_time: f64, job_energy: f64) -> Self {
+        EvaluatedConfig {
+            job_time,
+            job_energy,
+            busy_power_w: job_energy / job_time,
+            idle_power_w: cluster.idle_w(),
+            nameplate_w: cluster.nameplate_w(),
+            cluster,
+        }
+    }
+}
+
 /// Evaluate one configuration under the Table-2 model — the single
 /// evaluation helper shared by `evaluate_space` and `local_search`.
-/// With a cache, cluster values compose from memoized operating points;
-/// without one, a fresh [`ClusterModel`] is built. Both paths return
-/// bit-identical results (the [`EvalCache`] contract).
+/// With a cache, a [`WorkSplit`] is built from memoized operating points
+/// (one [`EvalCache`] lookup per non-empty group); without one, a fresh
+/// [`ClusterModel`] is built, the reference the cache is tested against.
+/// Both compose through the split, so they return bit-identical results.
+///
+/// # Panics
+/// Panics when the cluster has no capacity or a node type lacks a
+/// calibrated profile, as `ClusterModel::new` does.
 pub fn evaluate_config(
     workload: &Workload,
     cluster: ClusterSpec,
     cache: Option<&EvalCache>,
 ) -> EvaluatedConfig {
-    if let Some(cache) = cache {
-        return cache.evaluate(workload, cluster);
-    }
-    let nameplate_w = cluster.nameplate_w();
-    let idle_power_w = cluster.idle_w();
-    let model = ClusterModel::new(workload.clone(), cluster);
-    EvaluatedConfig {
-        job_time: model.job_time(),
-        job_energy: model.job_energy(),
-        busy_power_w: model.busy_power_w(),
-        idle_power_w,
-        nameplate_w,
-        cluster: model.cluster().clone(),
-    }
+    let Some(cache) = cache else {
+        let model = ClusterModel::new(workload.clone(), cluster);
+        return EvaluatedConfig::new(
+            model.cluster().clone(),
+            model.job_time(),
+            model.job_energy(),
+        );
+    };
+    let split = WorkSplit::try_new(workload, &cluster, |g| {
+        Ok(cache.point(workload, g.spec.name, g.cores, g.freq))
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    let ops = workload.ops_per_job;
+    EvaluatedConfig::new(cluster, split.job_time(ops), split.job_energy(ops))
 }
 
 /// Knobs for [`evaluate_space_with`].

@@ -25,8 +25,8 @@
 //!    `j_per_op`) and their minimum `j_per_op` are constants of the run,
 //!    recomputed only when the carry reaches them. Each configuration then
 //!    sums its cluster rate and energy over its present groups in type
-//!    order with the reference path's own multiplies, so the result is
-//!    bit-for-bit the reference's (the full argument is DESIGN.md §17).
+//!    order with `WorkSplit`'s own multiplies, so the result is
+//!    bit-for-bit the split's (the full argument is DESIGN.md §17).
 //! 3. **Dominance pruning before evaluation.** `job_time` falls out of
 //!    the rate sum exactly; `job_energy = ops · Σ wᵢ·e_opᵢ` with
 //!    weights summing to 1, so `ops · min(e_opᵢ) · (1 − 1e-9)` is a
@@ -183,7 +183,7 @@ fn decode_config(types: &[TypeSpace], tables: &[PointTable], rank: u64) -> Clust
 /// One present group's terms in a configuration's rate and energy sums.
 #[derive(Clone, Copy)]
 struct Group {
-    /// `count as f64 * rate_ops_s` — the multiply the reference path
+    /// `count as f64 * rate_ops_s` — the multiply `WorkSplit`
     /// performs per group.
     count_rate_ops_s: f64,
     /// Single-node rate.
@@ -204,7 +204,7 @@ impl Group {
         j_per_op: 0.0,
     };
 
-    /// This group's term of the job energy, in the reference path's
+    /// This group's term of the job energy, in `WorkSplit::job_energy`'s
     /// operation order.
     fn energy_j(&self, ops: f64, cluster_rate_ops_s: f64) -> f64 {
         let node_ops = (self.rate_ops_s / cluster_rate_ops_s) * ops;
@@ -395,15 +395,7 @@ pub fn stream_pareto_front(
     let out: Vec<ParetoPoint> = kept
         .into_iter()
         .map(|(t_s, e_j, rank)| {
-            let cluster = decode_config(types, &tables, rank);
-            let eval = EvaluatedConfig {
-                job_time: t_s,
-                job_energy: e_j,
-                busy_power_w: e_j / t_s,
-                idle_power_w: cluster.idle_w(),
-                nameplate_w: cluster.nameplate_w(),
-                cluster,
-            };
+            let eval = EvaluatedConfig::new(decode_config(types, &tables, rank), t_s, e_j);
             ParetoPoint { index: rank, eval }
         })
         .collect();

@@ -162,17 +162,11 @@ impl GroupFaultProfile {
     /// Validate MTBF parameters, kind weights, and kind parameters.
     pub fn validate(&self) -> Result<(), EnpropError> {
         self.mtbf.validate()?;
-        let mut total = 0.0;
-        for (w, kind) in &self.kinds {
-            if !w.is_finite() || *w < 0.0 {
-                return Err(EnpropError::invalid_parameter(
-                    "fault kind weight",
-                    format!("must be finite and ≥ 0, got {w}"),
-                ));
-            }
-            total += w;
-            match kind {
-                FaultKind::Crash => {}
+        check_weights(
+            &self.kinds,
+            ("fault kind weight", "fault kind weights"),
+            |kind| match kind {
+                FaultKind::Crash => Ok(()),
                 FaultKind::Stall { duration_s } => {
                     if !duration_s.is_finite() || *duration_s < 0.0 {
                         return Err(EnpropError::invalid_parameter(
@@ -180,6 +174,7 @@ impl GroupFaultProfile {
                             format!("must be finite and ≥ 0, got {duration_s}"),
                         ));
                     }
+                    Ok(())
                 }
                 FaultKind::Straggler { slowdown } => {
                     if !slowdown.is_finite() || *slowdown < 1.0 {
@@ -188,41 +183,66 @@ impl GroupFaultProfile {
                             format!("must be finite and ≥ 1, got {slowdown}"),
                         ));
                     }
+                    Ok(())
                 }
-            }
-        }
-        if !self.kinds.is_empty() && total <= 0.0 {
-            return Err(EnpropError::invalid_parameter(
-                "fault kind weights",
-                "at least one weight must be positive",
-            ));
-        }
-        Ok(())
+            },
+        )
     }
 
     fn is_inert(&self) -> bool {
         self.mtbf == MtbfModel::Disabled
     }
+}
 
-    fn draw_kind(&self, rng: &mut FaultRng) -> FaultKind {
-        if self.kinds.is_empty() {
-            return FaultKind::Crash;
+/// Check a weighted kind list in order: each weight finite and ≥ 0, then
+/// `check` on its kind's own parameters; and, when the list is not empty,
+/// at least one weight positive. `names` are the singular and plural
+/// parameter names the errors report.
+pub(crate) fn check_weights<K>(
+    kinds: &[(f64, K)],
+    names: (&'static str, &'static str),
+    mut check: impl FnMut(&K) -> Result<(), EnpropError>,
+) -> Result<(), EnpropError> {
+    let mut total = 0.0;
+    for (w, kind) in kinds {
+        if !w.is_finite() || *w < 0.0 {
+            return Err(EnpropError::invalid_parameter(
+                names.0,
+                format!("must be finite and ≥ 0, got {w}"),
+            ));
         }
-        let total: f64 = self.kinds.iter().map(|(w, _)| w).sum();
-        let mut x = rng.unit() * total;
-        for (w, kind) in &self.kinds {
-            x -= w;
-            if x < 0.0 {
-                return *kind;
-            }
-        }
-        // Floating-point slack: the last positively-weighted kind.
-        self.kinds
-            .iter()
-            .rev()
-            .find(|(w, _)| *w > 0.0)
-            .map_or(FaultKind::Crash, |(_, k)| *k)
+        total += w;
+        check(kind)?;
     }
+    if !kinds.is_empty() && total <= 0.0 {
+        return Err(EnpropError::invalid_parameter(
+            names.1,
+            "at least one weight must be positive",
+        ));
+    }
+    Ok(())
+}
+
+/// Draw one kind with probability proportional to its weight; `empty` when
+/// the list is empty.
+pub(crate) fn draw_weighted<K: Copy>(kinds: &[(f64, K)], empty: K, rng: &mut FaultRng) -> K {
+    if kinds.is_empty() {
+        return empty;
+    }
+    let total: f64 = kinds.iter().map(|(w, _)| w).sum();
+    let mut x = rng.unit() * total;
+    for (w, kind) in kinds {
+        x -= w;
+        if x < 0.0 {
+            return *kind;
+        }
+    }
+    // Floating-point slack: the last positively-weighted kind.
+    kinds
+        .iter()
+        .rev()
+        .find(|(w, _)| *w > 0.0)
+        .map_or(empty, |(_, k)| *k)
 }
 
 /// One injected fault on one node.
@@ -316,7 +336,7 @@ impl FaultPlan {
             .into_iter()
             .map(|at_s| FaultEvent {
                 at_s,
-                kind: profile.draw_kind(&mut rng),
+                kind: draw_weighted(&profile.kinds, FaultKind::Crash, &mut rng),
             })
             .collect()
     }

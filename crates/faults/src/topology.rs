@@ -18,7 +18,7 @@
 //! threads (the `topology_props` suite pins this).
 
 use crate::error::EnpropError;
-use crate::plan::MtbfModel;
+use crate::plan::{check_weights, draw_weighted, MtbfModel};
 use crate::rng::FaultRng;
 
 /// Hard cap on correlated events sampled per domain per window — the same
@@ -199,17 +199,11 @@ impl DomainFaultProfile {
     /// Validate MTBF parameters, kind weights, and kind parameters.
     pub fn validate(&self) -> Result<(), EnpropError> {
         self.mtbf.validate()?;
-        let mut total = 0.0;
-        for (w, kind) in &self.kinds {
-            if !w.is_finite() || *w < 0.0 {
-                return Err(EnpropError::invalid_parameter(
-                    "domain fault kind weight",
-                    format!("must be finite and ≥ 0, got {w}"),
-                ));
-            }
-            total += w;
-            match kind {
-                DomainFaultKind::RackCrash | DomainFaultKind::PduLoss => {}
+        check_weights(
+            &self.kinds,
+            ("domain fault kind weight", "domain fault kind weights"),
+            |kind| match kind {
+                DomainFaultKind::RackCrash | DomainFaultKind::PduLoss => Ok(()),
                 DomainFaultKind::NetworkPartition { duration_s } => {
                     if !duration_s.is_finite() || *duration_s <= 0.0 {
                         return Err(EnpropError::invalid_parameter(
@@ -217,6 +211,7 @@ impl DomainFaultProfile {
                             format!("must be finite and > 0, got {duration_s}"),
                         ));
                     }
+                    Ok(())
                 }
                 DomainFaultKind::PowerEmergency { cap_w, duration_s } => {
                     if !cap_w.is_finite() || *cap_w <= 0.0 {
@@ -231,36 +226,10 @@ impl DomainFaultProfile {
                             format!("must be finite and > 0, got {duration_s}"),
                         ));
                     }
+                    Ok(())
                 }
-            }
-        }
-        if !self.kinds.is_empty() && total <= 0.0 {
-            return Err(EnpropError::invalid_parameter(
-                "domain fault kind weights",
-                "at least one weight must be positive",
-            ));
-        }
-        Ok(())
-    }
-
-    fn draw_kind(&self, rng: &mut FaultRng) -> DomainFaultKind {
-        if self.kinds.is_empty() {
-            return DomainFaultKind::RackCrash;
-        }
-        let total: f64 = self.kinds.iter().map(|(w, _)| w).sum();
-        let mut x = rng.unit() * total;
-        for (w, kind) in &self.kinds {
-            x -= w;
-            if x < 0.0 {
-                return *kind;
-            }
-        }
-        // Floating-point slack: the last positively-weighted kind.
-        self.kinds
-            .iter()
-            .rev()
-            .find(|(w, _)| *w > 0.0)
-            .map_or(DomainFaultKind::RackCrash, |(_, k)| *k)
+            },
+        )
     }
 }
 
@@ -405,7 +374,7 @@ impl TopologyFaultPlan {
             out.push(DomainEvent {
                 at_s,
                 domain,
-                kind: profile.draw_kind(&mut rng),
+                kind: draw_weighted(&profile.kinds, DomainFaultKind::RackCrash, &mut rng),
             });
         }
     }

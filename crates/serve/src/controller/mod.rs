@@ -65,7 +65,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-use enprop_clustersim::ClusterSpec;
+use enprop_clustersim::{try_rate_matched_split, ClusterSpec};
 use enprop_faults::{DomainEvent, EnpropError, FaultKind, FaultPlan, TopologyFaultPlan};
 use enprop_obs::{QuantileSketch, Recorder, Track};
 use enprop_workloads::{SingleNodeModel, Workload};
@@ -858,18 +858,13 @@ pub fn default_ops_per_request(
 }
 
 /// Total fault-free serving capacity at the spec'd operating points,
-/// ops/s.
+/// ops/s: the rate-matched split's cluster rate.
 pub fn cluster_capacity_ops_s(
     workload: &Workload,
     cluster: &ClusterSpec,
 ) -> Result<f64, EnpropError> {
-    let mut total = 0.0;
-    for g in &cluster.groups {
-        let profile = workload.try_profile(g.spec.name)?;
-        let model = SingleNodeModel::new(&profile.spec, &profile.demand, workload.io_rate);
-        total += f64::from(g.count) * model.throughput(g.cores, g.freq);
-    }
-    if !total.is_finite() || total <= 0.0 {
+    let total = try_rate_matched_split(workload, cluster)?.cluster_rate;
+    if !total.is_finite() {
         return Err(EnpropError::EmptyCluster {
             workload: workload.name.to_string(),
         });

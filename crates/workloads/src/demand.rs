@@ -43,12 +43,13 @@ impl OpDemand {
 }
 
 /// One operating point of a workload on a node type: the two per-op
-/// scalars every cluster-level composition needs. Computed in exactly one
-/// place ([`Workload::try_operating_point`]) so the analytic model
-/// (`ClusterModel::job_energy`), the exploration cache (`EvalCache`) and
-/// the streamed evaluator compose **the same floating-point values**
-/// — their bit-identity contract holds by construction, not by parallel
-/// maintenance.
+/// scalars the cluster-level composition needs. Computed in exactly one
+/// place ([`Workload::try_operating_point`]). `enprop-clustersim`'s
+/// `WorkSplit` stores one per group and composes job time and energy
+/// from it, whether the point came straight from that function or from
+/// `enprop-explore`'s `EvalCache` memo of it, and the streamed evaluator
+/// fills its per-type tables from the same memo — so every path composes
+/// **the same floating-point values** by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Modeled execution rate of one node at this point, ops/s.
