@@ -8,11 +8,23 @@ use super::{Admin, Controller, EvKind, GroupModel, Loc, Node, Req, Running};
 use crate::arrivals::ArrivalSource;
 use crate::report::ServeReport;
 
+/// The share of its finish-by time by which a deadline must pass it for a
+/// timeout to stay off the heap: room for the rounding of the completion
+/// times a node sums, many orders of magnitude above it.
+const LAZY_MARGIN: f64 = 1e-6;
+
 impl Node {
     /// Serving at time `t`: holding a request, neither crashed nor stalled.
     pub(super) fn busy_at(&self, t: f64) -> bool {
         let stalled = t < self.stalled_until;
         self.current.is_some() && !self.crashed && !stalled
+    }
+
+    /// Serves its queue at its group's rate from `t` on, as long as no
+    /// crash, stall, straggler or DVFS step down comes: what `dispatch`'s
+    /// wait estimate assumes.
+    pub(crate) fn keeps_pace(&self, t: f64) -> bool {
+        !self.crashed && t >= self.stalled_until && self.slowdown <= 1.0
     }
 
     /// The node's draw in group `g`, watts: none when parked or dark after
@@ -142,6 +154,7 @@ impl<'a> Controller<'a> {
                     attempt: 0,
                     dispatch: 0,
                     loc: Loc::Pending,
+                    lazy_deadline: f64::INFINITY,
                     exclude: None,
                     traced,
                 },
@@ -215,6 +228,15 @@ impl<'a> Controller<'a> {
             }
             return false;
         };
+        // On a node that keeps pace the request is done by `finish_by`:
+        // the backlog estimate never undercounts, and the node serves FIFO
+        // at the rate the estimate divides by. The timeout factor is > 1,
+        // so the timeout cannot fire before the node falls behind, and it
+        // stays off the heap until `arm_timeouts` pushes it then.
+        let deadline = self.now + self.cfg.retry.timeout_factor * expected;
+        let finish_by = self.now + expected;
+        let kept_off =
+            self.nodes[i].keeps_pace(self.now) && deadline > finish_by + finish_by * LAZY_MARGIN;
         let dispatch_gen = {
             let Some(r) = self.inflight.get_mut(req) else {
                 return true;
@@ -222,16 +244,16 @@ impl<'a> Controller<'a> {
             r.loc = Loc::OnNode(i);
             r.exclude = None;
             r.dispatch += 1;
+            r.lazy_deadline = if kept_off { deadline } else { f64::INFINITY };
             r.dispatch
         };
         self.groups[self.nodes[i].group].breaker.on_dispatch(req);
         let n = &mut self.nodes[i];
         n.queue.push_back(req);
         n.queued_ops += ops;
-        let timeout = self.cfg.retry.timeout_factor * expected;
-        if timeout.is_finite() {
+        if !kept_off && deadline.is_finite() {
             self.push(
-                self.now + timeout,
+                deadline,
                 EvKind::Timeout {
                     req,
                     dispatch: dispatch_gen,
@@ -242,6 +264,32 @@ impl<'a> Controller<'a> {
             self.start_next(i);
         }
         true
+    }
+
+    /// Node `i` can fall behind from now on: push the timeouts its
+    /// requests kept off the heap, at their deadlines and placement
+    /// generations. Called by every change that can slow a node: a crash,
+    /// a stall, a straggler and a DVFS step down. A kept deadline is past
+    /// the clock, since the request would have finished before it; one
+    /// that is not (an edited snapshot's) fires at once.
+    pub(super) fn arm_timeouts(&mut self, i: usize) {
+        let n = &self.nodes[i];
+        let held: Vec<u64> = n
+            .current
+            .iter()
+            .map(|c| c.req)
+            .chain(n.queue.iter().copied())
+            .collect();
+        for req in held {
+            let Some(r) = self.inflight.get_mut(req) else {
+                continue;
+            };
+            let deadline = std::mem::replace(&mut r.lazy_deadline, f64::INFINITY);
+            if deadline.is_finite() {
+                let dispatch = r.dispatch;
+                self.push(deadline.max(self.now), EvKind::Timeout { req, dispatch });
+            }
+        }
     }
 
     /// Try to place every pending request (called whenever capacity may

@@ -72,6 +72,7 @@ impl<'a> Controller<'a> {
                     n.slow_until = until;
                     self.push(until, EvKind::StragglerEnd { node: i });
                 }
+                self.arm_timeouts(i);
                 self.reschedule_completion(i);
             }
         }
@@ -84,6 +85,7 @@ impl<'a> Controller<'a> {
         let n = &mut self.nodes[i];
         n.crashed = true;
         n.epoch += 1; // cancel any scheduled completion
+        self.arm_timeouts(i);
     }
 
     /// Stall node `i` until `until` (shared by per-node stall faults and
@@ -96,6 +98,7 @@ impl<'a> Controller<'a> {
             n.stalled_until = until;
             n.epoch += 1;
             self.push(until, EvKind::StallEnd { node: i });
+            self.arm_timeouts(i);
         }
     }
 

@@ -556,11 +556,15 @@ impl<'a> Controller<'a> {
     }
 
     /// Retarget a whole group's DVFS level; running work is re-timed at
-    /// the new rate.
+    /// the new rate, and a lower rate arms the group's kept-off timeouts.
     fn apply_dvfs(&mut self, gi: usize, new_idx: usize) {
+        let slower = self.groups[gi].rate_at[new_idx] < self.groups[gi].rate();
         for i in 0..self.nodes.len() {
             if self.nodes[i].group == gi {
                 self.advance(i);
+                if slower {
+                    self.arm_timeouts(i);
+                }
             }
         }
         self.groups[gi].freq_idx = new_idx;

@@ -6,7 +6,8 @@
 //!
 //! Events fire in `(virtual time, sequence)` order. A binary heap holds
 //! per-node completions (epoch-guarded so superseded schedules cancel
-//! lazily), per-dispatch timeouts (dispatch-generation-guarded), retry
+//! lazily), per-dispatch timeouts (dispatch-generation-guarded, and
+//! pushed only once the request's node can fall behind), retry
 //! redispatches, fault injections (sampled one
 //! [`ServeConfig::fault_window_s`] window at a time from the
 //! [`FaultPlan`]), stall/straggler recoveries, node repairs, periodic
@@ -123,6 +124,10 @@ pub(crate) struct Req {
     /// timeout events cancel lazily.
     pub(crate) dispatch: u32,
     pub(crate) loc: Loc,
+    /// The deadline of this placement's timeout while it stays off the
+    /// heap because its node keeps pace; `f64::INFINITY` once pushed, or
+    /// when there is none (DESIGN.md §13).
+    pub(crate) lazy_deadline: f64,
     /// Node to avoid on the next dispatch (the one that just timed out).
     pub(crate) exclude: Option<usize>,
     pub(crate) traced: bool,

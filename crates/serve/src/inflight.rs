@@ -112,6 +112,7 @@ mod tests {
             attempt: 0,
             dispatch: tag,
             loc: Loc::Pending,
+            lazy_deadline: f64::INFINITY,
             exclude: None,
             traced: false,
         }

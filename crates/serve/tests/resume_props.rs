@@ -483,24 +483,38 @@ fn corrupt_clock_is_a_typed_error() {
     }
 }
 
-/// Corruption sweep over one real checkpoint: every strict prefix, every
+/// Corruption sweep over real checkpoints: every strict prefix, every
 /// digit incremented (9 wraps to 0), every line duplicated and every pair
 /// of adjacent lines swapped. Resuming must return `Ok` or an exit-2
-/// error, never panic, and every prefix must be an error.
+/// error, never panic, and every prefix must be an error. Swept: the last
+/// checkpoint of a one-A9 run, and the golden fixture, whose requests all
+/// hold a kept `deadline`.
 #[test]
 fn corrupted_snapshots_never_panic() {
-    let s = scenario(11, 1, 150, 10.0, 60.0);
-    let full = run(&s, None);
-    let RunOutcome::Completed(report) = &full.outcome else {
-        panic!("uninterrupted run must complete");
-    };
-    let snap = full.checkpoints.last().expect("at least one checkpoint");
-    let bound = Some(2 * report.events);
-    assert!(
-        try_resume(&s, snap, bound).is_ok(),
-        "the pristine checkpoint resumes"
-    );
+    let last = scenario(11, 1, 150, 10.0, 60.0);
+    let golden = scenario(7, 2, 200, 10.0, 60.0);
+    let last_run = run(&last, None);
+    let snap = last_run
+        .checkpoints
+        .last()
+        .expect("at least one checkpoint");
+    for (s, snap) in [(&last, snap.as_str()), (&golden, GOLDEN_CHECKPOINT)] {
+        let RunOutcome::Completed(report) = run(s, None).outcome else {
+            panic!("uninterrupted run must complete");
+        };
+        let bound = Some(2 * report.events);
+        assert!(
+            try_resume(s, snap, bound).is_ok(),
+            "the pristine checkpoint resumes"
+        );
+        let bad = corruptions_that_misbehave(s, snap, bound);
+        assert!(bad.is_empty(), "{}", bad.join("\n"));
+    }
+}
 
+/// The corruptions of `snap` that panic, resume when they must not, or
+/// fail with another exit code than 2: a summary line, then up to 20.
+fn corruptions_that_misbehave(s: &Scenario, snap: &str, bound: Option<u64>) -> Vec<String> {
     let lines: Vec<&str> = snap.lines().collect();
     let join = |ls: &[&str]| ls.iter().map(|l| format!("{l}\n")).collect::<String>();
     let mut variants: Vec<(String, String, bool)> = Vec::new(); // (what, text, must fail)
@@ -527,7 +541,7 @@ fn corrupted_snapshots_never_panic() {
     let mut bad: Vec<String> = Vec::new();
     for (what, text, must_fail) in &variants {
         let got =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_resume(&s, text, bound)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_resume(s, text, bound)));
         match got {
             Err(_) => bad.push(format!("{what}: panicked")),
             Ok(Err(e)) if e.exit_code() != 2 => {
@@ -537,20 +551,23 @@ fn corrupted_snapshots_never_panic() {
             Ok(_) => {}
         }
     }
-    assert!(
-        bad.is_empty(),
-        "{} of {} corrupted snapshots misbehaved, e.g.:\n{}",
-        bad.len(),
-        variants.len(),
-        bad.iter().take(20).cloned().collect::<Vec<_>>().join("\n")
-    );
+    if !bad.is_empty() {
+        let n = bad.len();
+        bad.truncate(20);
+        let head = format!(
+            "{n} of {} corrupted snapshots misbehaved, e.g.:",
+            variants.len()
+        );
+        bad.insert(0, head);
+    }
+    bad
 }
 
-/// The v4 snapshot format, pinned: the first checkpoint of
-/// `scenario(7, 2, 200, 10.0, 60.0)` as the `enprop-snapshot-v4` writer
+/// The v5 snapshot format, pinned: the first checkpoint of
+/// `scenario(7, 2, 200, 10.0, 60.0)` as the `enprop-snapshot-v5` writer
 /// first emitted it. A refactor that changes one byte of the format fails
-/// here, and so does one that can no longer resume a stored v4 file.
-const GOLDEN_CHECKPOINT: &str = include_str!("fixtures/checkpoint_v4.jsonl");
+/// here, and so does one that can no longer resume a stored v5 file.
+const GOLDEN_CHECKPOINT: &str = include_str!("fixtures/checkpoint_v5.jsonl");
 
 #[test]
 fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
@@ -562,7 +579,7 @@ fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
     let first = full.checkpoints.first().expect("at least one checkpoint");
     assert!(
         first == GOLDEN_CHECKPOINT,
-        "the first checkpoint differs from the v4 fixture"
+        "the first checkpoint differs from the v5 fixture"
     );
     let (resumed, _, _) = resume(&s, GOLDEN_CHECKPOINT);
     assert!(
@@ -572,20 +589,20 @@ fn golden_checkpoint_is_written_byte_for_byte_and_resumes() {
 }
 
 /// A snapshot of an older format is refused on its header line: v4
-/// dropped v3's `series` and `series_win` lines and its derived keys, and
-/// no reader translates them.
+/// dropped v3's `series` and `series_win` lines and its derived keys, v5
+/// moved the timeouts of requests on nodes that keep pace from `ev` lines
+/// to their `req` lines' `deadline`, and no reader translates either.
 #[test]
 fn an_older_snapshot_version_is_a_typed_error_on_the_header() {
     let s = scenario(7, 2, 200, 10.0, 60.0);
     let (head, body) = GOLDEN_CHECKPOINT.split_once('\n').unwrap();
-    let v3 = format!("{}\n{body}", set_key(head, "sec", "\"enprop-snapshot-v3\""));
-    let err = try_resume(&s, &v3, None).expect_err("a v3 snapshot must not resume");
-    assert_eq!(err.exit_code(), 2, "{err}");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("line 1:") && msg.contains("enprop-snapshot-v3"),
-        "{msg}"
-    );
+    for old in ["enprop-snapshot-v3", "enprop-snapshot-v4"] {
+        let text = format!("{}\n{body}", set_key(head, "sec", &format!("{old:?}")));
+        let err = try_resume(&s, &text, None).expect_err("an older snapshot must not resume");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("line 1:") && msg.contains(old), "{msg}");
+    }
 }
 
 /// Every checkpoint of the golden scenario, pinned as one FNV-1a digest
@@ -602,14 +619,24 @@ fn every_checkpoint_of_the_golden_scenario_is_pinned() {
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-    assert_eq!((full.checkpoints.len(), digest), (6, 0x1a89_1520_a459_8ac3));
+    assert_eq!((full.checkpoints.len(), digest), (6, 0x6001_d56e_4be9_e5ba));
+}
+
+/// `req` line `l` of the golden fixture with its kept `deadline` as far
+/// past clock `t` as it is past the fixture's clock.
+fn deadline_past(l: &str, t: f64) -> String {
+    let now = Line::parse(1, GOLDEN_CHECKPOINT.lines().next().unwrap());
+    let now = now.unwrap().f64_bits("now").unwrap();
+    let deadline = Line::parse(1, l).unwrap().f64_bits("deadline").unwrap();
+    set_key(l, "deadline", &(t + (deadline - now)).to_bits().to_string())
 }
 
 /// The golden fixture moved to clock `t` as consistently as a hand edit
 /// can: the header `now`, every node's accounting time `acct_t`, every
-/// `ev` time, the source cursor's `t` (the time of the pending arrival it
-/// issued) and the plane's `cur_index` (`t / 0.25`, saturating as the
-/// plane's own index does).
+/// `ev` time, every kept request `deadline` (by as much as the clock), the
+/// source cursor's `t` (the time of the pending arrival it issued) and the
+/// plane's `cur_index` (`t / 0.25`, saturating as the plane's own index
+/// does).
 fn golden_at_clock(t: f64) -> String {
     let bits = t.to_bits().to_string();
     let index = ((t / 0.25).floor() as u64).to_string();
@@ -620,6 +647,8 @@ fn golden_at_clock(t: f64) -> String {
                 set_key(l, "now", &bits)
             } else if l.starts_with("{\"sec\":\"node\",") {
                 set_key(l, "acct_t", &bits)
+            } else if l.starts_with("{\"sec\":\"req\",") {
+                deadline_past(l, t)
             } else if l.starts_with("{\"sec\":\"ev\",") || l.starts_with("{\"sec\":\"source\",") {
                 set_key(l, "t", &bits)
             } else if l.starts_with("{\"sec\":\"plane\",") {
@@ -776,6 +805,7 @@ fn a_clock_past_the_drain_deadline_is_a_typed_error() {
     let text = edit_golden(|sec, l| match sec {
         SNAPSHOT_VERSION => set_key(l, "now", &bits),
         "node" => set_key(l, "acct_t", &bits),
+        "req" => deadline_past(l, t),
         "ev" => set_key(l, "t", &bits),
         "plane" => set_key(l, "cur_index", &index),
         "source" => set_key(l, "remaining", &remaining),
@@ -909,13 +939,27 @@ fn mismatched_arrival_flags_are_typed_errors() {
 /// an exit-2 error naming the line and the key, as are an accounting time
 /// other than the clock and window joules a checkpoint cannot hold: every
 /// checkpoint follows the window close, which integrates each node up to
-/// the clock.
+/// the clock. So is a request `deadline` kept off the heap that the
+/// controller could not keep: NaN, before the request arrived, not past
+/// the clock, or held on a request that is on no node or on a node that
+/// is crashed, stalled or slowed, whose timeouts are on the heap.
 #[test]
 fn floats_the_controller_cannot_hold_are_typed_errors() {
     let s = scenario(7, 2, 200, 10.0, 60.0);
     let header = GOLDEN_CHECKPOINT.lines().next().unwrap();
-    let past_now = Line::parse(1, header).unwrap().f64_bits("now").unwrap() + 1.0;
+    let now = Line::parse(1, header).unwrap().f64_bits("now").unwrap();
     let (nan, inf) = (f64::NAN, f64::INFINITY);
+    // The first request and the line of the node it is on.
+    let first_req = golden_line("req");
+    let req_line = GOLDEN_CHECKPOINT.lines().nth(first_req - 1).unwrap();
+    let req_line = Line::parse(1, req_line).unwrap();
+    let arrived = req_line.f64_bits("arrived").unwrap();
+    let on = req_line.u64("loc_node").unwrap();
+    let on_node = GOLDEN_CHECKPOINT
+        .lines()
+        .position(|l| l.starts_with(&format!("{{\"sec\":\"node\",\"i\":{on},")))
+        .unwrap()
+        + 1;
     // (section, key, value); "node*" is a node that runs a request.
     let mut cases = vec![("node*", "slowdown", -1.0), ("node*", "slowdown", -inf)];
     for bad in [nan, inf, -inf] {
@@ -924,25 +968,50 @@ fn floats_the_controller_cannot_hold_are_typed_errors() {
         cases.push(("req", "arrived", bad));
         cases.push(("ctl", "resp_sum", bad));
     }
-    cases.push(("node", "acct_t", past_now));
+    cases.push(("node", "acct_t", now + 1.0));
     cases.push(("node", "acct_t", 0.0));
     cases.push(("node", "wb", 1.0));
-    for (sec, key, value) in cases {
-        let head = format!("{{\"sec\":\"{}\",", sec.trim_end_matches('*'));
-        let pick =
-            |l: &str| l.starts_with(&head) && (!sec.ends_with('*') || l.contains("\"cur\":1,"));
-        let lineno = GOLDEN_CHECKPOINT.lines().position(pick).unwrap() + 1;
-        let bits = value.to_bits().to_string();
+    cases.push(("req", "deadline", nan));
+    cases.push(("req", "deadline", arrived / 2.0));
+    cases.push(("req", "deadline", now));
+    // (line, key, value, the line and the key the error names).
+    let mut rows: Vec<(usize, &str, String, usize, &str)> = cases
+        .into_iter()
+        .map(|(sec, key, value)| {
+            let head = format!("{{\"sec\":\"{}\",", sec.trim_end_matches('*'));
+            let pick =
+                |l: &str| l.starts_with(&head) && (!sec.ends_with('*') || l.contains("\"cur\":1,"));
+            let lineno = GOLDEN_CHECKPOINT.lines().position(pick).unwrap() + 1;
+            (lineno, key, value.to_bits().to_string(), lineno, key)
+        })
+        .collect();
+    // The first request's kept deadline with the request taken off its
+    // node, or with that node crashed, stalled past the clock or slowed:
+    // each names the request's line and its deadline.
+    let bits = |v: f64| v.to_bits().to_string();
+    rows.extend([
+        (first_req, "loc", "0".to_string(), first_req, "deadline"),
+        (on_node, "crashed", "1".to_string(), first_req, "deadline"),
+        (
+            on_node,
+            "stalled_until",
+            bits(now + 1.0),
+            first_req,
+            "deadline",
+        ),
+        (on_node, "slowdown", bits(2.0), first_req, "deadline"),
+    ]);
+    for (lineno, key, value, at, named) in rows {
         let text: String = GOLDEN_CHECKPOINT
             .lines()
             .enumerate()
-            .map(|(i, l)| if i + 1 == lineno { set_key(l, key, &bits) } else { l.to_string() } + "\n")
+            .map(|(i, l)| if i + 1 == lineno { set_key(l, key, &value) } else { l.to_string() } + "\n")
             .collect();
         let err = try_resume(&s, &text, Some(100_000)).expect_err("a float the run cannot hold");
         assert_eq!(err.exit_code(), 2, "{key} = {value}: {err}");
         let msg = err.to_string();
         assert!(
-            msg.contains(&format!("line {lineno}:")) && msg.contains(key),
+            msg.contains(&format!("line {at}:")) && msg.contains(named),
             "{key} = {value}: {msg}"
         );
     }

@@ -22,7 +22,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 seed=7
 # Seed-derived kill point: past the first checkpoint window, well before
-# the drain, for the 2000-request stream below (~5000 events).
+# the drain, for the 2000-request stream below (4036 events; at seed 7
+# the kill lands at t = 2.6 s, after the checkpoints at 1 s and 2 s and
+# before the last arrival at 7.0 s).
 kill_at=$((1500 + seed % 500))
 flags="--requests 2000 --utilization 0.7 --mtbf 40 --rack-mtbf 25 \
   --emergency-mtbf 30 --emergency-cap 80 --repair 5 --seed $seed --quiet"
@@ -34,7 +36,7 @@ flags="--requests 2000 --utilization 0.7 --mtbf 40 --rack-mtbf 25 \
     --kill-after-events "$kill_at" --trace-out "$tmp/killed.jsonl" > "$tmp/killed.txt"
 grep -q "run killed" "$tmp/killed.txt"
 test -f "$tmp/ckpt.jsonl"
-grep -q "enprop-snapshot-v4" "$tmp/ckpt.jsonl"
+grep -q "enprop-snapshot-v5" "$tmp/ckpt.jsonl"
 
 start_ns=$(date +%s%N)
 # shellcheck disable=SC2086
