@@ -171,6 +171,21 @@ fn parse_positive(args: &[String], name: &'static str) -> Result<Option<f64>, En
     }
 }
 
+/// [`parse_num`] for a count that must be at least 1: a run over none
+/// would pass its own gate on no work.
+fn parse_count<T>(args: &[String], name: &'static str) -> Result<Option<T>, EnpropError>
+where
+    T: std::str::FromStr + From<u8> + PartialEq,
+{
+    match parse_num::<T>(args, name)? {
+        Some(v) if v == T::from(0) => Err(EnpropError::invalid_parameter(
+            name,
+            "must be at least 1, got 0",
+        )),
+        v => Ok(v),
+    }
+}
+
 /// The power trace's `--utilization`: the busy fraction of one
 /// observation interval, in [0, 1].
 fn trace_utilization(args: &[String]) -> Result<f64, EnpropError> {
@@ -371,7 +386,7 @@ fn run() -> Result<(), EnpropError> {
         }
         "serve" | "replay" | "chaos" => {
             let mut so = serve_cmd::ServeOpts {
-                rate: parse_num(&args, "--rate")?,
+                rate: parse_positive(&args, "--rate")?,
                 ops_per_request: parse_positive(&args, "--ops-per-request")?,
                 mtbf_s: parse_num(&args, "--mtbf")?,
                 stall_s: parse_num(&args, "--stall")?,
@@ -379,10 +394,10 @@ fn run() -> Result<(), EnpropError> {
                 emit_arrivals: parse_flag(&args, "--emit-arrivals").map(PathBuf::from),
                 ..serve_cmd::ServeOpts::new(opts.seed)
             };
-            if let Some(n) = parse_num(&args, "--requests")? {
+            if let Some(n) = parse_count(&args, "--requests")? {
                 so.requests = n;
             }
-            if let Some(u) = parse_num(&args, "--utilization")? {
+            if let Some(u) = parse_positive(&args, "--utilization")? {
                 so.utilization = u;
             }
             if let Some(a) = parse_flag(&args, "--arrival") {
@@ -423,7 +438,7 @@ fn run() -> Result<(), EnpropError> {
             if let Some(m) = parse_num(&args, "--max-inflight")? {
                 so.cfg.max_inflight = m;
             }
-            if let Some(p) = parse_num(&args, "--plans")? {
+            if let Some(p) = parse_count(&args, "--plans")? {
                 so.plans = p;
             }
             // Serving defaults to a small always-on cluster, not the
