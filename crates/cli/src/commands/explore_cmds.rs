@@ -163,7 +163,15 @@ fn parse_type_list(arg: &str) -> Result<Vec<TypeSpace>, EnpropError> {
                 format!("max nodes in {part:?} is not a number"),
             )
         })?;
-        types.push(TypeSpace::try_named(name.trim(), max_nodes)?);
+        let t = TypeSpace::try_named(name.trim(), max_nodes)?;
+        // A second entry would add its own nodes past the first one's cap.
+        if types.iter().any(|u: &TypeSpace| u.spec.name == t.spec.name) {
+            return Err(EnpropError::invalid_parameter(
+                "--types",
+                format!("node type {} is named twice", t.spec.name),
+            ));
+        }
+        types.push(t);
     }
     if types.is_empty() {
         return Err(EnpropError::invalid_parameter(

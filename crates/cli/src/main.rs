@@ -199,16 +199,33 @@ fn trace_utilization(args: &[String]) -> Result<f64, EnpropError> {
     Ok(u)
 }
 
-/// [`parse_num`] for flags a command cannot run without.
-fn require_num<T: std::str::FromStr>(
-    args: &[String],
-    name: &'static str,
-    why: &'static str,
-) -> Result<T, EnpropError> {
-    parse_num(args, name)?.ok_or_else(|| EnpropError::invalid_parameter(name, why))
+/// The `--deadline` that `sweet` and `search` cannot run without: finite
+/// and positive, since no configuration meets any other.
+fn require_deadline(args: &[String], why: &'static str) -> Result<f64, EnpropError> {
+    parse_positive(args, "--deadline")?
+        .ok_or_else(|| EnpropError::invalid_parameter("--deadline", why))
+}
+
+/// Whether a panic is `print!`'s report that stdout's reader has gone
+/// away (`enprop … | head -1`): a normal end for a command-line filter.
+/// The standard library reports any failed write to stdout as a panic
+/// with this message; its payload keeps only the text.
+fn is_stdout_broken_pipe(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload
+        .downcast_ref::<String>()
+        .is_some_and(|m| m.starts_with("failed printing to stdout") && m.contains("Broken pipe"))
 }
 
 fn main() {
+    // A closed stdout ends the command quietly with status 0, as `head`
+    // expects, instead of a panic and a backtrace on stderr.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if is_stdout_broken_pipe(info.payload()) {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
     if let Err(e) = run() {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code());
@@ -301,13 +318,12 @@ fn run() -> Result<(), EnpropError> {
         "space" => {
             let so = explore_cmds::SpaceOpts {
                 types: parse_flag(&args, "--types").unwrap_or_else(|| "a9:10,k10:10".into()),
-                max_configs: parse_num(&args, "--max-configs")?,
+                max_configs: parse_count(&args, "--max-configs")?,
             };
             explore_cmds::space_cmd(&opts, &so, &mut ctx)?;
         }
         "search" => {
-            let deadline: f64 =
-                require_num(&args, "--deadline", "search requires --deadline SECS")?;
+            let deadline = require_deadline(&args, "search requires --deadline SECS")?;
             explore_cmds::search_cmd(&opts, a9, k10, deadline);
         }
         "strategies" => strategies::strategies_cmd(&opts),
@@ -358,7 +374,7 @@ fn run() -> Result<(), EnpropError> {
             }
         }
         "sweet" => {
-            let deadline: f64 = require_num(&args, "--deadline", "sweet requires --deadline SECS")?;
+            let deadline = require_deadline(&args, "sweet requires --deadline SECS")?;
             explore_cmds::sweet_cmd(&opts, a9, k10, deadline, &mut ctx);
         }
         "kernels" => characterize_cmd::kernels_cmd(&opts, scale),

@@ -317,6 +317,13 @@ fn faults_rejects_an_unstable_utilization_before_any_output() {
         (&["serve", "--utilization", "-1"], "--utilization"),
         (&["serve", "--utilization", "nan"], "--utilization"),
         (&["serve", "--rate", "0"], "--rate"),
+        (&["sweet", "--deadline", "nan"], "--deadline"),
+        (&["sweet", "--deadline", "-1"], "--deadline"),
+        (&["sweet", "--deadline", "0"], "--deadline"),
+        (&["search", "--deadline", "-1"], "--deadline"),
+        (&["space", "--max-configs", "0"], "--max-configs"),
+        (&["space", "--types", "a9:2,a9:2"], "--types"),
+        (&["space", "--types", "a9:2,k10:1,A9:3"], "node type A9"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_enprop"))
             .args(args)
@@ -328,6 +335,28 @@ fn faults_rejects_an_unstable_utilization_before_any_output() {
         assert!(stdout.is_empty(), "{args:?}:\n{stdout}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::BufRead;
+    // About 180 KB of live report: more than a pipe holds, so the command
+    // is still writing when the reader goes away after one line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_enprop"))
+        .args(["serve", "--requests", "20000", "--live-report", "0.05"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("window"), "{first}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 #[test]

@@ -41,10 +41,12 @@ pub struct FrontierPoint<P> {
 /// in index order — pinned against that sort-sweep oracle by the
 /// streaming proptests.
 ///
-/// Every query is a binary search: because `e` decreases as `t`
-/// increases, the last point with `t' ≤ t` carries the *minimum* energy
-/// over all kept points with `t' ≤ t`, so one probe answers both
-/// [`Frontier::dominated`] and [`Frontier::min_energy_at`].
+/// Every query starts from one probe, the index of the first point with
+/// `t' > t`: because `e` decreases as `t` increases, the point just before
+/// it carries the *minimum* energy over all kept points with `t' ≤ t`, so
+/// one probe answers [`Frontier::min_energy_at`], [`Frontier::dominated`]
+/// and where [`Frontier::insert`] splices. A `t` at or past the last point
+/// probes to [`Frontier::len`] without a search.
 #[derive(Debug, Clone, Default)]
 pub struct Frontier<P> {
     points: Vec<FrontierPoint<P>>,
@@ -77,11 +79,22 @@ impl<P> Frontier<P> {
         self.points
     }
 
-    /// Index of the first point with `t' > t` — the probe both queries
-    /// share. The point just before it (if any) has the largest `t' ≤ t`
-    /// and therefore the smallest `e` among all points with `t' ≤ t`.
-    fn upper_bound(&self, t: f64) -> usize {
-        self.points.partition_point(|p| p.t <= t)
+    /// Index of the first point with `t' > t`: the probe every query
+    /// shares. The point just before it (if any) has the largest `t' ≤ t`
+    /// and therefore the smallest `e` among all points with `t' ≤ t`. A
+    /// `t` at or past the last point answers `len()` without a search,
+    /// which is what the search returns on any staircase built from
+    /// non-NaN keys (they are sorted by `t`).
+    pub(crate) fn upper_bound(&self, t: f64) -> usize {
+        match self.points.last() {
+            Some(last) if t >= last.t => self.points.len(),
+            _ => self.points.partition_point(|p| p.t <= t),
+        }
+    }
+
+    /// [`Frontier::min_energy_at`] for the probe `ub` of its `t`.
+    pub(crate) fn min_energy_before(&self, ub: usize) -> Option<f64> {
+        ub.checked_sub(1).map(|i| self.points[i].e)
     }
 
     /// The minimum energy of any kept point with `t' ≤ t`, or `None` when
@@ -89,32 +102,47 @@ impl<P> Frontier<P> {
     /// energy *lower bound* is at or above this value is provably
     /// dominated before it is ever fully evaluated.
     pub fn min_energy_at(&self, t: f64) -> Option<f64> {
-        let ub = self.upper_bound(t);
-        (ub > 0).then(|| self.points[ub - 1].e)
+        self.min_energy_before(self.upper_bound(t))
     }
 
     /// Whether `(t, e)` is dominated by a kept point (strictly better in
     /// one key, no worse in the other). Points exactly equal to a kept
     /// point are *not* dominated — the frontier keeps them.
     pub fn dominated(&self, t: f64, e: f64) -> bool {
-        let ub = self.upper_bound(t);
-        if ub == 0 {
+        self.dominated_at(self.upper_bound(t), t, e)
+    }
+
+    /// [`Frontier::dominated`] for the probe `ub` of `t`.
+    fn dominated_at(&self, ub: usize, t: f64, e: f64) -> bool {
+        let Some(i) = ub.checked_sub(1) else {
             return false;
-        }
-        let p = &self.points[ub - 1];
+        };
+        let p = &self.points[i];
         p.e < e || (p.e == e && p.t < t)
     }
 
     /// Offer a point. Returns `true` when it was kept (not dominated); a
     /// kept point evicts the contiguous run of now-dominated points.
     pub fn insert(&mut self, t: f64, e: f64, payload: P) -> bool {
-        if self.dominated(t, e) {
+        self.insert_at(self.upper_bound(t), t, e, payload)
+    }
+
+    /// [`Frontier::insert`] for the probe `ub` of `t`, which a caller that
+    /// has just probed `t` to prune hands on instead of searching again.
+    pub(crate) fn insert_at(&mut self, ub: usize, t: f64, e: f64, payload: P) -> bool {
+        if self.dominated_at(ub, t, e) {
             return false;
         }
         // Points dominated by (t, e) form a contiguous run: they start at
         // the first point with t' ≥ t and extend while e' ≥ e, except a
-        // run of exact duplicates of (t, e), which survives.
-        let lo = self.points.partition_point(|p| p.t < t);
+        // run of exact duplicates of (t, e), which survives. The points
+        // from the first t' ≥ t up to the probe all have t' == t, so the
+        // start is the probe less that run (at most a run of duplicates:
+        // of two points at one time, the costlier is dominated).
+        let mut lo = ub;
+        while lo > 0 && self.points[lo - 1].t == t {
+            lo -= 1;
+        }
         let mut ins = lo;
         while ins < self.points.len() && self.points[ins].t == t && self.points[ins].e == e {
             ins += 1;
@@ -232,6 +260,68 @@ mod tests {
         assert!(f.insert(1.5, 1.0, ()));
         let kept: Vec<(f64, f64)> = f.points().iter().map(|p| (p.t, p.e)).collect();
         assert_eq!(kept, vec![(1.0, 9.0), (1.5, 1.0)]);
+    }
+
+    /// [`Frontier::insert`] as two plain `partition_point` searches, one
+    /// for the dominance probe and one for the start of the evicted run:
+    /// what the one-probe form must match.
+    fn plain_insert(points: &mut Vec<FrontierPoint<usize>>, t: f64, e: f64, id: usize) -> bool {
+        let ub = points.partition_point(|p| p.t <= t);
+        if ub > 0 && (points[ub - 1].e < e || (points[ub - 1].e == e && points[ub - 1].t < t)) {
+            return false;
+        }
+        let lo = points.partition_point(|p| p.t < t);
+        let mut ins = lo;
+        while ins < points.len() && points[ins].t == t && points[ins].e == e {
+            ins += 1;
+        }
+        let mut hi = ins;
+        while hi < points.len() && points[hi].e >= e {
+            hi += 1;
+        }
+        let p = FrontierPoint { t, e, payload: id };
+        points.splice(ins..hi, std::iter::once(p));
+        true
+    }
+
+    /// Every query of `f` at `(t, e)` against the plain searches.
+    fn assert_queries_match_plain_search(f: &Frontier<usize>, t: f64, e: f64) {
+        let ub = f.points().partition_point(|p| p.t <= t);
+        let plain_min = ub.checked_sub(1).map(|i| f.points()[i].e);
+        assert_eq!(f.min_energy_at(t), plain_min, "min_energy_at({t})");
+        let mut plain = f.points().to_vec();
+        let kept = plain_insert(&mut plain, t, e, usize::MAX);
+        assert_eq!(f.dominated(t, e), !kept, "dominated({t}, {e})");
+        let mut g = f.clone();
+        assert_eq!(g.insert(t, e, usize::MAX), kept, "insert({t}, {e})");
+        assert_eq!(g.points(), &plain[..], "insert({t}, {e})");
+    }
+
+    #[test]
+    fn one_probe_answers_as_a_plain_partition_point() {
+        let mut f = Frontier::new();
+        assert_queries_match_plain_search(&f, 1.0, 1.0);
+        // A staircase with runs of exact duplicates, last point included.
+        for (i, (t, e)) in [(1.0, 9.0), (2.0, 5.0), (2.0, 5.0), (4.0, 3.0), (4.0, 3.0)]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(f.insert(t, e, i));
+        }
+        // Before the first point, on each point, between points, at the
+        // last point and past it; energies below, at and above each
+        // point's.
+        for t in [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, f64::INFINITY] {
+            for e in [0.5, 3.0, 4.0, 5.0, 7.0, 9.0, 10.0] {
+                assert_queries_match_plain_search(&f, t, e);
+            }
+        }
+        // And along a tie-heavy cloud, after every insert.
+        let mut g = Frontier::new();
+        for (i, (t, e)) in xorshift_points(400, 0x5EED, 12).into_iter().enumerate() {
+            assert_queries_match_plain_search(&g, t, e);
+            let _ = g.insert(t, e, i);
+        }
     }
 
     #[test]

@@ -27,15 +27,25 @@
 //!    sums its cluster rate and energy over its present groups in type
 //!    order with `WorkSplit`'s own multiplies, so the result is
 //!    bit-for-bit the split's (the full argument is DESIGN.md §17).
-//! 3. **Dominance pruning before evaluation.** `job_time` falls out of
-//!    the rate sum exactly; `job_energy = ops · Σ wᵢ·e_opᵢ` with
-//!    weights summing to 1, so `ops · min(e_opᵢ) · (1 − 1e-9)` is a
-//!    strict lower bound on the *computed* energy (the slack dwarfs the
-//!    accumulated rounding, which is ≲ 1e-14 relative). A config whose
-//!    lower bound is already at or below the frontier's
-//!    [`Frontier::min_energy_at`] probe is strictly dominated and skips
-//!    the energy sum — it provably cannot be a frontier member, so
-//!    pruning cannot change the result (EXPERIMENTS.md).
+//! 3. **Dominance pruning before evaluation, a run at a time.**
+//!    `job_time` falls out of the rate sum exactly; `job_energy = ops ·
+//!    Σ wᵢ·e_opᵢ` with weights summing to 1, so `ops · min(e_opᵢ) ·
+//!    (1 − 1e-9)` is a strict lower bound on the *computed* energy (the
+//!    slack dwarfs the accumulated rounding, which is ≲ 1e-14 relative).
+//!    A config whose lower bound is already at or below the frontier's
+//!    minimum energy at its time is strictly dominated and skips the
+//!    energy sum — it provably cannot be a frontier member, so pruning
+//!    cannot change the result (EXPERIMENTS.md). One probe per config
+//!    serves the prune test and, for a survivor, the insert. Before a
+//!    run of type 0's points at one node count, one test at the run's
+//!    fastest time (type 0's largest rate) and lowest bound (type 0's
+//!    smallest `j_per_op` with the fixed groups') prunes the whole run
+//!    when it can: every f64 operation rounds monotonically, so each
+//!    member's time and bound are at or above the run's, the probe does
+//!    not increase as the time grows, and a pruned member inserts
+//!    nothing, so the per-configuration test would prune each member in
+//!    turn. Tables with a NaN-producing entry (a NaN rate, say, whose
+//!    NaN time is never pruned) skip the run test.
 //! 4. **Sharded frontiers.** Worker `w` of `T` owns chunks `k ≡ w
 //!    (mod T)` in increasing `k`, keeps a thread-local [`Frontier`], and
 //!    the shards merge in worker order at the end. Assignment is static,
@@ -144,6 +154,37 @@ fn build_tables(workload: &Workload, types: &[TypeSpace], cache: &EvalCache) -> 
         .collect()
 }
 
+/// Type 0's fastest rate and cheapest per-op energy: the corner at which
+/// a whole run of its points at one node count is tested for pruning.
+#[derive(Clone, Copy)]
+struct RunCorner {
+    /// Largest `rate_ops_s` of type 0's table.
+    max_rate_ops_s: f64,
+    /// Smallest `j_per_op` of type 0's table.
+    min_j_per_op: f64,
+}
+
+impl RunCorner {
+    /// Type 0's corner, when the run test is exact for `tables`: every
+    /// rate finite and positive and every `j_per_op` finite, so no time
+    /// or energy is NaN and the frontier stays a staircase whose probe
+    /// does not increase with `t`. (A NaN rate has a NaN time, which the
+    /// per-configuration test never prunes, but `f64::max` would drop it
+    /// from the corner.) Otherwise `None`: every run takes the
+    /// per-configuration path.
+    fn of(tables: &[PointTable]) -> Option<RunCorner> {
+        let exact = tables.iter().all(|t| {
+            t.rate_ops_s.iter().all(|r| r.is_finite() && *r > 0.0)
+                && t.j_per_op.iter().all(|j| j.is_finite())
+        });
+        let head = tables.first().filter(|_| exact)?;
+        Some(RunCorner {
+            max_rate_ops_s: head.rate_ops_s.iter().copied().fold(0.0, f64::max),
+            min_j_per_op: head.j_per_op.iter().copied().fold(f64::INFINITY, f64::min),
+        })
+    }
+}
+
 /// Set `digits` to the odometer digits of `combo`, type 0 fastest.
 fn decode(tables: &[PointTable], mut combo: u64, digits: &mut [u64]) {
     for (tbl, d) in tables.iter().zip(digits) {
@@ -212,6 +253,29 @@ impl Group {
     }
 }
 
+/// The cluster rate (type 0's term `head_count_rate_ops_s`, then the
+/// `fixed` groups in type order, as `WorkSplit` sums it) and the job time
+/// `ops` over it.
+#[inline(always)]
+fn rate_and_time(ops: f64, head_count_rate_ops_s: f64, fixed: &[Group]) -> (f64, f64) {
+    let mut cluster_rate_ops_s = head_count_rate_ops_s;
+    for g in fixed {
+        cluster_rate_ops_s += g.count_rate_ops_s;
+    }
+    (cluster_rate_ops_s, ops / cluster_rate_ops_s)
+}
+
+/// A strict lower bound on the computed energy of a configuration whose
+/// present groups' smallest per-op energy is `min_j_per_op`. The
+/// (1 − 1e-9) slack keeps the bound *strictly* below the computed energy
+/// despite floating-point rounding (≲ 1e-14 relative over the handful of
+/// adds/muls per config — five orders of magnitude smaller than the
+/// slack).
+#[inline(always)]
+fn energy_lower_bound(ops: f64, min_j_per_op: f64) -> f64 {
+    (ops * min_j_per_op) * (1.0 - 1e-9)
+}
+
 struct Shard {
     frontier: Frontier<u64>,
     pruned: u64,
@@ -219,26 +283,29 @@ struct Shard {
 }
 
 impl Shard {
+    /// The frontier's probe at `job_time_s`, and whether a kept point at
+    /// or before that time already has energy at or below `lb_energy_j`,
+    /// so that it strictly dominates every configuration the bound
+    /// covers.
+    #[inline(always)]
+    fn probe(&self, job_time_s: f64, lb_energy_j: f64) -> (usize, bool) {
+        let ub = self.frontier.upper_bound(job_time_s);
+        let dominated = self
+            .frontier
+            .min_energy_before(ub)
+            .is_some_and(|e_j| e_j <= lb_energy_j);
+        (ub, dominated)
+    }
+
     /// Prune or evaluate the configuration of `rank`: type 0's `head`
     /// group, then the run's `fixed` groups of the other types in type
-    /// order; `min_j_per_op` is the minimum over every present group.
+    /// order; `min_j_per_op` is the minimum over every present group. One
+    /// probe serves both the prune test and the insert.
     #[inline(always)]
     fn visit(&mut self, rank: u64, ops: f64, head: Group, fixed: &[Group], min_j_per_op: f64) {
-        let mut cluster_rate_ops_s = head.count_rate_ops_s;
-        for g in fixed {
-            cluster_rate_ops_s += g.count_rate_ops_s;
-        }
-        let job_time_s = ops / cluster_rate_ops_s;
-        // The (1 − 1e-9) slack keeps the bound *strictly* below the
-        // computed energy despite floating-point rounding (≲ 1e-14
-        // relative over the handful of adds/muls per config — five
-        // orders of magnitude smaller than the slack).
-        let lb_energy_j = (ops * min_j_per_op) * (1.0 - 1e-9);
-        if self
-            .frontier
-            .min_energy_at(job_time_s)
-            .is_some_and(|e_j| e_j <= lb_energy_j)
-        {
+        let (cluster_rate_ops_s, job_time_s) = rate_and_time(ops, head.count_rate_ops_s, fixed);
+        let (ub, dominated) = self.probe(job_time_s, energy_lower_bound(ops, min_j_per_op));
+        if dominated {
             self.pruned += 1;
             return;
         }
@@ -247,7 +314,7 @@ impl Shard {
             energy_j += g.energy_j(ops, cluster_rate_ops_s);
         }
         self.survivors += 1;
-        let _ = self.frontier.insert(job_time_s, energy_j, rank);
+        let _ = self.frontier.insert_at(ub, job_time_s, energy_j, rank);
     }
 }
 
@@ -258,6 +325,7 @@ fn run_shard(
     cap: u64,
     ops: f64,
     tables: &[PointTable],
+    corner: Option<RunCorner>,
 ) -> Shard {
     let mut shard = Shard {
         frontier: Frontier::new(),
@@ -297,14 +365,36 @@ fn run_shard(
                 rank += 1;
                 d0 = 1;
             }
-            // Type 0 walks its points at one node count at a time.
+            // Type 0 walks its points at one node count at a time. Each
+            // stretch of such a run (all of it unless a chunk edge cuts it)
+            // is first tested once, at the run's fastest time (type 0 at
+            // its largest rate) and lowest bound (type 0's smallest
+            // `j_per_op` with the fixed groups'). Each f64 operation
+            // rounds monotonically, so every member's time and bound are
+            // at or above these; the probe does not increase as `t` grows;
+            // and a pruned member inserts nothing. So when the run test
+            // prunes, the per-configuration test prunes each member in
+            // turn.
+            let run_test = corner.map(|c| {
+                let min_j_per_op = fixed_min_j_per_op.min(c.min_j_per_op);
+                (c.max_rate_ops_s, energy_lower_bound(ops, min_j_per_op))
+            });
             while d0 < head.base && rank < end {
                 let (count, first) = head.choice(d0);
                 let steps = (head_points - first as u64).min(end - rank);
-                for point in first..first + steps as usize {
-                    let g = head.group(count, point);
-                    shard.visit(rank, ops, g, &fixed, fixed_min_j_per_op.min(g.j_per_op));
-                    rank += 1;
+                let run_pruned = run_test.is_some_and(|(max_rate_ops_s, lb_energy_j)| {
+                    let (_, job_time_s) = rate_and_time(ops, count as f64 * max_rate_ops_s, &fixed);
+                    shard.probe(job_time_s, lb_energy_j).1
+                });
+                if run_pruned {
+                    shard.pruned += steps;
+                    rank += steps;
+                } else {
+                    for point in first..first + steps as usize {
+                        let g = head.group(count, point);
+                        shard.visit(rank, ops, g, &fixed, fixed_min_j_per_op.min(g.j_per_op));
+                        rank += 1;
+                    }
                 }
                 d0 += steps;
             }
@@ -351,16 +441,17 @@ pub fn stream_pareto_front(
         .max(1);
     let cache = EvalCache::new(workload);
     let tables = build_tables(workload, types, &cache);
+    let corner = RunCorner::of(&tables);
     let ops = workload.ops_per_job;
 
     let results: Vec<Shard> = if threads == 1 {
-        vec![run_shard(0, 1, chunk, cap, ops, &tables)]
+        vec![run_shard(0, 1, chunk, cap, ops, &tables, corner)]
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     let tables = &tables;
-                    s.spawn(move || run_shard(w, threads, chunk, cap, ops, tables))
+                    s.spawn(move || run_shard(w, threads, chunk, cap, ops, tables, corner))
                 })
                 .collect();
             handles
@@ -400,10 +491,12 @@ pub fn stream_pareto_front(
         })
         .collect();
 
+    // Two f64s per point, plus type 0's run corner.
     let table_bytes: usize = tables
         .iter()
         .map(|t| 2 * t.rate_ops_s.len() * std::mem::size_of::<f64>())
-        .sum();
+        .sum::<usize>()
+        + std::mem::size_of::<RunCorner>();
     // Per worker: one odometer digit and at most one fixed group per type.
     let per_worker_bytes =
         tables.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Group>());
@@ -560,6 +653,52 @@ mod tests {
             stream_pareto_front(&w, &types, opts).1.peak_buffer_bytes
         };
         assert_eq!(peak(1), peak(65_536));
+    }
+
+    /// A table of `max_nodes` nodes over the given points.
+    fn table(max_nodes: u64, rate_ops_s: &[f64], j_per_op: &[f64]) -> PointTable {
+        PointTable {
+            base: 1 + max_nodes * rate_ops_s.len() as u64,
+            rate_ops_s: rate_ops_s.to_vec(),
+            j_per_op: j_per_op.to_vec(),
+        }
+    }
+
+    /// One worker's prune count, survivor count and frontier over the
+    /// first `cap` configurations, as bits.
+    fn shard_result(
+        tables: &[PointTable],
+        ops: f64,
+        chunk: usize,
+        cap: u64,
+        corner: Option<RunCorner>,
+    ) -> (u64, u64, Vec<(u64, u64, u64)>) {
+        let s = run_shard(0, 1, chunk, cap, ops, tables, corner);
+        let front = s.frontier.points().iter();
+        let front = front.map(|p| (p.t.to_bits(), p.e.to_bits(), p.payload));
+        (s.pruned, s.survivors, front.collect())
+    }
+
+    #[test]
+    fn a_nan_rate_keeps_every_run_on_the_per_configuration_path() {
+        // Type 1's fast, cheap point puts a frontier point ahead of type
+        // 0's runs under its slow point; type 0's second point has a NaN
+        // rate, so a NaN time the per-configuration test never prunes.
+        let tables = [
+            table(1, &[1.0, f64::NAN], &[1.0, 1.0]),
+            table(1, &[100.0, 0.5], &[0.1, 1.0]),
+        ];
+        assert!(RunCorner::of(&tables).is_none());
+        let cap = 8;
+        for chunk in [1, 3, 8] {
+            let per_config = shard_result(&tables, 1.0, chunk, cap, None);
+            assert_eq!(per_config.0 + per_config.1, cap);
+            assert_eq!(
+                shard_result(&tables, 1.0, chunk, cap, RunCorner::of(&tables)),
+                per_config,
+                "chunk {chunk}"
+            );
+        }
     }
 
     #[test]
