@@ -216,13 +216,37 @@ fn is_stdout_broken_pipe(payload: &(dyn std::any::Any + Send)) -> bool {
         .is_some_and(|m| m.starts_with("failed printing to stdout") && m.contains("Broken pipe"))
 }
 
+/// The flags that make a command write a file while or after it prints,
+/// so that a closed stdout ends the command before the file is written
+/// (or, for a checkpoint, brought up to date).
+const FILE_OUTPUT_FLAGS: [&str; 4] = [
+    "--trace-out",
+    "--metrics-out",
+    "--checkpoint-out",
+    "--profile",
+];
+
 fn main() {
-    // A closed stdout ends the command quietly with status 0, as `head`
-    // expects, instead of a panic and a backtrace on stderr.
+    // A closed stdout ends a command whose only output is stdout quietly
+    // with status 0, as `head` expects, instead of a panic and a
+    // backtrace on stderr. A command that was also asked for a file ends
+    // with one stderr line naming it and status 2, as a failed write of
+    // that file does.
+    let unwritten: Vec<&str> = FILE_OUTPUT_FLAGS
+        .into_iter()
+        .filter(|flag| std::env::args().any(|a| a == *flag))
+        .collect();
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         if is_stdout_broken_pipe(info.payload()) {
-            std::process::exit(0);
+            if unwritten.is_empty() {
+                std::process::exit(0);
+            }
+            eprintln!(
+                "error: stdout closed before the command finished; not written: {}",
+                unwritten.join(", ")
+            );
+            std::process::exit(2);
         }
         default_hook(info);
     }));

@@ -337,13 +337,15 @@ fn faults_rejects_an_unstable_utilization_before_any_output() {
     }
 }
 
-#[test]
-fn a_closed_stdout_ends_the_command_quietly() {
+/// Run `enprop serve` with about 180 KB of live report plus `extra`,
+/// read one line of its stdout and close the pipe: more than a pipe
+/// holds, so the command is still writing when its reader goes away.
+/// Returns the line, the exit status and stderr.
+fn serve_into_a_pipe_closed_after_one_line(extra: &[&str]) -> (String, Option<i32>, String) {
     use std::io::BufRead;
-    // About 180 KB of live report: more than a pipe holds, so the command
-    // is still writing when the reader goes away after one line.
     let mut child = Command::new(env!("CARGO_BIN_EXE_enprop"))
         .args(["serve", "--requests", "20000", "--live-report", "0.05"])
+        .args(extra)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -353,10 +355,31 @@ fn a_closed_stdout_ends_the_command_quietly() {
         .read_line(&mut first)
         .unwrap();
     let out = child.wait_with_output().expect("binary exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (first, out.status.code(), stderr)
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let (first, code, stderr) = serve_into_a_pipe_closed_after_one_line(&[]);
     assert!(first.starts_with("window"), "{first}");
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_fails_a_command_with_a_file_still_to_write() {
+    let path = tmp_path("closed-stdout.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let (first, code, stderr) =
+        serve_into_a_pipe_closed_after_one_line(&["--trace-out", path.to_str().unwrap()]);
+    assert!(first.starts_with("window"), "{first}");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: stdout closed before the command finished; not written: --trace-out\n"
+    );
+    assert!(!path.exists(), "{} was written", path.display());
 }
 
 #[test]
