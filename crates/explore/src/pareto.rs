@@ -45,8 +45,7 @@ pub struct FrontierPoint<P> {
 /// `t' > t`: because `e` decreases as `t` increases, the point just before
 /// it carries the *minimum* energy over all kept points with `t' ≤ t`, so
 /// one probe answers [`Frontier::min_energy_at`], [`Frontier::dominated`]
-/// and where [`Frontier::insert`] splices. A `t` at or past the last point
-/// probes to [`Frontier::len`] without a search.
+/// and where [`Frontier::insert`] splices.
 #[derive(Debug, Clone, Default)]
 pub struct Frontier<P> {
     points: Vec<FrontierPoint<P>>,
@@ -81,15 +80,9 @@ impl<P> Frontier<P> {
 
     /// Index of the first point with `t' > t`: the probe every query
     /// shares. The point just before it (if any) has the largest `t' ≤ t`
-    /// and therefore the smallest `e` among all points with `t' ≤ t`. A
-    /// `t` at or past the last point answers `len()` without a search,
-    /// which is what the search returns on any staircase built from
-    /// non-NaN keys (they are sorted by `t`).
+    /// and therefore the smallest `e` among all points with `t' ≤ t`.
     pub(crate) fn upper_bound(&self, t: f64) -> usize {
-        match self.points.last() {
-            Some(last) if t >= last.t => self.points.len(),
-            _ => self.points.partition_point(|p| p.t <= t),
-        }
+        self.points.partition_point(|p| p.t <= t)
     }
 
     /// [`Frontier::min_energy_at`] for the probe `ub` of its `t`.

@@ -290,11 +290,11 @@ impl Shard {
     #[inline(always)]
     fn probe(&self, job_time_s: f64, lb_energy_j: f64) -> (usize, bool) {
         let ub = self.frontier.upper_bound(job_time_s);
-        let dominated = self
+        let prunes = self
             .frontier
             .min_energy_before(ub)
             .is_some_and(|e_j| e_j <= lb_energy_j);
-        (ub, dominated)
+        (ub, prunes)
     }
 
     /// Prune or evaluate the configuration of `rank`: type 0's `head`
@@ -304,8 +304,8 @@ impl Shard {
     #[inline(always)]
     fn visit(&mut self, rank: u64, ops: f64, head: Group, fixed: &[Group], min_j_per_op: f64) {
         let (cluster_rate_ops_s, job_time_s) = rate_and_time(ops, head.count_rate_ops_s, fixed);
-        let (ub, dominated) = self.probe(job_time_s, energy_lower_bound(ops, min_j_per_op));
-        if dominated {
+        let (ub, prunes) = self.probe(job_time_s, energy_lower_bound(ops, min_j_per_op));
+        if prunes {
             self.pruned += 1;
             return;
         }

@@ -36,10 +36,14 @@ KEPT = {
     # and the wait-time half it sums.
     "crates/queueing/src/md1.rs: MD1::response_time_cdf",
     "crates/queueing/src/md1.rs: MD1::wait_cdf",
-    # The frontier's public pruning probe: the streamed kernel takes the
-    # probe index once and reads the energy from it, and the reference
-    # walks of the streaming tests prune through this form.
+    # The frontier's public queries beside insert. The streamed kernel
+    # takes one probe per configuration and answers its prune test and
+    # its insert's dominance test from it, so no library code calls these
+    # one-call forms; the reference walks of the streaming tests prune
+    # through min_energy_at, and the frontier's unit tests pin both
+    # against a plain partition_point.
     "crates/explore/src/pareto.rs: Frontier::min_energy_at",
+    "crates/explore/src/pareto.rs: Frontier::dominated",
     # A kept plain/_obs twin (ROADMAP Aim 2): its untraced callers are tests.
     "crates/clustersim/src/run.rs: ClusterSim::run_job_under_plan",
     # The workload builder (DESIGN.md §7): its entry points, driven by a
