@@ -273,11 +273,13 @@ fn run_serving(
     // The checkpoint sink cannot return an error through the hook, so it
     // parks the first failure here and the run surfaces it on exit.
     let mut cp_err: Option<EnpropError> = None;
+    let mut cp_written = false;
     let cp_path = so.checkpoint_out.clone();
     let mut cp_sink = |snap: &str| {
         if let Some(path) = &cp_path {
             if cp_err.is_none() {
                 cp_err = write_checkpoint(path, snap).err();
+                cp_written = true;
             }
         }
     };
@@ -329,10 +331,18 @@ fn run_serving(
                  no report)"
             );
             if let Some(path) = &so.checkpoint_out {
-                println!(
-                    "resume with: enprop {mode} --resume-from {} <same flags>",
-                    path.display()
-                );
+                if cp_written {
+                    println!(
+                        "resume with: enprop {mode} --resume-from {} <same flags>",
+                        path.display()
+                    );
+                } else {
+                    println!(
+                        "no checkpoint written to {}: the run was killed before its first \
+                         obs window closed",
+                        path.display()
+                    );
+                }
             }
         }
     }

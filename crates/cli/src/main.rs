@@ -459,7 +459,7 @@ fn run() -> Result<(), EnpropError> {
             }
             so.checkpoint_out = parse_flag(&args, "--checkpoint-out").map(PathBuf::from);
             so.resume_from = parse_flag(&args, "--resume-from").map(PathBuf::from);
-            so.kill_after_events = parse_num(&args, "--kill-after-events")?;
+            so.kill_after_events = parse_count(&args, "--kill-after-events")?;
             so.best_effort = parse_num(&args, "--best-effort")?;
             so.rack_mtbf_s = parse_num(&args, "--rack-mtbf")?;
             so.pdu_mtbf_s = parse_num(&args, "--pdu-mtbf")?;

@@ -313,6 +313,10 @@ fn faults_rejects_an_unstable_utilization_before_any_output() {
         (&["serve", "--live-report", "0"], "--live-report"),
         (&["chaos", "--plans", "0"], "--plans"),
         (&["serve", "--requests", "0"], "--requests"),
+        (
+            &["serve", "--kill-after-events", "0"],
+            "--kill-after-events",
+        ),
         (&["serve", "--utilization", "0"], "--utilization"),
         (&["serve", "--utilization", "-1"], "--utilization"),
         (&["serve", "--utilization", "nan"], "--utilization"),
@@ -335,6 +339,36 @@ fn faults_rejects_an_unstable_utilization_before_any_output() {
         assert!(stdout.is_empty(), "{args:?}:\n{stdout}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
+}
+
+/// A run killed before its first obs window closes has written no
+/// checkpoint, so it must not print a resume command for one; a run
+/// killed after that does.
+#[test]
+fn a_killed_run_offers_to_resume_only_from_a_written_checkpoint() {
+    let path = tmp_path("killed-early.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let kill = |events: &str| {
+        run(&[
+            "serve",
+            "--requests",
+            "2000",
+            "--kill-after-events",
+            events,
+            "--checkpoint-out",
+            path.to_str().unwrap(),
+        ])
+    };
+    let (stdout, stderr, ok) = kill("100");
+    assert!(ok, "{stderr}");
+    assert!(!path.exists(), "{} was written", path.display());
+    assert!(!stdout.contains("resume with"), "{stdout}");
+    assert!(stdout.contains("no checkpoint written"), "{stdout}");
+    let (stdout, stderr, ok) = kill("3000");
+    assert!(ok, "{stderr}");
+    assert!(path.exists(), "{} was not written", path.display());
+    assert!(stdout.contains("resume with"), "{stdout}");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Run `enprop serve` with about 180 KB of live report plus `extra`,

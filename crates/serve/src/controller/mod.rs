@@ -28,7 +28,11 @@
 //! - **No deadlock**: pending work is re-flushed on every completion,
 //!   repair, activation and control tick; a drain deadline bounds the
 //!   post-arrival tail; an event-budget guard turns any scheduling bug
-//!   into [`EnpropError::EventBudgetExceeded`] instead of a hang.
+//!   into [`EnpropError::EventBudgetExceeded`] instead of a hang. The
+//!   budget never falls during a run (the clock and the arrival count
+//!   only grow, the node count is fixed), so the loop recomputes it only
+//!   when the event count passes the last value, and the guard fires at
+//!   the event a per-event check would.
 //! - **Determinism**: dispatch tie-breaks are by node index, all
 //!   randomness is keyed ([`FaultPlan`] windows, arrival streams), and
 //!   event ordering uses `total_cmp` plus a sequence number — the same
@@ -650,9 +654,9 @@ impl<'a> Controller<'a> {
     /// Livelock guard: generous, scales with work actually admitted so a
     /// 10^6-request replay is fine while a same-instant event loop trips.
     /// `None` when the budget does not fit in a `u64`, which takes a clock
-    /// past ~10^18 virtual seconds: the loop stops there with
-    /// [`EnpropError::EventBudgetExceeded`], and restore rejects a
-    /// snapshot whose clock is that far out.
+    /// past ~10^18 virtual seconds: the loop stops at its next
+    /// recomputation with [`EnpropError::EventBudgetExceeded`], and
+    /// restore rejects a snapshot whose clock is that far out.
     pub(crate) fn event_budget(&self) -> Option<u64> {
         let cadence = TICK_S.min(HEALTH_INTERVAL_S);
         // Float-to-int casts saturate, so a far clock overflows the `+ 1`.
@@ -681,6 +685,9 @@ impl<'a> Controller<'a> {
     ) -> Result<RunOutcome, EnpropError> {
         let mut forced = false;
         let mut encoder = crate::snapshot::Encoder::default();
+        // The last event budget, recomputed only once `events` passes it
+        // (the module doc says why that is exact).
+        let mut budget = 0;
         while !self.done() {
             let Some(ev) = self.next_event() else {
                 // Unreachable by construction (recurring ticks always
@@ -702,14 +709,21 @@ impl<'a> Controller<'a> {
                 }
             }
             self.events += 1;
-            if self
-                .event_budget()
-                .is_none_or(|budget| self.events > budget)
-            {
-                return Err(EnpropError::EventBudgetExceeded {
-                    events: self.events,
-                    at_s: self.now,
-                });
+            if self.events > budget {
+                let next = self.event_budget();
+                debug_assert!(
+                    next.is_none_or(|b| b >= budget),
+                    "the event budget fell below {budget}"
+                );
+                match next {
+                    Some(b) if self.events <= b => budget = b,
+                    _ => {
+                        return Err(EnpropError::EventBudgetExceeded {
+                            events: self.events,
+                            at_s: self.now,
+                        })
+                    }
+                }
             }
             match ev.kind {
                 EvKind::Arrival { ops, class } => self.on_arrival(ops, class, source, rec),

@@ -662,25 +662,45 @@ fn trailer<W: Walk>(w: &mut W, lines: &mut usize) -> Walked {
 
 // ---- writing ---------------------------------------------------------------
 
-/// `v` in decimal: a digit loop into a stack buffer, which measured
-/// faster on the checkpoint path than a `write!` per field.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [b'0'; 20];
+/// `"00"` to `"99"`, two ASCII digits per entry.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// `v` in decimal, as `v.to_string()` writes it: two digits per step
+/// from [`DIGIT_PAIRS`] into a stack buffer, which measured faster on
+/// the checkpoint path than one digit per step or a `write!` per field.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
     let mut at = digits.len();
-    while at == digits.len() || v > 0 {
-        at -= 1;
-        digits[at] += (v % 10) as u8;
-        v /= 10;
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// The checkpoint encoder, the writing direction of the walk. The event
 /// loop owns one for the whole run and calls it after each plane roll.
 #[derive(Debug, Default)]
 pub(crate) struct Encoder {
-    /// The snapshot text, reused across checkpoints.
-    out: String,
+    /// The snapshot text as bytes, reused across checkpoints. Every piece
+    /// appended is ASCII or a whole `&str`, so it is UTF-8 throughout;
+    /// [`Encoder::encode`] checks that once per checkpoint.
+    out: Vec<u8>,
     /// Lines written to `out` so far, for the trailer.
     lines: usize,
 }
@@ -694,22 +714,22 @@ impl Walk for Encoder {
 
     fn flat<T: Flat>(&mut self, key: &str, v: &mut T) -> Walked {
         self.key("", key);
-        self.out.push('[');
+        self.out.push(b'[');
         for (i, word) in v.words().enumerate() {
             if i > 0 {
-                self.out.push(',');
+                self.out.push(b',');
             }
             push_u64(&mut self.out, word);
         }
-        self.out.push(']');
+        self.out.push(b']');
         Ok(())
     }
 
     fn str(&mut self, key: &str, v: &mut Cow<'_, str>) -> Walked {
         self.key("", key);
-        self.out.push('"');
-        self.out.push_str(v);
-        self.out.push('"');
+        self.out.push(b'"');
+        self.out.extend_from_slice(v.as_bytes());
+        self.out.push(b'"');
         Ok(())
     }
 
@@ -721,19 +741,19 @@ impl Walk for Encoder {
 impl Encoder {
     /// `,"<prefix><key>":`.
     fn key(&mut self, prefix: &str, key: &str) {
-        self.out.push_str(",\"");
-        self.out.push_str(prefix);
-        self.out.push_str(key);
-        self.out.push_str("\":");
+        self.out.extend_from_slice(b",\"");
+        self.out.extend_from_slice(prefix.as_bytes());
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
     }
 
     /// One `sec` line with the fields `walk` hands over.
     fn line(&mut self, sec: &str, walk: impl FnOnce(&mut Self) -> Walked) -> Walked {
-        self.out.push_str("{\"sec\":\"");
-        self.out.push_str(sec);
-        self.out.push('"');
+        self.out.extend_from_slice(b"{\"sec\":\"");
+        self.out.extend_from_slice(sec.as_bytes());
+        self.out.push(b'"');
         walk(self)?;
-        self.out.push_str("}\n");
+        self.out.extend_from_slice(b"}\n");
         self.lines += 1;
         Ok(())
     }
@@ -758,7 +778,7 @@ impl Encoder {
         // fail, the text would stop short of its trailer and restore as a
         // torn write.
         debug_assert!(walked.is_ok(), "a checkpoint failed a check: {walked:?}");
-        &self.out
+        std::str::from_utf8(&self.out).expect("ASCII and whole `&str`s are UTF-8")
     }
 
     /// Every line but the trailer, in write order.
@@ -1111,7 +1131,7 @@ mod tests {
         let mut e = Encoder::default();
         e.line(sec, walk)
             .expect("a walk over a valid value writes it");
-        e.out
+        String::from_utf8(e.out).unwrap()
     }
 
     /// Every checkpoint of a faulted run (rack crashes, power emergencies,
@@ -1233,6 +1253,39 @@ mod tests {
         assert_eq!(x, 3);
         assert!(l.narrow::<u8>(256, "class").is_err());
         assert!(l.expect("x", 3).is_ok() && l.expect("x", 2).is_err());
+    }
+
+    fn pushed(v: u64) -> String {
+        let mut out = Vec::new();
+        push_u64(&mut out, v);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// Every digit count, each side of every power of ten, and a negative
+    /// sketch key's two's-complement word.
+    #[test]
+    fn push_u64_writes_what_to_string_writes() {
+        let mut vs = vec![0, u64::MAX, i64::from(-204) as u64];
+        for k in 1..=19 {
+            let p = 10_u64.pow(k);
+            vs.extend([p - 1, p, p + 1]);
+        }
+        for v in vs {
+            assert_eq!(pushed(v), v.to_string());
+        }
+    }
+
+    proptest::proptest! {
+        /// A random word shifted right by a random amount, so every digit
+        /// count is drawn.
+        #[test]
+        fn push_u64_writes_what_to_string_writes_for_any_word(
+            v in 0_u64..=u64::MAX,
+            shift in 0_u32..64,
+        ) {
+            let v = v >> shift;
+            proptest::prop_assert_eq!(pushed(v), v.to_string());
+        }
     }
 
     #[test]
@@ -1389,7 +1442,7 @@ mod tests {
     fn plane_text(p: &mut ObsPlane, now: f64) -> String {
         let mut e = Encoder::default();
         e.plane_lines(p, now).expect("a live plane's lines");
-        e.out
+        String::from_utf8(e.out).unwrap()
     }
 
     fn read_plane_text(lines: &[&str], p: &mut ObsPlane, now: f64) -> Walked {
